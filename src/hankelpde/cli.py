@@ -33,6 +33,7 @@ from . import __version__
 from .companion import companion_profile, space_reversed
 from .dispersion import GrowthError, evolve, exp_rate_symbol
 from .equations import (
+    _nanmax_abs,
     product_rule_check,
     residual_coupled,
     residual_kernel,
@@ -161,10 +162,23 @@ def _initial_from_section(section):
                            values=values)
 
 
+def _section(raw, key, needed):
+    sec = raw[key]
+    missing = [k for k in needed if not (isinstance(sec, dict) and k in sec)]
+    if missing:
+        raise ValueError("%s section needs %s, missing %s"
+                         % (key, "/".join(needed), missing))
+    return sec
+
+
 def parse_scenario(path):
     """Load and validate a scenario file."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as err:
+            raise ValueError("scenario file %s is not valid YAML: %s"
+                             % (path, str(err).replace("\n", " ")))
     if not isinstance(raw, dict):
         raise ValueError("scenario file %s is not a key-value document" % path)
     for key in ("kind", "initial", "grid", "quadrature", "samples"):
@@ -180,7 +194,8 @@ def parse_scenario(path):
                         mu2=None if mu2 is None else _parse_complex(mu2, "mu2"))
 
     dims = raw.get("dims", [1, 1])
-    if len(dims) != 2 or int(dims[0]) < 1 or int(dims[1]) < 1:
+    if (not isinstance(dims, list) or len(dims) != 2
+            or not all(isinstance(d, int) and d >= 1 for d in dims)):
         raise ValueError("dims must be a pair of positive integers, got %r" % (dims,))
     n, m = int(dims[0]), int(dims[1])
     if kind.needs_square and n != m:
@@ -189,13 +204,14 @@ def parse_scenario(path):
 
     initial = _initial_from_section(raw["initial"])
 
-    gsec = raw["grid"]
+    gsec = _section(raw, "grid", ("X", "M"))
     grid = make_uniform_grid(float(gsec["X"]), int(gsec["M"]))
-    qsec = raw["quadrature"]
+    qsec = _section(raw, "quadrature", ("L", "N"))
     quad = make_quadrature(float(qsec["L"]), int(qsec["N"]), grid.spacing)
 
-    xs = _sample_axis(raw["samples"].get("x"), "x")
-    ts = _sample_axis(raw["samples"].get("t"), "t")
+    samples = _section(raw, "samples", ("x", "t"))
+    xs = _sample_axis(samples["x"], "x")
+    ts = _sample_axis(samples["t"], "t")
     if initial.kind in ("exponential_step", "exponential") \
             and space_reversed(kind.companion):
         raise ValueError("space-reversed pairings reflect the profile, and a "
@@ -305,8 +321,8 @@ def _residual_rows(scenario, field_out):
     rows = []
     if scenario.coupled:
         worst, (R1, R2) = residual_coupled(field_out, return_fields=True)
-        rows.append(("coupled_g", _nanmax(R1), _l2_norm(R1, dx, dt)))
-        rows.append(("coupled_g_tilde", _nanmax(R2), _l2_norm(R2, dx, dt)))
+        rows.append(("coupled_g", _nanmax_abs(R1), _l2_norm(R1, dx, dt)))
+        rows.append(("coupled_g_tilde", _nanmax_abs(R2), _l2_norm(R2, dx, dt)))
         return rows
     res, worst = residual_local(scenario.kind, field_out)
     inner = res[2:-2, 2:-2]
@@ -317,13 +333,6 @@ def _residual_rows(scenario, field_out):
         rows.append((scenario.kind.name + "_slices", worst_k,
                      max(_l2_norm(R1, dx, dt), _l2_norm(R2, dx, dt))))
     return rows
-
-
-def _nanmax(R):
-    vals = np.abs(R)
-    if np.all(np.isnan(vals)):
-        return float("nan")
-    return float(np.nanmax(vals))
 
 
 def run(scenario, out_dir=".", threads=1):
@@ -483,7 +492,7 @@ def convergence_study(scenario, levels=3, guard=4096, threads=1):
         if reference is not None:
             T, X = np.meshgrid(ts, xs, indexing="ij")
             exact = reference(X, T)
-            err = _nanmax(field_out.center[:, :, 0, 0] - exact)
+            err = _nanmax_abs(field_out.center[:, :, 0, 0] - exact)
         else:
             if scenario.coupled:
                 _, (R1, R2) = residual_coupled(field_out, return_fields=True)

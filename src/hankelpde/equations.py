@@ -13,7 +13,7 @@ import numpy as np
 
 from .companion import companion_profile
 from .dispersion import DispersionParams, evolve
-from .fredholm import assemble_Q, hankel_rhs, hankel_values, kdv_Q, make_quadrature, solve_G
+from .fredholm import assemble_Q, hankel_values, nystrom_matrix, quadrature_rules, solve_origin
 from .kinds import resolve_kind
 
 _KDV_FLOW = DispersionParams(mu1=0.0, mu2=-1.0)
@@ -223,10 +223,7 @@ def miura_check(p0, quad, xs, ts, richardson=False):
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     dx = _uniform_step(xs, "x", minimum=3)
-    grids = [quad]
-    if richardson:
-        grids.append(make_quadrature(quad.truncation, 2 * quad.intervals,
-                                     p0.grid.spacing))
+    rules = quadrature_rules(quad, richardson, p0.grid.spacing)
 
     worst = 0.0
     for t in ts:
@@ -235,21 +232,8 @@ def miura_check(p0, quad, xs, ts, richardson=False):
         gm = np.empty((xs.size,) + (p0.rows, p0.cols), dtype=complex)
         gk = np.empty_like(gm)
         for ix, x in enumerate(xs):
-            per_grid_m = []
-            per_grid_k = []
-            for qd in grids:
-                Qm = assemble_Q(p_t, ptil, x, qd)
-                Gm = solve_G(Qm, p_t, x, qd)
-                per_grid_m.append(Gm.blocks[-1, -1])
-                Qk = kdv_Q(p_t, x, qd)
-                Gk = solve_G(Qk, p_t, x, qd)
-                per_grid_k.append(Gk.blocks[-1, -1])
-            if richardson:
-                gm[ix] = (4.0 * per_grid_m[1] - per_grid_m[0]) / 3.0
-                gk[ix] = (4.0 * per_grid_k[1] - per_grid_k[0]) / 3.0
-            else:
-                gm[ix] = per_grid_m[0]
-                gk[ix] = per_grid_k[0]
+            gm[ix] = solve_origin(p_t, ptil, x, rules)[1]
+            gk[ix] = solve_origin(p_t, None, x, rules)[1]
         dgk = (gk[2:] - gk[:-2]) / (2.0 * dx)
         dgm = (gm[2:] - gm[:-2]) / (2.0 * dx)
         defect = dgk - dgm - gm[1:-1] @ gm[1:-1]
@@ -271,16 +255,6 @@ def _kernel_blocks_from_callable(f, nodes):
     return out
 
 
-def _compose_hankel(h, hp, x, quad):
-    """Blocks of the composed kernel (H H')(xi_i, xi_j; x) by quadrature."""
-    A = hankel_rhs(h, x, quad)
-    B = hankel_rhs(hp, x, quad)
-    w_rows = np.repeat(quad.weights, hp.rows)
-    big = A.big() @ (w_rows[:, None] * B.big())
-    K = quad.node_count
-    return big.reshape(K, h.rows, K, hp.cols).transpose(0, 2, 1, 3)
-
-
 def product_rule_check(f, h, hp, fp, x, quad, dx=None):
     """Both sides of the Hankel product rule, evaluated by quadrature.
 
@@ -300,8 +274,9 @@ def product_rule_check(f, h, hp, fp, x, quad, dx=None):
     a = F.shape[2]
     b = Fp.shape[3]
 
-    Dc = (_compose_hankel(h, hp, x + dx, quad)
-          - _compose_hankel(h, hp, x - dx, quad)) / (2.0 * dx)
+    # the composed kernel (H H')(xi_i, xi_j; x) is assemble_Q with h on the left
+    Dc = (assemble_Q(hp, h, x + dx, quad).blocks
+          - assemble_Q(hp, h, x - dx, quad).blocks) / (2.0 * dx)
 
     F_big = F.transpose(0, 2, 1, 3).reshape(K * a, K * h.rows)
     D_big = Dc.transpose(0, 2, 1, 3).reshape(K * h.rows, K * hp.cols)
@@ -328,14 +303,6 @@ class UIdentityReport:
     identity_i_error: float = None
 
 
-def _resolvent(Q):
-    a = Q.block_rows
-    w_rows = np.repeat(Q.quad.weights, a)
-    WQ = w_rows[:, None] * Q.big()
-    A = np.eye(WQ.shape[0], dtype=complex) + WQ
-    return np.linalg.inv(A), WQ
-
-
 def u_identity_check(q_kernels, dx=None):
     """Certify the resolvent identities on discretized kernels.
 
@@ -352,7 +319,8 @@ def u_identity_check(q_kernels, dx=None):
     WQs = []
     err_ii = 0.0
     for Q in q_kernels:
-        U, WQ = _resolvent(Q)
+        A, WQ = nystrom_matrix(Q, Q.quad)
+        U = np.linalg.inv(A)
         I = np.eye(U.shape[0], dtype=complex)
         err_ii = max(err_ii,
                      float(np.abs(I - U - U @ WQ).max()),

@@ -133,19 +133,19 @@ def hankel_rhs(p, x, quad):
 def assemble_Q(p, p_tilde, x, quad):
     """Quadrature of q(y,z;x) = integral of ptilde(y+xi+x) p(xi+z+x) dxi.
 
-    p has n x m blocks, p_tilde m x n; the result has m x m blocks with
-    Q[i][j] = sum_k w_k ptilde(xi_i+xi_k+x) p(xi_k+xi_j+x).
+    Only the inner dimensions must pair: p has n x m blocks and p_tilde
+    a x n, and the result has a x m blocks with
+    Q[i][j] = sum_k w_k ptilde(xi_i+xi_k+x) p(xi_k+xi_j+x).  A companion
+    pairing (a = m) gives the square blocks the Nystrom solve needs.
     """
-    if p_tilde.rows != p.cols or p_tilde.cols != p.rows:
+    if p_tilde.cols != p.rows:
         raise ValueError("companion dims %r do not pair with profile dims %r"
                          % ((p_tilde.rows, p_tilde.cols), (p.rows, p.cols)))
     P = hankel_rhs(p, x, quad)
     Pt = hankel_rhs(p_tilde, x, quad)
-    K = quad.node_count
-    n = p.rows
-    w_rows = np.repeat(quad.weights, n)
+    w_rows = np.repeat(quad.weights, p.rows)
     Q_big = Pt.big() @ (w_rows[:, None] * P.big())
-    return DiscreteKernel.from_big(Q_big, quad, p.cols, p.cols)
+    return DiscreteKernel.from_big(Q_big, quad, p_tilde.rows, p.cols)
 
 
 def kdv_Q(p, x, quad):
@@ -164,6 +164,16 @@ def kdv_Q(p, x, quad):
                           blocks=-rhs.blocks)
 
 
+def nystrom_matrix(Q, quad):
+    """The Nystrom system matrix I + WQ and the weighted kernel WQ.
+
+    W holds the quadrature weights of quad, one per block row of Q.
+    """
+    w_rows = np.repeat(quad.weights, Q.block_rows)
+    WQ = w_rows[:, None] * Q.big()
+    return np.eye(WQ.shape[0], dtype=complex) + WQ, WQ
+
+
 def det2(Q, quad=None):
     """Regularised determinant det((I + WQ) e^{-WQ}).
 
@@ -175,10 +185,7 @@ def det2(Q, quad=None):
     if Q.block_rows != Q.block_cols:
         raise ValueError("det2 needs square blocks, got %d x %d"
                          % (Q.block_rows, Q.block_cols))
-    a = Q.block_rows
-    w_rows = np.repeat(quad.weights, a)
-    WQ = w_rows[:, None] * Q.big()
-    A = np.eye(WQ.shape[0], dtype=complex) + WQ
+    A, WQ = nystrom_matrix(Q, quad)
     try:
         sign, logabs = np.linalg.slogdet(A)
     except np.linalg.LinAlgError:
@@ -201,9 +208,7 @@ def solve_G(Q, p, x, quad=None, patch_threshold=PATCH_THRESHOLD, det2_value=None
     if abs(det2_value) < patch_threshold:
         raise PatchError(det2_value, x=x)
     rhs = hankel_rhs(p, x, quad)
-    m = Q.block_rows
-    w_rows = np.repeat(quad.weights, m)
-    A = np.eye(w_rows.size, dtype=complex) + w_rows[:, None] * Q.big()
+    A = nystrom_matrix(Q, quad)[0]
     G_big = np.linalg.solve(A.T, rhs.big().T).T
     return DiscreteKernel.from_big(G_big, quad, p.rows, p.cols)
 
@@ -211,13 +216,42 @@ def solve_G(Q, p, x, quad=None, patch_threshold=PATCH_THRESHOLD, det2_value=None
 def nystrom_residual(G, Q, p, x, quad=None):
     """Relative backward error of the solved system (certification aid)."""
     quad = Q.quad if quad is None else quad
-    m = Q.block_rows
-    w_rows = np.repeat(quad.weights, m)
-    A = np.eye(w_rows.size, dtype=complex) + w_rows[:, None] * Q.big()
+    A = nystrom_matrix(Q, quad)[0]
     rhs = hankel_rhs(p, x, quad).big()
     num = np.abs(G.big() @ A - rhs).max()
     den = max(np.abs(rhs).max(), 1e-300)
     return float(num / den)
+
+
+def quadrature_rules(quad, richardson, h_x):
+    """The rules one sample is solved on: (quad,), or with Richardson
+    extrapolation the pair (quad, its 2N refinement)."""
+    if not richardson:
+        return (quad,)
+    return quad, make_quadrature(quad.truncation, 2 * quad.intervals, h_x)
+
+
+def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
+    """det2 and G at the origin for one sample: (det2, G(0,0), G(xi_i,0),
+    G(0,xi_j)), the last two over the nodes of rules[0].
+
+    ptil=None is the neg_identity pairing (Q = -P); otherwise Q pairs p
+    with the companion ptil.  With two rules from quadrature_rules the
+    values are Richardson-extrapolated, (4*fine - coarse)/3 with the
+    fine rule read at every second node, and det2 is the fine rule's.
+    A |det2| below threshold on either rule raises PatchError.
+    """
+    out = []
+    for quad in rules:
+        Q = kdv_Q(p, x, quad) if ptil is None else assemble_Q(p, ptil, x, quad)
+        d2 = det2(Q, quad)
+        G = solve_G(Q, p, x, quad, patch_threshold=threshold, det2_value=d2).blocks
+        out.append((d2, G[-1, -1], G[:, -1], G[-1, :]))
+    if len(out) == 1:
+        return out[0]
+    (_, *coarse), (d2, centre, col, row) = out
+    fine = (centre, col[::2], row[::2])
+    return (d2,) + tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
 
 
 @dataclass
@@ -257,11 +291,6 @@ class PatchReport:
         return len(self.skipped) > 0
 
 
-def _coupled_Q(p_t, ptil, x, quad):
-    # role swap: the partner field solves P~ = G~ (id + P P~)
-    return assemble_Q(ptil, p_t, x, quad)
-
-
 def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     """Run the full pipeline over the scenario's (x,t) sample grid.
 
@@ -284,14 +313,11 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     K = quad.node_count
     nt, nx = ts.size, xs.size
     coupled = getattr(scenario, "coupled", False)
-    richardson = getattr(scenario, "richardson", False)
     threshold = scenario.tolerances.get("patch_threshold", PATCH_THRESHOLD)
 
     p0 = sample_profile(scenario.initial, scenario.grid, n, m)
-    fine = None
-    if richardson:
-        fine = make_quadrature(quad.truncation, 2 * quad.intervals,
-                               scenario.grid.spacing)
+    rules = quadrature_rules(quad, getattr(scenario, "richardson", False),
+                             scenario.grid.spacing)
 
     center = np.full((nt, nx, n, m), np.nan, dtype=complex)
     slice_y = np.full((nt, nx, K, n, m), np.nan, dtype=complex)
@@ -300,22 +326,6 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     det2_vals = np.full((nt, nx), np.nan, dtype=complex)
     skipped = [[] for _ in range(nt)]
 
-    def solve_sample(p_t, ptil, x, grids):
-        out = []
-        for qd in grids:
-            if scenario.companion == "neg_identity":
-                Q = kdv_Q(p_t, x, qd)
-            else:
-                Q = assemble_Q(p_t, ptil, x, qd)
-            d2 = det2(Q, qd)
-            G = solve_G(Q, p_t, x, qd, patch_threshold=threshold, det2_value=d2)
-            pair = None
-            if coupled:
-                Qc = _coupled_Q(p_t, ptil, x, qd)
-                pair = solve_G(Qc, ptil, x, qd, patch_threshold=threshold)
-            out.append((d2, G, pair))
-        return out
-
     def run_row(it):
         t = ts[it]
         p_t = evolve(p0, scenario.params, t)
@@ -323,10 +333,11 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
         if scenario.companion != "neg_identity":
             src = evolve(p0, scenario.params, -t) if time_reversed(scenario.companion) else p_t
             ptil = companion_profile(src, scenario.companion)
-        grids = (quad, fine) if richardson else (quad,)
         for ix, x in enumerate(xs):
             try:
-                solved = solve_sample(p_t, ptil, x, grids)
+                solved = solve_origin(p_t, ptil, x, rules, threshold)
+                # role swap: the partner field solves P~ = G~ (id + P P~)
+                pair = solve_origin(ptil, p_t, x, rules, threshold) if coupled else None
             except PatchError as err:
                 err.t = t
                 det2_vals[it, ix] = err.det2_value
@@ -334,22 +345,9 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                     raise
                 skipped[it].append((it, ix, float(t), float(x), err.det2_value))
                 continue
-            if richardson:
-                (d2c, Gc, pc), (d2f, Gf, pf) = solved
-                det2_vals[it, ix] = d2f
-                center[it, ix] = (4.0 * Gf.blocks[-1, -1] - Gc.blocks[-1, -1]) / 3.0
-                slice_y[it, ix] = (4.0 * Gf.blocks[::2, -1] - Gc.blocks[:, -1]) / 3.0
-                slice_z[it, ix] = (4.0 * Gf.blocks[-1, ::2] - Gc.blocks[-1, :]) / 3.0
-                if coupled:
-                    center_tilde[it, ix] = (4.0 * pf.blocks[-1, -1] - pc.blocks[-1, -1]) / 3.0
-            else:
-                d2, G, pair = solved[0]
-                det2_vals[it, ix] = d2
-                center[it, ix] = G.blocks[-1, -1]
-                slice_y[it, ix] = G.blocks[:, -1]
-                slice_z[it, ix] = G.blocks[-1, :]
-                if coupled:
-                    center_tilde[it, ix] = pair.blocks[-1, -1]
+            det2_vals[it, ix], center[it, ix], slice_y[it, ix], slice_z[it, ix] = solved
+            if coupled:
+                center_tilde[it, ix] = pair[1]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

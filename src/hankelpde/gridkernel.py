@@ -7,7 +7,7 @@ grid nodes (the commensurability rules guarantee every needed argument
 lands on one), so evaluation is exact lookup, never interpolation.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 import numpy as np
 
 DECAY_TOL = 1e-10
@@ -155,7 +155,7 @@ def sample_profile(spec, grid, n, m):
     tag = None
     if spec.kind == "gaussian":
         A = _amplitude_matrix(spec, n, m)
-        if not spec.width > 0:
+        if spec.width is None or not spec.width > 0:
             raise ValueError("gaussian width must be positive, got %r" % (spec.width,))
         prof = np.exp(-((s - spec.center) ** 2) / (2.0 * spec.width ** 2))
         samples = prof[:, None, None] * A[None, :, :]
@@ -218,11 +218,3 @@ def from_spectral(sp):
     samples = np.fft.ifft(raw * phase[:, None, None] * M, axis=0)
     return MatrixProfile(grid=sp.grid, rows=sp.rows, cols=sp.cols,
                          samples=samples, time_stamp=sp.time_stamp)
-
-
-def with_samples(p, samples, time_stamp=None, exp_tag=None):
-    """New profile sharing p's grid and shape with replaced samples."""
-    return MatrixProfile(grid=p.grid, rows=samples.shape[1], cols=samples.shape[2],
-                         samples=samples,
-                         time_stamp=p.time_stamp if time_stamp is None else time_stamp,
-                         exp_tag=exp_tag)

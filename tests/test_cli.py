@@ -285,6 +285,20 @@ def test_main_solve_and_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", [
+    "kind: [local_nls\n",
+    GAUSS_NLS_SMALL.replace("dims: [1, 1]", "dims: 5"),
+    GAUSS_NLS_SMALL.replace("grid: {X: 20.0, M: 640}", "grid: {M: 640}"),
+    GAUSS_NLS_SMALL.replace(", width: 1.0", ""),
+], ids=["unparseable_yaml", "scalar_dims", "grid_without_X", "gaussian_without_width"])
+def test_main_solve_malformed_scenario_is_one_line_error(tmp_path, capsys, text):
+    path = write_scenario(tmp_path, text)
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_main_study_prints_report(tmp_path, capsys):
     path = write_scenario(tmp_path, STUDY_NLS)
     assert main(["study", path, "--levels", "3"]) == 0

@@ -384,13 +384,25 @@ def test_product_rule_matrix_converges():
     def fp(y, z):
         return np.array([[np.exp(-y ** 2), 0.1], [0.4 * z * np.exp(-z ** 2), 0.9]])
 
-    errs = []
-    for N in (24, 48):
-        quad = make_quadrature(6.0, N, g.spacing)
-        lhs, rhs, err = product_rule_check(f, h, hp, fp, 0.25, quad)
-        errs.append(err)
-        assert np.abs(rhs).max() > 1e-3
-    assert 3.0 < errs[0] / errs[1] < 5.0
+    # a rectangular, non-paired input: h is 2 x 1 and hp is 1 x 3
+    h_rect = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.8], [0.3]],
+                                            width=1.0), g, 2, 1)
+    hp_rect = sample_profile(InitialDataSpec(kind="gaussian",
+                                             amplitude=[[0.6, -0.3, 0.4]],
+                                             width=1.1, center=-0.4), g, 1, 3)
+
+    def fp_rect(y, z):
+        return np.array([[np.exp(-y ** 2), 0.1], [0.4 * z * np.exp(-z ** 2), 0.9],
+                         [0.2, 0.5 * np.exp(-(y + z) ** 2)]])
+
+    for h, hp, fp in ((h, hp, fp), (h_rect, hp_rect, fp_rect)):
+        errs = []
+        for N in (24, 48):
+            quad = make_quadrature(6.0, N, g.spacing)
+            lhs, rhs, err = product_rule_check(f, h, hp, fp, 0.25, quad)
+            errs.append(err)
+            assert np.abs(rhs).max() > 1e-3
+        assert 3.0 < errs[0] / errs[1] < 5.0
 
 
 def test_u_identity_zero_kernel():

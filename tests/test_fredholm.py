@@ -19,6 +19,7 @@ from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_prof
 
 NLS = DispersionParams(mu1=-1j, mu2=0.0)
 KDV = DispersionParams(mu1=0.0, mu2=-1.0)
+HEAT = DispersionParams(mu1=1.0, mu2=0.0)
 
 
 def exp_profile(X, M, amp=1.0, rate=1.0):
@@ -335,3 +336,39 @@ def test_evaluate_solution_slices_match_center():
     field, _ = evaluate_solution(sc)
     assert np.array_equal(field.slice_y[0, 0, -1], field.center[0, 0])
     assert np.array_equal(field.slice_z[0, 0, -1], field.center[0, 0])
+
+
+def test_evaluate_solution_richardson_is_two_plain_runs_combined():
+    # richardson=True must equal (4*fine - coarse)/3 of plain runs at N and
+    # 2N, the fine slices read at every second node and det2 the fine one;
+    # the kdv stub takes the kdv_Q path, the coupled one assemble_Q and
+    # the role-swapped partner solve
+    g = make_uniform_grid(20.0, 320)
+    xs = 0.25 * np.arange(-1, 2)
+    ts = np.array([-0.01, 0.0, 0.01])
+    cases = (dict(kind="kdv_primitive", companion="neg_identity", params=KDV,
+                  initial=InitialDataSpec(kind="exponential", amplitude=[[-1.0]],
+                                          rate=1.0)),
+             dict(kind="coupled_diffusion", companion="transpose_rev_time",
+                  params=HEAT, coupled=True, n=2, m=1,
+                  initial=InitialDataSpec(kind="gaussian", amplitude=[[0.6], [0.3]],
+                                          width=1.0)))
+    for kw in cases:
+        def run(N, richardson):
+            quad = make_quadrature(6.0, N, g.spacing)
+            return evaluate_solution(scenario_stub(grid=g, quad=quad, xs=xs, ts=ts,
+                                                   richardson=richardson, **kw))
+        rich, report = run(24, True)
+        coarse, _ = run(24, False)
+        fine, fine_report = run(48, False)
+        assert not report.any_below
+        assert np.array_equal(rich.center, (4.0 * fine.center - coarse.center) / 3.0)
+        assert np.array_equal(rich.slice_y,
+                              (4.0 * fine.slice_y[:, :, ::2] - coarse.slice_y) / 3.0)
+        assert np.array_equal(rich.slice_z,
+                              (4.0 * fine.slice_z[:, :, ::2] - coarse.slice_z) / 3.0)
+        assert np.array_equal(report.det2, fine_report.det2)
+        if kw.get("coupled"):
+            assert rich.center_tilde.shape == (3, 3, 1, 2)
+            assert np.array_equal(rich.center_tilde,
+                                  (4.0 * fine.center_tilde - coarse.center_tilde) / 3.0)
