@@ -105,18 +105,33 @@ def _parse_complex(value, label):
     raise ValueError("cannot parse %s value %r" % (label, value))
 
 
+def _number(value, label, kind=float):
+    """value converted by kind (float or int); anything that does not
+    convert, None and lists included, is a one-line ValueError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("%s must be a number, got %r" % (label, value))
+
+
 def _sample_axis(section, label):
     if isinstance(section, (list, tuple)):
-        vals = np.asarray(section, dtype=float)
+        try:
+            vals = np.asarray(section, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("samples.%s must be a list of numbers, got %r"
+                             % (label, section))
     elif isinstance(section, dict):
         missing = {"start", "stop", "count"} - set(section)
         if missing:
             raise ValueError("samples.%s needs start/stop/count, missing %s"
                              % (label, sorted(missing)))
-        count = int(section["count"])
+        count = _number(section["count"], "samples.%s.count" % label, int)
         if count < 1:
             raise ValueError("samples.%s count must be >= 1" % label)
-        vals = np.linspace(float(section["start"]), float(section["stop"]), count)
+        vals = np.linspace(_number(section["start"], "samples.%s.start" % label),
+                           _number(section["stop"], "samples.%s.stop" % label),
+                           count)
     else:
         raise ValueError("samples.%s must be a list or start/stop/count" % label)
     if vals.size == 0:
@@ -127,15 +142,19 @@ def _sample_axis(section, label):
 def _resolve_tolerances(file_tols):
     tols = {"decay_tol": DECAY_TOL, "patch_threshold": PATCH_THRESHOLD,
             "solver_tol": SOLVER_TOL}
-    for key, val in (file_tols or {}).items():
+    if file_tols is None:
+        file_tols = {}
+    if not isinstance(file_tols, dict):
+        raise ValueError("tolerances must be a mapping, got %r" % (file_tols,))
+    for key, val in file_tols.items():
         if key not in tols:
             raise ValueError("unknown tolerance %r (expected one of %s)"
                              % (key, sorted(tols)))
-        tols[key] = float(val)
+        tols[key] = _number(val, "tolerances.%s" % key)
     for key, suffix in _ENV_KEYS.items():
         env = os.environ.get(ENV_PREFIX + suffix)
         if env is not None:
-            tols[key] = float(env)
+            tols[key] = _number(env, ENV_PREFIX + suffix)
     return tols
 
 
@@ -154,11 +173,16 @@ def _initial_from_section(section):
                for row in amp]
     values = section.get("values")
     if values is not None:
-        values = np.asarray(values, dtype=complex)
+        try:
+            values = np.asarray(values, dtype=complex)
+        except (TypeError, ValueError):
+            raise ValueError("initial.values must be an array of numbers")
+    width = section.get("width")
+    rate = section.get("rate")
     return InitialDataSpec(kind=kind, amplitude=amp,
-                           width=section.get("width"),
-                           center=float(section.get("center", 0.0)),
-                           rate=section.get("rate"),
+                           width=None if width is None else _number(width, "initial.width"),
+                           center=_number(section.get("center", 0.0), "initial.center"),
+                           rate=None if rate is None else _number(rate, "initial.rate"),
                            values=values)
 
 
@@ -188,7 +212,7 @@ def parse_scenario(path):
     mu1 = raw.get("mu1")
     mu2 = raw.get("mu2")
     kind = resolve_kind(raw["kind"],
-                        sign=int(raw.get("sign", 1)),
+                        sign=_number(raw.get("sign", 1), "sign", int),
                         flavor=raw.get("flavor", "real"),
                         mu1=None if mu1 is None else _parse_complex(mu1, "mu1"),
                         mu2=None if mu2 is None else _parse_complex(mu2, "mu2"))
@@ -205,9 +229,10 @@ def parse_scenario(path):
     initial = _initial_from_section(raw["initial"])
 
     gsec = _section(raw, "grid", ("X", "M"))
-    grid = make_uniform_grid(float(gsec["X"]), int(gsec["M"]))
+    grid = make_uniform_grid(_number(gsec["X"], "grid.X"), _number(gsec["M"], "grid.M", int))
     qsec = _section(raw, "quadrature", ("L", "N"))
-    quad = make_quadrature(float(qsec["L"]), int(qsec["N"]), grid.spacing)
+    quad = make_quadrature(_number(qsec["L"], "quadrature.L"),
+                           _number(qsec["N"], "quadrature.N", int), grid.spacing)
 
     samples = _section(raw, "samples", ("x", "t"))
     xs = _sample_axis(samples["x"], "x")
@@ -222,7 +247,10 @@ def parse_scenario(path):
         grid.node_index(x)
         grid.node_index(x - 2.0 * quad.truncation)
 
-    outputs = tuple(raw.get("outputs", ["center", "det2", "residuals"]))
+    outputs = raw.get("outputs", ["center", "det2", "residuals"])
+    if not isinstance(outputs, list):
+        raise ValueError("outputs must be a list, got %r" % (outputs,))
+    outputs = tuple(outputs)
     for out in outputs:
         if out not in _OUTPUT_KINDS:
             raise ValueError("unknown output request %r (expected one of %s)"
@@ -240,12 +268,15 @@ def parse_scenario(path):
                              % kind.name)
 
     tols = _resolve_tolerances(raw.get("tolerances"))
+    richardson = raw.get("richardson", False)
+    if not isinstance(richardson, bool):
+        raise ValueError("richardson must be true or false, got %r" % (richardson,))
 
     sc = Scenario(name=str(raw.get("name", "scenario")), kind=kind, n=n, m=m,
                   params=kind.params, companion=kind.companion,
                   coupled=kind.coupled, initial=initial, grid=grid, quad=quad,
                   xs=xs, ts=ts, outputs=outputs, tolerances=tols,
-                  richardson=bool(raw.get("richardson", False)), raw=raw)
+                  richardson=richardson, raw=raw)
 
     p0 = sample_profile(initial, grid, n, m)
     if p0.exp_tag is None and not p0.decay_ok(tols["decay_tol"]):
@@ -386,6 +417,7 @@ def run(scenario, out_dir=".", threads=1):
         "timings": timings,
         "outputs": [os.path.basename(p) for p in written],
         "min_det2_modulus": report.min_modulus,
+        "max_backward_error": report.max_backward_error,
         "skipped": [[it, ix, t, x, d.real, d.imag]
                     for (it, ix, t, x, d) in report.skipped],
         "residuals": [[name, worst, l2] for name, worst, l2 in residual_rows],

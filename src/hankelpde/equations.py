@@ -319,9 +319,10 @@ def u_identity_check(q_kernels, dx=None):
     WQs = []
     err_ii = 0.0
     for Q in q_kernels:
-        A, WQ = nystrom_matrix(Q, Q.quad)
+        A = nystrom_matrix(Q, Q.quad)[0]
         U = np.linalg.inv(A)
         I = np.eye(U.shape[0], dtype=complex)
+        WQ = A - I
         err_ii = max(err_ii,
                      float(np.abs(I - U - U @ WQ).max()),
                      float(np.abs(I - U - WQ @ U).max()))

@@ -12,6 +12,7 @@ right); plain transposes, never conjugate ones.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .companion import companion_profile, time_reversed
 from .dispersion import evolve
@@ -165,13 +166,31 @@ def kdv_Q(p, x, quad):
 
 
 def nystrom_matrix(Q, quad):
-    """The Nystrom system matrix I + WQ and the weighted kernel WQ.
+    """The Nystrom system matrix I + WQ and the trace of WQ.
 
-    W holds the quadrature weights of quad, one per block row of Q.
+    W holds the quadrature weights of quad, one per block row of Q.  The
+    weighted kernel is written straight into the result and the identity
+    added on its diagonal in place, so no other k x k array is made.
     """
-    w_rows = np.repeat(quad.weights, Q.block_rows)
-    WQ = w_rows[:, None] * Q.big()
-    return np.eye(WQ.shape[0], dtype=complex) + WQ, WQ
+    K, a, b = quad.node_count, Q.block_rows, Q.block_cols
+    A = np.empty((K * a, K * b), dtype=complex)
+    np.multiply(quad.weights[:, None, None, None], Q.blocks.transpose(0, 2, 1, 3),
+                out=A.reshape(K, a, K, b))
+    trace = np.trace(A)
+    A.flat[::A.shape[1] + 1] += 1.0
+    return A, trace
+
+
+def _det2_of(A, trace):
+    """det(A) e^{-trace} for A = I + WQ and trace = tr(WQ), in log space;
+    factorization failure or an exactly singular A reports 0."""
+    try:
+        sign, logabs = np.linalg.slogdet(A)
+    except np.linalg.LinAlgError:
+        return 0.0 + 0.0j
+    if sign == 0:
+        return 0.0 + 0.0j
+    return sign * np.exp(logabs - trace)
 
 
 def det2(Q, quad=None):
@@ -185,26 +204,20 @@ def det2(Q, quad=None):
     if Q.block_rows != Q.block_cols:
         raise ValueError("det2 needs square blocks, got %d x %d"
                          % (Q.block_rows, Q.block_cols))
-    A, WQ = nystrom_matrix(Q, quad)
-    try:
-        sign, logabs = np.linalg.slogdet(A)
-    except np.linalg.LinAlgError:
-        return 0.0 + 0.0j
-    if sign == 0:
-        return 0.0 + 0.0j
-    return sign * np.exp(logabs - np.trace(WQ))
+    return _det2_of(*nystrom_matrix(Q, quad))
 
 
-def solve_G(Q, p, x, quad=None, patch_threshold=PATCH_THRESHOLD, det2_value=None):
+def solve_G(Q, p, x, quad=None, patch_threshold=PATCH_THRESHOLD):
     """Solve G (id + WQ) = P for the block kernel G at parameter x.
 
-    One dense solve of size K*m handles all row indices at once.  The
-    det2 monitor runs first; a modulus below patch_threshold raises
-    PatchError instead of returning an uncertifiable solve.
+    One dense solve of size K*m handles all row indices at once; the
+    per-sample path solves only the edges of G (solve_origin), and this
+    full solve is its reference.  The det2 monitor runs first; a modulus
+    below patch_threshold raises PatchError instead of returning an
+    uncertifiable solve.
     """
     quad = Q.quad if quad is None else quad
-    if det2_value is None:
-        det2_value = det2(Q, quad)
+    det2_value = det2(Q, quad)
     if abs(det2_value) < patch_threshold:
         raise PatchError(det2_value, x=x)
     rhs = hankel_rhs(p, x, quad)
@@ -232,26 +245,53 @@ def quadrature_rules(quad, richardson, h_x):
 
 
 def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
-    """det2 and G at the origin for one sample: (det2, G(0,0), G(xi_i,0),
-    G(0,xi_j)), the last two over the nodes of rules[0].
+    """det2, G at the origin and the backward error for one sample:
+    (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error), the two slices
+    over the nodes of rules[0].
 
     ptil=None is the neg_identity pairing (Q = -P); otherwise Q pairs p
-    with the companion ptil.  With two rules from quadrature_rules the
+    with the companion ptil.  Only the edges of G are solved for: per
+    rule A = I + WQ is built once, slogdet(A) gives det2, the last block
+    row solves row A = P_last with P_last[j] = p(xi_j + x), and the last
+    block column is P Z with A Z = E_last, the last block column of I.
+    G(0,0) is the row's last block, written into the column as well, so
+    the centre and both slices hold one value.  The backward error is
+    the larger of max|row A - P_last| / max|P_last| and max|A Z - E_last|,
+    taken over the rules.  With two rules from quadrature_rules the
     values are Richardson-extrapolated, (4*fine - coarse)/3 with the
     fine rule read at every second node, and det2 is the fine rule's.
     A |det2| below threshold on either rule raises PatchError.
     """
     out = []
+    n, m = p.rows, p.cols
     for quad in rules:
-        Q = kdv_Q(p, x, quad) if ptil is None else assemble_Q(p, ptil, x, quad)
-        d2 = det2(Q, quad)
-        G = solve_G(Q, p, x, quad, patch_threshold=threshold, det2_value=d2).blocks
-        out.append((d2, G[-1, -1], G[:, -1], G[-1, :]))
+        A, trace = nystrom_matrix(kdv_Q(p, x, quad) if ptil is None
+                                  else assemble_Q(p, ptil, x, quad), quad)
+        d2 = _det2_of(A, trace)
+        if abs(d2) < threshold:
+            raise PatchError(d2, x=x)
+        K = quad.node_count
+        vals = hankel_values(p, x, quad)
+        P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
+        row_big = np.linalg.solve(A.T, P_last.T).T
+        E_last = np.zeros((K * m, m), dtype=complex)
+        E_last[-m:] = np.eye(m)
+        Z = np.linalg.solve(A, E_last)
+        # P is block Hankel, P[i, j] = vals[i + j]: contract over windows
+        # of vals instead of gathering the K x K blocks
+        col = np.einsum("iabj,jbc->iac", sliding_window_view(vals, K, axis=0),
+                        Z.reshape(K, m, m), optimize=True)
+        row = row_big.reshape(n, K, m).transpose(1, 0, 2)
+        col[-1] = row[-1]
+        berr = max(np.abs(row_big @ A - P_last).max() / max(np.abs(P_last).max(), 1e-300),
+                   np.abs(A @ Z - E_last).max())
+        out.append((d2, row[-1], col, row, float(berr)))
     if len(out) == 1:
         return out[0]
-    (_, *coarse), (d2, centre, col, row) = out
+    (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out
     fine = (centre, col[::2], row[::2])
-    return (d2,) + tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
+    return ((d2,) + tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
+            + (max(berr_c, berr_f),))
 
 
 @dataclass
@@ -274,17 +314,23 @@ class SolutionField:
 
 @dataclass
 class PatchReport:
-    """det2 bookkeeping over the sample grid."""
+    """det2 and backward-error bookkeeping over the sample grid."""
 
     det2: np.ndarray
     threshold: float
     skipped: list
+    backward_error: np.ndarray
 
     @property
     def min_modulus(self):
         vals = np.abs(self.det2)
         vals = vals[np.isfinite(vals)]
         return float(vals.min()) if vals.size else float("nan")
+
+    @property
+    def max_backward_error(self):
+        vals = self.backward_error[np.isfinite(self.backward_error)]
+        return float(vals.max()) if vals.size else float("nan")
 
     @property
     def any_below(self):
@@ -324,6 +370,7 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     slice_z = np.full((nt, nx, K, n, m), np.nan, dtype=complex)
     center_tilde = np.full((nt, nx, m, n), np.nan, dtype=complex) if coupled else None
     det2_vals = np.full((nt, nx), np.nan, dtype=complex)
+    berr = np.full((nt, nx), np.nan)
     skipped = [[] for _ in range(nt)]
 
     def run_row(it):
@@ -345,9 +392,11 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                     raise
                 skipped[it].append((it, ix, float(t), float(x), err.det2_value))
                 continue
-            det2_vals[it, ix], center[it, ix], slice_y[it, ix], slice_z[it, ix] = solved
+            (det2_vals[it, ix], center[it, ix], slice_y[it, ix], slice_z[it, ix],
+             berr[it, ix]) = solved
             if coupled:
                 center_tilde[it, ix] = pair[1]
+                berr[it, ix] = max(berr[it, ix], pair[4])
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -360,5 +409,6 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                               slice_y=slice_y, slice_z=slice_z,
                               center_tilde=center_tilde)
     flat_skips = [s for row in skipped for s in row]
-    report = PatchReport(det2=det2_vals, threshold=threshold, skipped=flat_skips)
+    report = PatchReport(det2=det2_vals, threshold=threshold, skipped=flat_skips,
+                         backward_error=berr)
     return field_out, report

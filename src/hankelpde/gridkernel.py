@@ -161,13 +161,13 @@ def sample_profile(spec, grid, n, m):
         samples = prof[:, None, None] * A[None, :, :]
     elif spec.kind == "exponential_step":
         A = _amplitude_matrix(spec, n, m)
-        if not spec.rate > 0:
+        if spec.rate is None or not spec.rate > 0:
             raise ValueError("exponential rate must be positive, got %r" % (spec.rate,))
         prof = np.where(s <= 0.0, np.exp(spec.rate * s), 0.0)
         samples = prof[:, None, None] * A[None, :, :]
     elif spec.kind == "exponential":
         A = _amplitude_matrix(spec, n, m)
-        if not spec.rate > 0:
+        if spec.rate is None or not spec.rate > 0:
             raise ValueError("exponential rate must be positive, got %r" % (spec.rate,))
         samples = exponential_samples(grid, float(spec.rate), A)
         tag = (float(spec.rate), A)

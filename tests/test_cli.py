@@ -1,8 +1,12 @@
+import copy
 import json
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hankelpde.cli import (
     Scenario,
@@ -13,6 +17,8 @@ from hankelpde.cli import (
     verify,
 )
 from hankelpde.fredholm import make_quadrature
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 RANK_ONE_NLS = """
 name: rank-one-nls
@@ -310,3 +316,71 @@ def test_main_study_prints_report(tmp_path, capsys):
 def test_main_verify(tmp_path):
     path = write_scenario(tmp_path, GAUSS_NLS_SMALL)
     assert main(["verify", path]) == 0
+
+
+def _key_paths(node, prefix=()):
+    """Every key path of a loaded YAML document, list indices included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+
+
+def test_parse_scenario_fuzzed_shipped_scenarios(tmp_path):
+    # every key path of every shipped scenario set to None, a string or a
+    # list, or deleted: parsing gives a Scenario or a one-line ValueError
+    target = tmp_path / "fuzzed.yaml"
+    escaped = []
+    cases = 0
+    for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+        raw = yaml.safe_load(path.read_text())
+        for keys in _key_paths(raw):
+            for value in (None, "abc", [1, "abc"], _DELETE):
+                doc = copy.deepcopy(raw)
+                parent = doc
+                for key in keys[:-1]:
+                    parent = parent[key]
+                if value is _DELETE:
+                    del parent[keys[-1]]
+                else:
+                    parent[keys[-1]] = value
+                target.write_text(yaml.safe_dump(doc))
+                cases += 1
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        assert isinstance(parse_scenario(str(target)), Scenario)
+                except ValueError as err:
+                    if "\n" in str(err):
+                        escaped.append((path.name, keys, value, str(err)))
+                except Exception as err:  # any other exception is the failure
+                    escaped.append((path.name, keys, value, repr(err)))
+    assert cases > 500
+    assert escaped == []
+
+
+def test_run_manifest_records_backward_error(tmp_path):
+    sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
+    out = tmp_path / "out"
+    assert run(sc, out_dir=str(out), threads=2) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert 0.0 < manifest["max_backward_error"] <= sc.tolerances["solver_tol"]
+
+
+def test_parse_scenario_names_bad_env_override_and_tabulated_values(tmp_path, monkeypatch):
+    tabulated = GAUSS_NLS_SMALL.replace(
+        "initial: {kind: gaussian, amplitude: 0.75, width: 1.0}",
+        "initial: {kind: tabulated, values: [null, abc]}")
+    with pytest.raises(ValueError, match="initial.values"):
+        parse_scenario(write_scenario(tmp_path, tabulated))
+    monkeypatch.setenv("HANKELPDE_PATCH_THRESHOLD", "abc")
+    with pytest.raises(ValueError, match="HANKELPDE_PATCH_THRESHOLD"):
+        parse_scenario(write_scenario(tmp_path, GAUSS_NLS_SMALL))

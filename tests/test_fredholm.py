@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hankelpde.companion import companion_profile
 from hankelpde.dispersion import DispersionParams
 from hankelpde.fredholm import (
     PatchError,
@@ -13,7 +14,9 @@ from hankelpde.fredholm import (
     kdv_Q,
     make_quadrature,
     nystrom_residual,
+    quadrature_rules,
     solve_G,
+    solve_origin,
 )
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
 
@@ -372,3 +375,48 @@ def test_evaluate_solution_richardson_is_two_plain_runs_combined():
             assert rich.center_tilde.shape == (3, 3, 1, 2)
             assert np.array_equal(rich.center_tilde,
                                   (4.0 * fine.center_tilde - coarse.center_tilde) / 3.0)
+
+
+@pytest.mark.parametrize("richardson", [False, True], ids=["plain", "richardson"])
+@pytest.mark.parametrize("pairing", ["neg_identity", "rectangular", "role_swap"])
+def test_solve_origin_edges_match_full_solve(pairing, richardson):
+    # the narrow row/column solves against the full K*m-column solve_G
+    # oracle: 2x2 data on the neg_identity pairing, 2x1 data with its 1x2
+    # adjoint companion (a reshape slip between n and m cannot hide), and
+    # the coupled role swap, which solves with the 1x2 profile on the left
+    g = make_uniform_grid(8.0, 256)
+    if pairing == "neg_identity":
+        p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]],
+                                           width=1.0), g, 2, 2)
+        ptil = None
+    else:
+        p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.6], [0.3 + 0.2j]],
+                                           width=1.0), g, 2, 1)
+        ptil = companion_profile(p, "adjoint")
+        if pairing == "role_swap":
+            p, ptil = ptil, p
+    x = 0.375
+    rules = quadrature_rules(make_quadrature(2.0, 16, g.spacing), richardson, g.spacing)
+    d2, centre, col, row, berr = solve_origin(p, ptil, x, rules)
+
+    full = []
+    for quad in rules:
+        Q = kdv_Q(p, x, quad) if ptil is None else assemble_Q(p, ptil, x, quad)
+        G = solve_G(Q, p, x, quad).blocks
+        full.append((det2(Q, quad), G[-1, -1], G[:, -1], G[-1, :]))
+    if richardson:
+        (_, *coarse), (want_d2, f_centre, f_col, f_row) = full
+        want = [(4.0 * f - c) / 3.0 for f, c in zip((f_centre, f_col[::2], f_row[::2]), coarse)]
+    else:
+        want_d2, *want = full[0]
+
+    assert abs(d2 - want_d2) <= 1e-13 * abs(want_d2)
+    K = rules[0].node_count
+    for got, ref, shape in zip((centre, col, row), want,
+                               ((p.rows, p.cols), (K, p.rows, p.cols), (K, p.rows, p.cols))):
+        assert got.shape == ref.shape == shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    # G(0,0) is one number: the centre and the xi = 0 entry of both slices
+    assert np.array_equal(col[-1], centre)
+    assert np.array_equal(row[-1], centre)
+    assert 0.0 <= berr <= 1e-13
