@@ -559,11 +559,12 @@ def _verify_checks(scenario):
     x0 = float(scenario.xs[len(scenario.xs) // 2])
     dxq = quad.spacing
 
-    def q_at(x):
-        if scenario.companion == "neg_identity":
-            return kdv_Q(p0, x, quad)
+    ptil = None
+    if scenario.companion != "neg_identity":
         ptil = companion_profile(p0, scenario.companion)
-        return assemble_Q(p0, ptil, x, quad)
+
+    def q_at(x):
+        return kdv_Q(p0, x, quad) if ptil is None else assemble_Q(p0, ptil, x, quad)
 
     kernels = [q_at(x0 + k * dxq) for k in (-2, -1, 0, 1, 2)]
     rep_fine = u_identity_check(kernels[1:4], dx=dxq)
@@ -572,8 +573,7 @@ def _verify_checks(scenario):
     ratio = rep_coarse.identity_i_error / max(rep_fine.identity_i_error, 1e-300)
     checks.append(("u_identity_i_ratio", ratio, (2.5, 6.0)))
 
-    if scenario.companion != "neg_identity":
-        ptil = companion_profile(p0, scenario.companion)
+    if ptil is not None:
         coarse = make_quadrature(quad.truncation, max(quad.intervals // 2, 4),
                                  scenario.grid.spacing)
         env = lambda y, z: np.exp(-(y - z) ** 2) * np.eye(scenario.n)
@@ -591,9 +591,10 @@ def _verify_checks(scenario):
                        - np.abs(coeffs0.coefficients)).max()
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
-    G = solve_G(q_at(x0), p0, x0, quad)
+    Q0 = kernels[2]
+    G = solve_G(Q0, p0, x0, quad)
     checks.append(("nystrom_backward_error",
-                   nystrom_residual(G, q_at(x0), p0, x0, quad),
+                   nystrom_residual(G, Q0, p0, x0, quad),
                    scenario.tolerances["solver_tol"]))
     return checks
 

@@ -321,7 +321,7 @@ def u_identity_check(q_kernels, dx=None):
     for Q in q_kernels:
         A = nystrom_matrix(Q, Q.quad)[0]
         U = np.linalg.inv(A)
-        I = np.eye(U.shape[0], dtype=complex)
+        I = np.eye(U.shape[0], dtype=A.dtype)
         WQ = A - I
         err_ii = max(err_ii,
                      float(np.abs(I - U - U @ WQ).max()),

@@ -106,7 +106,10 @@ def hankel_values(p, x, quad):
 
     The arguments are x - 2L + u*h for u = 0..2N; all must be master
     nodes inside the master domain, otherwise the configuration is
-    rejected.
+    rejected.  The result is a read-only view of p.samples: its real
+    part when every imaginary part in the window is exactly zero (no
+    tolerance), so the whole solve downstream runs in real arithmetic
+    exactly when the data are real; complex otherwise.
     """
     grid = p.grid
     base = grid.node_index(x - 2.0 * quad.truncation)
@@ -119,16 +122,22 @@ def hankel_values(p, x, quad):
     if abs(quad.spacing - r * grid.spacing) > 1e-9 * grid.spacing:
         raise ValueError("quadrature spacing %g is not %d master spacings %g"
                          % (quad.spacing, r, grid.spacing))
-    return p.samples[base: top + 1: r]
+    vals = p.samples[base: top + 1: r]
+    return vals if vals.imag.any() else vals.real
+
+
+def hankel_windows(vals, K):
+    """The K x K block Hankel matrix H[i, j] = vals[i + j] as a read-only
+    (K, K, a, b) strided view of vals; nothing is gathered."""
+    return sliding_window_view(vals, K, axis=0).transpose(0, 3, 1, 2)
 
 
 def hankel_rhs(p, x, quad):
-    """Hankel block kernel p(xi_i + xi_j + x) as a DiscreteKernel."""
+    """Hankel block kernel p(xi_i + xi_j + x) as a DiscreteKernel whose
+    blocks are a view of p's samples."""
     vals = hankel_values(p, x, quad)
-    K = quad.node_count
-    idx = np.arange(K)[:, None] + np.arange(K)[None, :]
     return DiscreteKernel(quad=quad, block_rows=p.rows, block_cols=p.cols,
-                          blocks=vals[idx])
+                          blocks=hankel_windows(vals, quad.node_count))
 
 
 def assemble_Q(p, p_tilde, x, quad):
@@ -160,9 +169,9 @@ def kdv_Q(p, x, quad):
     if p.rows != p.cols:
         raise ValueError("kdv_Q needs square matrix data, got %d x %d"
                          % (p.rows, p.cols))
-    rhs = hankel_rhs(p, x, quad)
+    vals = -hankel_values(p, x, quad)
     return DiscreteKernel(quad=quad, block_rows=p.rows, block_cols=p.cols,
-                          blocks=-rhs.blocks)
+                          blocks=hankel_windows(vals, quad.node_count))
 
 
 def nystrom_matrix(Q, quad):
@@ -170,10 +179,13 @@ def nystrom_matrix(Q, quad):
 
     W holds the quadrature weights of quad, one per block row of Q.  The
     weighted kernel is written straight into the result and the identity
-    added on its diagonal in place, so no other k x k array is made.
+    added on its diagonal in place, so no other k x k array is made.  A
+    has the dtype of Q's blocks: real data give a real system.
     """
     K, a, b = quad.node_count, Q.block_rows, Q.block_cols
-    A = np.empty((K * a, K * b), dtype=complex)
+    if a != b:
+        raise ValueError("the Nystrom system needs square blocks, got %d x %d" % (a, b))
+    A = np.empty((K * a, K * b), dtype=Q.blocks.dtype)
     np.multiply(quad.weights[:, None, None, None], Q.blocks.transpose(0, 2, 1, 3),
                 out=A.reshape(K, a, K, b))
     trace = np.trace(A)
@@ -201,9 +213,6 @@ def det2(Q, quad=None):
     system reports det2 = 0.
     """
     quad = Q.quad if quad is None else quad
-    if Q.block_rows != Q.block_cols:
-        raise ValueError("det2 needs square blocks, got %d x %d"
-                         % (Q.block_rows, Q.block_cols))
     return _det2_of(*nystrom_matrix(Q, quad))
 
 
@@ -217,11 +226,11 @@ def solve_G(Q, p, x, quad=None, patch_threshold=PATCH_THRESHOLD):
     uncertifiable solve.
     """
     quad = Q.quad if quad is None else quad
-    det2_value = det2(Q, quad)
+    A, trace = nystrom_matrix(Q, quad)
+    det2_value = _det2_of(A, trace)
     if abs(det2_value) < patch_threshold:
         raise PatchError(det2_value, x=x)
     rhs = hankel_rhs(p, x, quad)
-    A = nystrom_matrix(Q, quad)[0]
     G_big = np.linalg.solve(A.T, rhs.big().T).T
     return DiscreteKernel.from_big(G_big, quad, p.rows, p.cols)
 
@@ -274,12 +283,10 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
         vals = hankel_values(p, x, quad)
         P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
         row_big = np.linalg.solve(A.T, P_last.T).T
-        E_last = np.zeros((K * m, m), dtype=complex)
+        E_last = np.zeros((K * m, m), dtype=A.dtype)
         E_last[-m:] = np.eye(m)
         Z = np.linalg.solve(A, E_last)
-        # P is block Hankel, P[i, j] = vals[i + j]: contract over windows
-        # of vals instead of gathering the K x K blocks
-        col = np.einsum("iabj,jbc->iac", sliding_window_view(vals, K, axis=0),
+        col = np.einsum("ijab,jbc->iac", hankel_windows(vals, K),
                         Z.reshape(K, m, m), optimize=True)
         row = row_big.reshape(n, K, m).transpose(1, 0, 2)
         col[-1] = row[-1]
@@ -289,8 +296,11 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
     if len(out) == 1:
         return out[0]
     (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out
+    # combined in complex arithmetic whatever the rules' dtypes, so the
+    # values equal the combination of two plain runs' complex tables
     fine = (centre, col[::2], row[::2])
-    return ((d2,) + tuple((4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
+    return ((d2,) + tuple((4.0 * f.astype(complex) - c) / 3.0
+                          for f, c in zip(fine, coarse))
             + (max(berr_c, berr_f),))
 
 

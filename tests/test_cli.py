@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from hankelpde import cli, fredholm
 from hankelpde.cli import (
     Scenario,
     convergence_study,
@@ -384,3 +385,29 @@ def test_parse_scenario_names_bad_env_override_and_tabulated_values(tmp_path, mo
     monkeypatch.setenv("HANKELPDE_PATCH_THRESHOLD", "abc")
     with pytest.raises(ValueError, match="HANKELPDE_PATCH_THRESHOLD"):
         parse_scenario(write_scenario(tmp_path, GAUSS_NLS_SMALL))
+
+
+def test_verify_builds_each_system_once(monkeypatch):
+    # Q at x0 is the middle member of the identity family, the companion
+    # is built once, and solve_G factors the I + WQ its det2 came from
+    calls = {"assemble_Q": 0, "companion_profile": 0, "nystrom_matrix": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(cli, "assemble_Q")
+    counted(cli, "companion_profile")
+    counted(fredholm, "nystrom_matrix")
+    assert main(["verify", str(SCENARIO_DIR / "nls_rank_one_study.yaml")]) == 0
+    assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": 2}
+
+
+def test_main_verify_kdv_soliton():
+    # exp-tagged real data: the identity suite, solve_G and the residual
+    # all run in real arithmetic
+    assert main(["verify", str(SCENARIO_DIR / "kdv_soliton.yaml")]) == 0

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,10 @@ from hankelpde.fredholm import (
     det2,
     evaluate_solution,
     hankel_rhs,
+    hankel_values,
     kdv_Q,
     make_quadrature,
+    nystrom_matrix,
     nystrom_residual,
     quadrature_rules,
     solve_G,
@@ -73,6 +76,26 @@ def test_hankel_rhs_domain_overflow():
         hankel_rhs(p, -6.0, quad)  # x - 2L below -X
     with pytest.raises(ValueError):
         hankel_rhs(p, 8.0, quad)  # x beyond the last master node
+
+
+def test_hankel_kernels_are_views_and_realness_is_exact():
+    # the K x K blocks are strided views of the profile samples, never
+    # gathered; exactly real windows are read as real, and a single tiny
+    # imaginary part keeps the window complex
+    g = make_uniform_grid(8.0, 64)
+    vals = np.exp(-g.nodes ** 2).astype(complex)[:, None, None]
+    p = sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 1, 1)
+    quad = make_quadrature(2.0, 8, g.spacing)
+    k = hankel_rhs(p, 0.5, quad)
+    assert np.shares_memory(k.blocks, p.samples)
+    assert not k.blocks.flags.writeable
+    assert k.blocks.dtype == np.float64
+    assert hankel_values(p, 0.5, quad).dtype == np.float64
+    noisy = vals.copy()
+    noisy[g.node_index(0.0), 0, 0] += 1e-18j
+    p = sample_profile(InitialDataSpec(kind="tabulated", values=noisy), g, 1, 1)
+    assert hankel_values(p, 0.5, quad).dtype == np.complex128
+    assert hankel_rhs(p, 0.5, quad).blocks.dtype == np.complex128
 
 
 def test_assemble_Q_zero_profile():
@@ -402,6 +425,11 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
     full = []
     for quad in rules:
         Q = kdv_Q(p, x, quad) if ptil is None else assemble_Q(p, ptil, x, quad)
+        # real Gaussian data are solved in real arithmetic, the complex
+        # adjoint pairings in complex; the oracle always runs in complex
+        real = ptil is None
+        assert nystrom_matrix(Q, quad)[0].dtype == (np.float64 if real else np.complex128)
+        Q = replace(Q, blocks=Q.blocks.astype(complex))
         G = solve_G(Q, p, x, quad).blocks
         full.append((det2(Q, quad), G[-1, -1], G[:, -1], G[-1, :]))
     if richardson:
