@@ -1,12 +1,12 @@
-"""Companion profile construction.
+"""Companion maps of kernel profiles and of solved fields.
 
 Each equation family pairs the kernel profile p with a companion
 profile built by some combination of matrix transpose or conjugate
 transpose, an overall sign, reflection of the argument s -> -s, and
 reflection of time.  The companion is always derived from the evolved
 p, never evolved on its own, so the pairing conditions hold by
-construction; companion_consistency_residual exists purely to certify
-that numerically.
+construction; companion_consistency_residual certifies that
+numerically, and companion_field gives the residual flow's partner.
 """
 
 import numpy as np
@@ -58,6 +58,19 @@ def reflect_samples(samples):
     return out
 
 
+def _matrix_map(vals, kind):
+    """The kind's (conjugate) transpose and sign on the last two axes."""
+    if kind == "neg_identity":
+        raise ValueError("neg_identity has no companion profile; "
+                         "the Fredholm layer forms Q = -P directly")
+    if kind not in COMPANION_KINDS:
+        raise ValueError("unknown companion kind %r" % (kind,))
+    vals = np.swapaxes(vals, -1, -2)
+    if kind in _CONJ:
+        vals = np.conj(vals)
+    return (-1.0 if kind in _NEG else 1.0) * vals
+
+
 def companion_profile(p, kind):
     """Companion profile of shape m x n built from the evolved p.
 
@@ -65,32 +78,35 @@ def companion_profile(p, kind):
     returned profile carries time_stamp -p.time_stamp so that it is
     stamped with the wall-clock time it belongs to.
     """
-    if kind == "neg_identity":
-        raise ValueError("neg_identity has no companion profile; "
-                         "the Fredholm layer forms Q = -P directly")
-    if kind not in COMPANION_KINDS:
-        raise ValueError("unknown companion kind %r" % (kind,))
-    sign = -1.0 if kind in _NEG else 1.0
     t_out = -p.time_stamp if kind in _TIME_REV else p.time_stamp
 
     if p.exp_tag is not None:
         rate, amp = p.exp_tag
-        amp = amp.conj().T if kind in _CONJ else amp.T
-        amp = sign * amp
+        amp = _matrix_map(amp, kind)
         rate = -rate if kind in _SPACE_REV else rate
         return MatrixProfile(grid=p.grid, rows=p.cols, cols=p.rows,
                              samples=exponential_samples(p.grid, rate, amp),
                              time_stamp=t_out, exp_tag=(rate, amp))
 
-    vals = p.samples
-    if kind in _CONJ:
-        vals = np.conj(vals.transpose(0, 2, 1))
-    else:
-        vals = vals.transpose(0, 2, 1)
+    vals = _matrix_map(p.samples, kind)
     if kind in _SPACE_REV:
         vals = reflect_samples(vals)
     return MatrixProfile(grid=p.grid, rows=p.cols, cols=p.rows,
-                         samples=sign * vals, time_stamp=t_out, exp_tag=None)
+                         samples=vals, time_stamp=t_out, exp_tag=None)
+
+
+def companion_field(G, kind):
+    """The companion map applied to a solved (nt, nx, a, b) field array.
+
+    Reverses the t axis for time-reversed kinds and the x axis for
+    space-reversed kinds (those sample grids must be symmetric about 0),
+    then applies the (conjugate) transpose and sign of companion_profile.
+    """
+    if kind in _TIME_REV:
+        G = G[::-1]
+    if kind in _SPACE_REV:
+        G = G[:, ::-1]
+    return _matrix_map(G, kind)
 
 
 def companion_parameters(kind, params):

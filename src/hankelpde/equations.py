@@ -1,17 +1,21 @@
 """Residuals of the nonlinear equations and the structural identities.
 
 Everything here is certification machinery: none of it feeds back into
-the solver.  Residuals use centered second-order stencils (5-point for
-the third x-derivative) with a two-layer boundary exclusion; nonlocal
-kinds require (x,t) grids symmetric about 0 in each reversed coordinate
-so reflected samples exist on-grid.  Patch-skipped samples (NaN) simply
-drop out of the reported maxima.
+the solver.  Every residual but kdv_primitive's is the unified flow
+g_t - mu1 g_xx - mu2 g_xxx - 2 mu1 g g~ g - 3 mu2 (g g~ g_x + g_x g~ g),
+whose partner g~ is the kind's companion map applied to the solved field
+(companion_field), or for coupled_diffusion the solved partner.  The
+stencils are centered and second order (5-point for the third
+x-derivative) with a two-layer boundary exclusion; nonlocal kinds need
+(x,t) grids symmetric about 0 in each reversed coordinate so reflected
+samples exist on-grid.  Patch-skipped samples (NaN) drop out of the
+reported maxima.
 """
 
 from dataclasses import dataclass
 import numpy as np
 
-from .companion import companion_profile
+from .companion import companion_field, companion_parameters, companion_profile
 from .dispersion import DispersionParams, evolve
 from .fredholm import assemble_Q, hankel_values, nystrom_matrix, quadrature_rules, solve_origin
 from .kinds import resolve_kind
@@ -21,10 +25,6 @@ _KDV_FLOW = DispersionParams(mu1=0.0, mu2=-1.0)
 
 def _tr(F):
     return np.swapaxes(F, -1, -2)
-
-
-def _adj(F):
-    return np.conj(np.swapaxes(F, -1, -2))
 
 
 def _uniform_step(vals, label, minimum=5):
@@ -74,7 +74,26 @@ def _nanmax_abs(R):
     return float(np.nanmax(vals))
 
 
-def residual_local(kind, field, params=None):
+def _flow(F, C, M, Cx, dt, dx, params):
+    """F_t - mu1 F_xx - mu2 F_xxx - 2 mu1 F M C - 3 mu2 (F M C_x + F_x M C).
+
+    C, M and C_x are the interior centre, partner and centre x-derivative
+    fields.  A term with a zero coefficient is left out, not multiplied by
+    zero, so a skipped sample's NaN spreads only over the stencils the
+    equation uses (mu2 = 0 leaves out the 5-point F_xxx).
+    """
+    mu1, mu2 = params.mu1, params.mu2
+    Fi = _interior(F)
+    R = _d_t(F, dt)
+    if mu1 != 0:
+        R = R - mu1 * _d_xx(F, dx) - 2.0 * mu1 * (Fi @ M @ C)
+    if mu2 != 0:
+        R = (R - mu2 * _d_xxx(F, dx) - 3.0 * mu2 * (Fi @ M @ Cx)
+             - 3.0 * mu2 * (_d_x(F, dx) @ M @ C))
+    return R
+
+
+def residual_local(kind, field):
     """Pointwise residual of the kind's local PDE at the centre values.
 
     Returns (residual_field, max_norm); the residual field has the full
@@ -86,7 +105,6 @@ def residual_local(kind, field, params=None):
     if kind.coupled:
         raise ValueError("coupled system residuals need both fields; "
                          "use residual_coupled")
-    params = kind.params if params is None else params
     G = np.asarray(field.center)
     dt = _uniform_step(field.ts, "t")
     dx = _uniform_step(field.xs, "x")
@@ -97,54 +115,25 @@ def residual_local(kind, field, params=None):
     if kind.needs_square and G.shape[-1] != G.shape[-2]:
         raise ValueError("kind %r needs square matrix data" % (kind.name,))
 
-    C = _interior(G)
-    Gt = _d_t(G, dt)
-    name = kind.name
-
-    if name in ("local_nls", "kernel_nls"):
-        cubic = 2.0 * kind.sign * (C @ _adj(C) @ C)
-        R = 1j * Gt - _d_xx(G, dx) - cubic
-    elif name == "rev_time_nls":
-        mid = _tr(_interior(G[::-1, :]))
-        R = 1j * Gt - _d_xx(G, dx) - 2.0 * (C @ mid @ C)
-    elif name == "rev_spacetime_nls":
-        mid = _tr(_interior(G[::-1, ::-1]))
-        R = 1j * Gt - _d_xx(G, dx) - 2.0 * (C @ mid @ C)
-    elif name in ("local_mkdv", "kernel_mkdv"):
-        mid = _adj(C) if kind.flavor == "complex" else _tr(C)
-        Gx = _d_x(G, dx)
-        R = Gt + _d_xxx(G, dx) - 3.0 * (C @ mid @ Gx) - 3.0 * (Gx @ mid @ C)
-    elif name == "rev_spacetime_mkdv":
-        rev = _interior(G[::-1, ::-1])
-        mid = _adj(rev) if kind.flavor == "complex" else _tr(rev)
-        Gx = _d_x(G, dx)
-        R = Gt + _d_xxx(G, dx) - 3.0 * (C @ mid @ Gx) - 3.0 * (Gx @ mid @ C)
-    elif name == "kdv_primitive":
-        Gx = _d_x(G, dx)
-        R = Gt + _d_xxx(G, dx) - 3.0 * (Gx @ Gx)
-    elif name == "combined_degree3":
-        mu1, mu2 = params.mu1, params.mu2
-        Gx = _d_x(G, dx)
-        A = _adj(C)
-        R = (Gt - mu1 * _d_xx(G, dx) - mu2 * _d_xxx(G, dx)
-             + 2.0 * mu1 * (C @ A @ C)
-             + 3.0 * mu2 * (C @ A @ Gx)
-             + 3.0 * mu2 * (Gx @ A @ C))
+    Gx = _d_x(G, dx)
+    if kind.name == "kdv_primitive":
+        R = _d_t(G, dt) + _d_xxx(G, dx) - 3.0 * (Gx @ Gx)
     else:
-        raise ValueError("no local residual for kind %r" % (name,))
+        M = _interior(companion_field(G, kind.companion))
+        R = _flow(G, _interior(G), M, Gx, dt, dx, kind.params)
 
     out = np.full(G.shape, np.nan, dtype=complex)
     out[2:-2, 2:-2] = R
     return out, _nanmax_abs(R)
 
 
-def residual_kernel(kind, field, params=None, return_fields=False):
+def residual_kernel(kind, field, return_fields=False):
     """Residual of the kernel (two-argument) equation on the slices.
 
-    Evaluates the equation at all (y, 0) and (0, z) pairs over the
-    quadrature nodes, with x and t derivatives taken along the sample
-    grid.  Only the kernel NLS and kernel mKdV families have displayed
-    kernel equations.
+    Evaluates the flow at all (y, 0) and (0, z) pairs over the quadrature
+    nodes, with x and t derivatives taken along the sample grid; (0, z)
+    multiplies from the left, so it is the flow on transposed operands.
+    Only the kernel NLS and kernel mKdV families have kernel equations.
     """
     if isinstance(kind, str):
         kind = resolve_kind(kind)
@@ -159,47 +148,34 @@ def residual_kernel(kind, field, params=None, return_fields=False):
     dx = _uniform_step(field.xs, "x")
 
     C = _interior(G)[..., None, :, :]
-    if kind.name == "kernel_nls":
-        s = 2.0 * kind.sign
-        B = _adj(C) @ C
-        A = C @ _adj(C)
-        R1 = 1j * _d_t(Sy, dt) - _d_xx(Sy, dx) - s * (_interior(Sy) @ B)
-        R2 = 1j * _d_t(Sz, dt) - _d_xx(Sz, dx) - s * (A @ _interior(Sz))
-    else:  # kernel_mkdv
-        Ct = _tr(C)
-        Cx = _d_x(G, dx)[..., None, :, :]
-        R1 = (_d_t(Sy, dt) + _d_xxx(Sy, dx)
-              - 3.0 * (_interior(Sy) @ Ct @ Cx)
-              - 3.0 * (_d_x(Sy, dx) @ Ct @ C))
-        R2 = (_d_t(Sz, dt) + _d_xxx(Sz, dx)
-              - 3.0 * (C @ Ct @ _d_x(Sz, dx))
-              - 3.0 * (Cx @ Ct @ _interior(Sz)))
+    M = _interior(companion_field(G, kind.companion))[..., None, :, :]
+    Cx = _d_x(G, dx)[..., None, :, :]
+    R1 = _flow(Sy, C, M, Cx, dt, dx, kind.params)
+    R2 = _tr(_flow(_tr(Sz), _tr(C), _tr(M), _tr(Cx), dt, dx, kind.params))
     worst = max(_nanmax_abs(R1), _nanmax_abs(R2))
     if return_fields:
         return worst, (R1, R2)
     return worst
 
 
-def residual_coupled(field, params=None, field_tilde=None, return_fields=False):
-    """Residuals of the coupled diffusion pair.
+def residual_coupled(field, return_fields=False):
+    """Residuals of the coupled diffusion pair G (field.center) and G~.
 
-    G comes from field.center; the partner comes from field_tilde.center
-    when a second field is passed, else from field.center_tilde.  The
-    pair satisfies dG/dt = G_xx + 2 G G~ G and dG~/dt = -G~_xx - 2 G~ G G~.
+    G~ is field.center_tilde.  Each field obeys the unified flow with the
+    other as partner, G~ under the companion parameters:
+    dG/dt = G_xx + 2 G G~ G and dG~/dt = -G~_xx - 2 G~ G G~.
     """
+    if field.center_tilde is None:
+        raise ValueError("coupled residual needs the partner field")
+    kind = resolve_kind("coupled_diffusion")
     G = np.asarray(field.center)
-    if field_tilde is not None:
-        Gt_arr = np.asarray(field_tilde.center)
-    else:
-        if field.center_tilde is None:
-            raise ValueError("coupled residual needs the partner field")
-        Gt_arr = np.asarray(field.center_tilde)
+    Gp = np.asarray(field.center_tilde)
     dt = _uniform_step(field.ts, "t")
     dx = _uniform_step(field.xs, "x")
-    C = _interior(G)
-    Cc = _interior(Gt_arr)
-    R1 = _d_t(G, dt) - _d_xx(G, dx) - 2.0 * (C @ Cc @ C)
-    R2 = _d_t(Gt_arr, dt) + _d_xx(Gt_arr, dx) + 2.0 * (Cc @ C @ Cc)
+    C, Cp = _interior(G), _interior(Gp)
+    R1 = _flow(G, C, Cp, _d_x(G, dx), dt, dx, kind.params)
+    R2 = _flow(Gp, Cp, C, _d_x(Gp, dx), dt, dx,
+               companion_parameters(kind.companion, kind.params))
     worst = max(_nanmax_abs(R1), _nanmax_abs(R2))
     if return_fields:
         return worst, (R1, R2)

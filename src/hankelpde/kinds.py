@@ -11,6 +11,7 @@ caveat in mind.
 
 from dataclasses import dataclass
 
+from .companion import space_reversed, time_reversed
 from .dispersion import DispersionParams
 
 KIND_NAMES = (
@@ -36,14 +37,21 @@ class ResolvedKind:
 
     name: str
     sign: int
-    flavor: str
     params: DispersionParams
     companion: str
     needs_square: bool = False
-    reflect_x: bool = False
-    reflect_t: bool = False
     coupled: bool = False
     has_kernel_form: bool = False
+
+    @property
+    def reflect_x(self):
+        """Whether the residual reads g at -x (x grid symmetric about 0)."""
+        return space_reversed(self.companion)
+
+    @property
+    def reflect_t(self):
+        """Whether the residual reads g at -t; a coupled partner is solved."""
+        return time_reversed(self.companion) and not self.coupled
 
 
 def _close(a, b):
@@ -75,39 +83,33 @@ def resolve_kind(name, sign=1, flavor="real", mu1=None, mu2=None):
     if name in ("local_nls", "kernel_nls"):
         pinned = DispersionParams(mu1=-1j, mu2=0.0)
         companion = "adjoint" if sign == 1 else "neg_adjoint"
-        rk = ResolvedKind(name, sign, "real", pinned, companion,
+        rk = ResolvedKind(name, sign, pinned, companion,
                           has_kernel_form=(name == "kernel_nls"))
     elif name == "rev_time_nls":
         pinned = DispersionParams(mu1=-1j, mu2=0.0)
-        rk = ResolvedKind(name, 1, "real", pinned, "transpose_rev_time",
-                          reflect_t=True)
+        rk = ResolvedKind(name, 1, pinned, "transpose_rev_time")
     elif name == "rev_spacetime_nls":
         pinned = DispersionParams(mu1=-1j, mu2=0.0)
-        rk = ResolvedKind(name, 1, "real", pinned, "transpose_rev_spacetime",
-                          reflect_x=True, reflect_t=True)
+        rk = ResolvedKind(name, 1, pinned, "transpose_rev_spacetime")
     elif name == "coupled_diffusion":
         pinned = DispersionParams(mu1=1.0, mu2=0.0)
-        rk = ResolvedKind(name, 1, "real", pinned, "transpose_rev_time",
-                          coupled=True)
+        rk = ResolvedKind(name, 1, pinned, "transpose_rev_time", coupled=True)
     elif name in ("local_mkdv", "kernel_mkdv"):
         pinned = DispersionParams(mu1=0.0, mu2=-1.0)
         if name == "kernel_mkdv":
             companion = "neg_transpose"
         else:
             companion = "neg_transpose" if flavor == "real" else "neg_adjoint"
-        rk = ResolvedKind(name, 1, flavor if name == "local_mkdv" else "real",
-                          pinned, companion,
+        rk = ResolvedKind(name, 1, pinned, companion,
                           has_kernel_form=(name == "kernel_mkdv"))
     elif name == "rev_spacetime_mkdv":
         pinned = DispersionParams(mu1=0.0, mu2=-1.0)
         companion = ("neg_transpose_rev_spacetime" if flavor == "real"
                      else "neg_adjoint_rev_spacetime")
-        rk = ResolvedKind(name, 1, flavor, pinned, companion,
-                          reflect_x=True, reflect_t=True)
+        rk = ResolvedKind(name, 1, pinned, companion)
     elif name == "kdv_primitive":
         pinned = DispersionParams(mu1=0.0, mu2=-1.0)
-        rk = ResolvedKind(name, 1, "real", pinned, "neg_identity",
-                          needs_square=True)
+        rk = ResolvedKind(name, 1, pinned, "neg_identity", needs_square=True)
     else:  # combined_degree3
         if mu1 is None or mu2 is None:
             raise ValueError("combined_degree3 needs explicit mu1 and mu2")
@@ -119,8 +121,7 @@ def resolve_kind(name, sign=1, flavor="real", mu1=None, mu2=None):
         if mu2 == 0 or abs(mu2.imag) > 1e-12:
             raise ValueError("combined_degree3 needs real nonzero mu2, got %r"
                              % (mu2,))
-        return ResolvedKind(name, 1, "real",
-                            DispersionParams(mu1=mu1, mu2=mu2.real),
+        return ResolvedKind(name, 1, DispersionParams(mu1=mu1, mu2=mu2.real),
                             "neg_adjoint")
 
     if mu1 is not None and not _close(mu1, rk.params.mu1):

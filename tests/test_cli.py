@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import warnings
@@ -411,3 +412,16 @@ def test_main_verify_kdv_soliton():
     # exp-tagged real data: the identity suite, solve_G and the residual
     # all run in real arithmetic
     assert main(["verify", str(SCENARIO_DIR / "kdv_soliton.yaml")]) == 0
+
+
+def test_traced_attributes_exist():
+    # the traced benchmark wraps these attributes by name; a renamed one
+    # would only show up there as calls = 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {"cli": cli, "fredholm": fredholm}
+    for module, attribute, _ in spans.WRAPPED:
+        assert module in modules, module
+        assert callable(getattr(modules[module], attribute, None)), (module, attribute)

@@ -300,6 +300,125 @@ def test_coupled_residual_needs_partner():
         residual_coupled(f)
 
 
+def _random_field(rng, shape, n=7, K=3, partner=False):
+    # symmetric n x n (x, t) grid with step 0.5 so the cubic terms weigh
+    # as much as the stencils
+    axis = 0.5 * np.arange(-(n // 2), n // 2 + 1)
+
+    def draw(*dims):
+        return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+
+    a, b = shape
+    return SolutionField(xs=axis, ts=axis, quad=None, center=draw(n, n, a, b),
+                         slice_y=draw(n, n, K, a, b), slice_z=draw(n, n, K, a, b),
+                         center_tilde=draw(n, n, b, a) if partner else None)
+
+
+def _adj(F):
+    return np.conj(np.swapaxes(F, -1, -2))
+
+
+def _tr(F):
+    return np.swapaxes(F, -1, -2)
+
+
+def _stencils(F, h):
+    """F's interior, t derivative and x derivatives up to third order."""
+    c = F[2:-2, 2:-2]
+    ft = (F[3:-1, 2:-2] - F[1:-3, 2:-2]) / (2 * h)
+    fx = (F[2:-2, 3:-1] - F[2:-2, 1:-3]) / (2 * h)
+    fxx = (F[2:-2, 3:-1] - 2 * c + F[2:-2, 1:-3]) / h ** 2
+    fxxx = (F[2:-2, 4:] - 2 * F[2:-2, 3:-1] + 2 * F[2:-2, 1:-3]
+            - F[2:-2, :-4]) / (2 * h ** 3)
+    return c, ft, fx, fxx, fxxx
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+def test_displayed_equations_on_noncommuting_data(shape):
+    # each equation written out as the README table displays it, on
+    # random complex matrices, so every cubic product order is pinned
+    rng = np.random.default_rng(20200 + shape[1])
+    f = _random_field(rng, shape, partner=True)
+    G = f.center
+    g, gt, gx, gxx, gxxx = _stencils(G, 0.5)
+    y, yt, yx, yxx, yxxx = _stencils(f.slice_y, 0.5)
+    z, zt, zx, zxx, zxxx = _stencils(f.slice_z, 0.5)
+    gk, gkx = g[..., None, :, :], gx[..., None, :, :]
+    g_rt = G[::-1][2:-2, 2:-2]          # g(x, -t)
+    g_rxt = G[::-1, ::-1][2:-2, 2:-2]   # g(-x, -t)
+    mu1, mu2 = -0.7j, 0.4
+
+    cases = []
+    for s in (1, -1):
+        nls = 1j * gt - gxx - 2 * s * g @ _adj(g) @ g
+        cases.append((resolve_kind("local_nls", sign=s), nls, None))
+        cases.append((resolve_kind("kernel_nls", sign=s), nls,
+                      (1j * yt - yxx - 2 * s * y @ _adj(gk) @ gk,
+                       1j * zt - zxx - 2 * s * gk @ _adj(gk) @ z)))
+    cases += [
+        (resolve_kind("rev_time_nls"),
+         1j * gt - gxx - 2 * g @ _tr(g_rt) @ g, None),
+        (resolve_kind("rev_spacetime_nls"),
+         1j * gt - gxx - 2 * g @ _tr(g_rxt) @ g, None),
+        (resolve_kind("local_mkdv"),
+         gt + gxxx - 3 * (g @ _tr(g) @ gx + gx @ _tr(g) @ g), None),
+        (resolve_kind("local_mkdv", flavor="complex"),
+         gt + gxxx - 3 * (g @ _adj(g) @ gx + gx @ _adj(g) @ g), None),
+        (resolve_kind("kernel_mkdv"),
+         gt + gxxx - 3 * (g @ _tr(g) @ gx + gx @ _tr(g) @ g),
+         (yt + yxxx - 3 * (y @ _tr(gk) @ gkx + yx @ _tr(gk) @ gk),
+          zt + zxxx - 3 * (gk @ _tr(gk) @ zx + gkx @ _tr(gk) @ z))),
+        (resolve_kind("rev_spacetime_mkdv"),
+         gt + gxxx - 3 * (g @ _tr(g_rxt) @ gx + gx @ _tr(g_rxt) @ g), None),
+        (resolve_kind("rev_spacetime_mkdv", flavor="complex"),
+         gt + gxxx - 3 * (g @ _adj(g_rxt) @ gx + gx @ _adj(g_rxt) @ g), None),
+        (resolve_kind("combined_degree3", mu1=mu1, mu2=mu2),
+         gt - mu1 * gxx - mu2 * gxxx + 2 * mu1 * g @ _adj(g) @ g
+         + 3 * mu2 * (g @ _adj(g) @ gx + gx @ _adj(g) @ g), None),
+    ]
+    if shape[0] == shape[1]:
+        cases.append((resolve_kind("kdv_primitive"), gt + gxxx - 3 * gx @ gx, None))
+
+    def same_modulus(R, lit):
+        assert np.allclose(np.abs(R), np.abs(lit), rtol=0.0,
+                           atol=1e-13 * np.abs(lit).max())
+
+    for kind, local, slices in cases:
+        res, _ = residual_local(kind, f)
+        same_modulus(res[2:-2, 2:-2], local)
+        if slices is not None:
+            _, (R1, R2) = residual_kernel(kind, f, return_fields=True)
+            same_modulus(R1, slices[0])
+            same_modulus(R2, slices[1])
+
+    p, pt, _, pxx, _ = _stencils(f.center_tilde, 0.5)
+    _, (R1, R2) = residual_coupled(f, return_fields=True)
+    same_modulus(R1, gt - gxx - 2 * g @ p @ g)
+    same_modulus(R2, pt + pxx + 2 * p @ g @ p)
+
+
+def test_skipped_sample_nan_footprint():
+    # a skipped sample is NaN in the centre and both slices; the residual
+    # is NaN exactly on the equation's stencil around it: +-1 in t, and
+    # +-1 in x for NLS (second order) or +-2 for mKdV (third order)
+    rng = np.random.default_rng(7)
+    f = _random_field(rng, (2, 2), n=11)
+    it, ix = 5, 5
+    for arr in (f.center, f.slice_y, f.slice_z):
+        arr[it, ix] = np.nan
+    for kind, reach in ((resolve_kind("kernel_nls"), 1),
+                        (resolve_kind("kernel_mkdv"), 2)):
+        expected = np.zeros((11, 11), dtype=bool)
+        expected[it - 1:it + 2, ix] = True
+        expected[it, ix - reach:ix + reach + 1] = True
+        expected = expected[2:-2, 2:-2]
+        res, _ = residual_local(kind, f)
+        assert np.array_equal(np.isnan(res[2:-2, 2:-2]).any(axis=(-2, -1)), expected)
+        _, (R1, R2) = residual_kernel(kind, f, return_fields=True)
+        for R in (R1, R2):
+            assert np.array_equal(np.isnan(R).any(axis=(-3, -2, -1)), expected)
+
+
 def test_miura_scalar_rank_one_converges():
     # xs extends one step past [-0.5, 0.5] so every level measures the
     # defect over the same interior window
