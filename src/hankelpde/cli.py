@@ -30,10 +30,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .companion import companion_profile, space_reversed
-from .dispersion import GrowthError, evolve, exp_rate_symbol
+from .companion import companion_at, companion_profile, space_reversed
+from .dispersion import GrowthError, evolve
 from .equations import (
     _nanmax_abs,
+    _require_symmetric,
     product_rule_check,
     residual_coupled,
     residual_kernel,
@@ -54,7 +55,6 @@ from .gridkernel import (
     InitialDataSpec,
     make_uniform_grid,
     sample_profile,
-    to_spectral,
 )
 from .kinds import resolve_kind
 
@@ -64,11 +64,6 @@ _ENV_KEYS = {"decay_tol": "DECAY_TOL", "patch_threshold": "PATCH_THRESHOLD",
              "solver_tol": "SOLVER_TOL"}
 _OUTPUT_KINDS = ("center", "slices", "det2", "residuals")
 _DATA_KINDS = ("gaussian", "exponential_step", "exponential", "tabulated")
-
-# companions whose scalar rank-one composition has a separable closed
-# form; used as the study reference for scalar exponential data
-_SEPARABLE_COMPANIONS = ("adjoint", "neg_adjoint", "neg_transpose",
-                         "transpose_rev_time", "neg_identity")
 
 
 @dataclass
@@ -260,12 +255,10 @@ def parse_scenario(path):
         if xs.size < 5 or ts.size < 5:
             raise ValueError("residual output needs at least 5 samples per "
                              "axis, got %d x and %d t" % (xs.size, ts.size))
-        if kind.reflect_x and not np.allclose(xs, -xs[::-1], atol=1e-9):
-            raise ValueError("kind %r needs an x sample grid symmetric about 0"
-                             % kind.name)
-        if kind.reflect_t and not np.allclose(ts, -ts[::-1], atol=1e-9):
-            raise ValueError("kind %r needs a t sample grid symmetric about 0"
-                             % kind.name)
+        if kind.reflect_x:
+            _require_symmetric(xs, "x")
+        if kind.reflect_t:
+            _require_symmetric(ts, "t")
 
     tols = _resolve_tolerances(raw.get("tolerances"))
     richardson = raw.get("richardson", False)
@@ -299,45 +292,23 @@ def _entry_headers(prefix, n, m):
     return cols
 
 
-def _write_center_table(path, field_out, n, m, coupled):
+def _write_table(path, header, keys, values, tail=()):
+    """Write one row per row of keys: the key columns, each complex entry
+    of that row of values as re, im in ravel order, then the tail
+    columns; every number as %.17g."""
+    values = values.reshape(len(keys), -1)
+    re_im = np.stack([values.real, values.imag], axis=-1).reshape(len(keys), -1)
     with open(path, "w") as fh:
-        cols = ["x", "t"] + _entry_headers("g", n, m)
-        if coupled:
-            cols += _entry_headers("gt", m, n)
-        fh.write("\t".join(cols) + "\n")
-        for it, t in enumerate(field_out.ts):
-            for ix, x in enumerate(field_out.xs):
-                vals = [x, t]
-                for entry in field_out.center[it, ix].ravel():
-                    vals += [entry.real, entry.imag]
-                if coupled:
-                    for entry in field_out.center_tilde[it, ix].ravel():
-                        vals += [entry.real, entry.imag]
-                fh.write(_fmt_row(vals) + "\n")
+        fh.write("\t".join(header) + "\n")
+        for row in np.column_stack([keys, re_im, *tail]):
+            fh.write(_fmt_row(row) + "\n")
 
 
-def _write_slice_table(path, field_out, which):
-    data = field_out.slice_y if which == "y" else field_out.slice_z
-    nodes = field_out.quad.nodes
-    with open(path, "w") as fh:
-        n, m = data.shape[-2:]
-        fh.write("\t".join(["x", "t", "xi"] + _entry_headers("g", n, m)) + "\n")
-        for it, t in enumerate(field_out.ts):
-            for ix, x in enumerate(field_out.xs):
-                for k, xi in enumerate(nodes):
-                    vals = [x, t, xi]
-                    for entry in data[it, ix, k].ravel():
-                        vals += [entry.real, entry.imag]
-                    fh.write(_fmt_row(vals) + "\n")
-
-
-def _write_det2_table(path, field_out, report):
-    with open(path, "w") as fh:
-        fh.write("x\tt\tre_det2\tim_det2\tabs_det2\n")
-        for it, t in enumerate(field_out.ts):
-            for ix, x in enumerate(field_out.xs):
-                d = report.det2[it, ix]
-                fh.write(_fmt_row([x, t, d.real, d.imag, abs(d)]) + "\n")
+def _sample_keys(field_out, *inner):
+    """Key columns (x, t, *inner) over the samples in t-major order."""
+    grids = [g.ravel() for g in np.meshgrid(field_out.ts, field_out.xs, *inner,
+                                            indexing="ij")]
+    return np.column_stack([grids[1], grids[0]] + grids[2:])
 
 
 def _l2_norm(R, dx, dt):
@@ -379,19 +350,28 @@ def run(scenario, out_dir=".", threads=1):
     timings["solve_s"] = time.perf_counter() - t0
 
     written = []
+    keys = _sample_keys(field_out)
     if "center" in scenario.outputs:
         path = os.path.join(out_dir, "center.tsv")
-        _write_center_table(path, field_out, scenario.n, scenario.m,
-                            scenario.coupled)
+        header = ["x", "t"] + _entry_headers("g", scenario.n, scenario.m)
+        values = field_out.center.reshape(len(keys), -1)
+        if scenario.coupled:
+            header += _entry_headers("gt", scenario.m, scenario.n)
+            values = np.column_stack(
+                [values, field_out.center_tilde.reshape(len(keys), -1)])
+        _write_table(path, header, keys, values)
         written.append(path)
     if "slices" in scenario.outputs:
-        for which in ("y", "z"):
+        slice_keys = _sample_keys(field_out, field_out.quad.nodes)
+        for which, data in (("y", field_out.slice_y), ("z", field_out.slice_z)):
             path = os.path.join(out_dir, "slice_%s.tsv" % which)
-            _write_slice_table(path, field_out, which)
+            header = ["x", "t", "xi"] + _entry_headers("g", *data.shape[-2:])
+            _write_table(path, header, slice_keys, data)
             written.append(path)
     if "det2" in scenario.outputs:
         path = os.path.join(out_dir, "det2.tsv")
-        _write_det2_table(path, field_out, report)
+        _write_table(path, ["x", "t", "re_det2", "im_det2", "abs_det2"], keys,
+                     report.det2, tail=([abs(d) for d in report.det2.ravel()],))
         written.append(path)
 
     residual_rows = []
@@ -431,34 +411,36 @@ def run(scenario, out_dir=".", threads=1):
 
 
 def _rank_one_reference(scenario):
-    """Continuum centre value for scalar exponential data, or None."""
+    """Continuum centre values for scalar exponential data, or None.
+
+    theta(x, t) is the evolved data and theta~ its partner from
+    companion_at.  Without space reversal the partner keeps the rate a,
+    so the rank-one composition is separable, with S = 1/(2a):
+    theta / (1 + theta theta~ S^2), or theta / (1 - theta S) for
+    neg_identity, whose composed kernel is -P.  The returned
+    reference(xs, ts) gives the values on the (t, x) sample grid.
+    """
     init = scenario.initial
     if (init.kind != "exponential" or scenario.n != 1 or scenario.m != 1
-            or scenario.companion not in _SEPARABLE_COMPANIONS):
+            or space_reversed(scenario.companion)):
         return None
-    A = complex(np.asarray(init.amplitude).reshape(-1)[0])
-    a = float(init.rate)
-    d = exp_rate_symbol(scenario.params, a)
-    S = 1.0 / (2.0 * a)
+    p0 = sample_profile(init, scenario.grid, 1, 1)
+    S = 1.0 / (2.0 * p0.exp_tag[0])
 
-    def theta(x, t):
-        return A * np.exp(a * x + t * d)
+    def at(p, xs):
+        rate, amp = p.exp_tag
+        return amp[0, 0] * np.exp(rate * xs)
 
-    comp = scenario.companion
-
-    def reference(x, t):
-        th = theta(x, t)
-        if comp == "neg_identity":
-            return th / (1.0 - th * S)
-        if comp == "adjoint":
-            tl = np.conj(theta(x, t))
-        elif comp == "neg_adjoint":
-            tl = -np.conj(theta(x, t))
-        elif comp == "neg_transpose":
-            tl = -th
-        else:  # transpose_rev_time
-            tl = theta(x, -t)
-        return th / (1.0 + th * tl * S * S)
+    def reference(xs, ts):
+        rows = []
+        for t in ts:
+            th = at(evolve(p0, scenario.params, t), xs)
+            if scenario.companion == "neg_identity":
+                rows.append(th / (1.0 - th * S))
+            else:
+                tl = at(companion_at(p0, scenario.companion, scenario.params, t), xs)
+                rows.append(th / (1.0 + th * tl * S * S))
+        return np.array(rows)
 
     return reference
 
@@ -522,9 +504,7 @@ def convergence_study(scenario, levels=3, guard=4096, threads=1):
         sc = replace(scenario, quad=quad, xs=xs, ts=ts)
         field_out, _ = evaluate_solution(sc, threads=threads)
         if reference is not None:
-            T, X = np.meshgrid(ts, xs, indexing="ij")
-            exact = reference(X, T)
-            err = _nanmax_abs(field_out.center[:, :, 0, 0] - exact)
+            err = _nanmax_abs(field_out.center[:, :, 0, 0] - reference(xs, ts))
         else:
             if scenario.coupled:
                 _, (R1, R2) = residual_coupled(field_out, return_fields=True)
@@ -585,10 +565,10 @@ def _verify_checks(scenario):
     preserving = (abs(scenario.params.mu1.real) < 1e-14
                   and abs(scenario.params.mu2.imag) < 1e-14)
     if preserving and p0.exp_tag is None:
-        coeffs0 = to_spectral(p0)
+        M = p0.grid.node_count
         moved = evolve(p0, scenario.params, 0.37)
-        drift = np.abs(np.abs(to_spectral(moved).coefficients)
-                       - np.abs(coeffs0.coefficients)).max()
+        drift = np.abs(np.abs(np.fft.fft(moved.samples, axis=0) / M)
+                       - np.abs(np.fft.fft(p0.samples, axis=0) / M)).max()
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
     Q0 = kernels[2]

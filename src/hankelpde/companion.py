@@ -5,14 +5,19 @@ profile built by some combination of matrix transpose or conjugate
 transpose, an overall sign, reflection of the argument s -> -s, and
 reflection of time.  The companion is always derived from the evolved
 p, never evolved on its own, so the pairing conditions hold by
-construction; companion_consistency_residual certifies that
-numerically, and companion_field gives the residual flow's partner.
+construction.  This module is the only place the map is encoded:
+companion_profile applies it to a profile (an exp-tagged profile keeps
+its tag), companion_at gives the companion at a wall-clock time (the
+study's rank-one closed form reads its partner there),
+companion_field applies it to a solved field (the residual flow's
+partner), and companion_consistency_residual certifies the pairing
+numerically.
 """
 
 import numpy as np
 
 from .dispersion import DispersionParams, dispersion_residual, evolve
-from .gridkernel import MatrixProfile, exponential_samples
+from .gridkernel import MatrixProfile, exponential_profile
 
 COMPANION_KINDS = (
     "adjoint",
@@ -82,17 +87,14 @@ def companion_profile(p, kind):
 
     if p.exp_tag is not None:
         rate, amp = p.exp_tag
-        amp = _matrix_map(amp, kind)
-        rate = -rate if kind in _SPACE_REV else rate
-        return MatrixProfile(grid=p.grid, rows=p.cols, cols=p.rows,
-                             samples=exponential_samples(p.grid, rate, amp),
-                             time_stamp=t_out, exp_tag=(rate, amp))
+        return exponential_profile(p.grid, -rate if kind in _SPACE_REV else rate,
+                                   _matrix_map(amp, kind), t_out)
 
     vals = _matrix_map(p.samples, kind)
     if kind in _SPACE_REV:
         vals = reflect_samples(vals)
     return MatrixProfile(grid=p.grid, rows=p.cols, cols=p.rows,
-                         samples=vals, time_stamp=t_out, exp_tag=None)
+                         samples=vals, time_stamp=t_out)
 
 
 def companion_field(G, kind):

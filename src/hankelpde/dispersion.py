@@ -1,15 +1,19 @@
 """Exact-in-time linear evolution of profiles.
 
-The linear flow is dp/dt = mu1 * d^2p/ds^2 + mu2 * d^3p/ds^3, solved
-exactly for any t by multiplying Fourier coefficients with
-e^{t*symbol(k)}.  There is no time stepping anywhere; a profile at time
-t is always produced in one multiplier application from the data.
+The linear flow is dp/dt = mu1 * d^2p/ds^2 + mu2 * d^3p/ds^3.  Every
+function of the wavenumber acts through one Fourier multiplier, a
+factor f(z) on each mode e^{z*s}: z = 2*pi*i*k for the grid frequencies
+k, or z = rate for the single mode of an exp-tagged profile.  evolve is
+f(z) = e^{t*sigma(z)} with the flow polynomial sigma(z) = mu1*z^2 +
+mu2*z^3, so a profile at time t is one multiplier application from the
+data and there is no time stepping anywhere; spectral_derivative is
+f(z) = z^order.
 """
 
 from dataclasses import dataclass
 import numpy as np
 
-from .gridkernel import MatrixProfile, exponential_samples
+from .gridkernel import MatrixProfile, exponential_profile
 
 EXP_GUARD = 700.0  # natural-log scale, past this exp() overflows doubles
 
@@ -25,58 +29,44 @@ class DispersionParams:
     mu2: complex
 
 
-def symbol(params, k):
-    """Multiplier exponent mu1*(2*pi*i*k)^2 + mu2*(2*pi*i*k)^3."""
-    z = 2j * np.pi * np.asarray(k)
-    return params.mu1 * z ** 2 + params.mu2 * z ** 3
-
-
 def exp_rate_symbol(params, a):
-    """Growth rate of a pure exponential e^{a*s}: mu1*a^2 + mu2*a^3."""
+    """Flow polynomial mu1*a^2 + mu2*a^3, the growth rate of e^{a*s}."""
     return params.mu1 * a ** 2 + params.mu2 * a ** 3
+
+
+def _multiply(p, factor, t=0.0):
+    """Apply factor(z) to every mode e^{z*s} of p; stamp p.time_stamp + t."""
+    if p.exp_tag is not None:
+        rate, amp = p.exp_tag
+        return exponential_profile(p.grid, rate, amp * factor(rate),
+                                   p.time_stamp + t)
+    z = 2j * np.pi * np.fft.fftfreq(p.grid.node_count, d=p.grid.spacing)
+    samples = np.fft.ifft(factor(z)[:, None, None] * np.fft.fft(p.samples, axis=0),
+                          axis=0)
+    return MatrixProfile(grid=p.grid, rows=p.rows, cols=p.cols, samples=samples,
+                         time_stamp=p.time_stamp + t)
 
 
 def evolve(p, params, t):
     """Profile at time p.time_stamp + t under the exact linear flow."""
     if t == 0.0:
         return p
-    if p.exp_tag is not None:
-        rate, amp = p.exp_tag
-        lam = t * exp_rate_symbol(params, rate)
-        if lam.real > EXP_GUARD:
-            raise GrowthError("evolution amplifies e^{%g s} data by e^%.3g; "
-                              "reduce the time horizon" % (rate, lam.real))
-        new_amp = amp * np.exp(lam)
-        return MatrixProfile(grid=p.grid, rows=p.rows, cols=p.cols,
-                             samples=exponential_samples(p.grid, rate, new_amp),
-                             time_stamp=p.time_stamp + t,
-                             exp_tag=(rate, new_amp))
-    k = np.fft.fftfreq(p.grid.node_count, d=p.grid.spacing)
-    lam = t * symbol(params, k)
-    growth = lam.real.max()
-    if growth > EXP_GUARD:
-        raise GrowthError("evolution amplifies resolved frequencies by up to "
-                          "e^%.3g; use band-limited data or a shorter horizon"
-                          % growth)
-    mult = np.exp(lam)
-    samples = np.fft.ifft(mult[:, None, None] * np.fft.fft(p.samples, axis=0), axis=0)
-    return MatrixProfile(grid=p.grid, rows=p.rows, cols=p.cols, samples=samples,
-                         time_stamp=p.time_stamp + t, exp_tag=None)
+
+    def factor(z):
+        lam = t * exp_rate_symbol(params, z)
+        growth = np.max(lam.real)
+        if growth > EXP_GUARD:
+            raise GrowthError("evolution amplifies the data by up to e^%.3g; "
+                              "use band-limited data or a shorter horizon"
+                              % growth)
+        return np.exp(lam)
+
+    return _multiply(p, factor, t)
 
 
 def spectral_derivative(p, order=1):
     """Exact d^order/ds^order of a profile on its grid."""
-    if p.exp_tag is not None:
-        rate, amp = p.exp_tag
-        new_amp = amp * rate ** order
-        return MatrixProfile(grid=p.grid, rows=p.rows, cols=p.cols,
-                             samples=exponential_samples(p.grid, rate, new_amp),
-                             time_stamp=p.time_stamp, exp_tag=(rate, new_amp))
-    k = np.fft.fftfreq(p.grid.node_count, d=p.grid.spacing)
-    mult = (2j * np.pi * k) ** order
-    samples = np.fft.ifft(mult[:, None, None] * np.fft.fft(p.samples, axis=0), axis=0)
-    return MatrixProfile(grid=p.grid, rows=p.rows, cols=p.cols, samples=samples,
-                         time_stamp=p.time_stamp, exp_tag=None)
+    return _multiply(p, lambda z: z ** order)
 
 
 def dispersion_residual(profiles, params):

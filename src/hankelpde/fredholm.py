@@ -368,12 +368,11 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     quad = scenario.quad
     K = quad.node_count
     nt, nx = ts.size, xs.size
-    coupled = getattr(scenario, "coupled", False)
+    coupled = scenario.coupled
     threshold = scenario.tolerances.get("patch_threshold", PATCH_THRESHOLD)
 
     p0 = sample_profile(scenario.initial, scenario.grid, n, m)
-    rules = quadrature_rules(quad, getattr(scenario, "richardson", False),
-                             scenario.grid.spacing)
+    rules = quadrature_rules(quad, scenario.richardson, scenario.grid.spacing)
 
     center = np.full((nt, nx, n, m), np.nan, dtype=complex)
     slice_y = np.full((nt, nx, K, n, m), np.nan, dtype=complex)

@@ -5,6 +5,9 @@ sampled at the nodes of a uniform grid covering [-X, X), together with
 the time it belongs to.  Downstream code only reads profile values at
 grid nodes (the commensurability rules guarantee every needed argument
 lands on one), so evaluation is exact lookup, never interpolation.
+Pure exponential data amp * e^{rate*s} carry an exact tag; every such
+profile, initial, evolved, differentiated or companion, is built by
+exponential_profile.
 """
 
 from dataclasses import dataclass, field
@@ -98,28 +101,6 @@ class MatrixProfile:
 
 
 @dataclass(frozen=True)
-class SpectralProfile:
-    """Fourier coefficients of a MatrixProfile.
-
-    coefficients has shape (M, n, m) and is indexed by ascending integer
-    frequency k in {-M/2, ..., M/2-1}; the physical frequency of entry k
-    is k/(2X).  Coefficients are Fourier-series normalized: the profile
-    is reconstructed as sum_k c_k exp(2*pi*i*(k/(2X))*s).
-    """
-
-    grid: MasterGrid
-    rows: int
-    cols: int
-    coefficients: np.ndarray = field(repr=False)
-    time_stamp: float = 0.0
-
-    @property
-    def frequencies(self):
-        M = self.grid.node_count
-        return (np.arange(M) - M // 2) / (2.0 * self.grid.half_width)
-
-
-@dataclass(frozen=True)
 class InitialDataSpec:
     """Description of initial data for sample_profile.
 
@@ -152,7 +133,6 @@ def _amplitude_matrix(spec, n, m):
 def sample_profile(spec, grid, n, m):
     """Sample initial data on the master grid at time 0."""
     s = grid.nodes
-    tag = None
     if spec.kind == "gaussian":
         A = _amplitude_matrix(spec, n, m)
         if spec.width is None or not spec.width > 0:
@@ -169,8 +149,7 @@ def sample_profile(spec, grid, n, m):
         A = _amplitude_matrix(spec, n, m)
         if spec.rate is None or not spec.rate > 0:
             raise ValueError("exponential rate must be positive, got %r" % (spec.rate,))
-        samples = exponential_samples(grid, float(spec.rate), A)
-        tag = (float(spec.rate), A)
+        return exponential_profile(grid, float(spec.rate), A, 0.0)
     elif spec.kind == "tabulated":
         samples = np.asarray(spec.values, dtype=complex)
         if samples.shape != (grid.node_count, n, m):
@@ -178,43 +157,18 @@ def sample_profile(spec, grid, n, m):
                              % (samples.shape, (grid.node_count, n, m)))
     else:
         raise ValueError("unknown initial data kind %r" % (spec.kind,))
-    return MatrixProfile(grid=grid, rows=n, cols=m, samples=samples,
-                         time_stamp=0.0, exp_tag=tag)
+    return MatrixProfile(grid=grid, rows=n, cols=m, samples=samples)
 
 
-def exponential_samples(grid, rate, amp):
-    """Samples of amp * e^{rate*s} at every grid node."""
-    prof = np.exp(rate * grid.nodes)
-    return prof[:, None, None] * np.asarray(amp, dtype=complex)[None, :, :]
+def exponential_profile(grid, rate, amp, time_stamp):
+    """The exp-tagged profile amp * e^{rate*s}, sampled at every node."""
+    amp = np.asarray(amp, dtype=complex)
+    samples = np.exp(rate * grid.nodes)[:, None, None] * amp[None, :, :]
+    return MatrixProfile(grid=grid, rows=amp.shape[0], cols=amp.shape[1],
+                         samples=samples, time_stamp=time_stamp,
+                         exp_tag=(rate, amp))
 
 
 def eval_at(p, s):
     """Value of the profile at the grid node s (exact lookup)."""
     return p.samples[p.grid.node_index(s)]
-
-
-def to_spectral(p):
-    """Fourier-series coefficients of a profile.
-
-    Entry k (ascending order, k in {-M/2..M/2-1}) approximates
-    (1/(2X)) * integral of p(s) exp(-2*pi*i*(k/(2X))*s) ds, so the
-    reconstruction uses exp(+2*pi*i*(k/(2X))*s).
-    """
-    M = p.grid.node_count
-    raw = np.fft.fft(p.samples, axis=0) / M
-    k = np.fft.fftfreq(M, d=1.0 / M)  # integer frequencies in fft order
-    phase = np.where(np.round(k).astype(int) % 2 == 0, 1.0, -1.0)
-    coeffs = np.fft.fftshift(raw * phase[:, None, None], axes=0)
-    return SpectralProfile(grid=p.grid, rows=p.rows, cols=p.cols,
-                           coefficients=coeffs, time_stamp=p.time_stamp)
-
-
-def from_spectral(sp):
-    """Inverse of to_spectral."""
-    M = sp.grid.node_count
-    raw = np.fft.ifftshift(sp.coefficients, axes=0)
-    k = np.fft.fftfreq(M, d=1.0 / M)
-    phase = np.where(np.round(k).astype(int) % 2 == 0, 1.0, -1.0)
-    samples = np.fft.ifft(raw * phase[:, None, None] * M, axis=0)
-    return MatrixProfile(grid=sp.grid, rows=sp.rows, cols=sp.cols,
-                         samples=samples, time_stamp=sp.time_stamp)

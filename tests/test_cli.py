@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -425,3 +426,114 @@ def test_traced_attributes_exist():
     for module, attribute, _ in spans.WRAPPED:
         assert module in modules, module
         assert callable(getattr(modules[module], attribute, None)), (module, attribute)
+
+
+def test_main_solve_refuses_nearly_symmetric_grid_before_solving(tmp_path, capsys):
+    # t stop 0.8000001 is inside numpy's default rtol but not on-grid
+    # symmetric; the parse-time check must be the residual step's check
+    text = (SCENARIO_DIR / "rev_time_nls.yaml").read_text().replace(
+        "t: {start: -0.8, stop: 0.8, count: 9}",
+        "t: {start: -0.8, stop: 0.8000001, count: 10}")
+    out = tmp_path / "out"
+    assert main(["solve", write_scenario(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (out / "center.tsv").exists()
+
+
+def _loop_tables(sc):
+    # the per-entry loop writers, kept as the byte-level reference
+    field_out, report = fredholm.evaluate_solution(sc)
+
+    def fmt(vals):
+        return "\t".join("%.17g" % v for v in vals) + "\n"
+
+    def pairs(arr):
+        return [part for e in arr.ravel() for part in (e.real, e.imag)]
+
+    def heads(prefix, n, m):
+        return ["%s_%s%d%d" % (ri, prefix, i, j)
+                for i in range(n) for j in range(m) for ri in ("re", "im")]
+
+    samples = [(it, ix, x, t) for it, t in enumerate(field_out.ts)
+               for ix, x in enumerate(field_out.xs)]
+    tables = {"center.tsv": "\t".join(["x", "t"] + heads("g", sc.n, sc.m)
+                                      + heads("gt", sc.m, sc.n)) + "\n",
+              "det2.tsv": "x\tt\tre_det2\tim_det2\tabs_det2\n"}
+    for it, ix, x, t in samples:
+        tables["center.tsv"] += fmt([x, t] + pairs(field_out.center[it, ix])
+                                    + pairs(field_out.center_tilde[it, ix]))
+        d = report.det2[it, ix]
+        tables["det2.tsv"] += fmt([x, t, d.real, d.imag, abs(d)])
+    for which, data in (("y", field_out.slice_y), ("z", field_out.slice_z)):
+        text = "\t".join(["x", "t", "xi"] + heads("g", sc.n, sc.m)) + "\n"
+        for it, ix, x, t in samples:
+            for k, xi in enumerate(field_out.quad.nodes):
+                text += fmt([x, t, xi] + pairs(data[it, ix, k]))
+        tables["slice_%s.tsv" % which] = text
+    return tables
+
+
+def test_run_tables_match_loop_writer(tmp_path):
+    text = (SCENARIO_DIR / "coupled_diffusion.yaml").read_text().replace(
+        "outputs: [center, residuals]", "outputs: [center, slices, det2]")
+    sc = parse_scenario(write_scenario(tmp_path, text))
+    out = tmp_path / "out"
+    assert run(sc, out_dir=str(out)) == 0
+    for name, expected in _loop_tables(sc).items():
+        assert (out / name).read_text() == expected, name
+
+
+RANK_ONE_ASYMMETRIC_T = """
+name: rank-one-reference
+%s
+dims: [1, 1]
+initial: {kind: exponential, amplitude: 0.35+0.15i, rate: 0.8}
+grid: {X: 24.0, M: 1536}
+quadrature: {L: 8.0, N: 64}
+samples:
+  x: {start: -1.0, stop: 1.0, count: 5}
+  t: [-0.3, 0.1, 0.5, 0.7]
+outputs: [center, det2]
+"""
+
+
+@pytest.mark.parametrize("kind_lines, companion, d, partner", [
+    ("kind: local_nls", "adjoint", -1j * 0.8 ** 2,
+     lambda th, th_rev: np.conj(th)),
+    ("kind: local_nls\nsign: -1", "neg_adjoint", -1j * 0.8 ** 2,
+     lambda th, th_rev: -np.conj(th)),
+    ("kind: local_mkdv", "neg_transpose", -0.8 ** 3,
+     lambda th, th_rev: -th),
+    ("kind: rev_time_nls", "transpose_rev_time", -1j * 0.8 ** 2,
+     lambda th, th_rev: th_rev),
+    ("kind: coupled_diffusion", "transpose_rev_time", 0.8 ** 2,
+     lambda th, th_rev: th_rev),
+    ("kind: kdv_primitive", "neg_identity", -0.8 ** 3, None),
+], ids=["adjoint", "neg_adjoint", "neg_transpose", "rev_time_nls",
+        "coupled_diffusion", "neg_identity"])
+def test_rank_one_reference_is_the_displayed_closed_form(tmp_path, kind_lines,
+                                                         companion, d, partner):
+    sc = parse_scenario(write_scenario(tmp_path, RANK_ONE_ASYMMETRIC_T % kind_lines))
+    assert sc.companion == companion
+    A, a = 0.35 + 0.15j, 0.8
+    S = 1.0 / (2.0 * a)
+    T, X = np.meshgrid(sc.ts, sc.xs, indexing="ij")
+    th = A * np.exp(a * X + T * d)
+    if partner is None:
+        exact = th / (1.0 - th * S)
+    else:
+        exact = th / (1.0 + th * partner(th, A * np.exp(a * X - T * d)) * S * S)
+    ref = cli._rank_one_reference(sc)(sc.xs, sc.ts)
+    assert np.max(np.abs(ref - exact) / np.abs(exact)) <= 1e-15
+
+
+def test_rank_one_reference_only_for_separable_scalar_exponentials(tmp_path):
+    sc = parse_scenario(write_scenario(tmp_path, RANK_ONE_ASYMMETRIC_T % "kind: local_nls"))
+    assert cli._rank_one_reference(sc) is not None
+    gauss = cli.InitialDataSpec(kind="gaussian", amplitude=[[1.0]], width=1.0)
+    for changed in (dict(companion="transpose_rev_spacetime"),
+                    dict(companion="neg_adjoint_rev_spacetime"),
+                    dict(initial=gauss),
+                    dict(n=2, m=2)):
+        assert cli._rank_one_reference(replace(sc, **changed)) is None, changed

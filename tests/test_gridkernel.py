@@ -5,10 +5,8 @@ from hankelpde.gridkernel import (
     InitialDataSpec,
     MatrixProfile,
     eval_at,
-    from_spectral,
     make_uniform_grid,
     sample_profile,
-    to_spectral,
 )
 
 
@@ -105,59 +103,6 @@ def test_tabulated_round_trip():
     assert np.array_equal(p.samples, vals)
     with pytest.raises(ValueError):
         sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 3, 2)
-
-
-def test_spectral_zero_profile():
-    g = make_uniform_grid(2.0, 16)
-    p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.0]], width=1.0),
-                       g, 1, 1)
-    sp = to_spectral(p)
-    assert np.all(sp.coefficients == 0.0)
-
-
-def test_spectral_constant_profile():
-    g = make_uniform_grid(2.0, 16)
-    vals = np.full((16, 1, 1), 3.0 - 1.0j)
-    p = sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 1, 1)
-    sp = to_spectral(p)
-    mags = np.abs(sp.coefficients[:, 0, 0])
-    k0 = 16 // 2  # index of k = 0 in ascending order
-    assert abs(sp.coefficients[k0, 0, 0] - (3.0 - 1.0j)) < 1e-14
-    others = np.delete(mags, k0)
-    assert others.max() < 1e-14
-
-
-def test_spectral_single_mode():
-    # p(s) = exp(2*pi*i*(k/(2X))*s) must give coefficient 1 at frequency k
-    g = make_uniform_grid(2.0, 16)
-    k = 3
-    vals = np.exp(2j * np.pi * (k / 4.0) * g.nodes).reshape(16, 1, 1)
-    p = sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 1, 1)
-    sp = to_spectral(p)
-    idx = k + 16 // 2
-    assert abs(sp.coefficients[idx, 0, 0] - 1.0) < 1e-13
-    assert abs(sp.frequencies[idx] - k / 4.0) < 1e-15
-
-
-def test_spectral_round_trip_random():
-    g = make_uniform_grid(2.0, 32)
-    rng = np.random.default_rng(11)
-    vals = rng.standard_normal((32, 2, 2)) + 1j * rng.standard_normal((32, 2, 2))
-    p = sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 2, 2)
-    back = from_spectral(to_spectral(p))
-    err = np.abs(back.samples - p.samples).max() / np.abs(p.samples).max()
-    assert err <= 1e-12
-
-
-def test_parseval():
-    g = make_uniform_grid(3.0, 64)
-    rng = np.random.default_rng(3)
-    vals = rng.standard_normal((64, 2, 2)) + 1j * rng.standard_normal((64, 2, 2))
-    p = sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 2, 2)
-    sp = to_spectral(p)
-    sample_energy = (np.abs(p.samples) ** 2).sum() * g.spacing
-    coeff_energy = (np.abs(sp.coefficients) ** 2).sum() * 2.0 * g.half_width
-    assert abs(sample_energy - coeff_energy) / sample_energy <= 1e-10
 
 
 def test_boundary_decay_ratio():
