@@ -35,6 +35,7 @@ from .dispersion import GrowthError, evolve
 from .equations import (
     _nanmax_abs,
     _require_symmetric,
+    _uniform_step,
     product_rule_check,
     residual_coupled,
     residual_kernel,
@@ -43,11 +44,13 @@ from .equations import (
 )
 from .fredholm import (
     PATCH_THRESHOLD,
+    PatchError,
     assemble_Q,
     evaluate_solution,
     kdv_Q,
     make_quadrature,
     nystrom_residual,
+    quadrature_rules,
     solve_G,
 )
 from .gridkernel import (
@@ -64,6 +67,8 @@ _ENV_KEYS = {"decay_tol": "DECAY_TOL", "patch_threshold": "PATCH_THRESHOLD",
              "solver_tol": "SOLVER_TOL"}
 _OUTPUT_KINDS = ("center", "slices", "det2", "residuals")
 _DATA_KINDS = ("gaussian", "exponential_step", "exponential", "tabulated")
+# largest N*m a convergence study may reach at its finest level
+STUDY_GUARD = 4096
 
 
 @dataclass
@@ -74,9 +79,6 @@ class Scenario:
     kind: object
     n: int
     m: int
-    params: object
-    companion: str
-    coupled: bool
     initial: InitialDataSpec
     grid: object
     quad: object
@@ -252,9 +254,8 @@ def parse_scenario(path):
                              % (out, list(_OUTPUT_KINDS)))
 
     if "residuals" in outputs:
-        if xs.size < 5 or ts.size < 5:
-            raise ValueError("residual output needs at least 5 samples per "
-                             "axis, got %d x and %d t" % (xs.size, ts.size))
+        _uniform_step(xs, "x")
+        _uniform_step(ts, "t")
         if kind.reflect_x:
             _require_symmetric(xs, "x")
         if kind.reflect_t:
@@ -264,12 +265,11 @@ def parse_scenario(path):
     richardson = raw.get("richardson", False)
     if not isinstance(richardson, bool):
         raise ValueError("richardson must be true or false, got %r" % (richardson,))
+    quadrature_rules(quad, richardson, grid.spacing)  # the 2N rule must fit the grid too
 
     sc = Scenario(name=str(raw.get("name", "scenario")), kind=kind, n=n, m=m,
-                  params=kind.params, companion=kind.companion,
-                  coupled=kind.coupled, initial=initial, grid=grid, quad=quad,
-                  xs=xs, ts=ts, outputs=outputs, tolerances=tols,
-                  richardson=richardson, raw=raw)
+                  initial=initial, grid=grid, quad=quad, xs=xs, ts=ts,
+                  outputs=outputs, tolerances=tols, richardson=richardson, raw=raw)
 
     p0 = sample_profile(initial, grid, n, m)
     if p0.exp_tag is None and not p0.decay_ok(tols["decay_tol"]):
@@ -321,8 +321,8 @@ def _residual_rows(scenario, field_out):
     dx = float(scenario.xs[1] - scenario.xs[0])
     dt = float(scenario.ts[1] - scenario.ts[0])
     rows = []
-    if scenario.coupled:
-        worst, (R1, R2) = residual_coupled(field_out, return_fields=True)
+    if scenario.kind.coupled:
+        _, (R1, R2) = residual_coupled(field_out)
         rows.append(("coupled_g", _nanmax_abs(R1), _l2_norm(R1, dx, dt)))
         rows.append(("coupled_g_tilde", _nanmax_abs(R2), _l2_norm(R2, dx, dt)))
         return rows
@@ -330,8 +330,7 @@ def _residual_rows(scenario, field_out):
     inner = res[2:-2, 2:-2]
     rows.append((scenario.kind.name, worst, _l2_norm(inner, dx, dt)))
     if scenario.kind.has_kernel_form:
-        worst_k, (R1, R2) = residual_kernel(scenario.kind, field_out,
-                                            return_fields=True)
+        worst_k, (R1, R2) = residual_kernel(scenario.kind, field_out)
         rows.append((scenario.kind.name + "_slices", worst_k,
                      max(_l2_norm(R1, dx, dt), _l2_norm(R2, dx, dt))))
     return rows
@@ -355,7 +354,7 @@ def run(scenario, out_dir=".", threads=1):
         path = os.path.join(out_dir, "center.tsv")
         header = ["x", "t"] + _entry_headers("g", scenario.n, scenario.m)
         values = field_out.center.reshape(len(keys), -1)
-        if scenario.coupled:
+        if scenario.kind.coupled:
             header += _entry_headers("gt", scenario.m, scenario.n)
             values = np.column_stack(
                 [values, field_out.center_tilde.reshape(len(keys), -1)])
@@ -420,9 +419,9 @@ def _rank_one_reference(scenario):
     neg_identity, whose composed kernel is -P.  The returned
     reference(xs, ts) gives the values on the (t, x) sample grid.
     """
-    init = scenario.initial
+    init, kind = scenario.initial, scenario.kind
     if (init.kind != "exponential" or scenario.n != 1 or scenario.m != 1
-            or space_reversed(scenario.companion)):
+            or space_reversed(kind.companion)):
         return None
     p0 = sample_profile(init, scenario.grid, 1, 1)
     S = 1.0 / (2.0 * p0.exp_tag[0])
@@ -434,11 +433,11 @@ def _rank_one_reference(scenario):
     def reference(xs, ts):
         rows = []
         for t in ts:
-            th = at(evolve(p0, scenario.params, t), xs)
-            if scenario.companion == "neg_identity":
+            th = at(evolve(p0, kind.params, t), xs)
+            if kind.companion == "neg_identity":
                 rows.append(th / (1.0 - th * S))
             else:
-                tl = at(companion_at(p0, scenario.companion, scenario.params, t), xs)
+                tl = at(companion_at(p0, kind.companion, kind.params, t), xs)
                 rows.append(th / (1.0 + th * tl * S * S))
         return np.array(rows)
 
@@ -466,7 +465,7 @@ def _refine_axis(vals, factor):
     return np.linspace(vals[0], vals[-1], count)
 
 
-def convergence_study(scenario, levels=3, guard=4096, threads=1):
+def convergence_study(scenario, levels=3, threads=1):
     """Re-run the scenario at doubled resolution per level.
 
     Sample spans stay fixed while the quadrature step, x step, and t
@@ -482,9 +481,9 @@ def convergence_study(scenario, levels=3, guard=4096, threads=1):
         raise ValueError("convergence study needs levels >= 3, got %r" % (levels,))
     finest_N = scenario.quad.intervals * 2 ** (levels - 1)
     size = finest_N * max(scenario.n, scenario.m) * (2 if scenario.richardson else 1)
-    if size > guard:
-        raise ValueError("finest level needs N*m = %d > %d; shrink N or levels "
-                         "or raise the guard" % (size, guard))
+    if size > STUDY_GUARD:
+        raise ValueError("finest level needs N*m = %d > %d; shrink N or levels"
+                         % (size, STUDY_GUARD))
 
     reference = _rank_one_reference(scenario)
     base_xs, base_ts = scenario.xs, scenario.ts
@@ -506,8 +505,8 @@ def convergence_study(scenario, levels=3, guard=4096, threads=1):
         if reference is not None:
             err = _nanmax_abs(field_out.center[:, :, 0, 0] - reference(xs, ts))
         else:
-            if scenario.coupled:
-                _, (R1, R2) = residual_coupled(field_out, return_fields=True)
+            if scenario.kind.coupled:
+                _, (R1, R2) = residual_coupled(field_out)
                 R = np.maximum(np.abs(R1).max(axis=(-1, -2)),
                                np.abs(R2).max(axis=(-1, -2)))
             else:
@@ -535,13 +534,13 @@ def _verify_checks(scenario):
     """Identity and residual checks on the scenario's own data."""
     checks = []
     p0 = sample_profile(scenario.initial, scenario.grid, scenario.n, scenario.m)
-    quad = scenario.quad
+    quad, kind = scenario.quad, scenario.kind
     x0 = float(scenario.xs[len(scenario.xs) // 2])
     dxq = quad.spacing
 
     ptil = None
-    if scenario.companion != "neg_identity":
-        ptil = companion_profile(p0, scenario.companion)
+    if kind.companion != "neg_identity":
+        ptil = companion_profile(p0, kind.companion)
 
     def q_at(x):
         return kdv_Q(p0, x, quad) if ptil is None else assemble_Q(p0, ptil, x, quad)
@@ -562,19 +561,18 @@ def _verify_checks(scenario):
         checks.append(("product_rule_ratio", err_c / max(err_f, 1e-300),
                        (2.5, 6.0)))
 
-    preserving = (abs(scenario.params.mu1.real) < 1e-14
-                  and abs(scenario.params.mu2.imag) < 1e-14)
+    preserving = (abs(kind.params.mu1.real) < 1e-14
+                  and abs(kind.params.mu2.imag) < 1e-14)
     if preserving and p0.exp_tag is None:
         M = p0.grid.node_count
-        moved = evolve(p0, scenario.params, 0.37)
+        moved = evolve(p0, kind.params, 0.37)
         drift = np.abs(np.abs(np.fft.fft(moved.samples, axis=0) / M)
                        - np.abs(np.fft.fft(p0.samples, axis=0) / M)).max()
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
     Q0 = kernels[2]
-    G = solve_G(Q0, p0, x0, quad)
-    checks.append(("nystrom_backward_error",
-                   nystrom_residual(G, Q0, p0, x0, quad),
+    G = solve_G(Q0, p0, x0, patch_threshold=scenario.tolerances["patch_threshold"])
+    checks.append(("nystrom_backward_error", nystrom_residual(G, Q0, p0, x0),
                    scenario.tolerances["solver_tol"]))
     return checks
 
@@ -615,6 +613,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("--threads must be at least 1, got %d" % args.threads)
         scenario = parse_scenario(args.scenario)
         if args.command == "solve":
             code = run(scenario, out_dir=args.out, threads=args.threads)
@@ -633,7 +633,7 @@ def main(argv=None):
             print("fitted order: %.3f" % report.fitted_order)
             return 0
         return verify(scenario)
-    except (ValueError, OSError, GrowthError) as err:
+    except (ValueError, OSError, GrowthError, PatchError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
 

@@ -127,13 +127,14 @@ def residual_local(kind, field):
     return out, _nanmax_abs(R)
 
 
-def residual_kernel(kind, field, return_fields=False):
+def residual_kernel(kind, field):
     """Residual of the kernel (two-argument) equation on the slices.
 
     Evaluates the flow at all (y, 0) and (0, z) pairs over the quadrature
     nodes, with x and t derivatives taken along the sample grid; (0, z)
     multiplies from the left, so it is the flow on transposed operands.
     Only the kernel NLS and kernel mKdV families have kernel equations.
+    Returns (max_norm, (R1, R2)), R1 on the (y, 0) and R2 on the (0, z) slices.
     """
     if isinstance(kind, str):
         kind = resolve_kind(kind)
@@ -152,18 +153,16 @@ def residual_kernel(kind, field, return_fields=False):
     Cx = _d_x(G, dx)[..., None, :, :]
     R1 = _flow(Sy, C, M, Cx, dt, dx, kind.params)
     R2 = _tr(_flow(_tr(Sz), _tr(C), _tr(M), _tr(Cx), dt, dx, kind.params))
-    worst = max(_nanmax_abs(R1), _nanmax_abs(R2))
-    if return_fields:
-        return worst, (R1, R2)
-    return worst
+    return max(_nanmax_abs(R1), _nanmax_abs(R2)), (R1, R2)
 
 
-def residual_coupled(field, return_fields=False):
+def residual_coupled(field):
     """Residuals of the coupled diffusion pair G (field.center) and G~.
 
     G~ is field.center_tilde.  Each field obeys the unified flow with the
     other as partner, G~ under the companion parameters:
     dG/dt = G_xx + 2 G G~ G and dG~/dt = -G~_xx - 2 G~ G G~.
+    Returns (max_norm, (R1, R2)), the residual fields of G and G~.
     """
     if field.center_tilde is None:
         raise ValueError("coupled residual needs the partner field")
@@ -176,10 +175,7 @@ def residual_coupled(field, return_fields=False):
     R1 = _flow(G, C, Cp, _d_x(G, dx), dt, dx, kind.params)
     R2 = _flow(Gp, Cp, C, _d_x(Gp, dx), dt, dx,
                companion_parameters(kind.companion, kind.params))
-    worst = max(_nanmax_abs(R1), _nanmax_abs(R2))
-    if return_fields:
-        return worst, (R1, R2)
-    return worst
+    return max(_nanmax_abs(R1), _nanmax_abs(R2)), (R1, R2)
 
 
 def miura_check(p0, quad, xs, ts, richardson=False):
@@ -231,17 +227,17 @@ def _kernel_blocks_from_callable(f, nodes):
     return out
 
 
-def product_rule_check(f, h, hp, fp, x, quad, dx=None):
+def product_rule_check(f, h, hp, fp, x, quad):
     """Both sides of the Hankel product rule, evaluated by quadrature.
 
     lhs[i,j] = [F d/dx(H H') F'](xi_i, xi_j; x) with the x-derivative of
     the composed kernel taken by centered differences, rhs[i,j] =
     [F H](xi_i, 0; x) [H' F'](0, xi_j; x).  f and fp are callables
     (y, z) -> matrix (or scalar); h and hp are Hankel profiles.  Returns
-    (lhs blocks, rhs blocks, max discrepancy).
+    (lhs blocks, rhs blocks, max discrepancy).  The x step is the
+    quadrature spacing, which keeps x +- dx on master nodes.
     """
-    if dx is None:
-        dx = quad.spacing
+    dx = quad.spacing
     nodes = quad.nodes
     w = quad.weights
     F = _kernel_blocks_from_callable(f, nodes)
@@ -295,7 +291,7 @@ def u_identity_check(q_kernels, dx=None):
     WQs = []
     err_ii = 0.0
     for Q in q_kernels:
-        A = nystrom_matrix(Q, Q.quad)[0]
+        A = nystrom_matrix(Q)[0]
         U = np.linalg.inv(A)
         I = np.eye(U.shape[0], dtype=A.dtype)
         WQ = A - I

@@ -174,19 +174,19 @@ def kdv_Q(p, x, quad):
                           blocks=hankel_windows(vals, quad.node_count))
 
 
-def nystrom_matrix(Q, quad):
+def nystrom_matrix(Q):
     """The Nystrom system matrix I + WQ and the trace of WQ.
 
-    W holds the quadrature weights of quad, one per block row of Q.  The
+    W holds the weights of Q's quadrature rule, one per block row of Q.  The
     weighted kernel is written straight into the result and the identity
     added on its diagonal in place, so no other k x k array is made.  A
     has the dtype of Q's blocks: real data give a real system.
     """
-    K, a, b = quad.node_count, Q.block_rows, Q.block_cols
+    K, a, b = Q.quad.node_count, Q.block_rows, Q.block_cols
     if a != b:
         raise ValueError("the Nystrom system needs square blocks, got %d x %d" % (a, b))
     A = np.empty((K * a, K * b), dtype=Q.blocks.dtype)
-    np.multiply(quad.weights[:, None, None, None], Q.blocks.transpose(0, 2, 1, 3),
+    np.multiply(Q.quad.weights[:, None, None, None], Q.blocks.transpose(0, 2, 1, 3),
                 out=A.reshape(K, a, K, b))
     trace = np.trace(A)
     A.flat[::A.shape[1] + 1] += 1.0
@@ -205,18 +205,17 @@ def _det2_of(A, trace):
     return sign * np.exp(logabs - trace)
 
 
-def det2(Q, quad=None):
+def det2(Q):
     """Regularised determinant det((I + WQ) e^{-WQ}).
 
     Computed in log space as exp(logdet(I + WQ) - trace(WQ)) via a
     pivoted factorization; factorization failure or an exactly singular
     system reports det2 = 0.
     """
-    quad = Q.quad if quad is None else quad
-    return _det2_of(*nystrom_matrix(Q, quad))
+    return _det2_of(*nystrom_matrix(Q))
 
 
-def solve_G(Q, p, x, quad=None, patch_threshold=PATCH_THRESHOLD):
+def solve_G(Q, p, x, *, patch_threshold=PATCH_THRESHOLD):
     """Solve G (id + WQ) = P for the block kernel G at parameter x.
 
     One dense solve of size K*m handles all row indices at once; the
@@ -225,21 +224,19 @@ def solve_G(Q, p, x, quad=None, patch_threshold=PATCH_THRESHOLD):
     below patch_threshold raises PatchError instead of returning an
     uncertifiable solve.
     """
-    quad = Q.quad if quad is None else quad
-    A, trace = nystrom_matrix(Q, quad)
+    A, trace = nystrom_matrix(Q)
     det2_value = _det2_of(A, trace)
     if abs(det2_value) < patch_threshold:
         raise PatchError(det2_value, x=x)
-    rhs = hankel_rhs(p, x, quad)
+    rhs = hankel_rhs(p, x, Q.quad)
     G_big = np.linalg.solve(A.T, rhs.big().T).T
-    return DiscreteKernel.from_big(G_big, quad, p.rows, p.cols)
+    return DiscreteKernel.from_big(G_big, Q.quad, p.rows, p.cols)
 
 
-def nystrom_residual(G, Q, p, x, quad=None):
+def nystrom_residual(G, Q, p, x):
     """Relative backward error of the solved system (certification aid)."""
-    quad = Q.quad if quad is None else quad
-    A = nystrom_matrix(Q, quad)[0]
-    rhs = hankel_rhs(p, x, quad).big()
+    A = nystrom_matrix(Q)[0]
+    rhs = hankel_rhs(p, x, Q.quad).big()
     num = np.abs(G.big() @ A - rhs).max()
     den = max(np.abs(rhs).max(), 1e-300)
     return float(num / den)
@@ -275,7 +272,7 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
     n, m = p.rows, p.cols
     for quad in rules:
         A, trace = nystrom_matrix(kdv_Q(p, x, quad) if ptil is None
-                                  else assemble_Q(p, ptil, x, quad), quad)
+                                  else assemble_Q(p, ptil, x, quad))
         d2 = _det2_of(A, trace)
         if abs(d2) < threshold:
             raise PatchError(d2, x=x)
@@ -327,7 +324,6 @@ class PatchReport:
     """det2 and backward-error bookkeeping over the sample grid."""
 
     det2: np.ndarray
-    threshold: float
     skipped: list
     backward_error: np.ndarray
 
@@ -368,7 +364,7 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     quad = scenario.quad
     K = quad.node_count
     nt, nx = ts.size, xs.size
-    coupled = scenario.coupled
+    kind = scenario.kind
     threshold = scenario.tolerances.get("patch_threshold", PATCH_THRESHOLD)
 
     p0 = sample_profile(scenario.initial, scenario.grid, n, m)
@@ -377,23 +373,23 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     center = np.full((nt, nx, n, m), np.nan, dtype=complex)
     slice_y = np.full((nt, nx, K, n, m), np.nan, dtype=complex)
     slice_z = np.full((nt, nx, K, n, m), np.nan, dtype=complex)
-    center_tilde = np.full((nt, nx, m, n), np.nan, dtype=complex) if coupled else None
+    center_tilde = np.full((nt, nx, m, n), np.nan, dtype=complex) if kind.coupled else None
     det2_vals = np.full((nt, nx), np.nan, dtype=complex)
     berr = np.full((nt, nx), np.nan)
     skipped = [[] for _ in range(nt)]
 
     def run_row(it):
         t = ts[it]
-        p_t = evolve(p0, scenario.params, t)
+        p_t = evolve(p0, kind.params, t)
         ptil = None
-        if scenario.companion != "neg_identity":
-            src = evolve(p0, scenario.params, -t) if time_reversed(scenario.companion) else p_t
-            ptil = companion_profile(src, scenario.companion)
+        if kind.companion != "neg_identity":
+            src = evolve(p0, kind.params, -t) if time_reversed(kind.companion) else p_t
+            ptil = companion_profile(src, kind.companion)
         for ix, x in enumerate(xs):
             try:
                 solved = solve_origin(p_t, ptil, x, rules, threshold)
                 # role swap: the partner field solves P~ = G~ (id + P P~)
-                pair = solve_origin(ptil, p_t, x, rules, threshold) if coupled else None
+                pair = solve_origin(ptil, p_t, x, rules, threshold) if kind.coupled else None
             except PatchError as err:
                 err.t = t
                 det2_vals[it, ix] = err.det2_value
@@ -403,21 +399,16 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                 continue
             (det2_vals[it, ix], center[it, ix], slice_y[it, ix], slice_z[it, ix],
              berr[it, ix]) = solved
-            if coupled:
+            if kind.coupled:
                 center_tilde[it, ix] = pair[1]
                 berr[it, ix] = max(berr[it, ix], pair[4])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_row, range(nt)))
-    else:
-        for it in range(nt):
-            run_row(it)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run_row, range(nt)))
 
     field_out = SolutionField(xs=xs, ts=ts, quad=quad, center=center,
                               slice_y=slice_y, slice_z=slice_z,
                               center_tilde=center_tilde)
     flat_skips = [s for row in skipped for s in row]
-    report = PatchReport(det2=det2_vals, threshold=threshold, skipped=flat_skips,
-                         backward_error=berr)
+    report = PatchReport(det2=det2_vals, skipped=flat_skips, backward_error=berr)
     return field_out, report

@@ -179,8 +179,8 @@ def _c3_exact(x):
 def _c3_solve(p, pt, x, N):
     quad = make_quadrature(15.0, N, p.grid.spacing)
     Q = assemble_Q(p, pt, x, quad)
-    G = solve_G(Q, p, x, quad)
-    return Q, G.blocks[-1, -1][0, 0], det2(Q, quad), quad
+    G = solve_G(Q, p, x)
+    return Q, G.blocks[-1, -1][0, 0], det2(Q), quad
 
 
 def _c3_single_grid_defects(p, pt, x):
@@ -197,8 +197,8 @@ def test_criterion_3_discrete_oracle_agreement():
     quad = make_quadrature(15.0, 240, p.grid.spacing)
     x = 0.25
     Q = assemble_Q(p, pt, x, quad)
-    G = solve_G(Q, p, x, quad)
-    d = det2(Q, quad)
+    G = solve_G(Q, p, x)
+    d = det2(Q)
     xi = quad.nodes
     w = quad.weights
     pv = np.exp(xi[:, None] + xi[None, :] + x)

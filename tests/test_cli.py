@@ -107,8 +107,8 @@ def test_parse_scenario_accepts_and_pins(tmp_path):
     sc = parse_scenario(write_scenario(tmp_path, RANK_ONE_NLS))
     assert isinstance(sc, Scenario)
     assert sc.kind.name == "local_nls"
-    assert sc.params.mu1 == -1j and sc.params.mu2 == 0.0
-    assert sc.companion == "adjoint"
+    assert sc.kind.params.mu1 == -1j and sc.kind.params.mu2 == 0.0
+    assert sc.kind.companion == "adjoint"
     assert sc.quad.intervals == 128
     assert sc.xs.size == 5 and sc.ts.size == 5
     assert sc.tolerances["patch_threshold"] == 1e-8
@@ -409,10 +409,60 @@ def test_verify_builds_each_system_once(monkeypatch):
     assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": 2}
 
 
-def test_main_verify_kdv_soliton():
-    # exp-tagged real data: the identity suite, solve_G and the residual
-    # all run in real arithmetic
-    assert main(["verify", str(SCENARIO_DIR / "kdv_soliton.yaml")]) == 0
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
+def test_main_verify_shipped_scenario(path):
+    # kdv_soliton: exp-tagged real data, so the identity suite, solve_G
+    # and the residual all run in real arithmetic
+    assert main(["verify", str(path)]) == 0
+
+
+@pytest.mark.parametrize("threshold, code", [("1.0e-12", 0), ("1.0e-6", 1)])
+def test_main_verify_uses_the_scenario_patch_threshold(tmp_path, capsys, threshold, code):
+    # det2 at x = 4 is about 3.9e-11, which solve accepts under 1e-12
+    text = (SCENARIO_DIR / "kdv_soliton.yaml").read_text()
+    for old, new in (("x: {start: -2.0, stop: 2.0, count: 9}", "x: [3.5, 4.0, 4.5]"),
+                     ("t: {start: -2.0, stop: 2.0, count: 9}", "t: [0.0]"),
+                     ("outputs: [center, det2, residuals]", "outputs: [center, det2]"),
+                     ("patch_threshold: 1.0e-12", "patch_threshold: " + threshold)):
+        assert old in text
+        text = text.replace(old, new)
+    assert main(["verify", write_scenario(tmp_path, text)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+def test_main_solve_refuses_nonuniform_residual_axis_before_solving(tmp_path, capsys):
+    text = (SCENARIO_DIR / "nls_gaussian_2x2.yaml").read_text().replace(
+        "x: {start: -1.0, stop: 1.0, count: 9}", "x: [-1.0, -0.5, 0.0, 0.25, 1.0]")
+    out = tmp_path / "out"
+    assert main(["solve", write_scenario(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (out / "center.tsv").exists()
+
+
+def test_richardson_refinement_is_checked_at_parse_time(tmp_path):
+    # L/N is one master spacing, so the 2N rule falls between master nodes
+    text = GAUSS_NLS_SMALL.replace("quadrature: {L: 8.0, N: 32}",
+                                   "quadrature: {L: 8.0, N: 128}\nrichardson: true")
+    path = write_scenario(tmp_path, text)
+    with pytest.raises(ValueError, match="master spacing"):
+        parse_scenario(path)
+    assert main(["verify", path]) == 1
+
+
+@pytest.mark.parametrize("command, threads", [("solve", "0"), ("study", "-3")])
+def test_main_refuses_threads_below_one(tmp_path, capsys, command, threads):
+    path = write_scenario(tmp_path, GAUSS_NLS_SMALL)
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "solve" else []
+    assert main([command, path, "--threads", threads] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_traced_attributes_exist():
@@ -515,7 +565,7 @@ outputs: [center, det2]
 def test_rank_one_reference_is_the_displayed_closed_form(tmp_path, kind_lines,
                                                          companion, d, partner):
     sc = parse_scenario(write_scenario(tmp_path, RANK_ONE_ASYMMETRIC_T % kind_lines))
-    assert sc.companion == companion
+    assert sc.kind.companion == companion
     A, a = 0.35 + 0.15j, 0.8
     S = 1.0 / (2.0 * a)
     T, X = np.meshgrid(sc.ts, sc.xs, indexing="ij")
@@ -532,8 +582,8 @@ def test_rank_one_reference_only_for_separable_scalar_exponentials(tmp_path):
     sc = parse_scenario(write_scenario(tmp_path, RANK_ONE_ASYMMETRIC_T % "kind: local_nls"))
     assert cli._rank_one_reference(sc) is not None
     gauss = cli.InitialDataSpec(kind="gaussian", amplitude=[[1.0]], width=1.0)
-    for changed in (dict(companion="transpose_rev_spacetime"),
-                    dict(companion="neg_adjoint_rev_spacetime"),
+    for changed in (dict(kind=replace(sc.kind, companion="transpose_rev_spacetime")),
+                    dict(kind=replace(sc.kind, companion="neg_adjoint_rev_spacetime")),
                     dict(initial=gauss),
                     dict(n=2, m=2)):
         assert cli._rank_one_reference(replace(sc, **changed)) is None, changed

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hankelpde.dispersion import DispersionParams
 from hankelpde.equations import (
     miura_check,
     product_rule_check,
@@ -21,10 +20,6 @@ from hankelpde.fredholm import (
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
 from hankelpde.kinds import resolve_kind
 
-NLS = DispersionParams(mu1=-1j, mu2=0.0)
-KDV = DispersionParams(mu1=0.0, mu2=-1.0)
-HEAT = DispersionParams(mu1=1.0, mu2=0.0)
-
 
 def grid_1d(span, count):
     return np.linspace(-span, span, count)
@@ -38,7 +33,7 @@ def wave_field(xs, ts, func):
 
 
 def scenario_stub(**kw):
-    base = dict(n=1, m=1, companion="adjoint", coupled=False, richardson=False,
+    base = dict(n=1, m=1, kind=resolve_kind("local_nls"), richardson=False,
                 tolerances={"patch_threshold": 1e-8})
     base.update(kw)
     return SimpleNamespace(**base)
@@ -211,7 +206,7 @@ def test_residual_solved_nls_field_converges():
         xs = grid_1d(0.5, count)
         ts = grid_1d(0.2, count)
         sc = gaussian_scenario(20.0, 640, 8.0, N, xs, ts, [[0.75]],
-                               params=NLS, companion="adjoint")
+                               kind=resolve_kind("local_nls"))
         field, _ = evaluate_solution(sc)
         res, _ = residual_local("local_nls", field)
         errs.append(abs(res[count // 2, count // 2, 0, 0]))
@@ -223,9 +218,9 @@ def test_residual_kernel_matches_local_at_origin():
     xs = grid_1d(0.5, 9)
     ts = grid_1d(0.15, 7)
     sc = gaussian_scenario(16.0, 512, 6.0, 48, xs, ts, [[0.8]],
-                           params=NLS, companion="adjoint")
+                           kind=resolve_kind("kernel_nls"))
     field, _ = evaluate_solution(sc)
-    worst, (R1, R2) = residual_kernel("kernel_nls", field, return_fields=True)
+    worst, (R1, R2) = residual_kernel("kernel_nls", field)
     res_local, worst_local = residual_local("kernel_nls", field)
     inner = res_local[2:-2, 2:-2]
     assert np.allclose(R1[:, :, -1, :, :], inner, rtol=0.0, atol=1e-12)
@@ -240,9 +235,9 @@ def test_residual_kernel_mkdv_converges():
         xs = grid_1d(0.25, count)
         ts = grid_1d(0.1, count)
         sc = gaussian_scenario(16.0, 512, 6.0, N, xs, ts, [[0.6]],
-                               params=KDV, companion="neg_transpose")
+                               kind=resolve_kind("kernel_mkdv"))
         field, _ = evaluate_solution(sc)
-        errs.append(residual_kernel("kernel_mkdv", field))
+        errs.append(residual_kernel("kernel_mkdv", field)[0])
     assert 2.6 < errs[0] / errs[1] < 5.5
 
 
@@ -262,8 +257,7 @@ def test_coupled_partner_is_time_reflected_transpose():
     xs = 0.25 * np.arange(-2, 3)
     ts = 0.03 * np.arange(-2, 3)
     sc = gaussian_scenario(20.0, 160, 6.0, 24, xs, ts, [[0.6]],
-                           params=HEAT, companion="transpose_rev_time",
-                           coupled=True)
+                           kind=resolve_kind("coupled_diffusion"))
     field, report = evaluate_solution(sc)
     assert not report.any_below
     assert np.all(np.isfinite(field.center))
@@ -283,10 +277,9 @@ def test_coupled_residual_converges():
         ts = grid_1d(0.06, count)
         quad = make_quadrature(6.0, N, g.spacing)
         sc = scenario_stub(grid=g, quad=quad, initial=init, xs=xs, ts=ts,
-                           params=HEAT, companion="transpose_rev_time",
-                           coupled=True)
+                           kind=resolve_kind("coupled_diffusion"))
         field, _ = evaluate_solution(sc)
-        _, (R1, R2) = residual_coupled(field, return_fields=True)
+        _, (R1, R2) = residual_coupled(field)
         mid_t, mid_x = R1.shape[0] // 2, R1.shape[1] // 2
         errs.append(max(abs(R1[mid_t, mid_x, 0, 0]), abs(R2[mid_t, mid_x, 0, 0])))
     assert 2.6 < errs[0] / errs[1] < 5.5
@@ -387,12 +380,12 @@ def test_displayed_equations_on_noncommuting_data(shape):
         res, _ = residual_local(kind, f)
         same_modulus(res[2:-2, 2:-2], local)
         if slices is not None:
-            _, (R1, R2) = residual_kernel(kind, f, return_fields=True)
+            _, (R1, R2) = residual_kernel(kind, f)
             same_modulus(R1, slices[0])
             same_modulus(R2, slices[1])
 
     p, pt, _, pxx, _ = _stencils(f.center_tilde, 0.5)
-    _, (R1, R2) = residual_coupled(f, return_fields=True)
+    _, (R1, R2) = residual_coupled(f)
     same_modulus(R1, gt - gxx - 2 * g @ p @ g)
     same_modulus(R2, pt + pxx + 2 * p @ g @ p)
 
@@ -414,7 +407,7 @@ def test_skipped_sample_nan_footprint():
         expected = expected[2:-2, 2:-2]
         res, _ = residual_local(kind, f)
         assert np.array_equal(np.isnan(res[2:-2, 2:-2]).any(axis=(-2, -1)), expected)
-        _, (R1, R2) = residual_kernel(kind, f, return_fields=True)
+        _, (R1, R2) = residual_kernel(kind, f)
         for R in (R1, R2):
             assert np.array_equal(np.isnan(R).any(axis=(-3, -2, -1)), expected)
 

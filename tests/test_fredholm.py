@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hankelpde.companion import companion_profile
-from hankelpde.dispersion import DispersionParams
 from hankelpde.fredholm import (
     PatchError,
     assemble_Q,
@@ -22,10 +21,7 @@ from hankelpde.fredholm import (
     solve_origin,
 )
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
-
-NLS = DispersionParams(mu1=-1j, mu2=0.0)
-KDV = DispersionParams(mu1=0.0, mu2=-1.0)
-HEAT = DispersionParams(mu1=1.0, mu2=0.0)
+from hankelpde.kinds import resolve_kind
 
 
 def exp_profile(X, M, amp=1.0, rate=1.0):
@@ -35,7 +31,7 @@ def exp_profile(X, M, amp=1.0, rate=1.0):
 
 
 def scenario_stub(**kw):
-    base = dict(n=1, m=1, companion="adjoint", coupled=False, richardson=False,
+    base = dict(n=1, m=1, kind=resolve_kind("local_nls"), richardson=False,
                 tolerances={"patch_threshold": 1e-8})
     base.update(kw)
     return SimpleNamespace(**base)
@@ -195,14 +191,14 @@ def test_solve_G_identity_system():
     zero = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.0]], width=1.0),
                           g, 1, 1)
     Q = assemble_Q(zero, zero, 0.0, quad)
-    G = solve_G(Q, p, 0.0, quad)
+    G = solve_G(Q, p, 0.0)
     rhs = hankel_rhs(p, 0.0, quad)
     assert np.abs(G.blocks - rhs.blocks).max() <= 1e-14
 
 
 def rank_one_center(quad, p, x):
     Q = assemble_Q(p, p, x, quad)
-    G = solve_G(Q, p, x, quad)
+    G = solve_G(Q, p, x)
     return G.blocks[-1, -1][0, 0]
 
 
@@ -244,8 +240,20 @@ def test_nystrom_residual_small():
     p = exp_profile(32.0, 1024)
     quad = make_quadrature(15.0, 240, p.grid.spacing)
     Q = assemble_Q(p, p, 0.5, quad)
-    G = solve_G(Q, p, 0.5, quad)
+    G = solve_G(Q, p, 0.5)
     assert nystrom_residual(G, Q, p, 0.5) <= 1e-10
+
+
+def test_solve_G_takes_its_rule_from_the_kernel():
+    # Q carries its quadrature rule; a rule passed in the old fourth
+    # position must not be read as the patch threshold
+    g = make_uniform_grid(8.0, 64)
+    quad = make_quadrature(2.0, 8, g.spacing)
+    p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5]], width=1.0), g, 1, 1)
+    Q = assemble_Q(p, p, 0.0, quad)
+    assert solve_G(Q, p, 0.0).quad is quad
+    with pytest.raises(TypeError):
+        solve_G(Q, p, 0.0, quad)
 
 
 def test_patch_error_near_rank_one_singularity():
@@ -265,7 +273,7 @@ def test_patch_error_near_rank_one_singularity():
     d2 = det2(Q_star)
     assert abs(d2) < 1e-8
     with pytest.raises(PatchError) as info:
-        solve_G(Q_star, p_star, 0.0, quad)
+        solve_G(Q_star, p_star, 0.0)
     assert info.value.x == 0.0
 
 
@@ -274,8 +282,7 @@ def kdv_scenario(xs, ts, amp=-1.0, richardson=True):
     g = make_uniform_grid(X, M)
     quad = make_quadrature(12.8, 512, g.spacing)
     return scenario_stub(
-        kind="kdv_primitive", companion="neg_identity",
-        params=KDV, grid=g, quad=quad, richardson=richardson,
+        kind=resolve_kind("kdv_primitive"), grid=g, quad=quad, richardson=richardson,
         initial=InitialDataSpec(kind="exponential", amplitude=[[amp]], rate=1.0),
         xs=np.asarray(xs), ts=np.asarray(ts))
 
@@ -283,7 +290,7 @@ def kdv_scenario(xs, ts, amp=-1.0, richardson=True):
 def test_evaluate_solution_zero_data():
     g = make_uniform_grid(8.0, 64)
     quad = make_quadrature(2.0, 8, g.spacing)
-    sc = scenario_stub(kind="local_nls", params=NLS, grid=g, quad=quad,
+    sc = scenario_stub(kind=resolve_kind("local_nls"), grid=g, quad=quad,
                        initial=InitialDataSpec(kind="gaussian", amplitude=[[0.0]], width=1.0),
                        xs=np.array([-1.0, 0.0, 1.0]), ts=np.array([0.0, 0.1]))
     field, report = evaluate_solution(sc)
@@ -317,7 +324,7 @@ def test_evaluate_solution_nls_rank_one():
     X, M = 28.0, 4480
     g = make_uniform_grid(X, M)
     quad = make_quadrature(12.8, 512, g.spacing)
-    sc = scenario_stub(kind="local_nls", params=NLS, grid=g, quad=quad, richardson=True,
+    sc = scenario_stub(kind=resolve_kind("local_nls"), grid=g, quad=quad, richardson=True,
                        initial=InitialDataSpec(kind="exponential", amplitude=[[1.0]], rate=1.0),
                        xs=np.array([0.0]), ts=np.array([0.0]))
     field, _ = evaluate_solution(sc)
@@ -332,8 +339,8 @@ def test_evaluate_solution_patch_skip_and_propagate():
     quad = make_quadrature(12.8, 512, g.spacing)
     S = float((quad.weights * np.exp(2.0 * quad.nodes)).sum())
     t_star = np.log(S)  # theta(0, t*) = e^{-t*} = 1/S at x = 0
-    sc = scenario_stub(kind="kdv_primitive", companion="neg_identity",
-                       params=KDV, grid=g, quad=quad, richardson=False,
+    sc = scenario_stub(kind=resolve_kind("kdv_primitive"), grid=g, quad=quad,
+                       richardson=False,
                        initial=InitialDataSpec(kind="exponential", amplitude=[[1.0]], rate=1.0),
                        xs=np.array([0.0]), ts=np.array([t_star - 0.4, t_star, t_star + 0.4]))
     field, report = evaluate_solution(sc)
@@ -372,11 +379,10 @@ def test_evaluate_solution_richardson_is_two_plain_runs_combined():
     g = make_uniform_grid(20.0, 320)
     xs = 0.25 * np.arange(-1, 2)
     ts = np.array([-0.01, 0.0, 0.01])
-    cases = (dict(kind="kdv_primitive", companion="neg_identity", params=KDV,
+    cases = (dict(kind=resolve_kind("kdv_primitive"),
                   initial=InitialDataSpec(kind="exponential", amplitude=[[-1.0]],
                                           rate=1.0)),
-             dict(kind="coupled_diffusion", companion="transpose_rev_time",
-                  params=HEAT, coupled=True, n=2, m=1,
+             dict(kind=resolve_kind("coupled_diffusion"), n=2, m=1,
                   initial=InitialDataSpec(kind="gaussian", amplitude=[[0.6], [0.3]],
                                           width=1.0)))
     for kw in cases:
@@ -394,7 +400,7 @@ def test_evaluate_solution_richardson_is_two_plain_runs_combined():
         assert np.array_equal(rich.slice_z,
                               (4.0 * fine.slice_z[:, :, ::2] - coarse.slice_z) / 3.0)
         assert np.array_equal(report.det2, fine_report.det2)
-        if kw.get("coupled"):
+        if kw["kind"].coupled:
             assert rich.center_tilde.shape == (3, 3, 1, 2)
             assert np.array_equal(rich.center_tilde,
                                   (4.0 * fine.center_tilde - coarse.center_tilde) / 3.0)
@@ -428,10 +434,10 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
         # real Gaussian data are solved in real arithmetic, the complex
         # adjoint pairings in complex; the oracle always runs in complex
         real = ptil is None
-        assert nystrom_matrix(Q, quad)[0].dtype == (np.float64 if real else np.complex128)
+        assert nystrom_matrix(Q)[0].dtype == (np.float64 if real else np.complex128)
         Q = replace(Q, blocks=Q.blocks.astype(complex))
-        G = solve_G(Q, p, x, quad).blocks
-        full.append((det2(Q, quad), G[-1, -1], G[:, -1], G[-1, :]))
+        G = solve_G(Q, p, x).blocks
+        full.append((det2(Q), G[-1, -1], G[:, -1], G[-1, :]))
     if richardson:
         (_, *coarse), (want_d2, f_centre, f_col, f_row) = full
         want = [(4.0 * f - c) / 3.0 for f, c in zip((f_centre, f_col[::2], f_row[::2]), coarse)]
