@@ -33,13 +33,13 @@ from . import __version__
 from .companion import companion_at, companion_profile, space_reversed
 from .dispersion import GrowthError, evolve
 from .equations import (
+    _is_uniform,
     _nanmax_abs,
-    _require_symmetric,
-    _uniform_step,
     product_rule_check,
     residual_coupled,
     residual_kernel,
     residual_local,
+    sample_steps,
     u_identity_check,
 )
 from .fredholm import (
@@ -183,6 +183,13 @@ def _initial_from_section(section):
                            values=values)
 
 
+def _check_on_grid(grid, quad, xs):
+    """Refuse x samples whose Hankel arguments miss the master nodes."""
+    for x in xs:
+        grid.node_index(x)
+        grid.node_index(x - 2.0 * quad.truncation)
+
+
 def _section(raw, key, needed):
     sec = raw[key]
     missing = [k for k in needed if not (isinstance(sec, dict) and k in sec)]
@@ -240,9 +247,7 @@ def parse_scenario(path):
                          "reflected exponential grows on the quadrature "
                          "window; use localized data for kind %r" % kind.name)
 
-    for x in xs:
-        grid.node_index(x)
-        grid.node_index(x - 2.0 * quad.truncation)
+    _check_on_grid(grid, quad, xs)
 
     outputs = raw.get("outputs", ["center", "det2", "residuals"])
     if not isinstance(outputs, list):
@@ -254,18 +259,13 @@ def parse_scenario(path):
                              % (out, list(_OUTPUT_KINDS)))
 
     if "residuals" in outputs:
-        _uniform_step(xs, "x")
-        _uniform_step(ts, "t")
-        if kind.reflect_x:
-            _require_symmetric(xs, "x")
-        if kind.reflect_t:
-            _require_symmetric(ts, "t")
+        sample_steps(kind, xs, ts)
 
     tols = _resolve_tolerances(raw.get("tolerances"))
     richardson = raw.get("richardson", False)
     if not isinstance(richardson, bool):
         raise ValueError("richardson must be true or false, got %r" % (richardson,))
-    quadrature_rules(quad, richardson, grid.spacing)  # the 2N rule must fit the grid too
+    quadrature_rules(quad, richardson)  # the 2N rule must fit the grid too
 
     sc = Scenario(name=str(raw.get("name", "scenario")), kind=kind, n=n, m=m,
                   initial=initial, grid=grid, quad=quad, xs=xs, ts=ts,
@@ -277,10 +277,6 @@ def parse_scenario(path):
                       "spectral evolution may wrap around the domain"
                       % (p0.boundary_decay_ratio(), tols["decay_tol"]))
     return sc
-
-
-def _fmt_row(values):
-    return "\t".join("%.17g" % v for v in values)
 
 
 def _entry_headers(prefix, n, m):
@@ -298,10 +294,8 @@ def _write_table(path, header, keys, values, tail=()):
     columns; every number as %.17g."""
     values = values.reshape(len(keys), -1)
     re_im = np.stack([values.real, values.imag], axis=-1).reshape(len(keys), -1)
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in np.column_stack([keys, re_im, *tail]):
-            fh.write(_fmt_row(row) + "\n")
+    np.savetxt(path, np.column_stack([keys, re_im, *tail]), fmt="%.17g",
+               delimiter="\t", header="\t".join(header), comments="")
 
 
 def _sample_keys(field_out, *inner):
@@ -318,8 +312,7 @@ def _l2_norm(R, dx, dt):
 
 
 def _residual_rows(scenario, field_out):
-    dx = float(scenario.xs[1] - scenario.xs[0])
-    dt = float(scenario.ts[1] - scenario.ts[0])
+    dx, dt = sample_steps(scenario.kind, scenario.xs, scenario.ts)
     rows = []
     if scenario.kind.coupled:
         _, (R1, R2) = residual_coupled(field_out)
@@ -475,7 +468,8 @@ def convergence_study(scenario, levels=3, threads=1):
     the base level's interior sample points, which every finer level
     shares (refinement inserts midpoints and keeps the old samples).
     Returns a StudyReport with per-level errors, ratios, and the
-    least-squares fitted order.
+    least-squares fitted order.  Every level, its rules and its refined
+    axes are built and checked before the first solve.
     """
     if levels < 3:
         raise ValueError("convergence study needs levels >= 3, got %r" % (levels,))
@@ -487,21 +481,29 @@ def convergence_study(scenario, levels=3, threads=1):
 
     reference = _rank_one_reference(scenario)
     base_xs, base_ts = scenario.xs, scenario.ts
+    for vals, label in ((base_xs, "x"), (base_ts, "t")):
+        if not _is_uniform(np.diff(vals)):
+            raise ValueError("a study halves the steps of samples.%s, which "
+                             "must be uniformly spaced" % label)
     if reference is None:
-        if base_xs.size < 5 or base_ts.size < 5:
-            raise ValueError("residual-based study needs at least 5 samples "
-                             "per axis at the base level")
+        sample_steps(scenario.kind, base_xs, base_ts)
 
-    out_levels = []
+    plan = []
     for lev in range(levels):
         factor = 2 ** lev
         quad = make_quadrature(scenario.quad.truncation,
                                scenario.quad.intervals * factor,
                                scenario.grid.spacing)
+        quadrature_rules(quad, scenario.richardson)
         xs = _refine_axis(base_xs, factor)
-        ts = _refine_axis(base_ts, factor)
-        sc = replace(scenario, quad=quad, xs=xs, ts=ts)
+        _check_on_grid(scenario.grid, quad, xs)
+        plan.append((factor, replace(scenario, quad=quad, xs=xs,
+                                     ts=_refine_axis(base_ts, factor))))
+
+    out_levels = []
+    for factor, sc in plan:
         field_out, _ = evaluate_solution(sc, threads=threads)
+        xs, ts = sc.xs, sc.ts
         if reference is not None:
             err = _nanmax_abs(field_out.center[:, :, 0, 0] - reference(xs, ts))
         else:
@@ -519,7 +521,7 @@ def convergence_study(scenario, levels=3, threads=1):
             err = float(np.nanmax(R[np.ix_(it_in, ix_in)]))
         dx = xs[1] - xs[0] if xs.size > 1 else 0.0
         dt = ts[1] - ts[0] if ts.size > 1 else 0.0
-        out_levels.append(StudyLevel(N=quad.intervals, dx=float(dx),
+        out_levels.append(StudyLevel(N=sc.quad.intervals, dx=float(dx),
                                      dt=float(dt), error=err))
 
     errs = np.array([lv.error for lv in out_levels])

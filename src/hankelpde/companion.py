@@ -93,8 +93,7 @@ def companion_profile(p, kind):
     vals = _matrix_map(p.samples, kind)
     if kind in _SPACE_REV:
         vals = reflect_samples(vals)
-    return MatrixProfile(grid=p.grid, rows=p.cols, cols=p.rows,
-                         samples=vals, time_stamp=t_out)
+    return MatrixProfile(grid=p.grid, samples=vals, time_stamp=t_out)
 
 
 def companion_field(G, kind):

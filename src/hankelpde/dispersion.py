@@ -43,8 +43,7 @@ def _multiply(p, factor, t=0.0):
     z = 2j * np.pi * np.fft.fftfreq(p.grid.node_count, d=p.grid.spacing)
     samples = np.fft.ifft(factor(z)[:, None, None] * np.fft.fft(p.samples, axis=0),
                           axis=0)
-    return MatrixProfile(grid=p.grid, rows=p.rows, cols=p.cols, samples=samples,
-                         time_stamp=p.time_stamp + t)
+    return MatrixProfile(grid=p.grid, samples=samples, time_stamp=p.time_stamp + t)
 
 
 def evolve(p, params, t):

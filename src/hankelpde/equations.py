@@ -16,15 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .companion import companion_field, companion_parameters, companion_profile
-from .dispersion import DispersionParams, evolve
+from .dispersion import evolve
 from .fredholm import assemble_Q, hankel_values, nystrom_matrix, quadrature_rules, solve_origin
 from .kinds import resolve_kind
-
-_KDV_FLOW = DispersionParams(mu1=0.0, mu2=-1.0)
 
 
 def _tr(F):
     return np.swapaxes(F, -1, -2)
+
+
+def _is_uniform(steps):
+    """Whether all steps agree with the first to relative 1e-9."""
+    return np.allclose(steps, steps[:1], rtol=1e-9, atol=0.0)
 
 
 def _uniform_step(vals, label, minimum=5):
@@ -33,7 +36,7 @@ def _uniform_step(vals, label, minimum=5):
         raise ValueError("%s grid needs at least %d samples for the stencils, got %d"
                          % (label, minimum, vals.size))
     steps = np.diff(vals)
-    if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+    if steps[0] <= 0 or not _is_uniform(steps):
         raise ValueError("%s grid must be uniformly increasing" % label)
     return float(steps[0])
 
@@ -44,6 +47,19 @@ def _require_symmetric(vals, label):
     if not np.allclose(vals, -vals[::-1], rtol=0.0, atol=1e-9 * scale):
         raise ValueError("%s grid must be symmetric about 0 for this kind "
                          "(reflected samples must exist on-grid)" % label)
+
+
+def sample_steps(kind, xs, ts):
+    """(dx, dt) of sample axes the kind's residual stencils can use: each
+    uniformly increasing with at least 5 samples, and symmetric about 0
+    in each coordinate the kind reflects."""
+    dx = _uniform_step(xs, "x")
+    dt = _uniform_step(ts, "t")
+    if kind.reflect_x:
+        _require_symmetric(xs, "x")
+    if kind.reflect_t:
+        _require_symmetric(ts, "t")
+    return dx, dt
 
 
 def _interior(F):
@@ -106,12 +122,7 @@ def residual_local(kind, field):
         raise ValueError("coupled system residuals need both fields; "
                          "use residual_coupled")
     G = np.asarray(field.center)
-    dt = _uniform_step(field.ts, "t")
-    dx = _uniform_step(field.xs, "x")
-    if kind.reflect_t:
-        _require_symmetric(field.ts, "t")
-    if kind.reflect_x:
-        _require_symmetric(field.xs, "x")
+    dx, dt = sample_steps(kind, field.xs, field.ts)
     if kind.needs_square and G.shape[-1] != G.shape[-2]:
         raise ValueError("kind %r needs square matrix data" % (kind.name,))
 
@@ -145,8 +156,7 @@ def residual_kernel(kind, field):
     Sy = np.asarray(field.slice_y)
     Sz = np.asarray(field.slice_z)
     G = np.asarray(field.center)
-    dt = _uniform_step(field.ts, "t")
-    dx = _uniform_step(field.xs, "x")
+    dx, dt = sample_steps(kind, field.xs, field.ts)
 
     C = _interior(G)[..., None, :, :]
     M = _interior(companion_field(G, kind.companion))[..., None, :, :]
@@ -169,8 +179,7 @@ def residual_coupled(field):
     kind = resolve_kind("coupled_diffusion")
     G = np.asarray(field.center)
     Gp = np.asarray(field.center_tilde)
-    dt = _uniform_step(field.ts, "t")
-    dx = _uniform_step(field.xs, "x")
+    dx, dt = sample_steps(kind, field.xs, field.ts)
     C, Cp = _interior(G), _interior(Gp)
     R1 = _flow(G, C, Cp, _d_x(G, dx), dt, dx, kind.params)
     R2 = _flow(Gp, Cp, C, _d_x(Gp, dx), dt, dx,
@@ -195,12 +204,13 @@ def miura_check(p0, quad, xs, ts, richardson=False):
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     dx = _uniform_step(xs, "x", minimum=3)
-    rules = quadrature_rules(quad, richardson, p0.grid.spacing)
+    rules = quadrature_rules(quad, richardson)
+    mkdv = resolve_kind("local_mkdv")
 
     worst = 0.0
     for t in ts:
-        p_t = evolve(p0, _KDV_FLOW, t)
-        ptil = companion_profile(p_t, "neg_transpose")
+        p_t = evolve(p0, mkdv.params, t)
+        ptil = companion_profile(p_t, mkdv.companion)
         gm = np.empty((xs.size,) + (p0.rows, p0.cols), dtype=complex)
         gk = np.empty_like(gm)
         for ix, x in enumerate(xs):

@@ -45,10 +45,13 @@ class QuadratureGrid:
 
     truncation: float
     intervals: int
-    spacing: float
     stride: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+
+    @property
+    def spacing(self):
+        return self.truncation / self.intervals
 
     @property
     def node_count(self):
@@ -71,8 +74,8 @@ def make_quadrature(L, N, h_x):
     weights[0] = weights[-1] = h / 2.0
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureGrid(truncation=float(L), intervals=int(N), spacing=h,
-                          stride=stride, nodes=nodes, weights=weights)
+    return QuadratureGrid(truncation=float(L), intervals=int(N), stride=stride,
+                          nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -84,21 +87,18 @@ class DiscreteKernel:
     """
 
     quad: QuadratureGrid
-    block_rows: int
-    block_cols: int
     blocks: np.ndarray = field(repr=False)
 
     def big(self):
         """Flattened (K*a, K*b) matrix with blocks laid out in node order."""
-        K = self.quad.node_count
-        return self.blocks.transpose(0, 2, 1, 3).reshape(K * self.block_rows,
-                                                         K * self.block_cols)
+        K, _, a, b = self.blocks.shape
+        return self.blocks.transpose(0, 2, 1, 3).reshape(K * a, K * b)
 
     @classmethod
-    def from_big(cls, mat, quad, a, b):
+    def from_big(cls, mat, quad):
         K = quad.node_count
-        blocks = mat.reshape(K, a, K, b).transpose(0, 2, 1, 3)
-        return cls(quad=quad, block_rows=a, block_cols=b, blocks=blocks)
+        blocks = mat.reshape(K, mat.shape[0] // K, K, mat.shape[1] // K)
+        return cls(quad=quad, blocks=blocks.transpose(0, 2, 1, 3))
 
 
 def hankel_values(p, x, quad):
@@ -136,8 +136,7 @@ def hankel_rhs(p, x, quad):
     """Hankel block kernel p(xi_i + xi_j + x) as a DiscreteKernel whose
     blocks are a view of p's samples."""
     vals = hankel_values(p, x, quad)
-    return DiscreteKernel(quad=quad, block_rows=p.rows, block_cols=p.cols,
-                          blocks=hankel_windows(vals, quad.node_count))
+    return DiscreteKernel(quad=quad, blocks=hankel_windows(vals, quad.node_count))
 
 
 def assemble_Q(p, p_tilde, x, quad):
@@ -155,7 +154,7 @@ def assemble_Q(p, p_tilde, x, quad):
     Pt = hankel_rhs(p_tilde, x, quad)
     w_rows = np.repeat(quad.weights, p.rows)
     Q_big = Pt.big() @ (w_rows[:, None] * P.big())
-    return DiscreteKernel.from_big(Q_big, quad, p_tilde.rows, p.cols)
+    return DiscreteKernel.from_big(Q_big, quad)
 
 
 def kdv_Q(p, x, quad):
@@ -170,8 +169,7 @@ def kdv_Q(p, x, quad):
         raise ValueError("kdv_Q needs square matrix data, got %d x %d"
                          % (p.rows, p.cols))
     vals = -hankel_values(p, x, quad)
-    return DiscreteKernel(quad=quad, block_rows=p.rows, block_cols=p.cols,
-                          blocks=hankel_windows(vals, quad.node_count))
+    return DiscreteKernel(quad=quad, blocks=hankel_windows(vals, quad.node_count))
 
 
 def nystrom_matrix(Q):
@@ -182,7 +180,7 @@ def nystrom_matrix(Q):
     added on its diagonal in place, so no other k x k array is made.  A
     has the dtype of Q's blocks: real data give a real system.
     """
-    K, a, b = Q.quad.node_count, Q.block_rows, Q.block_cols
+    K, _, a, b = Q.blocks.shape
     if a != b:
         raise ValueError("the Nystrom system needs square blocks, got %d x %d" % (a, b))
     A = np.empty((K * a, K * b), dtype=Q.blocks.dtype)
@@ -230,7 +228,7 @@ def solve_G(Q, p, x, *, patch_threshold=PATCH_THRESHOLD):
         raise PatchError(det2_value, x=x)
     rhs = hankel_rhs(p, x, Q.quad)
     G_big = np.linalg.solve(A.T, rhs.big().T).T
-    return DiscreteKernel.from_big(G_big, Q.quad, p.rows, p.cols)
+    return DiscreteKernel.from_big(G_big, Q.quad)
 
 
 def nystrom_residual(G, Q, p, x):
@@ -242,12 +240,13 @@ def nystrom_residual(G, Q, p, x):
     return float(num / den)
 
 
-def quadrature_rules(quad, richardson, h_x):
+def quadrature_rules(quad, richardson):
     """The rules one sample is solved on: (quad,), or with Richardson
-    extrapolation the pair (quad, its 2N refinement)."""
+    extrapolation the pair (quad, its 2N refinement on quad's master spacing)."""
     if not richardson:
         return (quad,)
-    return quad, make_quadrature(quad.truncation, 2 * quad.intervals, h_x)
+    return quad, make_quadrature(quad.truncation, 2 * quad.intervals,
+                                 quad.spacing / quad.stride)
 
 
 def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
@@ -365,10 +364,10 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     K = quad.node_count
     nt, nx = ts.size, xs.size
     kind = scenario.kind
-    threshold = scenario.tolerances.get("patch_threshold", PATCH_THRESHOLD)
+    threshold = scenario.tolerances["patch_threshold"]
 
     p0 = sample_profile(scenario.initial, scenario.grid, n, m)
-    rules = quadrature_rules(quad, scenario.richardson, scenario.grid.spacing)
+    rules = quadrature_rules(quad, scenario.richardson)
 
     center = np.full((nt, nx, n, m), np.nan, dtype=complex)
     slice_y = np.full((nt, nx, K, n, m), np.nan, dtype=complex)

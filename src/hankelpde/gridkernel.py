@@ -70,21 +70,27 @@ class MatrixProfile:
     """
 
     grid: MasterGrid
-    rows: int
-    cols: int
     samples: np.ndarray = field(repr=False)
     time_stamp: float = 0.0
     exp_tag: tuple = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.samples, dtype=complex)
-        if arr.shape != (self.grid.node_count, self.rows, self.cols):
-            raise ValueError("samples shape %r does not match (M, n, m) = %r"
-                             % (arr.shape, (self.grid.node_count, self.rows, self.cols)))
+        if arr.ndim != 3 or arr.shape[0] != self.grid.node_count:
+            raise ValueError("samples shape %r is not (M, n, m) with M = %d"
+                             % (arr.shape, self.grid.node_count))
         if not np.all(np.isfinite(arr)):
             raise ValueError("profile samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
+
+    @property
+    def rows(self):
+        return self.samples.shape[1]
+
+    @property
+    def cols(self):
+        return self.samples.shape[2]
 
     def boundary_decay_ratio(self):
         """Max sample norm over the outer 5% of the domain relative to
@@ -157,15 +163,14 @@ def sample_profile(spec, grid, n, m):
                              % (samples.shape, (grid.node_count, n, m)))
     else:
         raise ValueError("unknown initial data kind %r" % (spec.kind,))
-    return MatrixProfile(grid=grid, rows=n, cols=m, samples=samples)
+    return MatrixProfile(grid=grid, samples=samples)
 
 
 def exponential_profile(grid, rate, amp, time_stamp):
     """The exp-tagged profile amp * e^{rate*s}, sampled at every node."""
     amp = np.asarray(amp, dtype=complex)
     samples = np.exp(rate * grid.nodes)[:, None, None] * amp[None, :, :]
-    return MatrixProfile(grid=grid, rows=amp.shape[0], cols=amp.shape[1],
-                         samples=samples, time_stamp=time_stamp,
+    return MatrixProfile(grid=grid, samples=samples, time_stamp=time_stamp,
                          exp_tag=(rate, amp))
 
 

@@ -1,8 +1,9 @@
 """Equation family registry.
 
-Each kind pins the linear-flow parameters and the companion map that
-make the assembled field solve its nonlinear equation, plus the
-structural flags the residual layer and scenario validation need.
+One table fixes each kind by its (mu1, mu2, companion) triple: pinned
+linear-flow parameters (combined_degree3's come from the caller) and a
+companion per accepted (sign, flavor).  The structural flags the
+residual layer and scenario validation read follow from the triple.
 The reverse-time NLS form is inferred by analogy with the displayed
 reverse-space-time family (conjugation pattern g(x,t) g^T(x,-t) g(x,t))
 rather than taken from a stated equation; treat its residuals with that
@@ -14,34 +15,50 @@ from dataclasses import dataclass
 from .companion import space_reversed, time_reversed
 from .dispersion import DispersionParams
 
-KIND_NAMES = (
-    "local_nls",
-    "kernel_nls",
-    "rev_time_nls",
-    "rev_spacetime_nls",
-    "coupled_diffusion",
-    "local_mkdv",
-    "kernel_mkdv",
-    "rev_spacetime_mkdv",
-    "kdv_primitive",
-    "combined_degree3",
-)
+_NLS_FLOW = DispersionParams(mu1=-1j, mu2=0.0)
+_MKDV_FLOW = DispersionParams(mu1=0.0, mu2=-1.0)
 
-_SIGNED = {"local_nls", "kernel_nls"}
-_FLAVORED = {"local_mkdv", "rev_spacetime_mkdv"}
+# name -> (pinned parameters, {(sign, flavor): companion})
+_KINDS = {
+    "local_nls": (_NLS_FLOW, {(1, "real"): "adjoint", (-1, "real"): "neg_adjoint"}),
+    "kernel_nls": (_NLS_FLOW, {(1, "real"): "adjoint", (-1, "real"): "neg_adjoint"}),
+    "rev_time_nls": (_NLS_FLOW, {(1, "real"): "transpose_rev_time"}),
+    "rev_spacetime_nls": (_NLS_FLOW, {(1, "real"): "transpose_rev_spacetime"}),
+    "coupled_diffusion": (DispersionParams(mu1=1.0, mu2=0.0),
+                          {(1, "real"): "transpose_rev_time"}),
+    "local_mkdv": (_MKDV_FLOW, {(1, "real"): "neg_transpose",
+                                (1, "complex"): "neg_adjoint"}),
+    "kernel_mkdv": (_MKDV_FLOW, {(1, "real"): "neg_transpose"}),
+    "rev_spacetime_mkdv": (_MKDV_FLOW, {(1, "real"): "neg_transpose_rev_spacetime",
+                                        (1, "complex"): "neg_adjoint_rev_spacetime"}),
+    "kdv_primitive": (_MKDV_FLOW, {(1, "real"): "neg_identity"}),
+    "combined_degree3": (None, {(1, "real"): "neg_adjoint"}),
+}
+KIND_NAMES = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
 class ResolvedKind:
-    """A fully pinned equation family: name plus every derived choice."""
+    """A fully pinned equation family: its name and (mu1, mu2, companion)."""
 
     name: str
-    sign: int
     params: DispersionParams
     companion: str
-    needs_square: bool = False
-    coupled: bool = False
-    has_kernel_form: bool = False
+
+    @property
+    def needs_square(self):
+        """Whether the data must be square (the pairing Q = -P)."""
+        return self.companion == "neg_identity"
+
+    @property
+    def coupled(self):
+        """Whether the partner field is solved rather than mapped."""
+        return self.name == "coupled_diffusion"
+
+    @property
+    def has_kernel_form(self):
+        """Whether the kind has a two-argument kernel equation."""
+        return self.name in ("kernel_nls", "kernel_mkdv")
 
     @property
     def reflect_x(self):
@@ -52,10 +69,6 @@ class ResolvedKind:
     def reflect_t(self):
         """Whether the residual reads g at -t; a coupled partner is solved."""
         return time_reversed(self.companion) and not self.coupled
-
-
-def _close(a, b):
-    return abs(complex(a) - complex(b)) <= 1e-12
 
 
 def resolve_kind(name, sign=1, flavor="real", mu1=None, mu2=None):
@@ -75,42 +88,14 @@ def resolve_kind(name, sign=1, flavor="real", mu1=None, mu2=None):
         raise ValueError("sign must be +1 or -1, got %r" % (sign,))
     if flavor not in ("real", "complex"):
         raise ValueError("flavor must be 'real' or 'complex', got %r" % (flavor,))
-    if sign == -1 and name not in _SIGNED:
+    pinned, companions = _KINDS[name]
+    if sign == -1 and (-1, "real") not in companions:
         raise ValueError("kind %r does not take a sign" % (name,))
-    if flavor == "complex" and name not in _FLAVORED:
+    if flavor == "complex" and (1, "complex") not in companions:
         raise ValueError("kind %r does not take a flavor" % (name,))
+    companion = companions[(sign, flavor)]
 
-    if name in ("local_nls", "kernel_nls"):
-        pinned = DispersionParams(mu1=-1j, mu2=0.0)
-        companion = "adjoint" if sign == 1 else "neg_adjoint"
-        rk = ResolvedKind(name, sign, pinned, companion,
-                          has_kernel_form=(name == "kernel_nls"))
-    elif name == "rev_time_nls":
-        pinned = DispersionParams(mu1=-1j, mu2=0.0)
-        rk = ResolvedKind(name, 1, pinned, "transpose_rev_time")
-    elif name == "rev_spacetime_nls":
-        pinned = DispersionParams(mu1=-1j, mu2=0.0)
-        rk = ResolvedKind(name, 1, pinned, "transpose_rev_spacetime")
-    elif name == "coupled_diffusion":
-        pinned = DispersionParams(mu1=1.0, mu2=0.0)
-        rk = ResolvedKind(name, 1, pinned, "transpose_rev_time", coupled=True)
-    elif name in ("local_mkdv", "kernel_mkdv"):
-        pinned = DispersionParams(mu1=0.0, mu2=-1.0)
-        if name == "kernel_mkdv":
-            companion = "neg_transpose"
-        else:
-            companion = "neg_transpose" if flavor == "real" else "neg_adjoint"
-        rk = ResolvedKind(name, 1, pinned, companion,
-                          has_kernel_form=(name == "kernel_mkdv"))
-    elif name == "rev_spacetime_mkdv":
-        pinned = DispersionParams(mu1=0.0, mu2=-1.0)
-        companion = ("neg_transpose_rev_spacetime" if flavor == "real"
-                     else "neg_adjoint_rev_spacetime")
-        rk = ResolvedKind(name, 1, pinned, companion)
-    elif name == "kdv_primitive":
-        pinned = DispersionParams(mu1=0.0, mu2=-1.0)
-        rk = ResolvedKind(name, 1, pinned, "neg_identity", needs_square=True)
-    else:  # combined_degree3
+    if pinned is None:
         if mu1 is None or mu2 is None:
             raise ValueError("combined_degree3 needs explicit mu1 and mu2")
         mu1 = complex(mu1)
@@ -121,13 +106,10 @@ def resolve_kind(name, sign=1, flavor="real", mu1=None, mu2=None):
         if mu2 == 0 or abs(mu2.imag) > 1e-12:
             raise ValueError("combined_degree3 needs real nonzero mu2, got %r"
                              % (mu2,))
-        return ResolvedKind(name, 1, DispersionParams(mu1=mu1, mu2=mu2.real),
-                            "neg_adjoint")
+        return ResolvedKind(name, DispersionParams(mu1=mu1, mu2=mu2.real), companion)
 
-    if mu1 is not None and not _close(mu1, rk.params.mu1):
-        raise ValueError("kind %r pins mu1 = %r, scenario gave %r"
-                         % (name, rk.params.mu1, mu1))
-    if mu2 is not None and not _close(mu2, rk.params.mu2):
-        raise ValueError("kind %r pins mu2 = %r, scenario gave %r"
-                         % (name, rk.params.mu2, mu2))
-    return rk
+    for label, given, pin in (("mu1", mu1, pinned.mu1), ("mu2", mu2, pinned.mu2)):
+        if given is not None and abs(complex(given) - complex(pin)) > 1e-12:
+            raise ValueError("kind %r pins %s = %r, scenario gave %r"
+                             % (name, label, pin, given))
+    return ResolvedKind(name, pinned, companion)

@@ -587,3 +587,36 @@ def test_rank_one_reference_only_for_separable_scalar_exponentials(tmp_path):
                     dict(initial=gauss),
                     dict(n=2, m=2)):
         assert cli._rank_one_reference(replace(sc, **changed)) is None, changed
+
+
+def _forbid_solving(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study solved a level before checking them all")
+    monkeypatch.setattr(cli, "evaluate_solution", refuse)
+
+
+@pytest.mark.parametrize("scenario, old, new, levels", [
+    # level 3 asks for a quadrature step of half a master spacing
+    ("nls_rank_one_study.yaml", None, None, "4"),
+    # an explicit non-uniform x list would be replaced by linspace samples
+    ("rev_time_nls.yaml", "x: {start: -1.0, stop: 1.0, count: 9}",
+     "x: [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.625, 1.0]", "3"),
+    # the residual reference needs a t axis symmetric about 0
+    ("rev_time_nls.yaml", "t: {start: -0.8, stop: 0.8, count: 9}",
+     "t: {start: -0.8, stop: 0.7, count: 9}", "3"),
+    # x steps of 3 master spacings put the level-1 midpoints between nodes
+    ("rev_time_nls.yaml", "x: {start: -1.0, stop: 1.0, count: 9}",
+     "x: {start: -0.1875, stop: 0.1875, count: 5}", "3"),
+], ids=["finest_rule_off_grid", "nonuniform_x", "asymmetric_residual_t",
+        "refined_x_off_grid"])
+def test_main_study_checks_every_level_before_solving(tmp_path, capsys, monkeypatch,
+                                                      scenario, old, new, levels):
+    text = (SCENARIO_DIR / scenario).read_text()
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new).replace("outputs: [center, residuals]",
+                                              "outputs: [center]")
+    _forbid_solving(monkeypatch)
+    assert main(["study", write_scenario(tmp_path, text), "--levels", levels]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

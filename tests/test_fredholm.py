@@ -425,7 +425,7 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
         if pairing == "role_swap":
             p, ptil = ptil, p
     x = 0.375
-    rules = quadrature_rules(make_quadrature(2.0, 16, g.spacing), richardson, g.spacing)
+    rules = quadrature_rules(make_quadrature(2.0, 16, g.spacing), richardson)
     d2, centre, col, row, berr = solve_origin(p, ptil, x, rules)
 
     full = []

@@ -125,7 +125,7 @@ def test_profile_rejects_nonfinite():
     bad = np.zeros((8, 1, 1), dtype=complex)
     bad[3] = np.nan
     with pytest.raises(ValueError):
-        MatrixProfile(grid=g, rows=1, cols=1, samples=bad)
+        MatrixProfile(grid=g, samples=bad)
 
 
 def test_samples_are_immutable():
