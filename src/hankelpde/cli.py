@@ -30,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .companion import companion_at, companion_profile, space_reversed
+from .companion import companion_at, companion_profile
 from .dispersion import GrowthError, evolve
 from .equations import (
     _is_uniform,
@@ -75,7 +75,6 @@ STUDY_GUARD = 4096
 class Scenario:
     """Validated run description; evaluate_solution consumes it directly."""
 
-    name: str
     kind: object
     n: int
     m: int
@@ -90,25 +89,34 @@ class Scenario:
     raw: dict = field(default=None, repr=False)
 
 
+def _finite(value, label, shown):
+    """value; an inf or a nan in it is a one-line ValueError naming shown."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError("%s must be finite, got %r" % (label, shown))
+    return value
+
+
 def _parse_complex(value, label):
+    number = value
     if isinstance(value, str):
-        text = value.replace("i", "j").replace(" ", "")
         try:
-            return complex(text)
+            number = complex(value.replace("i", "j").replace(" ", ""))
         except ValueError:
-            raise ValueError("cannot parse %s value %r" % (label, value))
-    if isinstance(value, (int, float, complex)):
-        return complex(value)
-    raise ValueError("cannot parse %s value %r" % (label, value))
+            number = None
+    if not isinstance(number, (int, float, complex)):
+        raise ValueError("cannot parse %s value %r" % (label, value))
+    return _finite(complex(number), label, value)
 
 
 def _number(value, label, kind=float):
     """value converted by kind (float or int); anything that does not
-    convert, None and lists included, is a one-line ValueError."""
+    convert, None and lists included, is a one-line ValueError, and so
+    is an inf or a nan."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("%s must be a number, got %r" % (label, value))
+    return _finite(out, label, value) if kind is float else out
 
 
 def _sample_axis(section, label):
@@ -118,6 +126,7 @@ def _sample_axis(section, label):
         except (TypeError, ValueError):
             raise ValueError("samples.%s must be a list of numbers, got %r"
                              % (label, section))
+        _finite(vals, "samples.%s" % label, section)
     elif isinstance(section, dict):
         missing = {"start", "stop", "count"} - set(section)
         if missing:
@@ -241,8 +250,7 @@ def parse_scenario(path):
     samples = _section(raw, "samples", ("x", "t"))
     xs = _sample_axis(samples["x"], "x")
     ts = _sample_axis(samples["t"], "t")
-    if initial.kind in ("exponential_step", "exponential") \
-            and space_reversed(kind.companion):
+    if initial.kind in ("exponential_step", "exponential") and kind.reflect_x:
         raise ValueError("space-reversed pairings reflect the profile, and a "
                          "reflected exponential grows on the quadrature "
                          "window; use localized data for kind %r" % kind.name)
@@ -267,9 +275,9 @@ def parse_scenario(path):
         raise ValueError("richardson must be true or false, got %r" % (richardson,))
     quadrature_rules(quad, richardson)  # the 2N rule must fit the grid too
 
-    sc = Scenario(name=str(raw.get("name", "scenario")), kind=kind, n=n, m=m,
-                  initial=initial, grid=grid, quad=quad, xs=xs, ts=ts,
-                  outputs=outputs, tolerances=tols, richardson=richardson, raw=raw)
+    sc = Scenario(kind=kind, n=n, m=m, initial=initial, grid=grid, quad=quad,
+                  xs=xs, ts=ts, outputs=outputs, tolerances=tols,
+                  richardson=richardson, raw=raw)
 
     p0 = sample_profile(initial, grid, n, m)
     if p0.exp_tag is None and not p0.decay_ok(tols["decay_tol"]):
@@ -311,17 +319,20 @@ def _l2_norm(R, dx, dt):
     return float(np.sqrt(total * dx * dt))
 
 
+def _equation_residuals(kind, field_out):
+    """(name, interior residual field) of each equation the centre values
+    solve: both fields of the coupled pair, else the kind's local PDE."""
+    if kind.coupled:
+        _, (R1, R2) = residual_coupled(field_out)
+        return [("coupled_g", R1), ("coupled_g_tilde", R2)]
+    res, _ = residual_local(kind, field_out)
+    return [(kind.name, res[2:-2, 2:-2])]
+
+
 def _residual_rows(scenario, field_out):
     dx, dt = sample_steps(scenario.kind, scenario.xs, scenario.ts)
-    rows = []
-    if scenario.kind.coupled:
-        _, (R1, R2) = residual_coupled(field_out)
-        rows.append(("coupled_g", _nanmax_abs(R1), _l2_norm(R1, dx, dt)))
-        rows.append(("coupled_g_tilde", _nanmax_abs(R2), _l2_norm(R2, dx, dt)))
-        return rows
-    res, worst = residual_local(scenario.kind, field_out)
-    inner = res[2:-2, 2:-2]
-    rows.append((scenario.kind.name, worst, _l2_norm(inner, dx, dt)))
+    rows = [(name, _nanmax_abs(R), _l2_norm(R, dx, dt))
+            for name, R in _equation_residuals(scenario.kind, field_out)]
     if scenario.kind.has_kernel_form:
         worst_k, (R1, R2) = residual_kernel(scenario.kind, field_out)
         rows.append((scenario.kind.name + "_slices", worst_k,
@@ -414,7 +425,7 @@ def _rank_one_reference(scenario):
     """
     init, kind = scenario.initial, scenario.kind
     if (init.kind != "exponential" or scenario.n != 1 or scenario.m != 1
-            or space_reversed(kind.companion)):
+            or kind.reflect_x):
         return None
     p0 = sample_profile(init, scenario.grid, 1, 1)
     S = 1.0 / (2.0 * p0.exp_tag[0])
@@ -443,6 +454,7 @@ class StudyLevel:
     dx: float
     dt: float
     error: float
+    skipped: int
 
 
 @dataclass
@@ -468,8 +480,10 @@ def convergence_study(scenario, levels=3, threads=1):
     the base level's interior sample points, which every finer level
     shares (refinement inserts midpoints and keeps the old samples).
     Returns a StudyReport with per-level errors, ratios, and the
-    least-squares fitted order.  Every level, its rules and its refined
-    axes are built and checked before the first solve.
+    least-squares fitted order.  Each level counts the samples patch
+    monitoring skipped; its error covers the remaining ones.  Every
+    level, its rules and its refined axes are built and checked before
+    the first solve.
     """
     if levels < 3:
         raise ValueError("convergence study needs levels >= 3, got %r" % (levels,))
@@ -502,18 +516,13 @@ def convergence_study(scenario, levels=3, threads=1):
 
     out_levels = []
     for factor, sc in plan:
-        field_out, _ = evaluate_solution(sc, threads=threads)
+        field_out, patch = evaluate_solution(sc, threads=threads)
         xs, ts = sc.xs, sc.ts
         if reference is not None:
             err = _nanmax_abs(field_out.center[:, :, 0, 0] - reference(xs, ts))
         else:
-            if scenario.kind.coupled:
-                _, (R1, R2) = residual_coupled(field_out)
-                R = np.maximum(np.abs(R1).max(axis=(-1, -2)),
-                               np.abs(R2).max(axis=(-1, -2)))
-            else:
-                res, _ = residual_local(scenario.kind, field_out)
-                R = np.abs(res[2:-2, 2:-2]).max(axis=(-1, -2))
+            R = np.max([np.abs(F).max(axis=(-1, -2)) for _, F
+                        in _equation_residuals(scenario.kind, field_out)], axis=0)
             # base-level interior sample j sits at refined index
             # j*factor; subtract the two-layer stencil trim
             it_in = factor * np.arange(2, base_ts.size - 2) - 2
@@ -521,8 +530,8 @@ def convergence_study(scenario, levels=3, threads=1):
             err = float(np.nanmax(R[np.ix_(it_in, ix_in)]))
         dx = xs[1] - xs[0] if xs.size > 1 else 0.0
         dt = ts[1] - ts[0] if ts.size > 1 else 0.0
-        out_levels.append(StudyLevel(N=sc.quad.intervals, dx=float(dx),
-                                     dt=float(dt), error=err))
+        out_levels.append(StudyLevel(N=sc.quad.intervals, dx=float(dx), dt=float(dt),
+                                     error=err, skipped=len(patch.skipped)))
 
     errs = np.array([lv.error for lv in out_levels])
     ratios = [float(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -633,7 +642,11 @@ def main(argv=None):
                       % (i, lv.N, lv.dx, lv.dt, lv.error))
             print("ratios: %s" % ", ".join("%.2f" % r for r in report.ratios))
             print("fitted order: %.3f" % report.fitted_order)
-            return 0
+            skips = ["%d at level %d" % (lv.skipped, i)
+                     for i, lv in enumerate(report.levels) if lv.skipped]
+            if skips:
+                print("completed with patch-skipped samples: %s" % ", ".join(skips))
+            return 2 if skips else 0
         return verify(scenario)
     except (ValueError, OSError, GrowthError, PatchError) as err:
         print("error: %s" % err, file=sys.stderr)

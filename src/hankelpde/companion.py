@@ -5,13 +5,15 @@ profile built by some combination of matrix transpose or conjugate
 transpose, an overall sign, reflection of the argument s -> -s, and
 reflection of time.  The companion is always derived from the evolved
 p, never evolved on its own, so the pairing conditions hold by
-construction.  This module is the only place the map is encoded:
-companion_profile applies it to a profile (an exp-tagged profile keeps
-its tag), companion_at gives the companion at a wall-clock time (the
-study's rank-one closed form reads its partner there),
-companion_field applies it to a solved field (the residual flow's
-partner), and companion_consistency_residual certifies the pairing
-numerically.
+construction.  The map is encoded once, in the table _MAPS: per kind
+whether it conjugates, its sign, whether it reflects s, and whether it
+reads p at -t.  Everything here reads that table: companion_profile
+applies the map to a profile (an exp-tagged profile keeps its tag),
+companion_at gives the companion at a wall-clock time (the study's
+rank-one closed form reads its partner there), companion_field applies
+it to a solved field (the residual flow's partner), time_reversed and
+space_reversed answer for the scenario and residual layers, and
+companion_consistency_residual certifies the pairing numerically.
 """
 
 import numpy as np
@@ -19,35 +21,36 @@ import numpy as np
 from .dispersion import DispersionParams, dispersion_residual, evolve
 from .gridkernel import MatrixProfile, exponential_profile
 
-COMPANION_KINDS = (
-    "adjoint",
-    "neg_adjoint",
-    "transpose_rev_spacetime",
-    "transpose_rev_time",
-    "neg_transpose",
-    "neg_transpose_rev_spacetime",
-    "neg_adjoint_rev_spacetime",
-    "neg_identity",
-)
-
-# which structural pieces each kind applies
-_CONJ = {"adjoint", "neg_adjoint", "neg_adjoint_rev_spacetime"}
-_NEG = {"neg_adjoint", "neg_transpose", "neg_transpose_rev_spacetime",
-        "neg_adjoint_rev_spacetime"}
-_SPACE_REV = {"transpose_rev_spacetime", "neg_transpose_rev_spacetime",
-              "neg_adjoint_rev_spacetime"}
-_TIME_REV = {"transpose_rev_spacetime", "transpose_rev_time",
-             "neg_transpose_rev_spacetime", "neg_adjoint_rev_spacetime"}
+# name -> (conjugate, sign, reflects s, reads p at -t); neg_identity has
+# no companion profile: the Fredholm layer forms Q = -P directly
+_MAPS = {
+    "adjoint": (True, 1.0, False, False),
+    "neg_adjoint": (True, -1.0, False, False),
+    "transpose_rev_spacetime": (False, 1.0, True, True),
+    "transpose_rev_time": (False, 1.0, False, True),
+    "neg_transpose": (False, -1.0, False, False),
+    "neg_transpose_rev_spacetime": (False, -1.0, True, True),
+    "neg_adjoint_rev_spacetime": (True, -1.0, True, True),
+    "neg_identity": None,
+}
+COMPANION_KINDS = tuple(_MAPS)
 
 
-def time_reversed(kind):
+def _entry(kind):
+    """The table entry of a kind that has a companion profile."""
+    if _MAPS.get(kind) is None:
+        raise ValueError("no companion profile for kind %r" % (kind,))
+    return _MAPS[kind]
+
+
+def time_reversed(name):
     """Whether the companion at time t reads p at time -t."""
-    return kind in _TIME_REV
+    return bool(_MAPS.get(name) and _MAPS[name][3])
 
 
-def space_reversed(kind):
+def space_reversed(name):
     """Whether the companion reflects the profile argument s -> -s."""
-    return kind in _SPACE_REV
+    return bool(_MAPS.get(name) and _MAPS[name][2])
 
 
 def reflect_samples(samples):
@@ -63,17 +66,10 @@ def reflect_samples(samples):
     return out
 
 
-def _matrix_map(vals, kind):
-    """The kind's (conjugate) transpose and sign on the last two axes."""
-    if kind == "neg_identity":
-        raise ValueError("neg_identity has no companion profile; "
-                         "the Fredholm layer forms Q = -P directly")
-    if kind not in COMPANION_KINDS:
-        raise ValueError("unknown companion kind %r" % (kind,))
+def _matrix_map(vals, conjugate, sign):
+    """The (conjugate) transpose on the last two axes, times sign."""
     vals = np.swapaxes(vals, -1, -2)
-    if kind in _CONJ:
-        vals = np.conj(vals)
-    return (-1.0 if kind in _NEG else 1.0) * vals
+    return sign * (np.conj(vals) if conjugate else vals)
 
 
 def companion_profile(p, kind):
@@ -83,15 +79,16 @@ def companion_profile(p, kind):
     returned profile carries time_stamp -p.time_stamp so that it is
     stamped with the wall-clock time it belongs to.
     """
-    t_out = -p.time_stamp if kind in _TIME_REV else p.time_stamp
+    conjugate, sign, reflect, reverse = _entry(kind)
+    t_out = -p.time_stamp if reverse else p.time_stamp
 
     if p.exp_tag is not None:
         rate, amp = p.exp_tag
-        return exponential_profile(p.grid, -rate if kind in _SPACE_REV else rate,
-                                   _matrix_map(amp, kind), t_out)
+        return exponential_profile(p.grid, -rate if reflect else rate,
+                                   _matrix_map(amp, conjugate, sign), t_out)
 
-    vals = _matrix_map(p.samples, kind)
-    if kind in _SPACE_REV:
+    vals = _matrix_map(p.samples, conjugate, sign)
+    if reflect:
         vals = reflect_samples(vals)
     return MatrixProfile(grid=p.grid, samples=vals, time_stamp=t_out)
 
@@ -103,11 +100,12 @@ def companion_field(G, kind):
     space-reversed kinds (those sample grids must be symmetric about 0),
     then applies the (conjugate) transpose and sign of companion_profile.
     """
-    if kind in _TIME_REV:
+    conjugate, sign, reflect, reverse = _entry(kind)
+    if reverse:
         G = G[::-1]
-    if kind in _SPACE_REV:
+    if reflect:
         G = G[:, ::-1]
-    return _matrix_map(G, kind)
+    return _matrix_map(G, conjugate, sign)
 
 
 def companion_parameters(kind, params):
@@ -119,14 +117,14 @@ def companion_parameters(kind, params):
     reading p at -t negates both coefficients, and space-reversed kinds
     because s -> -s restores the sign of the odd-order term.
     """
-    if kind not in COMPANION_KINDS:
+    if kind not in _MAPS:
         raise ValueError("unknown companion kind %r" % (kind,))
     return DispersionParams(mu1=-params.mu1, mu2=params.mu2)
 
 
 def companion_at(p0, kind, params, t):
     """Companion profile at wall-clock time t, built from data p0."""
-    source_t = -t if kind in _TIME_REV else t
+    source_t = -t if time_reversed(kind) else t
     return companion_profile(evolve(p0, params, source_t), kind)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .companion import companion_field, companion_parameters, companion_profile
 from .dispersion import evolve
-from .fredholm import assemble_Q, hankel_values, nystrom_matrix, quadrature_rules, solve_origin
+from .fredholm import (DiscreteKernel, assemble_Q, compose, hankel_values, nystrom_matrix,
+                       quadrature_rules, solve_origin)
 from .kinds import resolve_kind
 
 
@@ -223,18 +224,11 @@ def miura_check(p0, quad, xs, ts, richardson=False):
     return worst
 
 
-def _kernel_blocks_from_callable(f, nodes):
-    probe = np.asarray(f(nodes[0], nodes[0]), dtype=complex)
-    if probe.ndim == 0:
-        probe = probe.reshape(1, 1)
-    a, b = probe.shape
-    K = nodes.size
-    out = np.empty((K, K, a, b), dtype=complex)
-    for i, y in enumerate(nodes):
-        for j, z in enumerate(nodes):
-            val = np.asarray(f(y, z), dtype=complex)
-            out[i, j] = val.reshape(a, b)
-    return out
+def _kernel_from_callable(f, quad):
+    """The kernel (y, z) -> f(y, z), a matrix or a scalar, at quad's node pairs."""
+    K = quad.node_count
+    vals = [np.asarray(f(y, z), dtype=complex) for y in quad.nodes for z in quad.nodes]
+    return DiscreteKernel(quad, np.reshape(vals, (K, K) + np.atleast_2d(vals[0]).shape))
 
 
 def product_rule_check(f, h, hp, fp, x, quad):
@@ -248,31 +242,19 @@ def product_rule_check(f, h, hp, fp, x, quad):
     quadrature spacing, which keeps x +- dx on master nodes.
     """
     dx = quad.spacing
-    nodes = quad.nodes
     w = quad.weights
-    F = _kernel_blocks_from_callable(f, nodes)
-    Fp = _kernel_blocks_from_callable(fp, nodes)
-    K = quad.node_count
-    a = F.shape[2]
-    b = Fp.shape[3]
-
+    F = _kernel_from_callable(f, quad)
+    Fp = _kernel_from_callable(fp, quad)
     # the composed kernel (H H')(xi_i, xi_j; x) is assemble_Q with h on the left
-    Dc = (assemble_Q(hp, h, x + dx, quad).blocks
-          - assemble_Q(hp, h, x - dx, quad).blocks) / (2.0 * dx)
-
-    F_big = F.transpose(0, 2, 1, 3).reshape(K * a, K * h.rows)
-    D_big = Dc.transpose(0, 2, 1, 3).reshape(K * h.rows, K * hp.cols)
-    Fp_big = Fp.transpose(0, 2, 1, 3).reshape(K * hp.cols, K * b)
-    w_h = np.repeat(w, h.rows)
-    w_m = np.repeat(w, hp.cols)
-    lhs_big = F_big @ (w_h[:, None] * D_big) @ (w_m[:, None] * Fp_big)
-    lhs = lhs_big.reshape(K, a, K, b).transpose(0, 2, 1, 3)
+    D = DiscreteKernel(quad, (assemble_Q(hp, h, x + dx, quad).blocks
+                              - assemble_Q(hp, h, x - dx, quad).blocks) / (2.0 * dx))
+    lhs = compose(compose(F, D), Fp).blocks
 
     N = quad.intervals
     h_at = hankel_values(h, x, quad)[N:]
     hp_at = hankel_values(hp, x, quad)[N:]
-    u = np.einsum("k,ikab,kbc->iac", w, F, h_at)
-    v = np.einsum("k,kab,kjbc->jac", w, hp_at, Fp)
+    u = np.einsum("k,ikab,kbc->iac", w, F.blocks, h_at)
+    v = np.einsum("k,kab,kjbc->jac", w, hp_at, Fp.blocks)
     rhs = np.einsum("iab,jbc->ijac", u, v)
 
     err = float(np.abs(lhs - rhs).max())

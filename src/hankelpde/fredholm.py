@@ -2,8 +2,10 @@
 
 The linearising identity is P = G(id + Q) on the half line (-inf, 0],
 truncated to [-L, 0] with composite trapezoid quadrature.  All kernels
-carry matrix blocks per node pair; the dense solve works on the block
-matrix with the quadrature weights folded in on the left of Q.  The
+carry matrix blocks per node pair and their rule; compose is the one
+quadrature product of two kernels, and Q = P~ o P is compose applied to
+the companion and data Hankel kernels.  The dense solve works on the
+block matrix with the quadrature weights folded in on the left of Q.  The
 unknown G multiplies (id + Q) from the left, so the linear system is
 solved in transposed orientation (unknown rows, matrix acting from the
 right); plain transposes, never conjugate ones.
@@ -139,6 +141,13 @@ def hankel_rhs(p, x, quad):
     return DiscreteKernel(quad=quad, blocks=hankel_windows(vals, quad.node_count))
 
 
+def compose(A, B):
+    """Quadrature composition of two kernels on A's rule: blocks
+    sum_k w_k A[i,k] B[k,j], with A's a x c blocks pairing B's c x b."""
+    w = np.repeat(A.quad.weights, B.blocks.shape[2])
+    return DiscreteKernel.from_big(A.big() @ (w[:, None] * B.big()), A.quad)
+
+
 def assemble_Q(p, p_tilde, x, quad):
     """Quadrature of q(y,z;x) = integral of ptilde(y+xi+x) p(xi+z+x) dxi.
 
@@ -150,11 +159,7 @@ def assemble_Q(p, p_tilde, x, quad):
     if p_tilde.cols != p.rows:
         raise ValueError("companion dims %r do not pair with profile dims %r"
                          % ((p_tilde.rows, p_tilde.cols), (p.rows, p.cols)))
-    P = hankel_rhs(p, x, quad)
-    Pt = hankel_rhs(p_tilde, x, quad)
-    w_rows = np.repeat(quad.weights, p.rows)
-    Q_big = Pt.big() @ (w_rows[:, None] * P.big())
-    return DiscreteKernel.from_big(Q_big, quad)
+    return compose(hankel_rhs(p_tilde, x, quad), hankel_rhs(p, x, quad))
 
 
 def kdv_Q(p, x, quad):

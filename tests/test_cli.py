@@ -346,7 +346,7 @@ def test_parse_scenario_fuzzed_shipped_scenarios(tmp_path):
     for path in sorted(SCENARIO_DIR.glob("*.yaml")):
         raw = yaml.safe_load(path.read_text())
         for keys in _key_paths(raw):
-            for value in (None, "abc", [1, "abc"], _DELETE):
+            for value in (None, "abc", [1, "abc"], float("inf"), float("nan"), _DELETE):
                 doc = copy.deepcopy(raw)
                 parent = doc
                 for key in keys[:-1]:
@@ -368,6 +368,38 @@ def test_parse_scenario_fuzzed_shipped_scenarios(tmp_path):
                     escaped.append((path.name, keys, value, repr(err)))
     assert cases > 500
     assert escaped == []
+
+
+@pytest.mark.parametrize("old, new", [
+    ("quadrature: {L: 8.0, N: 16}", "quadrature: {L: .inf, N: 16}"),
+    ("x: {start: -2.0, stop: 2.0, count: 9}", "x: [.inf]"),
+], ids=["infinite_L", "infinite_x_sample"])
+def test_main_solve_refuses_non_finite_numbers(tmp_path, capsys, old, new):
+    text = (SCENARIO_DIR / "coupled_diffusion.yaml").read_text()
+    assert old in text
+    path = write_scenario(tmp_path, text.replace(old, new))
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "finite" in err
+
+
+def test_main_study_reports_patch_skipped_levels(tmp_path, capsys):
+    # the middle t sample sits on the det2 zero of the coarsest rule
+    # (N = 48), which the patch monitor skips; the finer rules solve it
+    quad = make_quadrature(12.0, 48, 0.03125)
+    t_star = np.log(float(np.sum(quad.weights * np.exp(2.0 * quad.nodes))))
+    text = kdv_positive_text().replace("N: 192", "N: 48").replace(
+        "x: [-0.25, 0.0, 0.25]", "x: [0.0]")
+    text = text[:text.index("  t: [")] + "  t: [%.17g, %.17g, %.17g]\n" % (
+        t_star - 0.25, t_star, t_star + 0.25) + "outputs: [center, det2]\n"
+    path = write_scenario(tmp_path, text)
+    report = convergence_study(parse_scenario(path), levels=3)
+    assert [lv.skipped for lv in report.levels] == [1, 0, 0]
+    assert main(["study", path, "--levels", "3"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2].startswith("fitted order: ")
+    assert out[-1] == "completed with patch-skipped samples: 1 at level 0"
 
 
 def test_run_manifest_records_backward_error(tmp_path):

@@ -4,13 +4,17 @@ import pytest
 from hankelpde.companion import (
     companion_at,
     companion_consistency_residual,
+    companion_field,
     companion_parameters,
     companion_profile,
     reflect_samples,
+    space_reversed,
+    time_reversed,
 )
 from hankelpde.dispersion import DispersionParams, evolve
 from hankelpde.gridkernel import (
     InitialDataSpec,
+    MatrixProfile,
     eval_at,
     make_uniform_grid,
     sample_profile,
@@ -163,3 +167,59 @@ def test_consistency_requires_three_samples():
                         g, 1, 1)
     with pytest.raises(ValueError):
         companion_consistency_residual(p0, "adjoint", NLS, [0.0, 0.1])
+
+
+# every companion kind by hand: (conjugate, sign, reflects s, reads p at -t)
+COMPANION_TABLE = {
+    "adjoint": (True, 1.0, False, False),
+    "neg_adjoint": (True, -1.0, False, False),
+    "transpose_rev_spacetime": (False, 1.0, True, True),
+    "transpose_rev_time": (False, 1.0, False, True),
+    "neg_transpose": (False, -1.0, False, False),
+    "neg_transpose_rev_spacetime": (False, -1.0, True, True),
+    "neg_adjoint_rev_spacetime": (True, -1.0, True, True),
+}
+
+
+def _hand_matrix_map(vals, conjugate, sign):
+    out = np.empty(vals.shape[:-2] + vals.shape[:-3:-1], dtype=complex)
+    for index in np.ndindex(vals.shape[:-2]):
+        block = vals[index].T
+        out[index] = sign * (block.conj() if conjugate else block)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(COMPANION_TABLE))
+def test_companion_maps_match_the_hand_table(kind):
+    conjugate, sign, reflects, reverses = COMPANION_TABLE[kind]
+    assert time_reversed(kind) == reverses
+    assert space_reversed(kind) == reflects
+    rng = np.random.default_rng(17)
+    g = make_uniform_grid(4.0, 32)
+    vals = rng.standard_normal((32, 2, 3)) + 1j * rng.standard_normal((32, 2, 3))
+    p = MatrixProfile(grid=g, samples=vals, time_stamp=0.3)
+    q = companion_profile(p, kind)
+    # reflection s -> -s maps node j to node -j, modulo the periodic grid
+    source = vals[(-np.arange(32)) % 32] if reflects else vals
+    assert np.array_equal(q.samples, _hand_matrix_map(source, conjugate, sign))
+    assert q.time_stamp == (-0.3 if reverses else 0.3)
+
+    field = rng.standard_normal((5, 4, 2, 3)) + 1j * rng.standard_normal((5, 4, 2, 3))
+    want = np.empty((5, 4, 3, 2), dtype=complex)
+    for it in range(5):
+        for ix in range(4):
+            src = field[4 - it if reverses else it, 3 - ix if reflects else ix]
+            want[it, ix] = _hand_matrix_map(src, conjugate, sign)
+    assert np.array_equal(companion_field(field, kind), want)
+
+
+def test_companion_table_refuses_neg_identity_and_unknown_names():
+    assert not time_reversed("neg_identity")
+    assert not space_reversed("neg_identity")
+    g = make_uniform_grid(4.0, 32)
+    p = MatrixProfile(grid=g, samples=np.ones((32, 2, 3)))
+    for kind in ("neg_identity", "reverse"):
+        with pytest.raises(ValueError):
+            companion_profile(p, kind)
+        with pytest.raises(ValueError):
+            companion_field(np.ones((5, 4, 2, 3)), kind)

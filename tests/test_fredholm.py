@@ -6,8 +6,10 @@ import pytest
 
 from hankelpde.companion import companion_profile
 from hankelpde.fredholm import (
+    DiscreteKernel,
     PatchError,
     assemble_Q,
+    compose,
     det2,
     evaluate_solution,
     hankel_rhs,
@@ -110,6 +112,20 @@ def test_assemble_Q_dimension_check():
     quad = make_quadrature(2.0, 8, g.spacing)
     with pytest.raises(ValueError):
         assemble_Q(p, p, 0.0, quad)
+
+
+def test_compose_is_the_weighted_block_product():
+    # rectangular, non-commuting blocks: (K, K, 2, 3) composed with (K, K, 3, 1)
+    g = make_uniform_grid(8.0, 64)
+    quad = make_quadrature(2.0, 8, g.spacing)
+    K = quad.node_count
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((K, K, 2, 3)) + 1j * rng.standard_normal((K, K, 2, 3))
+    B = rng.standard_normal((K, K, 3, 1)) + 1j * rng.standard_normal((K, K, 3, 1))
+    C = compose(DiscreteKernel(quad, A), DiscreteKernel(quad, B))
+    want = np.einsum("k,ikab,kjbc->ijac", quad.weights, A, B)
+    assert C.quad is quad and C.blocks.shape == (K, K, 2, 1)
+    assert np.abs(C.blocks - want).max() <= 1e-13
 
 
 def discrete_tail_sum(quad, rate=1.0):

@@ -1,9 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hankelpde"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hankelpde"
 
 
 def _unused_imports(source):
@@ -26,3 +28,35 @@ def test_every_import_is_used(path):
 
 def test_an_unused_import_is_caught():
     assert _unused_imports("import shutil\nimport os\nos.getcwd()\n") == [(1, "shutil")]
+
+
+def _dead_definitions(sources, defining):
+    """(path, line, name) of each module-level function or class of the
+    sources named in defining whose name is on no other line of any
+    source."""
+    lines = [(path, number, line) for path, text in sources.items()
+             for number, line in enumerate(text.splitlines(), 1)]
+    dead = []
+    for path in defining:
+        for node in ast.parse(sources[path]).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                word = re.compile(r"\b%s\b" % re.escape(node.name))
+                if not any(word.search(line) for where, number, line in lines
+                           if (where, number) != (path, node.lineno)):
+                    dead.append((path, node.lineno, node.name))
+    return dead
+
+
+def test_every_definition_is_used():
+    # a module-level function or class of the package must be named on
+    # some other line of the package or of its tests
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+    defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
+    assert _dead_definitions(sources, defining) == []
+
+
+def test_an_unused_definition_is_caught():
+    sources = {"a.py": "def used():\n    return 1\n\n\nclass Unused:\n    pass\n",
+               "b.py": "from a import used\n"}
+    assert _dead_definitions(sources, ["a.py"]) == [("a.py", 5, "Unused")]
