@@ -30,7 +30,6 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .companion import companion_at, companion_profile
 from .dispersion import GrowthError, evolve
 from .equations import (
     _is_uniform,
@@ -45,11 +44,11 @@ from .equations import (
 from .fredholm import (
     PATCH_THRESHOLD,
     PatchError,
-    assemble_Q,
     evaluate_solution,
-    kdv_Q,
     make_quadrature,
     nystrom_residual,
+    paired_Q,
+    pairing,
     quadrature_rules,
     solve_G,
 )
@@ -110,12 +109,14 @@ def _parse_complex(value, label):
 
 def _number(value, label, kind=float):
     """value converted by kind (float or int); anything that does not
-    convert, None and lists included, is a one-line ValueError, and so
-    is an inf or a nan."""
+    convert (None and lists included), an inf, a nan, or for int anything
+    but a whole number (a bool or a string) is a one-line ValueError."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValueError("%s must be a number, got %r" % (label, value))
+    if kind is int and (out != value or isinstance(value, bool)):
+        raise ValueError("%s must be a whole number, got %r" % (label, value))
     return _finite(out, label, value) if kind is float else out
 
 
@@ -232,7 +233,7 @@ def parse_scenario(path):
 
     dims = raw.get("dims", [1, 1])
     if (not isinstance(dims, list) or len(dims) != 2
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(type(d) is int and d >= 1 for d in dims)):
         raise ValueError("dims must be a pair of positive integers, got %r" % (dims,))
     n, m = int(dims[0]), int(dims[1])
     if kind.needs_square and n != m:
@@ -325,8 +326,8 @@ def _equation_residuals(kind, field_out):
     if kind.coupled:
         _, (R1, R2) = residual_coupled(field_out)
         return [("coupled_g", R1), ("coupled_g_tilde", R2)]
-    res, _ = residual_local(kind, field_out)
-    return [(kind.name, res[2:-2, 2:-2])]
+    _, R = residual_local(kind, field_out)
+    return [(kind.name, R)]
 
 
 def _residual_rows(scenario, field_out):
@@ -416,11 +417,11 @@ def run(scenario, out_dir=".", threads=1):
 def _rank_one_reference(scenario):
     """Continuum centre values for scalar exponential data, or None.
 
-    theta(x, t) is the evolved data and theta~ its partner from
-    companion_at.  Without space reversal the partner keeps the rate a,
-    so the rank-one composition is separable, with S = 1/(2a):
+    theta(x, t) and its partner theta~ are the pair fredholm.pairing
+    gives.  Without space reversal the partner keeps the rate a, so the
+    rank-one composition is separable, with S = 1/(2a):
     theta / (1 + theta theta~ S^2), or theta / (1 - theta S) for
-    neg_identity, whose composed kernel is -P.  The returned
+    neg_identity (no partner), whose composed kernel is -P.  The returned
     reference(xs, ts) gives the values on the (t, x) sample grid.
     """
     init, kind = scenario.initial, scenario.kind
@@ -437,12 +438,12 @@ def _rank_one_reference(scenario):
     def reference(xs, ts):
         rows = []
         for t in ts:
-            th = at(evolve(p0, kind.params, t), xs)
-            if kind.companion == "neg_identity":
+            p_t, ptil = pairing(p0, kind.params, kind.companion, t)
+            th = at(p_t, xs)
+            if ptil is None:
                 rows.append(th / (1.0 - th * S))
             else:
-                tl = at(companion_at(p0, kind.companion, kind.params, t), xs)
-                rows.append(th / (1.0 + th * tl * S * S))
+                rows.append(th / (1.0 + th * at(ptil, xs) * S * S))
         return np.array(rows)
 
     return reference
@@ -546,17 +547,11 @@ def _verify_checks(scenario):
     checks = []
     p0 = sample_profile(scenario.initial, scenario.grid, scenario.n, scenario.m)
     quad, kind = scenario.quad, scenario.kind
+    p0, ptil = pairing(p0, kind.params, kind.companion, 0.0)
     x0 = float(scenario.xs[len(scenario.xs) // 2])
     dxq = quad.spacing
 
-    ptil = None
-    if kind.companion != "neg_identity":
-        ptil = companion_profile(p0, kind.companion)
-
-    def q_at(x):
-        return kdv_Q(p0, x, quad) if ptil is None else assemble_Q(p0, ptil, x, quad)
-
-    kernels = [q_at(x0 + k * dxq) for k in (-2, -1, 0, 1, 2)]
+    kernels = [paired_Q(p0, ptil, x0 + k * dxq, quad) for k in (-2, -1, 0, 1, 2)]
     rep_fine = u_identity_check(kernels[1:4], dx=dxq)
     rep_coarse = u_identity_check(kernels[::2], dx=2 * dxq)
     checks.append(("u_identity_ii", rep_fine.identity_ii_error, 1e-10))

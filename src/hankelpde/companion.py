@@ -9,20 +9,20 @@ construction.  The map is encoded once, in the table _MAPS: per kind
 whether it conjugates, its sign, whether it reflects s, and whether it
 reads p at -t.  Everything here reads that table: companion_profile
 applies the map to a profile (an exp-tagged profile keeps its tag),
-companion_at gives the companion at a wall-clock time (the study's
-rank-one closed form reads its partner there), companion_field applies
-it to a solved field (the residual flow's partner), time_reversed and
-space_reversed answer for the scenario and residual layers, and
-companion_consistency_residual certifies the pairing numerically.
+companion_field applies it to a solved field (the residual flow's
+partner), companion_parameters gives the companion's linear flow, and
+time_reversed and space_reversed answer for the scenario and residual
+layers.  Which profile the map is applied to at time t (p_t, or p at -t)
+is decided once, in fredholm.pairing.
 """
 
 import numpy as np
 
-from .dispersion import DispersionParams, dispersion_residual, evolve
+from .dispersion import DispersionParams
 from .gridkernel import MatrixProfile, exponential_profile
 
 # name -> (conjugate, sign, reflects s, reads p at -t); neg_identity has
-# no companion profile: the Fredholm layer forms Q = -P directly
+# no companion profile: fredholm.paired_Q forms Q = -P directly
 _MAPS = {
     "adjoint": (True, 1.0, False, False),
     "neg_adjoint": (True, -1.0, False, False),
@@ -33,7 +33,6 @@ _MAPS = {
     "neg_adjoint_rev_spacetime": (True, -1.0, True, True),
     "neg_identity": None,
 }
-COMPANION_KINDS = tuple(_MAPS)
 
 
 def _entry(kind):
@@ -75,9 +74,9 @@ def _matrix_map(vals, conjugate, sign):
 def companion_profile(p, kind):
     """Companion profile of shape m x n built from the evolved p.
 
-    For time-reversed kinds the caller must supply p evolved to -t; the
-    returned profile carries time_stamp -p.time_stamp so that it is
-    stamped with the wall-clock time it belongs to.
+    For time-reversed kinds the caller must supply p evolved to -t, as
+    fredholm.pairing does; the result carries time_stamp -p.time_stamp,
+    the wall-clock time it belongs to.
     """
     conjugate, sign, reflect, reverse = _entry(kind)
     t_out = -p.time_stamp if reverse else p.time_stamp
@@ -111,31 +110,13 @@ def companion_field(G, kind):
 def companion_parameters(kind, params):
     """Linear-flow parameters (-mu1, mu2) of the companion profile.
 
-    Every pairing in COMPANION_KINDS leaves its companion satisfying
+    Every companion map in _MAPS leaves its companion satisfying
     dp~/dt = -mu1 p~_ss + mu2 p~_sss: conjugate-transpose kinds because
     their mu1 is imaginary and mu2 real, time-reversed kinds because
     reading p at -t negates both coefficients, and space-reversed kinds
-    because s -> -s restores the sign of the odd-order term.
+    because s -> -s restores the sign of the odd-order term.  neg_identity
+    has no companion profile, so it has no companion flow.
     """
-    if kind not in _MAPS:
-        raise ValueError("unknown companion kind %r" % (kind,))
+    _entry(kind)
     return DispersionParams(mu1=-params.mu1, mu2=params.mu2)
 
-
-def companion_at(p0, kind, params, t):
-    """Companion profile at wall-clock time t, built from data p0."""
-    source_t = -t if time_reversed(kind) else t
-    return companion_profile(evolve(p0, params, source_t), kind)
-
-
-def companion_consistency_residual(p0, kind, params, t_samples):
-    """Finite-difference residual of the companion linear flow.
-
-    Builds the companion family over t_samples and measures how well it
-    satisfies dp~/dt = -mu1 p~_ss + mu2 p~_sss (companion parameters).
-    Small values certify the kind/parameter pairing.
-    """
-    if len(t_samples) < 3:
-        raise ValueError("need at least 3 time samples, got %d" % len(t_samples))
-    family = [companion_at(p0, kind, params, t) for t in t_samples]
-    return dispersion_residual(family, companion_parameters(kind, params))

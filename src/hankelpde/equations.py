@@ -8,17 +8,18 @@ whose partner g~ is the kind's companion map applied to the solved field
 stencils are centered and second order (5-point for the third
 x-derivative) with a two-layer boundary exclusion; nonlocal kinds need
 (x,t) grids symmetric about 0 in each reversed coordinate so reflected
-samples exist on-grid.  Patch-skipped samples (NaN) drop out of the
-reported maxima.
+samples exist on-grid.  Every residual returns (max_norm, fields on the
+interior samples); patch-skipped samples (NaN) drop out of the maxima.
+The profile-level checks take their pairs from fredholm.pairing.
 """
 
 from dataclasses import dataclass
 import numpy as np
 
-from .companion import companion_field, companion_parameters, companion_profile
-from .dispersion import evolve
+from .companion import companion_field, companion_parameters
+from .dispersion import dispersion_residual
 from .fredholm import (DiscreteKernel, assemble_Q, compose, hankel_values, nystrom_matrix,
-                       quadrature_rules, solve_origin)
+                       pairing, quadrature_rules, solve_origin)
 from .kinds import resolve_kind
 
 
@@ -113,9 +114,9 @@ def _flow(F, C, M, Cx, dt, dx, params):
 def residual_local(kind, field):
     """Pointwise residual of the kind's local PDE at the centre values.
 
-    Returns (residual_field, max_norm); the residual field has the full
-    (nt, nx) shape with NaN in the excluded two-layer boundary.  For the
-    coupled system use residual_coupled, which needs both fields.
+    Returns (max_norm, R), R on the interior samples (the two-layer
+    boundary excluded).  For the coupled system use residual_coupled,
+    which needs both fields.
     """
     if isinstance(kind, str):
         kind = resolve_kind(kind)
@@ -133,10 +134,7 @@ def residual_local(kind, field):
     else:
         M = _interior(companion_field(G, kind.companion))
         R = _flow(G, _interior(G), M, Gx, dt, dx, kind.params)
-
-    out = np.full(G.shape, np.nan, dtype=complex)
-    out[2:-2, 2:-2] = R
-    return out, _nanmax_abs(R)
+    return _nanmax_abs(R), R
 
 
 def residual_kernel(kind, field):
@@ -188,6 +186,19 @@ def residual_coupled(field):
     return max(_nanmax_abs(R1), _nanmax_abs(R2)), (R1, R2)
 
 
+def companion_consistency_residual(p0, kind, params, t_samples):
+    """Finite-difference residual of the companion linear flow.
+
+    Builds the companion family over t_samples and measures how well it
+    satisfies dp~/dt = -mu1 p~_ss + mu2 p~_sss (companion parameters).
+    Small values certify the kind/parameter pairing.
+    """
+    if len(t_samples) < 3:
+        raise ValueError("need at least 3 time samples, got %d" % len(t_samples))
+    family = [pairing(p0, params, kind, t)[1] for t in t_samples]
+    return dispersion_residual(family, companion_parameters(kind, params))
+
+
 def miura_check(p0, quad, xs, ts, richardson=False):
     """Max defect of the KdV/mKdV coupling identity.
 
@@ -210,8 +221,7 @@ def miura_check(p0, quad, xs, ts, richardson=False):
 
     worst = 0.0
     for t in ts:
-        p_t = evolve(p0, mkdv.params, t)
-        ptil = companion_profile(p_t, mkdv.companion)
+        p_t, ptil = pairing(p0, mkdv.params, mkdv.companion, t)
         gm = np.empty((xs.size,) + (p0.rows, p0.cols), dtype=complex)
         gk = np.empty_like(gm)
         for ix, x in enumerate(xs):

@@ -4,7 +4,8 @@ The linearising identity is P = G(id + Q) on the half line (-inf, 0],
 truncated to [-L, 0] with composite trapezoid quadrature.  All kernels
 carry matrix blocks per node pair and their rule; compose is the one
 quadrature product of two kernels, and Q = P~ o P is compose applied to
-the companion and data Hankel kernels.  The dense solve works on the
+the companion and data Hankel kernels.  Every kind's pair (p, p~) comes
+from pairing and its Q from paired_Q.  The dense solve works on the
 block matrix with the quadrature weights folded in on the left of Q.  The
 unknown G multiplies (id + Q) from the left, so the linear system is
 solved in transposed orientation (unknown rows, matrix acting from the
@@ -177,6 +178,23 @@ def kdv_Q(p, x, quad):
     return DiscreteKernel(quad=quad, blocks=hankel_windows(vals, quad.node_count))
 
 
+def pairing(p0, params, companion, t):
+    """(p_t, p~_t): the data at time t and its companion, the map of p0
+    evolved to -t for time-reversed maps, else of p_t; None for
+    neg_identity (Q = -P).  At t = 0, p_t is p0 itself."""
+    p_t = evolve(p0, params, t)
+    if companion == "neg_identity":
+        return p_t, None
+    source = evolve(p0, params, -t) if time_reversed(companion) else p_t
+    return p_t, companion_profile(source, companion)
+
+
+def paired_Q(p, ptil, x, quad):
+    """The composed kernel of a pairing at x: -P when ptil is None
+    (neg_identity), else P~ o P."""
+    return kdv_Q(p, x, quad) if ptil is None else assemble_Q(p, ptil, x, quad)
+
+
 def nystrom_matrix(Q):
     """The Nystrom system matrix I + WQ and the trace of WQ.
 
@@ -259,8 +277,8 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
     (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error), the two slices
     over the nodes of rules[0].
 
-    ptil=None is the neg_identity pairing (Q = -P); otherwise Q pairs p
-    with the companion ptil.  Only the edges of G are solved for: per
+    (p, ptil) is a pairing; paired_Q composes its kernel, Q = -P when
+    ptil is None.  Only the edges of G are solved for: per
     rule A = I + WQ is built once, slogdet(A) gives det2, the last block
     row solves row A = P_last with P_last[j] = p(xi_j + x), and the last
     block column is P Z with A Z = E_last, the last block column of I.
@@ -275,8 +293,7 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
     out = []
     n, m = p.rows, p.cols
     for quad in rules:
-        A, trace = nystrom_matrix(kdv_Q(p, x, quad) if ptil is None
-                                  else assemble_Q(p, ptil, x, quad))
+        A, trace = nystrom_matrix(paired_Q(p, ptil, x, quad))
         d2 = _det2_of(A, trace)
         if abs(d2) < threshold:
             raise PatchError(d2, x=x)
@@ -350,12 +367,11 @@ class PatchReport:
 def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     """Run the full pipeline over the scenario's (x,t) sample grid.
 
-    Per sample: evolve the data profile (and its reversed-time copy when
-    the companion needs one), build the companion, assemble Q, check
-    det2, solve, and record the centre value, the two slices through the
-    origin, and det2.  Samples are independent; rows of constant t are
-    distributed over threads and written into index-addressed arrays, so
-    the output is deterministic regardless of scheduling.
+    Per t row, pairing gives the evolved data and its companion; per
+    sample, compose Q, check det2, solve, and record the centre value,
+    the two slices through the origin, and det2.  Samples are independent;
+    rows of constant t are distributed over threads and written into
+    index-addressed arrays, so the output does not depend on scheduling.
 
     When |det2| falls below the patch threshold the sample is recorded
     as skipped (NaN field values) and the run continues, unless
@@ -384,11 +400,7 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     def run_row(it):
         t = ts[it]
-        p_t = evolve(p0, kind.params, t)
-        ptil = None
-        if kind.companion != "neg_identity":
-            src = evolve(p0, kind.params, -t) if time_reversed(kind.companion) else p_t
-            ptil = companion_profile(src, kind.companion)
+        p_t, ptil = pairing(p0, kind.params, kind.companion, t)
         for ix, x in enumerate(xs):
             try:
                 solved = solve_origin(p_t, ptil, x, rules, threshold)

@@ -384,6 +384,28 @@ def test_main_solve_refuses_non_finite_numbers(tmp_path, capsys, old, new):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("old, new, label", [
+    ("N: 128}", "N: 128.7}", "quadrature.N"),
+    ("M: 1536}", "M: 1536.5}", "grid.M"),
+    ("count: 5}", "count: 5.9}", "samples.x.count"),
+    ("kind: local_nls\n", "kind: local_nls\nsign: -1.5\n", "sign"),
+    ("kind: local_nls\n", "kind: local_nls\nsign: true\n", "sign"),
+    ("dims: [1, 1]", "dims: [1, true]", "dims"),
+], ids=["fractional_N", "fractional_M", "fractional_count", "fractional_sign",
+        "boolean_sign", "boolean_dims"])
+def test_main_solve_refuses_non_integer_counts(tmp_path, capsys, old, new, label):
+    # an integer field given a fraction or a bool must not be truncated
+    # into a different run than the manifest records
+    text = (SCENARIO_DIR / "nls_rank_one.yaml").read_text()
+    assert old in text
+    out = tmp_path / "out"
+    path = write_scenario(tmp_path, text.replace(old, new, 1))
+    assert main(["solve", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + label) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_main_study_reports_patch_skipped_levels(tmp_path, capsys):
     # the middle t sample sits on the det2 zero of the coarsest rule
     # (N = 48), which the patch monitor skips; the finer rules solve it
@@ -434,8 +456,8 @@ def test_verify_builds_each_system_once(monkeypatch):
             return inner(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(cli, "assemble_Q")
-    counted(cli, "companion_profile")
+    counted(fredholm, "assemble_Q")
+    counted(fredholm, "companion_profile")
     counted(fredholm, "nystrom_matrix")
     assert main(["verify", str(SCENARIO_DIR / "nls_rank_one_study.yaml")]) == 0
     assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": 2}

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hankelpde.companion import (
-    companion_at,
-    companion_consistency_residual,
+    _MAPS,
     companion_field,
     companion_parameters,
     companion_profile,
@@ -12,6 +11,8 @@ from hankelpde.companion import (
     time_reversed,
 )
 from hankelpde.dispersion import DispersionParams, evolve
+from hankelpde.equations import companion_consistency_residual
+from hankelpde.fredholm import pairing
 from hankelpde.gridkernel import (
     InitialDataSpec,
     MatrixProfile,
@@ -67,7 +68,7 @@ def test_rev_spacetime_of_exponential_closed_form():
     p0 = sample_profile(InitialDataSpec(kind="exponential", amplitude=[[1.0]], rate=1.0),
                         g, 1, 1)
     t = 0.7
-    q = companion_at(p0, "transpose_rev_spacetime", KDV, t)
+    q = pairing(p0, KDV, "transpose_rev_spacetime", t)[1]
     s = g.nodes[10]
     assert abs(eval_at(q, s)[0, 0] - np.exp(-s + t)) < 1e-12
     assert q.time_stamp == pytest.approx(t)
@@ -115,7 +116,7 @@ def test_exponential_tag_companion_closed_form():
     a = 1.0
     p0 = sample_profile(InitialDataSpec(kind="exponential", amplitude=A, rate=a), g, 2, 2)
     t = 0.4
-    q = companion_at(p0, "neg_adjoint_rev_spacetime", KDV, t)
+    q = pairing(p0, KDV, "neg_adjoint_rev_spacetime", t)[1]
     s = g.nodes[20]
     # p(s;t) = A e^{a s - a^3 t}, so -p^dagger(-s;-t) = -A^dagger e^{-a s + a^3 t}
     want = -A.conj().T * np.exp(-a * s + a ** 3 * t)
@@ -223,3 +224,40 @@ def test_companion_table_refuses_neg_identity_and_unknown_names():
             companion_profile(p, kind)
         with pytest.raises(ValueError):
             companion_field(np.ones((5, 4, 2, 3)), kind)
+        with pytest.raises(ValueError):
+            companion_parameters(kind, NLS)
+        with pytest.raises(ValueError):
+            companion_consistency_residual(p, kind, NLS, [0.0, 0.1, 0.2])
+
+
+@pytest.mark.parametrize("kind", sorted(_MAPS))
+def test_pairing_is_the_companion_of_the_evolved_data(kind):
+    # the hand-built pair: p evolved to t, and the companion map of p
+    # evolved to -t (time-reversed maps) or to t; none for neg_identity
+    params = DispersionParams(mu1=-0.7j, mu2=0.4)
+    g = make_uniform_grid(6.0, 48)
+    rng = np.random.default_rng(29)
+    vals = rng.standard_normal((48, 2, 3)) + 1j * rng.standard_normal((48, 2, 3))
+    amp = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    for p0 in (sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 2, 3),
+               sample_profile(InitialDataSpec(kind="exponential", amplitude=amp, rate=0.8),
+                              g, 2, 3)):
+        assert pairing(p0, params, kind, 0.0)[0] is p0
+        for t in (0.0, 0.3, -0.45):
+            p_t, ptil = pairing(p0, params, kind, t)
+            want = evolve(p0, params, t)
+            assert np.array_equal(p_t.samples, want.samples)
+            assert p_t.time_stamp == want.time_stamp == t
+            if kind == "neg_identity":
+                assert ptil is None
+                continue
+            reverses = COMPANION_TABLE[kind][3]
+            hand = companion_profile(evolve(p0, params, -t if reverses else t), kind)
+            assert np.array_equal(ptil.samples, hand.samples)
+            assert ptil.time_stamp == hand.time_stamp == t
+            if p0.exp_tag is None:
+                assert ptil.exp_tag is None
+            else:
+                assert p_t.exp_tag is not None
+                assert ptil.exp_tag[0] == hand.exp_tag[0]
+                assert np.array_equal(ptil.exp_tag[1], hand.exp_tag[1])

@@ -30,26 +30,38 @@ def test_an_unused_import_is_caught():
     assert _unused_imports("import shutil\nimport os\nos.getcwd()\n") == [(1, "shutil")]
 
 
+def _defined_name(node):
+    """The name a module-level function, class or single-name assignment
+    defines, else None."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)):
+        return node.targets[0].id
+    return None
+
+
 def _dead_definitions(sources, defining):
-    """(path, line, name) of each module-level function or class of the
-    sources named in defining whose name is on no other line of any
-    source."""
+    """(path, line, name) of each module-level function, class or
+    single-name assignment of the sources named in defining whose name
+    is on no other line of any source."""
     lines = [(path, number, line) for path, text in sources.items()
              for number, line in enumerate(text.splitlines(), 1)]
     dead = []
     for path in defining:
         for node in ast.parse(sources[path]).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                word = re.compile(r"\b%s\b" % re.escape(node.name))
+            name = _defined_name(node)
+            if name is not None:
+                word = re.compile(r"\b%s\b" % re.escape(name))
                 if not any(word.search(line) for where, number, line in lines
                            if (where, number) != (path, node.lineno)):
-                    dead.append((path, node.lineno, node.name))
+                    dead.append((path, node.lineno, name))
     return dead
 
 
 def test_every_definition_is_used():
-    # a module-level function or class of the package must be named on
-    # some other line of the package or of its tests
+    # a module-level function, class or constant of the package must be
+    # named on some other line of the package or of its tests
     paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in paths}
     defining = [str(p.relative_to(ROOT)) for p in sorted(SRC.glob("*.py"))]
@@ -57,6 +69,8 @@ def test_every_definition_is_used():
 
 
 def test_an_unused_definition_is_caught():
-    sources = {"a.py": "def used():\n    return 1\n\n\nclass Unused:\n    pass\n",
-               "b.py": "from a import used\n"}
-    assert _dead_definitions(sources, ["a.py"]) == [("a.py", 5, "Unused")]
+    sources = {"a.py": "def used():\n    return 1\n\n\nclass Unused:\n    pass\n"
+                       "LIMIT = 3\nSPARE = 4\nx, y = 1, 2\n",
+               "b.py": "from a import used, LIMIT\n"}
+    assert _dead_definitions(sources, ["a.py"]) == [("a.py", 5, "Unused"),
+                                                     ("a.py", 8, "SPARE")]
