@@ -48,7 +48,7 @@ from .fredholm import (
     make_quadrature,
     nystrom_residual,
     paired_Q,
-    pairing,
+    pairings,
     quadrature_rules,
     solve_G,
 )
@@ -59,6 +59,7 @@ from .gridkernel import (
     sample_profile,
 )
 from .kinds import resolve_kind
+from .lapack import lu_path
 
 SOLVER_TOL = 1e-10
 ENV_PREFIX = "HANKELPDE_"
@@ -398,6 +399,9 @@ def run(scenario, out_dir=".", threads=1):
         "scenario": scenario.raw,
         "tolerances": scenario.tolerances,
         "threads": threads,
+        "workers": report.workers,
+        "blas_threads": report.blas_threads,
+        "factorisation": lu_path(),
         "timings": timings,
         "outputs": [os.path.basename(p) for p in written],
         "min_det2_modulus": report.min_modulus,
@@ -417,7 +421,7 @@ def run(scenario, out_dir=".", threads=1):
 def _rank_one_reference(scenario):
     """Continuum centre values for scalar exponential data, or None.
 
-    theta(x, t) and its partner theta~ are the pair fredholm.pairing
+    theta(x, t) and its partner theta~ are the pair fredholm.pairings
     gives.  Without space reversal the partner keeps the rate a, so the
     rank-one composition is separable, with S = 1/(2a):
     theta / (1 + theta theta~ S^2), or theta / (1 - theta S) for
@@ -437,8 +441,7 @@ def _rank_one_reference(scenario):
 
     def reference(xs, ts):
         rows = []
-        for t in ts:
-            p_t, ptil = pairing(p0, kind.params, kind.companion, t)
+        for p_t, ptil in pairings(p0, kind.params, kind.companion, ts):
             th = at(p_t, xs)
             if ptil is None:
                 rows.append(th / (1.0 - th * S))
@@ -547,7 +550,7 @@ def _verify_checks(scenario):
     checks = []
     p0 = sample_profile(scenario.initial, scenario.grid, scenario.n, scenario.m)
     quad, kind = scenario.quad, scenario.kind
-    p0, ptil = pairing(p0, kind.params, kind.companion, 0.0)
+    (p0, ptil), = pairings(p0, kind.params, kind.companion, [0.0])
     x0 = float(scenario.xs[len(scenario.xs) // 2])
     dxq = quad.spacing
 

@@ -13,7 +13,7 @@ companion_field applies it to a solved field (the residual flow's
 partner), companion_parameters gives the companion's linear flow, and
 time_reversed and space_reversed answer for the scenario and residual
 layers.  Which profile the map is applied to at time t (p_t, or p at -t)
-is decided once, in fredholm.pairing.
+is decided once, in fredholm.pairings.
 """
 
 import numpy as np
@@ -75,7 +75,7 @@ def companion_profile(p, kind):
     """Companion profile of shape m x n built from the evolved p.
 
     For time-reversed kinds the caller must supply p evolved to -t, as
-    fredholm.pairing does; the result carries time_stamp -p.time_stamp,
+    fredholm.pairings does; the result carries time_stamp -p.time_stamp,
     the wall-clock time it belongs to.
     """
     conjugate, sign, reflect, reverse = _entry(kind)

@@ -41,8 +41,7 @@ def _multiply(p, factor, t=0.0):
         return exponential_profile(p.grid, rate, amp * factor(rate),
                                    p.time_stamp + t)
     z = 2j * np.pi * np.fft.fftfreq(p.grid.node_count, d=p.grid.spacing)
-    samples = np.fft.ifft(factor(z)[:, None, None] * np.fft.fft(p.samples, axis=0),
-                          axis=0)
+    samples = np.fft.ifft(factor(z)[:, None, None] * p.spectrum, axis=0)
     return MatrixProfile(grid=p.grid, samples=samples, time_stamp=p.time_stamp + t)
 
 

@@ -10,7 +10,7 @@ x-derivative) with a two-layer boundary exclusion; nonlocal kinds need
 (x,t) grids symmetric about 0 in each reversed coordinate so reflected
 samples exist on-grid.  Every residual returns (max_norm, fields on the
 interior samples); patch-skipped samples (NaN) drop out of the maxima.
-The profile-level checks take their pairs from fredholm.pairing.
+The profile-level checks take their pairs from fredholm.pairings.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ import numpy as np
 from .companion import companion_field, companion_parameters
 from .dispersion import dispersion_residual
 from .fredholm import (DiscreteKernel, assemble_Q, compose, hankel_values, nystrom_matrix,
-                       pairing, quadrature_rules, solve_origin)
+                       pairings, quadrature_rules, solve_origin)
 from .kinds import resolve_kind
 
 
@@ -195,7 +195,7 @@ def companion_consistency_residual(p0, kind, params, t_samples):
     """
     if len(t_samples) < 3:
         raise ValueError("need at least 3 time samples, got %d" % len(t_samples))
-    family = [pairing(p0, params, kind, t)[1] for t in t_samples]
+    family = [ptil for _, ptil in pairings(p0, params, kind, t_samples)]
     return dispersion_residual(family, companion_parameters(kind, params))
 
 
@@ -220,8 +220,7 @@ def miura_check(p0, quad, xs, ts, richardson=False):
     mkdv = resolve_kind("local_mkdv")
 
     worst = 0.0
-    for t in ts:
-        p_t, ptil = pairing(p0, mkdv.params, mkdv.companion, t)
+    for p_t, ptil in pairings(p0, mkdv.params, mkdv.companion, ts):
         gm = np.empty((xs.size,) + (p0.rows, p0.cols), dtype=complex)
         gk = np.empty_like(gm)
         for ix, x in enumerate(xs):

@@ -2,14 +2,15 @@
 
 The linearising identity is P = G(id + Q) on the half line (-inf, 0],
 truncated to [-L, 0] with composite trapezoid quadrature.  All kernels
-carry matrix blocks per node pair and their rule; compose is the one
-quadrature product of two kernels, and Q = P~ o P is compose applied to
-the companion and data Hankel kernels.  Every kind's pair (p, p~) comes
-from pairing and its Q from paired_Q.  The dense solve works on the
-block matrix with the quadrature weights folded in on the left of Q.  The
-unknown G multiplies (id + Q) from the left, so the linear system is
-solved in transposed orientation (unknown rows, matrix acting from the
-right); plain transposes, never conjugate ones.
+carry matrix blocks per node pair and their rule; compose is the
+quadrature product of two kernels, and Q = P~ o P, the composition of
+the companion and data Hankel kernels, is built from their Hankel
+structure by assemble_Q.  Every kind's pairs (p, p~) come from pairings
+and its Q from paired_Q.  The dense solve works on the block matrix with
+the quadrature weights folded in on the left of Q, and factors it once
+per rule (lapack.LU).  The unknown G multiplies (id + Q) from the left,
+so the linear system is solved in transposed orientation (unknown rows,
+matrix acting from the right); plain transposes, never conjugate ones.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .companion import companion_profile, time_reversed
 from .dispersion import evolve
 from .gridkernel import sample_profile
+from .lapack import LU, cores, one_blas_thread
 
 PATCH_THRESHOLD = 1e-8
 
@@ -142,6 +144,19 @@ def hankel_rhs(p, x, quad):
     return DiscreteKernel(quad=quad, blocks=hankel_windows(vals, quad.node_count))
 
 
+def _hankel_sums(seq, vec):
+    """The blocks sum_s seq[i+s] vec[s] for i = 0..len(seq) - len(vec): a
+    block Hankel matrix times a block vector, one np.correlate per entry
+    product, so the Hankel matrix is never gathered."""
+    _, a, n = seq.shape
+    m = vec.shape[2]
+    out = np.zeros((len(seq) - len(vec) + 1, a, m), dtype=np.result_type(seq, vec))
+    for i, j, k in np.ndindex(a, n, m):
+        # correlate conjugates its second argument
+        out[:, i, k] += np.correlate(seq[:, i, j], np.conj(vec[:, j, k]), "valid")
+    return out
+
+
 def compose(A, B):
     """Quadrature composition of two kernels on A's rule: blocks
     sum_k w_k A[i,k] B[k,j], with A's a x c blocks pairing B's c x b."""
@@ -154,13 +169,41 @@ def assemble_Q(p, p_tilde, x, quad):
 
     Only the inner dimensions must pair: p has n x m blocks and p_tilde
     a x n, and the result has a x m blocks with
-    Q[i][j] = sum_k w_k ptilde(xi_i+xi_k+x) p(xi_k+xi_j+x).  A companion
+    Q[i][j] = sum_s w_s ptilde(xi_i+xi_s+x) p(xi_s+xi_j+x).  A companion
     pairing (a = m) gives the square blocks the Nystrom solve needs.
+
+    Both factors are Hankel, so Q is built in O(K^2) block products, not
+    compose's O(K^3).  With a_u = ptilde(xi_0+xi_u+x), b_u = p(xi_0+xi_u+x)
+    and delta_s = w_{s-1} - w_s (w_{-1} = w_{N+1} = 0),
+    Q[i+1][j+1] - Q[i][j] = sum_s delta_s a_{i+s} b_{s+j}, and delta is
+    zero wherever neighbouring weights agree (all but s = 0, 1, N, N+1
+    for the trapezoid rule).  The first row and column are summed in
+    full, the increments come from one matmul over delta's support, and
+    each row adds them to the row above, shifted by one node.
+    compose(hankel_rhs(p_tilde), hankel_rhs(p)) is the reference.
     """
     if p_tilde.cols != p.rows:
         raise ValueError("companion dims %r do not pair with profile dims %r"
                          % ((p_tilde.rows, p_tilde.cols), (p.rows, p.cols)))
-    return compose(hankel_rhs(p_tilde, x, quad), hankel_rhs(p, x, quad))
+    a_vals, b_vals = hankel_values(p_tilde, x, quad), hankel_values(p, x, quad)
+    K, N, w = quad.node_count, quad.intervals, quad.weights
+    a, n, m = p_tilde.rows, p.rows, p.cols
+    delta = -np.diff(w, prepend=0.0, append=0.0)
+    steps = np.flatnonzero(delta)
+    big = np.empty((K, a, K, m), dtype=np.result_type(a_vals, b_vals))
+    # row 0 transposed: Q[0][j]^T = sum_s b_{s+j}^T (w_s a_s)^T
+    big[0] = _hankel_sums(b_vals.transpose(0, 2, 1),
+                          (w[:, None, None] * a_vals[:K]).transpose(0, 2, 1)).transpose(2, 0, 1)
+    big[1:, :, 0] = _hankel_sums(a_vals[1:], w[:, None, None] * b_vals[:K])
+    nodes = np.arange(N)
+    left = delta[steps, None, None] * a_vals[nodes[:, None] + steps]
+    right = b_vals[steps[:, None] + nodes]
+    np.matmul(left.transpose(0, 2, 1, 3).reshape(N * a, steps.size * n),
+              right.transpose(0, 2, 1, 3).reshape(steps.size * n, N * m),
+              out=big.reshape(K * a, K * m)[a:, m:])
+    for i in range(1, K):
+        big[i, :, 1:] += big[i - 1, :, :-1]
+    return DiscreteKernel.from_big(big.reshape(K * a, K * m), quad)
 
 
 def kdv_Q(p, x, quad):
@@ -178,15 +221,21 @@ def kdv_Q(p, x, quad):
     return DiscreteKernel(quad=quad, blocks=hankel_windows(vals, quad.node_count))
 
 
-def pairing(p0, params, companion, t):
-    """(p_t, p~_t): the data at time t and its companion, the map of p0
-    evolved to -t for time-reversed maps, else of p_t; None for
-    neg_identity (Q = -P).  At t = 0, p_t is p0 itself."""
-    p_t = evolve(p0, params, t)
+def pairings(p0, params, companion, ts):
+    """[(p_t, p~_t) for t in ts]: the data at time t and its companion,
+    the map of p0 evolved to -t for time-reversed maps, else of p_t; None
+    for neg_identity (Q = -P).  Each distinct time is evolved once, so a
+    time-reversed map on a grid symmetric about t = 0 reuses every
+    profile it evolves.  At t = 0, p_t is p0 itself."""
+    reverse = time_reversed(companion)
+    evolved = {}
+    for t in list(ts) + ([-t for t in ts] if reverse else []):
+        if t not in evolved:
+            evolved[t] = evolve(p0, params, t)
     if companion == "neg_identity":
-        return p_t, None
-    source = evolve(p0, params, -t) if time_reversed(companion) else p_t
-    return p_t, companion_profile(source, companion)
+        return [(evolved[t], None) for t in ts]
+    return [(evolved[t], companion_profile(evolved[-t if reverse else t], companion))
+            for t in ts]
 
 
 def paired_Q(p, ptil, x, quad):
@@ -214,26 +263,22 @@ def nystrom_matrix(Q):
     return A, trace
 
 
-def _det2_of(A, trace):
-    """det(A) e^{-trace} for A = I + WQ and trace = tr(WQ), in log space;
-    factorization failure or an exactly singular A reports 0."""
-    try:
-        sign, logabs = np.linalg.slogdet(A)
-    except np.linalg.LinAlgError:
-        return 0.0 + 0.0j
-    if sign == 0:
-        return 0.0 + 0.0j
-    return sign * np.exp(logabs - trace)
+def _factored(A, trace):
+    """(LU of A, det2) for A = I + WQ and trace = tr(WQ): the one
+    factorisation of a rule.  det2 = det(A) e^{-trace}, taken in log space
+    from the factor; an exactly singular A reports det2 = 0."""
+    lu = LU(A)
+    sign, logabs = lu.slogdet()
+    return lu, (0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace))
 
 
 def det2(Q):
     """Regularised determinant det((I + WQ) e^{-WQ}).
 
     Computed in log space as exp(logdet(I + WQ) - trace(WQ)) via a
-    pivoted factorization; factorization failure or an exactly singular
-    system reports det2 = 0.
+    pivoted factorization; an exactly singular system reports det2 = 0.
     """
-    return _det2_of(*nystrom_matrix(Q))
+    return _factored(*nystrom_matrix(Q))[1]
 
 
 def solve_G(Q, p, x, *, patch_threshold=PATCH_THRESHOLD):
@@ -245,12 +290,10 @@ def solve_G(Q, p, x, *, patch_threshold=PATCH_THRESHOLD):
     below patch_threshold raises PatchError instead of returning an
     uncertifiable solve.
     """
-    A, trace = nystrom_matrix(Q)
-    det2_value = _det2_of(A, trace)
+    lu, det2_value = _factored(*nystrom_matrix(Q))
     if abs(det2_value) < patch_threshold:
         raise PatchError(det2_value, x=x)
-    rhs = hankel_rhs(p, x, Q.quad)
-    G_big = np.linalg.solve(A.T, rhs.big().T).T
+    G_big = lu.solve_rows(hankel_rhs(p, x, Q.quad).big())
     return DiscreteKernel.from_big(G_big, Q.quad)
 
 
@@ -279,9 +322,10 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
 
     (p, ptil) is a pairing; paired_Q composes its kernel, Q = -P when
     ptil is None.  Only the edges of G are solved for: per
-    rule A = I + WQ is built once, slogdet(A) gives det2, the last block
-    row solves row A = P_last with P_last[j] = p(xi_j + x), and the last
-    block column is P Z with A Z = E_last, the last block column of I.
+    rule A = I + WQ is built and factored once, the factor gives det2,
+    the last block row solves row A = P_last with P_last[j] = p(xi_j + x),
+    and the last block column is P Z with A Z = E_last, the last block
+    column of I; the factor is dropped once both are solved.
     G(0,0) is the row's last block, written into the column as well, so
     the centre and both slices hold one value.  The backward error is
     the larger of max|row A - P_last| / max|P_last| and max|A Z - E_last|,
@@ -294,16 +338,17 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
     n, m = p.rows, p.cols
     for quad in rules:
         A, trace = nystrom_matrix(paired_Q(p, ptil, x, quad))
-        d2 = _det2_of(A, trace)
+        lu, d2 = _factored(A, trace)
         if abs(d2) < threshold:
             raise PatchError(d2, x=x)
         K = quad.node_count
         vals = hankel_values(p, x, quad)
         P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
-        row_big = np.linalg.solve(A.T, P_last.T).T
+        row_big = lu.solve_rows(P_last)
         E_last = np.zeros((K * m, m), dtype=A.dtype)
         E_last[-m:] = np.eye(m)
-        Z = np.linalg.solve(A, E_last)
+        Z = lu.solve(E_last)
+        del lu  # a k x k copy of A: free it before the contraction
         col = np.einsum("ijab,jbc->iac", hankel_windows(vals, K),
                         Z.reshape(K, m, m), optimize=True)
         row = row_big.reshape(n, K, m).transpose(1, 0, 2)
@@ -342,11 +387,15 @@ class SolutionField:
 
 @dataclass
 class PatchReport:
-    """det2 and backward-error bookkeeping over the sample grid."""
+    """det2 and backward-error bookkeeping over the sample grid, and the
+    threads the run used: row workers, and the OpenBLAS count they ran
+    at (None where it could not be set)."""
 
     det2: np.ndarray
     skipped: list
     backward_error: np.ndarray
+    workers: int
+    blas_threads: int
 
     @property
     def min_modulus(self):
@@ -367,11 +416,18 @@ class PatchReport:
 def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     """Run the full pipeline over the scenario's (x,t) sample grid.
 
-    Per t row, pairing gives the evolved data and its companion; per
+    pairings gives each t row's evolved data and its companion; per
     sample, compose Q, check det2, solve, and record the centre value,
     the two slices through the origin, and det2.  Samples are independent;
     rows of constant t are distributed over threads and written into
     index-addressed arrays, so the output does not depend on scheduling.
+    Rows that read p at the same times (t and -t for time-reversed maps)
+    run as one task, so each distinct time is evolved once and only the
+    running tasks' profiles are held.
+    The pool has min(threads, CPUs) workers, and OpenBLAS runs at one
+    thread while it works, whatever the layout: the round-off of its
+    factorisations and products depends on its thread count, so one
+    count for every layout keeps the output the same at every --threads.
 
     When |det2| falls below the patch threshold the sample is recorded
     as skipped (NaN field values) and the run continues, unless
@@ -398,33 +454,41 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     berr = np.full((nt, nx), np.nan)
     skipped = [[] for _ in range(nt)]
 
-    def run_row(it):
-        t = ts[it]
-        p_t, ptil = pairing(p0, kind.params, kind.companion, t)
-        for ix, x in enumerate(xs):
-            try:
-                solved = solve_origin(p_t, ptil, x, rules, threshold)
-                # role swap: the partner field solves P~ = G~ (id + P P~)
-                pair = solve_origin(ptil, p_t, x, rules, threshold) if kind.coupled else None
-            except PatchError as err:
-                err.t = t
-                det2_vals[it, ix] = err.det2_value
-                if not skip_on_patch_error:
-                    raise
-                skipped[it].append((it, ix, float(t), float(x), err.det2_value))
-                continue
-            (det2_vals[it, ix], center[it, ix], slice_y[it, ix], slice_z[it, ix],
-             berr[it, ix]) = solved
-            if kind.coupled:
-                center_tilde[it, ix] = pair[1]
-                berr[it, ix] = max(berr[it, ix], pair[4])
+    reverse = time_reversed(kind.companion)
+    tasks = {}
+    for it, t in enumerate(ts):
+        tasks.setdefault(abs(t) if reverse else t, []).append(it)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_row, range(nt)))
+    def run_rows(rows):
+        for it, (p_t, ptil) in zip(rows, pairings(p0, kind.params, kind.companion, ts[rows])):
+            t = ts[it]
+            for ix, x in enumerate(xs):
+                try:
+                    solved = solve_origin(p_t, ptil, x, rules, threshold)
+                    # role swap: the partner field solves P~ = G~ (id + P P~)
+                    pair = (solve_origin(ptil, p_t, x, rules, threshold)
+                            if kind.coupled else None)
+                except PatchError as err:
+                    err.t = t
+                    det2_vals[it, ix] = err.det2_value
+                    if not skip_on_patch_error:
+                        raise
+                    skipped[it].append((it, ix, float(t), float(x), err.det2_value))
+                    continue
+                (det2_vals[it, ix], center[it, ix], slice_y[it, ix], slice_z[it, ix],
+                 berr[it, ix]) = solved
+                if kind.coupled:
+                    center_tilde[it, ix] = pair[1]
+                    berr[it, ix] = max(berr[it, ix], pair[4])
+
+    workers = min(threads, cores())
+    with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_rows, tasks.values()))
 
     field_out = SolutionField(xs=xs, ts=ts, quad=quad, center=center,
                               slice_y=slice_y, slice_z=slice_z,
                               center_tilde=center_tilde)
     flat_skips = [s for row in skipped for s in row]
-    report = PatchReport(det2=det2_vals, skipped=flat_skips, backward_error=berr)
+    report = PatchReport(det2=det2_vals, skipped=flat_skips, backward_error=berr,
+                         workers=workers, blas_threads=blas_threads)
     return field_out, report

@@ -11,6 +11,7 @@ exponential_profile.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import numpy as np
 
 DECAY_TOL = 1e-10
@@ -83,6 +84,13 @@ class MatrixProfile:
             raise ValueError("profile samples must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
+
+    @cached_property
+    def spectrum(self):
+        """The DFT of the samples along s, taken once per profile."""
+        out = np.fft.fft(self.samples, axis=0)
+        out.flags.writeable = False
+        return out
 
     @property
     def rows(self):

@@ -2,6 +2,8 @@ import copy
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -187,6 +189,25 @@ def test_run_rank_one_nls_center_value(tmp_path):
     assert manifest["exit_code"] == 0
     assert manifest["version"]
     assert manifest["outputs"] == ["center.tsv", "det2.tsv"]
+    # the run records how it solved: one LU per system, and its threads
+    assert manifest["factorisation"] == "openblas-getrf"
+    assert (manifest["threads"], manifest["workers"], manifest["blas_threads"]) == (1, 1, 1)
+
+
+def test_a_solve_never_imports_scipy(tmp_path):
+    # scipy is installed but not a dependency; importing scipy.linalg
+    # alone adds about 28 MB to a process's resident memory
+    path = write_scenario(tmp_path, STUDY_NLS)
+    code = ("import sys\n"
+            "from hankelpde import cli\n"
+            "assert cli.main(['solve', %r, '--out', %r]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            % (str(path), str(tmp_path / "out")))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_rank_one_kdv_center_value(tmp_path):

@@ -12,7 +12,7 @@ from hankelpde.companion import (
 )
 from hankelpde.dispersion import DispersionParams, evolve
 from hankelpde.equations import companion_consistency_residual
-from hankelpde.fredholm import pairing
+from hankelpde.fredholm import pairings
 from hankelpde.gridkernel import (
     InitialDataSpec,
     MatrixProfile,
@@ -68,7 +68,7 @@ def test_rev_spacetime_of_exponential_closed_form():
     p0 = sample_profile(InitialDataSpec(kind="exponential", amplitude=[[1.0]], rate=1.0),
                         g, 1, 1)
     t = 0.7
-    q = pairing(p0, KDV, "transpose_rev_spacetime", t)[1]
+    q = pairings(p0, KDV, "transpose_rev_spacetime", [t])[0][1]
     s = g.nodes[10]
     assert abs(eval_at(q, s)[0, 0] - np.exp(-s + t)) < 1e-12
     assert q.time_stamp == pytest.approx(t)
@@ -116,7 +116,7 @@ def test_exponential_tag_companion_closed_form():
     a = 1.0
     p0 = sample_profile(InitialDataSpec(kind="exponential", amplitude=A, rate=a), g, 2, 2)
     t = 0.4
-    q = pairing(p0, KDV, "neg_adjoint_rev_spacetime", t)[1]
+    q = pairings(p0, KDV, "neg_adjoint_rev_spacetime", [t])[0][1]
     s = g.nodes[20]
     # p(s;t) = A e^{a s - a^3 t}, so -p^dagger(-s;-t) = -A^dagger e^{-a s + a^3 t}
     want = -A.conj().T * np.exp(-a * s + a ** 3 * t)
@@ -242,9 +242,9 @@ def test_pairing_is_the_companion_of_the_evolved_data(kind):
     for p0 in (sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 2, 3),
                sample_profile(InitialDataSpec(kind="exponential", amplitude=amp, rate=0.8),
                               g, 2, 3)):
-        assert pairing(p0, params, kind, 0.0)[0] is p0
-        for t in (0.0, 0.3, -0.45):
-            p_t, ptil = pairing(p0, params, kind, t)
+        ts = (0.0, 0.3, -0.45)
+        assert pairings(p0, params, kind, ts)[0][0] is p0
+        for t, (p_t, ptil) in zip(ts, pairings(p0, params, kind, ts)):
             want = evolve(p0, params, t)
             assert np.array_equal(p_t.samples, want.samples)
             assert p_t.time_stamp == want.time_stamp == t

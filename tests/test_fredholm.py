@@ -4,7 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hankelpde import fredholm, lapack
 from hankelpde.companion import companion_profile
+from hankelpde.dispersion import DispersionParams
 from hankelpde.fredholm import (
     DiscreteKernel,
     PatchError,
@@ -18,6 +20,7 @@ from hankelpde.fredholm import (
     make_quadrature,
     nystrom_matrix,
     nystrom_residual,
+    pairings,
     quadrature_rules,
     solve_G,
     solve_origin,
@@ -126,6 +129,35 @@ def test_compose_is_the_weighted_block_product():
     want = np.einsum("k,ikab,kjbc->ijac", quad.weights, A, B)
     assert C.quad is quad and C.blocks.shape == (K, K, 2, 1)
     assert np.abs(C.blocks - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("N", [4, 7, 24])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (3, 2, 1), (1, 3, 2)],
+                         ids=lambda d: "%dx%d.%dx%d" % (d[0], d[1], d[1], d[2]))
+def test_assemble_Q_matches_compose_of_the_hankel_kernels(dims, N, cplx):
+    # the O(K^2) displacement build against the O(K^3) quadrature product,
+    # with a x n companion blocks and n x m data blocks
+    a, n, m = dims
+    g = make_uniform_grid(8.0, 256)
+    rng = np.random.default_rng(N + 10 * a + 100 * m)
+    env = np.exp(-g.nodes ** 2 / 4.0)[:, None, None]
+
+    def profile(rows, cols):
+        vals = rng.standard_normal((256, rows, cols))
+        if cplx:
+            vals = vals + 1j * rng.standard_normal((256, rows, cols))
+        return sample_profile(InitialDataSpec(kind="tabulated", values=env * vals),
+                              g, rows, cols)
+
+    p, ptil = profile(n, m), profile(a, n)
+    quad = make_quadrature(N * g.spacing * 2, N, g.spacing)
+    Q = assemble_Q(p, ptil, 0.375, quad)
+    want = compose(hankel_rhs(ptil, 0.375, quad), hankel_rhs(p, 0.375, quad))
+    assert Q.quad is quad
+    assert Q.blocks.shape == want.blocks.shape == (N + 1, N + 1, a, m)
+    assert Q.blocks.dtype == want.blocks.dtype == (np.complex128 if cplx else np.float64)
+    assert np.abs(Q.blocks - want.blocks).max() <= 1e-13 * np.abs(want.blocks).max()
 
 
 def discrete_tail_sum(quad, rate=1.0):
@@ -291,6 +323,20 @@ def test_patch_error_near_rank_one_singularity():
     with pytest.raises(PatchError) as info:
         solve_G(Q_star, p_star, 0.0)
     assert info.value.x == 0.0
+
+
+def test_det2_of_an_exactly_singular_system_is_zero():
+    # WQ = -I on node 0 makes row 0 of I + WQ exactly zero (weights of
+    # L = 2, N = 4 are powers of two)
+    quad = make_quadrature(2.0, 4, 0.5)
+    blocks = np.zeros((5, 5, 1, 1))
+    blocks[0, 0] = -1.0 / quad.weights[0]
+    Q = DiscreteKernel(quad, blocks)
+    assert det2(Q) == 0.0
+    g = make_uniform_grid(8.0, 32)
+    p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5]], width=1.0), g, 1, 1)
+    with pytest.raises(PatchError):
+        solve_G(Q, p, 0.0)
 
 
 def kdv_scenario(xs, ts, amp=-1.0, richardson=True):
@@ -470,3 +516,94 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
     assert np.array_equal(col[-1], centre)
     assert np.array_equal(row[-1], centre)
     assert 0.0 <= berr <= 1e-13
+
+
+@pytest.mark.parametrize("kind, richardson, per_sample", [
+    ("kdv_primitive", True, 2), ("local_nls", False, 1), ("coupled_diffusion", True, 4)])
+def test_one_factorisation_per_rule_and_no_dense_composition(kind, richardson, per_sample,
+                                                             monkeypatch):
+    # per sample and rule, one LU and no K*m matmul for Q; the coupled
+    # kind solves its partner too
+    def no_compose(*args):
+        raise AssertionError("compose called on the per-sample path")
+
+    made = []
+
+    class CountedLU(lapack.LU):
+        def __init__(self, A):
+            made.append(A.shape)
+            super().__init__(A)
+
+    monkeypatch.setattr(fredholm, "compose", no_compose)
+    monkeypatch.setattr(fredholm, "LU", CountedLU)
+    g = make_uniform_grid(20.0, 320)
+    n = 2 if kind == "coupled_diffusion" else 1
+    sc = scenario_stub(kind=resolve_kind(kind), grid=g, n=n, richardson=richardson,
+                       quad=make_quadrature(4.0, 16, g.spacing),
+                       initial=InitialDataSpec(kind="gaussian", amplitude=[[0.3]] * n,
+                                               width=1.0),
+                       xs=np.array([-0.25, 0.25]), ts=np.array([-0.01, 0.0, 0.01]))
+    _, report = evaluate_solution(sc)
+    assert not report.any_below
+    assert len(made) == 6 * per_sample
+
+
+def test_pairings_evolve_each_distinct_time_once(monkeypatch):
+    calls = []
+
+    def counted(p, params, t):
+        calls.append(t)
+        return evolve(p, params, t)
+
+    evolve = fredholm.evolve
+    monkeypatch.setattr(fredholm, "evolve", counted)
+    g = make_uniform_grid(8.0, 64)
+    p0 = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5]], width=1.0), g, 1, 1)
+    params = DispersionParams(mu1=-1j, mu2=0.0)
+    ts = [-0.5, -0.25, 0.0, 0.25, 0.5, 0.25]
+    pairs = pairings(p0, params, "transpose_rev_time", ts)
+    assert sorted(calls) == sorted(set(ts))
+    assert pairs[3][0] is pairs[5][0]
+    for t, (p_t, ptil) in zip(ts, pairs):
+        mirror = pairs[ts.index(-t)][0]
+        assert np.array_equal(ptil.samples,
+                              companion_profile(mirror, "transpose_rev_time").samples)
+        assert p_t.time_stamp == t and ptil.time_stamp == t
+    calls.clear()
+    pairings(p0, params, "adjoint", ts)
+    assert sorted(calls) == sorted(set(ts))
+    # so does a threaded run, time-reversed or not
+    for kind in ("rev_time_nls", "local_nls"):
+        calls.clear()
+        sc = scenario_stub(kind=resolve_kind(kind), grid=g,
+                           quad=make_quadrature(2.0, 8, g.spacing),
+                           initial=InitialDataSpec(kind="gaussian", amplitude=[[0.5]], width=1.0),
+                           xs=np.array([0.0]), ts=np.array(ts))
+        evaluate_solution(sc, threads=2)
+        assert sorted(calls) == sorted(set(ts))
+
+
+def test_evaluate_solution_runs_blas_at_one_thread_and_restores_it(monkeypatch):
+    have = lapack._routines()
+    get, put = have["openblas_get_num_threads"], have["openblas_set_num_threads"]
+    seen = []
+    solve = fredholm.solve_origin
+
+    def recorded(*args):
+        seen.append(get())
+        return solve(*args)
+
+    monkeypatch.setattr(fredholm, "solve_origin", recorded)
+    sc = kdv_scenario(xs=[0.0], ts=[-0.1, 0.0, 0.1], richardson=False)
+    old = get()
+    put(2)
+    try:
+        _, report = evaluate_solution(sc, threads=8)
+        assert get() == 2
+    finally:
+        put(old)
+    assert seen == [1, 1, 1]
+    assert report.workers == min(8, lapack.cores()) and report.blas_threads == 1
+    monkeypatch.setattr(lapack, "_routines", lambda: {})
+    _, report = evaluate_solution(sc, threads=1)
+    assert report.workers == 1 and report.blas_threads is None
