@@ -46,11 +46,10 @@ from .fredholm import (
     PatchError,
     evaluate_solution,
     make_quadrature,
-    nystrom_residual,
     paired_Q,
     pairings,
     quadrature_rules,
-    solve_G,
+    solve_edges,
 )
 from .gridkernel import (
     DECAY_TOL,
@@ -121,6 +120,14 @@ def _number(value, label, kind=float):
     return _finite(out, label, value) if kind is float else out
 
 
+def _axis(start, stop, count):
+    """count evenly spaced values from start to stop; when start == -stop
+    each value is exactly the negative of its mirror (linspace alone can
+    miss by an ulp)."""
+    vals = np.linspace(start, stop, count)
+    return (vals - vals[::-1]) / 2.0 if start == -stop and count > 1 else vals
+
+
 def _sample_axis(section, label):
     if isinstance(section, (list, tuple)):
         try:
@@ -137,9 +144,8 @@ def _sample_axis(section, label):
         count = _number(section["count"], "samples.%s.count" % label, int)
         if count < 1:
             raise ValueError("samples.%s count must be >= 1" % label)
-        vals = np.linspace(_number(section["start"], "samples.%s.start" % label),
-                           _number(section["stop"], "samples.%s.stop" % label),
-                           count)
+        vals = _axis(_number(section["start"], "samples.%s.start" % label),
+                     _number(section["stop"], "samples.%s.stop" % label), count)
     else:
         raise ValueError("samples.%s must be a list or start/stop/count" % label)
     if vals.size == 0:
@@ -470,8 +476,7 @@ class StudyReport:
 
 
 def _refine_axis(vals, factor):
-    count = (vals.size - 1) * factor + 1
-    return np.linspace(vals[0], vals[-1], count)
+    return _axis(vals[0], vals[-1], (vals.size - 1) * factor + 1)
 
 
 def convergence_study(scenario, levels=3, threads=1):
@@ -579,10 +584,8 @@ def _verify_checks(scenario):
                        - np.abs(np.fft.fft(p0.samples, axis=0) / M)).max()
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
-    Q0 = kernels[2]
-    G = solve_G(Q0, p0, x0, patch_threshold=scenario.tolerances["patch_threshold"])
-    checks.append(("nystrom_backward_error", nystrom_residual(G, Q0, p0, x0),
-                   scenario.tolerances["solver_tol"]))
+    berr = solve_edges(kernels[2], p0, x0, scenario.tolerances["patch_threshold"])[4]
+    checks.append(("nystrom_backward_error", berr, scenario.tolerances["solver_tol"]))
     return checks
 
 

@@ -114,12 +114,10 @@ def _flow(F, C, M, Cx, dt, dx, params):
 def residual_local(kind, field):
     """Pointwise residual of the kind's local PDE at the centre values.
 
-    Returns (max_norm, R), R on the interior samples (the two-layer
+    kind is a ResolvedKind (kinds.resolve_kind).  Returns (max_norm, R), R on the interior samples (the two-layer
     boundary excluded).  For the coupled system use residual_coupled,
     which needs both fields.
     """
-    if isinstance(kind, str):
-        kind = resolve_kind(kind)
     if kind.coupled:
         raise ValueError("coupled system residuals need both fields; "
                          "use residual_coupled")
@@ -143,11 +141,10 @@ def residual_kernel(kind, field):
     Evaluates the flow at all (y, 0) and (0, z) pairs over the quadrature
     nodes, with x and t derivatives taken along the sample grid; (0, z)
     multiplies from the left, so it is the flow on transposed operands.
-    Only the kernel NLS and kernel mKdV families have kernel equations.
+    Only the kernel NLS and kernel mKdV families have kernel equations;
+    kind is a ResolvedKind.
     Returns (max_norm, (R1, R2)), R1 on the (y, 0) and R2 on the (0, z) slices.
     """
-    if isinstance(kind, str):
-        kind = resolve_kind(kind)
     if not kind.has_kernel_form:
         raise ValueError("kind %r has no kernel-equation form" % (kind.name,))
     if field.slice_y is None or field.slice_z is None:

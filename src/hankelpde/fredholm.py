@@ -6,11 +6,13 @@ carry matrix blocks per node pair and their rule; compose is the
 quadrature product of two kernels, and Q = P~ o P, the composition of
 the companion and data Hankel kernels, is built from their Hankel
 structure by assemble_Q.  Every kind's pairs (p, p~) come from pairings
-and its Q from paired_Q.  The dense solve works on the block matrix with
-the quadrature weights folded in on the left of Q, and factors it once
-per rule (lapack.LU).  The unknown G multiplies (id + Q) from the left,
-so the linear system is solved in transposed orientation (unknown rows,
-matrix acting from the right); plain transposes, never conjugate ones.
+and its Q from paired_Q.  One function, solve_edges, factors and solves:
+it builds the block matrix I + WQ with the quadrature weights folded in
+on the left of Q, factors it once (lapack.LU), and reads det2 and the
+edges of G from that one factor; solve_origin runs it per rule.  The
+unknown G multiplies (id + Q) from the left, so the row is solved in
+transposed orientation (unknown rows, matrix acting from the right);
+plain transposes, never conjugate ones.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -137,13 +139,6 @@ def hankel_windows(vals, K):
     return sliding_window_view(vals, K, axis=0).transpose(0, 3, 1, 2)
 
 
-def hankel_rhs(p, x, quad):
-    """Hankel block kernel p(xi_i + xi_j + x) as a DiscreteKernel whose
-    blocks are a view of p's samples."""
-    vals = hankel_values(p, x, quad)
-    return DiscreteKernel(quad=quad, blocks=hankel_windows(vals, quad.node_count))
-
-
 def _hankel_sums(seq, vec):
     """The blocks sum_s seq[i+s] vec[s] for i = 0..len(seq) - len(vec): a
     block Hankel matrix times a block vector, one np.correlate per entry
@@ -180,7 +175,7 @@ def assemble_Q(p, p_tilde, x, quad):
     for the trapezoid rule).  The first row and column are summed in
     full, the increments come from one matmul over delta's support, and
     each row adds them to the row above, shifted by one node.
-    compose(hankel_rhs(p_tilde), hankel_rhs(p)) is the reference.
+    compose of the two Hankel kernels (hankel_windows) is the reference.
     """
     if p_tilde.cols != p.rows:
         raise ValueError("companion dims %r do not pair with profile dims %r"
@@ -263,49 +258,6 @@ def nystrom_matrix(Q):
     return A, trace
 
 
-def _factored(A, trace):
-    """(LU of A, det2) for A = I + WQ and trace = tr(WQ): the one
-    factorisation of a rule.  det2 = det(A) e^{-trace}, taken in log space
-    from the factor; an exactly singular A reports det2 = 0."""
-    lu = LU(A)
-    sign, logabs = lu.slogdet()
-    return lu, (0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace))
-
-
-def det2(Q):
-    """Regularised determinant det((I + WQ) e^{-WQ}).
-
-    Computed in log space as exp(logdet(I + WQ) - trace(WQ)) via a
-    pivoted factorization; an exactly singular system reports det2 = 0.
-    """
-    return _factored(*nystrom_matrix(Q))[1]
-
-
-def solve_G(Q, p, x, *, patch_threshold=PATCH_THRESHOLD):
-    """Solve G (id + WQ) = P for the block kernel G at parameter x.
-
-    One dense solve of size K*m handles all row indices at once; the
-    per-sample path solves only the edges of G (solve_origin), and this
-    full solve is its reference.  The det2 monitor runs first; a modulus
-    below patch_threshold raises PatchError instead of returning an
-    uncertifiable solve.
-    """
-    lu, det2_value = _factored(*nystrom_matrix(Q))
-    if abs(det2_value) < patch_threshold:
-        raise PatchError(det2_value, x=x)
-    G_big = lu.solve_rows(hankel_rhs(p, x, Q.quad).big())
-    return DiscreteKernel.from_big(G_big, Q.quad)
-
-
-def nystrom_residual(G, Q, p, x):
-    """Relative backward error of the solved system (certification aid)."""
-    A = nystrom_matrix(Q)[0]
-    rhs = hankel_rhs(p, x, Q.quad).big()
-    num = np.abs(G.big() @ A - rhs).max()
-    den = max(np.abs(rhs).max(), 1e-300)
-    return float(num / den)
-
-
 def quadrature_rules(quad, richardson):
     """The rules one sample is solved on: (quad,), or with Richardson
     extrapolation the pair (quad, its 2N refinement on quad's master spacing)."""
@@ -315,47 +267,60 @@ def quadrature_rules(quad, richardson):
                                  quad.spacing / quad.stride)
 
 
+def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
+    """det2, the edges of G and the backward error of one Nystrom system
+    on Q's rule: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error).
+
+    Only the edges of G are solved for: A = I + WQ is built and factored
+    once, the factor gives det2 = det(A) e^{-tr(WQ)} in log space (an
+    exactly singular A reports det2 = 0), the last block row solves
+    row A = P_last with P_last[j] = p(xi_j + x), and the last block
+    column is P Z with A Z = E_last, the last block column of I; the
+    factor is dropped once both are solved.  G(0,0) is the row's last
+    block, written into the column as well, so the centre and both
+    slices hold one value.  The backward error is the larger of
+    max|row A - P_last| / max|P_last| and max|A Z - E_last|.
+    A |det2| below threshold raises PatchError before any solve.
+    """
+    quad = Q.quad
+    n, m, K = p.rows, p.cols, quad.node_count
+    A, trace = nystrom_matrix(Q)
+    del Q  # as large as A: free it before the factorisation
+    lu = LU(A)
+    sign, logabs = lu.slogdet()
+    d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
+    if abs(d2) < threshold:
+        raise PatchError(d2, x=x)
+    vals = hankel_values(p, x, quad)
+    P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
+    row_big = lu.solve_rows(P_last)
+    E_last = np.zeros((K * m, m), dtype=A.dtype)
+    E_last[-m:] = np.eye(m)
+    Z = lu.solve(E_last)
+    del lu  # a k x k copy of A: free it before the contraction
+    col = np.einsum("ijab,jbc->iac", hankel_windows(vals, K),
+                    Z.reshape(K, m, m), optimize=True)
+    row = row_big.reshape(n, K, m).transpose(1, 0, 2)
+    col[-1] = row[-1]
+    berr = max(np.abs(row_big @ A - P_last).max() / max(np.abs(P_last).max(), 1e-300),
+               np.abs(A @ Z - E_last).max())
+    return d2, row[-1], col, row, float(berr)
+
+
 def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
     """det2, G at the origin and the backward error for one sample:
     (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error), the two slices
     over the nodes of rules[0].
 
     (p, ptil) is a pairing; paired_Q composes its kernel, Q = -P when
-    ptil is None.  Only the edges of G are solved for: per
-    rule A = I + WQ is built and factored once, the factor gives det2,
-    the last block row solves row A = P_last with P_last[j] = p(xi_j + x),
-    and the last block column is P Z with A Z = E_last, the last block
-    column of I; the factor is dropped once both are solved.
-    G(0,0) is the row's last block, written into the column as well, so
-    the centre and both slices hold one value.  The backward error is
-    the larger of max|row A - P_last| / max|P_last| and max|A Z - E_last|,
-    taken over the rules.  With two rules from quadrature_rules the
-    values are Richardson-extrapolated, (4*fine - coarse)/3 with the
-    fine rule read at every second node, and det2 is the fine rule's.
-    A |det2| below threshold on either rule raises PatchError.
+    ptil is None, and solve_edges solves it on each rule.  The backward
+    error is the larger over the rules.  With two rules from
+    quadrature_rules the values are Richardson-extrapolated,
+    (4*fine - coarse)/3 with the fine rule read at every second node,
+    and det2 is the fine rule's.  A |det2| below threshold on either
+    rule raises PatchError.
     """
-    out = []
-    n, m = p.rows, p.cols
-    for quad in rules:
-        A, trace = nystrom_matrix(paired_Q(p, ptil, x, quad))
-        lu, d2 = _factored(A, trace)
-        if abs(d2) < threshold:
-            raise PatchError(d2, x=x)
-        K = quad.node_count
-        vals = hankel_values(p, x, quad)
-        P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
-        row_big = lu.solve_rows(P_last)
-        E_last = np.zeros((K * m, m), dtype=A.dtype)
-        E_last[-m:] = np.eye(m)
-        Z = lu.solve(E_last)
-        del lu  # a k x k copy of A: free it before the contraction
-        col = np.einsum("ijab,jbc->iac", hankel_windows(vals, K),
-                        Z.reshape(K, m, m), optimize=True)
-        row = row_big.reshape(n, K, m).transpose(1, 0, 2)
-        col[-1] = row[-1]
-        berr = max(np.abs(row_big @ A - P_last).max() / max(np.abs(P_last).max(), 1e-300),
-                   np.abs(A @ Z - E_last).max())
-        out.append((d2, row[-1], col, row, float(berr)))
+    out = [solve_edges(paired_Q(p, ptil, x, quad), p, x, threshold) for quad in rules]
     if len(out) == 1:
         return out[0]
     (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out

@@ -35,16 +35,19 @@ from hankelpde.equations import (
 from hankelpde.fredholm import (
     PatchError,
     assemble_Q,
-    det2,
     evaluate_solution,
+    hankel_values,
+    hankel_windows,
     make_quadrature,
-    solve_G,
+    nystrom_matrix,
+    solve_edges,
 )
 from hankelpde.gridkernel import (
     InitialDataSpec,
     make_uniform_grid,
     sample_profile,
 )
+from hankelpde.kinds import resolve_kind
 
 
 def _report(criterion, ok, detail):
@@ -179,8 +182,13 @@ def _c3_exact(x):
 def _c3_solve(p, pt, x, N):
     quad = make_quadrature(15.0, N, p.grid.spacing)
     Q = assemble_Q(p, pt, x, quad)
-    G = solve_G(Q, p, x)
-    return Q, G.blocks[-1, -1][0, 0], det2(Q), quad
+    d, centre = solve_edges(Q, p, x)[:2]
+    return Q, centre[0, 0], d, quad
+
+
+def _c3_hankel(p, x, quad):
+    """The scalar Hankel matrix p(xi_i + xi_j + x) on quad."""
+    return hankel_windows(hankel_values(p, x, quad), quad.node_count)[:, :, 0, 0]
 
 
 def _c3_single_grid_defects(p, pt, x):
@@ -197,8 +205,9 @@ def test_criterion_3_discrete_oracle_agreement():
     quad = make_quadrature(15.0, 240, p.grid.spacing)
     x = 0.25
     Q = assemble_Q(p, pt, x, quad)
-    G = solve_G(Q, p, x)
-    d = det2(Q)
+    d, centre, col, row, _ = solve_edges(Q, p, x)
+    # the full G by numpy's own solve on the system solve_edges factors
+    G = np.linalg.solve(nystrom_matrix(Q)[0].T, _c3_hankel(p, x, quad).T).T
     xi = quad.nodes
     w = quad.weights
     pv = np.exp(xi[:, None] + xi[None, :] + x)
@@ -208,8 +217,11 @@ def test_criterion_3_discrete_oracle_agreement():
     sign, logabs = np.linalg.slogdet(A)
     d_direct = sign * np.exp(logabs - np.trace(w[:, None] * Q_direct))
     assert np.abs(Q_direct - Q.big()).max() <= 1e-12
-    assert np.abs(G_direct - G.big()).max() <= 1e-12
+    assert np.abs(G_direct - G).max() <= 1e-12
     assert abs(d_direct - d) <= 1e-12
+    assert centre[0, 0] == row[-1, 0, 0] == col[-1, 0, 0]
+    assert np.abs(G_direct[-1, :] - row[:, 0, 0]).max() <= 1e-12
+    assert np.abs(G_direct[:, -1] - col[:, 0, 0]).max() <= 1e-12
 
 
 def test_criterion_3_single_grid_floor_is_documented():
@@ -453,7 +465,7 @@ def test_criterion_5_kdv_rank_one(tmp_path):
         path.write_text(_C5_LADDER % dict(N=N, c=count))
         sc_l = parse_scenario(str(path))
         field_l, _ = evaluate_solution(sc_l, threads=4)
-        _, res = residual_local("kdv_primitive", field_l)
+        _, res = residual_local(resolve_kind("kdv_primitive"), field_l)
         shared = 2 ** lev * np.arange(2, 3) - 2
         errs.append(float(np.abs(res[np.ix_(shared, shared)]).max()))
         finest_interior = float(np.nanmax(np.abs(res)))

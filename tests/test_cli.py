@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hankelpde import cli, fredholm
+from hankelpde import cli, fredholm, lapack
 from hankelpde.cli import (
     Scenario,
     convergence_study,
@@ -466,7 +466,8 @@ def test_parse_scenario_names_bad_env_override_and_tabulated_values(tmp_path, mo
 
 def test_verify_builds_each_system_once(monkeypatch):
     # Q at x0 is the middle member of the identity family, the companion
-    # is built once, and solve_G factors the I + WQ its det2 came from
+    # is built once, and solve_edges builds I + WQ once for det2 and the
+    # backward error
     calls = {"assemble_Q": 0, "companion_profile": 0, "nystrom_matrix": 0}
 
     def counted(module, name):
@@ -481,13 +482,13 @@ def test_verify_builds_each_system_once(monkeypatch):
     counted(fredholm, "companion_profile")
     counted(fredholm, "nystrom_matrix")
     assert main(["verify", str(SCENARIO_DIR / "nls_rank_one_study.yaml")]) == 0
-    assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": 2}
+    assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": 1}
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
 def test_main_verify_shipped_scenario(path):
-    # kdv_soliton: exp-tagged real data, so the identity suite, solve_G
-    # and the residual all run in real arithmetic
+    # kdv_soliton: exp-tagged real data, so the identity suite,
+    # solve_edges and the residual all run in real arithmetic
     assert main(["verify", str(path)]) == 0
 
 
@@ -542,7 +543,11 @@ def test_main_refuses_threads_below_one(tmp_path, capsys, command, threads):
 
 def test_traced_attributes_exist():
     # the traced benchmark wraps these attributes by name; a renamed one
-    # would only show up there as calls = 0
+    # would only show up there as calls = 0.  det2, solve_G and
+    # hankel_rhs were deleted when solve_edges took over their work: the
+    # tracer still names them and reports them as unwrapped, so they
+    # must be gone, and every other name must be there
+    deleted = {("fredholm", "det2"), ("fredholm", "solve_G"), ("fredholm", "hankel_rhs")}
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -550,7 +555,84 @@ def test_traced_attributes_exist():
     modules = {"cli": cli, "fredholm": fredholm}
     for module, attribute, _ in spans.WRAPPED:
         assert module in modules, module
-        assert callable(getattr(modules[module], attribute, None)), (module, attribute)
+        if (module, attribute) in deleted:
+            assert not hasattr(modules[module], attribute), (module, attribute)
+        else:
+            assert callable(getattr(modules[module], attribute, None)), (module, attribute)
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "spans"])
+def test_benchmark_child_solves_a_shipped_scenario(tmp_path, traced):
+    # the benchmark's child process runs the real command line through
+    # cli.parse_scenario and cli.evaluate_solution and counts samples and
+    # skips from the PatchReport; it must run and count every sample
+    root = Path(__file__).resolve().parents[1]
+    scenario = SCENARIO_DIR / "nls_rank_one.yaml"
+    sc = parse_scenario(str(scenario))
+    out, times = tmp_path / "out", tmp_path / "times.json"
+    cmd = [sys.executable, str(root / "perfbench" / "child.py"), "--times", str(times)]
+    if traced:
+        cmd += ["--spans", str(tmp_path / "spans.json")]
+    cmd += ["--", "solve", str(scenario), "--out", str(out), "--threads", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    for name in ("center.tsv", "det2.tsv", "manifest.json"):
+        assert (out / name).stat().st_size > 0
+    stamps = json.loads(times.read_text())
+    assert stamps["samples"] == sc.xs.size * sc.ts.size == 25
+    assert stamps["skipped"] == 0
+    assert (tmp_path / "spans.json").exists() == traced
+
+
+@pytest.mark.parametrize("name", ["nls_gaussian_2x2", "coupled_diffusion"])
+def test_no_solve_takes_more_right_hand_sides_than_a_block_edge(tmp_path, monkeypatch, name):
+    # verify and solve solve only the edges of G: every LU solve has at
+    # most max(n, m) right-hand sides, never the K*m of a full G
+    widths = []
+    for method, axis in (("solve", 1), ("solve_rows", 0)):
+        def counted(self, B, inner=getattr(lapack.LU, method), axis=axis):
+            widths.append(B.shape[axis])
+            return inner(self, B)
+        monkeypatch.setattr(lapack.LU, method, counted)
+    path = str(SCENARIO_DIR / (name + ".yaml"))
+    sc = parse_scenario(path)
+    assert main(["verify", path]) == 0
+    verified = len(widths)
+    assert main(["solve", path, "--out", str(tmp_path)]) == 0
+    assert 0 < verified < len(widths)
+    assert max(widths) <= max(sc.n, sc.m)
+
+
+@pytest.mark.parametrize("start, stop, count", [(-0.01, 0.01, 9), (-0.8, 0.8, 6),
+                                                (-0.8, 0.8, 9)])
+def test_mirrored_sample_axes_are_exactly_antisymmetric(start, stop, count):
+    vals = cli._sample_axis({"start": start, "stop": stop, "count": count}, "t")
+    assert np.array_equal(vals, -vals[::-1])
+    assert vals[0] == start and vals[-1] == stop
+    assert np.abs(vals - np.linspace(start, stop, count)).max() <= 1e-16
+    # so are a study's refined axes
+    for factor in (2, 4):
+        refined = cli._refine_axis(vals, factor)
+        assert refined.size == (count - 1) * factor + 1
+        assert np.array_equal(refined, -refined[::-1])
+
+
+@pytest.mark.parametrize("name", ["rev_time_nls", "coupled_diffusion"])
+def test_time_reversed_scenarios_evolve_each_time_once(monkeypatch, name):
+    # the companion reads p at -t; on an exactly mirrored t axis every -t
+    # is a sample time, so each one is evolved once
+    calls = []
+    evolve = fredholm.evolve
+
+    def counted(p, params, t):
+        calls.append(t)
+        return evolve(p, params, t)
+
+    monkeypatch.setattr(fredholm, "evolve", counted)
+    sc = parse_scenario(str(SCENARIO_DIR / (name + ".yaml")))
+    fredholm.evaluate_solution(sc)
+    assert sorted(calls) == sorted(sc.ts) and len(calls) == 9
 
 
 def test_main_solve_refuses_nearly_symmetric_grid_before_solving(tmp_path, capsys):

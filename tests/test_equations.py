@@ -52,7 +52,7 @@ def test_residual_zero_field_every_kind():
     zero = wave_field(xs, ts, lambda X, T: np.zeros_like(X))
     for name in ("local_nls", "kernel_nls", "rev_time_nls", "rev_spacetime_nls",
                  "local_mkdv", "kernel_mkdv", "rev_spacetime_mkdv", "kdv_primitive"):
-        worst, res = residual_local(name, zero)
+        worst, res = residual_local(resolve_kind(name), zero)
         assert worst == 0.0
         assert res.shape == (3, 3, 1, 1) and np.all(res == 0.0)
     kind = resolve_kind("combined_degree3", mu1=-1j, mu2=-1.0)
@@ -87,7 +87,7 @@ def test_residual_rev_spacetime_nls_plane_wave():
         xs = grid_1d(0.5, count)
         ts = grid_1d(0.5, count)
         f = wave_field(xs, ts, lambda X, T: A * np.exp(1j * (k * X - omega * T)))
-        worst, _ = residual_local("rev_spacetime_nls", f)
+        worst, _ = residual_local(resolve_kind("rev_spacetime_nls"), f)
         errs.append(worst)
     assert 3.2 < errs[0] / errs[1] < 4.8
 
@@ -102,7 +102,7 @@ def test_residual_rev_time_nls_uniform_mode():
         ts = grid_1d(0.3, count)
         f = wave_field(xs, ts, lambda X, T: A * np.exp(-1j * omega * T)
                        + 0.0 * X)
-        worst, _ = residual_local("rev_time_nls", f)
+        worst, _ = residual_local(resolve_kind("rev_time_nls"), f)
         errs.append(worst)
     assert 3.2 < errs[0] / errs[1] < 4.8
 
@@ -112,11 +112,11 @@ def test_residual_rev_kinds_need_symmetric_grids():
     ts = grid_1d(0.3, 9)
     f = wave_field(xs, ts, lambda X, T: np.exp(-X ** 2 - T ** 2))
     with pytest.raises(ValueError):
-        residual_local("rev_spacetime_nls", f)
+        residual_local(resolve_kind("rev_spacetime_nls"), f)
     f2 = wave_field(grid_1d(0.4, 9), np.linspace(0.0, 0.4, 9),
                     lambda X, T: np.exp(-X ** 2 - T ** 2))
     with pytest.raises(ValueError):
-        residual_local("rev_time_nls", f2)
+        residual_local(resolve_kind("rev_time_nls"), f2)
 
 
 def test_residual_mkdv_complex_plane_wave():
@@ -136,7 +136,7 @@ def test_residual_mkdv_complex_plane_wave():
         xs = grid_1d(0.5, count)
         ts = grid_1d(0.5, count)
         f = wave_field(xs, ts, lambda X, T: A * np.exp(1j * (k * X - omega * T)))
-        worst, _ = residual_local("rev_spacetime_mkdv", f)
+        worst, _ = residual_local(resolve_kind("rev_spacetime_mkdv"), f)
         errs_rev.append(worst)
     assert 3.2 < errs_rev[0] / errs_rev[1] < 4.8
 
@@ -168,7 +168,7 @@ def test_residual_kdv_closed_form():
         xs = 0.5 + step * np.arange(-4, 5)
         ts = -0.3 + step * np.arange(-4, 5)
         f = wave_field(xs, ts, u)
-        worst, _ = residual_local("kdv_primitive", f)
+        worst, _ = residual_local(resolve_kind("kdv_primitive"), f)
         errs.append(worst)
     assert 3.2 < errs[0] / errs[1] < 4.8
     assert errs[1] < 1e-3
@@ -181,20 +181,20 @@ def test_residual_kdv_requires_square():
     f = SolutionField(xs=xs, ts=ts, quad=None, center=G,
                       slice_y=None, slice_z=None)
     with pytest.raises(ValueError):
-        residual_local("kdv_primitive", f)
+        residual_local(resolve_kind("kdv_primitive"), f)
 
 
 def test_residual_grid_validation():
     xs = grid_1d(0.5, 7)
     f = wave_field(xs, grid_1d(0.2, 4), lambda X, T: np.exp(-X ** 2))
     with pytest.raises(ValueError):
-        residual_local("local_nls", f)  # too few t samples
+        residual_local(resolve_kind("local_nls"), f)  # too few t samples
     bad = np.array([-0.2, -0.1, 0.05, 0.1, 0.2])
     f2 = wave_field(xs, bad, lambda X, T: np.exp(-X ** 2))
     with pytest.raises(ValueError):
-        residual_local("local_nls", f2)
+        residual_local(resolve_kind("local_nls"), f2)
     with pytest.raises(ValueError):
-        residual_local("coupled_diffusion",
+        residual_local(resolve_kind("coupled_diffusion"),
                        wave_field(xs, grid_1d(0.2, 7), lambda X, T: 0 * X))
 
 
@@ -208,7 +208,7 @@ def test_residual_solved_nls_field_converges():
         sc = gaussian_scenario(20.0, 640, 8.0, N, xs, ts, [[0.75]],
                                kind=resolve_kind("local_nls"))
         field, _ = evaluate_solution(sc)
-        _, res = residual_local("local_nls", field)
+        _, res = residual_local(resolve_kind("local_nls"), field)
         errs.append(abs(res[count // 2 - 2, count // 2 - 2, 0, 0]))
     assert 2.6 < errs[0] / errs[1] < 5.5
     assert errs[1] < 0.05
@@ -220,8 +220,8 @@ def test_residual_kernel_matches_local_at_origin():
     sc = gaussian_scenario(16.0, 512, 6.0, 48, xs, ts, [[0.8]],
                            kind=resolve_kind("kernel_nls"))
     field, _ = evaluate_solution(sc)
-    worst, (R1, R2) = residual_kernel("kernel_nls", field)
-    worst_local, res_local = residual_local("kernel_nls", field)
+    worst, (R1, R2) = residual_kernel(resolve_kind("kernel_nls"), field)
+    worst_local, res_local = residual_local(resolve_kind("kernel_nls"), field)
     assert np.allclose(R1[:, :, -1, :, :], res_local, rtol=0.0, atol=1e-12)
     assert np.allclose(R2[:, :, -1, :, :], res_local, rtol=0.0, atol=1e-12)
     assert worst_local <= worst + 1e-12
@@ -236,7 +236,7 @@ def test_residual_kernel_mkdv_converges():
         sc = gaussian_scenario(16.0, 512, 6.0, N, xs, ts, [[0.6]],
                                kind=resolve_kind("kernel_mkdv"))
         field, _ = evaluate_solution(sc)
-        errs.append(residual_kernel("kernel_mkdv", field)[0])
+        errs.append(residual_kernel(resolve_kind("kernel_mkdv"), field)[0])
     assert 2.6 < errs[0] / errs[1] < 5.5
 
 
@@ -245,9 +245,9 @@ def test_residual_kernel_validation():
     ts = grid_1d(0.2, 7)
     f = wave_field(xs, ts, lambda X, T: np.exp(-X ** 2))
     with pytest.raises(ValueError):
-        residual_kernel("local_nls", f)  # no kernel form
+        residual_kernel(resolve_kind("local_nls"), f)  # no kernel form
     with pytest.raises(ValueError):
-        residual_kernel("kernel_nls", f)  # slices missing
+        residual_kernel(resolve_kind("kernel_nls"), f)  # slices missing
 
 
 def test_coupled_partner_is_time_reflected_transpose():

@@ -12,17 +12,15 @@ from hankelpde.fredholm import (
     PatchError,
     assemble_Q,
     compose,
-    det2,
     evaluate_solution,
-    hankel_rhs,
     hankel_values,
+    hankel_windows,
     kdv_Q,
     make_quadrature,
     nystrom_matrix,
-    nystrom_residual,
     pairings,
     quadrature_rules,
-    solve_G,
+    solve_edges,
     solve_origin,
 )
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
@@ -33,6 +31,29 @@ def exp_profile(X, M, amp=1.0, rate=1.0):
     g = make_uniform_grid(X, M)
     return sample_profile(InitialDataSpec(kind="exponential", amplitude=[[amp]], rate=rate),
                           g, 1, 1)
+
+
+def hankel_kernel(p, x, quad):
+    """The Hankel block kernel p(xi_i + xi_j + x), a view of p's samples."""
+    return DiscreteKernel(quad, hankel_windows(hankel_values(p, x, quad), quad.node_count))
+
+
+def full_G(Q, p, x):
+    """G from G (I + WQ) = P with all K*m right-hand sides at once, by
+    numpy's own solve: the oracle for the edges solve_edges returns."""
+    G_big = np.linalg.solve(nystrom_matrix(Q)[0].T, hankel_kernel(p, x, Q.quad).big().T).T
+    return DiscreteKernel.from_big(G_big, Q.quad)
+
+
+def assert_edges_match(G, edges, tol):
+    """solve_edges' centre, column G(xi_i, 0) and row G(0, xi_j) against
+    the full G, to tol of its largest entry."""
+    _, centre, col, row, _ = edges
+    scale = np.abs(G.blocks).max()
+    for got, want in ((centre, G.blocks[-1, -1]), (col, G.blocks[:, -1]),
+                      (row, G.blocks[-1, :])):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= tol * scale
 
 
 def scenario_stub(**kw):
@@ -64,7 +85,7 @@ def test_make_quadrature_rejects_bad_input():
 def test_hankel_rhs_bitwise_symmetry():
     p = exp_profile(8.0, 64, amp=0.7 + 0.2j)
     quad = make_quadrature(2.0, 8, p.grid.spacing)
-    k = hankel_rhs(p, 0.5, quad)
+    k = hankel_kernel(p, 0.5, quad)
     assert np.array_equal(k.blocks[0, 3], k.blocks[3, 0])
     assert np.array_equal(k.blocks[2, 5], k.blocks[4, 3])
     assert k.blocks.shape == (9, 9, 1, 1)
@@ -74,9 +95,9 @@ def test_hankel_rhs_domain_overflow():
     p = exp_profile(8.0, 64)
     quad = make_quadrature(2.0, 8, p.grid.spacing)
     with pytest.raises(ValueError):
-        hankel_rhs(p, -6.0, quad)  # x - 2L below -X
+        hankel_kernel(p, -6.0, quad)  # x - 2L below -X
     with pytest.raises(ValueError):
-        hankel_rhs(p, 8.0, quad)  # x beyond the last master node
+        hankel_kernel(p, 8.0, quad)  # x beyond the last master node
 
 
 def test_hankel_kernels_are_views_and_realness_is_exact():
@@ -87,7 +108,7 @@ def test_hankel_kernels_are_views_and_realness_is_exact():
     vals = np.exp(-g.nodes ** 2).astype(complex)[:, None, None]
     p = sample_profile(InitialDataSpec(kind="tabulated", values=vals), g, 1, 1)
     quad = make_quadrature(2.0, 8, g.spacing)
-    k = hankel_rhs(p, 0.5, quad)
+    k = hankel_kernel(p, 0.5, quad)
     assert np.shares_memory(k.blocks, p.samples)
     assert not k.blocks.flags.writeable
     assert k.blocks.dtype == np.float64
@@ -96,7 +117,7 @@ def test_hankel_kernels_are_views_and_realness_is_exact():
     noisy[g.node_index(0.0), 0, 0] += 1e-18j
     p = sample_profile(InitialDataSpec(kind="tabulated", values=noisy), g, 1, 1)
     assert hankel_values(p, 0.5, quad).dtype == np.complex128
-    assert hankel_rhs(p, 0.5, quad).blocks.dtype == np.complex128
+    assert hankel_kernel(p, 0.5, quad).blocks.dtype == np.complex128
 
 
 def test_assemble_Q_zero_profile():
@@ -153,7 +174,7 @@ def test_assemble_Q_matches_compose_of_the_hankel_kernels(dims, N, cplx):
     p, ptil = profile(n, m), profile(a, n)
     quad = make_quadrature(N * g.spacing * 2, N, g.spacing)
     Q = assemble_Q(p, ptil, 0.375, quad)
-    want = compose(hankel_rhs(ptil, 0.375, quad), hankel_rhs(p, 0.375, quad))
+    want = compose(hankel_kernel(ptil, 0.375, quad), hankel_kernel(p, 0.375, quad))
     assert Q.quad is quad
     assert Q.blocks.shape == want.blocks.shape == (N + 1, N + 1, a, m)
     assert Q.blocks.dtype == want.blocks.dtype == (np.complex128 if cplx else np.float64)
@@ -218,16 +239,16 @@ def test_det2_identity_and_rank_one():
     zero = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.0]], width=1.0),
                           make_uniform_grid(32.0, 1024), 1, 1)
     Q0 = assemble_Q(zero, zero, 0.0, quad)
-    assert det2(Q0) == 1.0
-    Q = assemble_Q(p, p, 0.0, quad)
+    assert solve_edges(Q0, p, 0.0)[0] == 1.0
+    d2 = solve_edges(assemble_Q(p, p, 0.0, quad), p, 0.0)[0]
     lam = 0.25
     want = (1.0 + lam) * np.exp(-lam)
-    assert abs(det2(Q) - want) <= 1e-3
+    assert abs(d2 - want) <= 1e-3
     # exact discrete counterpart: WQ is rank one with eigenvalue S^2,
     # one tail-sum factor from the Q quadrature and one from the trace
     lam_d = discrete_tail_sum(quad) ** 2
     want_d = (1.0 + lam_d) * np.exp(-lam_d)
-    assert abs(det2(Q) - want_d) <= 1e-11
+    assert abs(d2 - want_d) <= 1e-11
 
 
 def test_solve_G_identity_system():
@@ -239,15 +260,14 @@ def test_solve_G_identity_system():
     zero = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.0]], width=1.0),
                           g, 1, 1)
     Q = assemble_Q(zero, zero, 0.0, quad)
-    G = solve_G(Q, p, 0.0)
-    rhs = hankel_rhs(p, 0.0, quad)
+    G = full_G(Q, p, 0.0)
+    rhs = hankel_kernel(p, 0.0, quad)
     assert np.abs(G.blocks - rhs.blocks).max() <= 1e-14
+    assert_edges_match(G, solve_edges(Q, p, 0.0), 1e-14)
 
 
 def rank_one_center(quad, p, x):
-    Q = assemble_Q(p, p, x, quad)
-    G = solve_G(Q, p, x)
-    return G.blocks[-1, -1][0, 0]
+    return solve_edges(assemble_Q(p, p, x, quad), p, x)[1][0, 0]
 
 
 def test_solve_G_rank_one_discrete_oracle():
@@ -288,20 +308,19 @@ def test_nystrom_residual_small():
     p = exp_profile(32.0, 1024)
     quad = make_quadrature(15.0, 240, p.grid.spacing)
     Q = assemble_Q(p, p, 0.5, quad)
-    G = solve_G(Q, p, 0.5)
-    assert nystrom_residual(G, Q, p, 0.5) <= 1e-10
+    assert solve_edges(Q, p, 0.5)[4] <= 1e-10
 
 
 def test_solve_G_takes_its_rule_from_the_kernel():
-    # Q carries its quadrature rule; a rule passed in the old fourth
-    # position must not be read as the patch threshold
+    # Q carries its quadrature rule; a rule passed in the fourth position,
+    # the patch threshold's, is refused rather than compared as a number
     g = make_uniform_grid(8.0, 64)
     quad = make_quadrature(2.0, 8, g.spacing)
     p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5]], width=1.0), g, 1, 1)
     Q = assemble_Q(p, p, 0.0, quad)
-    assert solve_G(Q, p, 0.0).quad is quad
+    assert solve_edges(Q, p, 0.0)[2].shape == (quad.node_count, 1, 1)
     with pytest.raises(TypeError):
-        solve_G(Q, p, 0.0, quad)
+        solve_edges(Q, p, 0.0, quad)
 
 
 def test_patch_error_near_rank_one_singularity():
@@ -318,10 +337,9 @@ def test_patch_error_near_rank_one_singularity():
     vals = np.exp(g.nodes)[:, None, None] / (S * np.exp(g.nodes[g.node_index(0.0)]))
     p_star = sample_profile(InitialDataSpec(kind="tabulated", values=vals + 0j), g, 1, 1)
     Q_star = kdv_Q(p_star, 0.0, quad)
-    d2 = det2(Q_star)
-    assert abs(d2) < 1e-8
     with pytest.raises(PatchError) as info:
-        solve_G(Q_star, p_star, 0.0)
+        solve_edges(Q_star, p_star, 0.0)
+    assert abs(info.value.det2_value) < 1e-8
     assert info.value.x == 0.0
 
 
@@ -332,11 +350,11 @@ def test_det2_of_an_exactly_singular_system_is_zero():
     blocks = np.zeros((5, 5, 1, 1))
     blocks[0, 0] = -1.0 / quad.weights[0]
     Q = DiscreteKernel(quad, blocks)
-    assert det2(Q) == 0.0
     g = make_uniform_grid(8.0, 32)
     p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5]], width=1.0), g, 1, 1)
-    with pytest.raises(PatchError):
-        solve_G(Q, p, 0.0)
+    with pytest.raises(PatchError) as info:
+        solve_edges(Q, p, 0.0)
+    assert info.value.det2_value == 0.0
 
 
 def kdv_scenario(xs, ts, amp=-1.0, richardson=True):
@@ -471,8 +489,8 @@ def test_evaluate_solution_richardson_is_two_plain_runs_combined():
 @pytest.mark.parametrize("richardson", [False, True], ids=["plain", "richardson"])
 @pytest.mark.parametrize("pairing", ["neg_identity", "rectangular", "role_swap"])
 def test_solve_origin_edges_match_full_solve(pairing, richardson):
-    # the narrow row/column solves against the full K*m-column solve_G
-    # oracle: 2x2 data on the neg_identity pairing, 2x1 data with its 1x2
+    # the narrow row/column solves against the full K*m-column numpy
+    # solve: 2x2 data on the neg_identity pairing, 2x1 data with its 1x2
     # adjoint companion (a reshape slip between n and m cannot hide), and
     # the coupled role swap, which solves with the 1x2 profile on the left
     g = make_uniform_grid(8.0, 256)
@@ -498,8 +516,10 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
         real = ptil is None
         assert nystrom_matrix(Q)[0].dtype == (np.float64 if real else np.complex128)
         Q = replace(Q, blocks=Q.blocks.astype(complex))
-        G = solve_G(Q, p, x).blocks
-        full.append((det2(Q), G[-1, -1], G[:, -1], G[-1, :]))
+        G = full_G(Q, p, x)
+        edges = solve_edges(Q, p, x)
+        assert_edges_match(G, edges, 1e-12)
+        full.append((edges[0], G.blocks[-1, -1], G.blocks[:, -1], G.blocks[-1, :]))
     if richardson:
         (_, *coarse), (want_d2, f_centre, f_col, f_row) = full
         want = [(4.0 * f - c) / 3.0 for f, c in zip((f_centre, f_col[::2], f_row[::2]), coarse)]
