@@ -43,13 +43,14 @@ from .equations import (
 )
 from .fredholm import (
     PATCH_THRESHOLD,
+    SOLVER_TOL,
     PatchError,
     evaluate_solution,
     make_quadrature,
     paired_Q,
     pairings,
     quadrature_rules,
-    solve_edges,
+    solve_rule,
 )
 from .gridkernel import (
     DECAY_TOL,
@@ -60,7 +61,6 @@ from .gridkernel import (
 from .kinds import resolve_kind
 from .lapack import lu_path
 
-SOLVER_TOL = 1e-10
 ENV_PREFIX = "HANKELPDE_"
 _ENV_KEYS = {"decay_tol": "DECAY_TOL", "patch_threshold": "PATCH_THRESHOLD",
              "solver_tol": "SOLVER_TOL"}
@@ -412,6 +412,9 @@ def run(scenario, out_dir=".", threads=1):
         "outputs": [os.path.basename(p) for p in written],
         "min_det2_modulus": report.min_modulus,
         "max_backward_error": report.max_backward_error,
+        "lowrank_solves": report.lowrank_solves,
+        "dense_solves": report.dense_solves,
+        "max_rank": report.max_rank,
         "skipped": [[it, ix, t, x, d.real, d.imag]
                     for (it, ix, t, x, d) in report.skipped],
         "residuals": [[name, worst, l2] for name, worst, l2 in residual_rows],
@@ -584,8 +587,11 @@ def _verify_checks(scenario):
                        - np.abs(np.fft.fft(p0.samples, axis=0) / M)).max()
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
-    berr = solve_edges(kernels[2], p0, x0, scenario.tolerances["patch_threshold"])[4]
-    checks.append(("nystrom_backward_error", berr, scenario.tolerances["solver_tol"]))
+    # the per-rule selection solve runs, on the Q the family already built
+    tols = scenario.tolerances
+    (*_, berr), _ = solve_rule(p0, ptil, x0, quad, tols["patch_threshold"],
+                               tols["solver_tol"], Q=kernels[2])
+    checks.append(("nystrom_backward_error", berr, tols["solver_tol"]))
     return checks
 
 

@@ -7,7 +7,10 @@ k, or z = rate for the single mode of an exp-tagged profile.  evolve is
 f(z) = e^{t*sigma(z)} with the flow polynomial sigma(z) = mu1*z^2 +
 mu2*z^3, so a profile at time t is one multiplier application from the
 data and there is no time stepping anywhere; spectral_derivative is
-f(z) = z^order.
+f(z) = z^order.  A symbol with real coefficients (every derivative, and
+the flow when mu1 and mu2 are real) maps real data to real data;
+_multiply then uses the real inverse transform, so real profiles stay
+exactly real.
 """
 
 from dataclasses import dataclass
@@ -34,14 +37,35 @@ def exp_rate_symbol(params, a):
     return params.mu1 * a ** 2 + params.mu2 * a ** 3
 
 
-def _multiply(p, factor, t=0.0):
-    """Apply factor(z) to every mode e^{z*s} of p; stamp p.time_stamp + t."""
+def _multiply(p, symbol, lift=lambda v: v, t=0.0, real=False):
+    """Scale every mode e^{z*s} of p by lift(symbol(z)); stamp
+    p.time_stamp + t.
+
+    real says that symbol(-z) = conj symbol(z) on the grid frequencies
+    (a polynomial with real coefficients), so the multiplier maps real
+    functions to real ones.  Exactly real samples then go back through
+    the real inverse transform over the non-negative frequencies, and the
+    result is exactly real.  On an even grid the Nyquist mode is the one
+    node pattern (-1)^j that e^{z s} and e^{-z s} share; the real path
+    scales it by lift(Re symbol(z)), the symbol's even part, so the
+    evolution stays a group and spectral_derivative stays its generator
+    there as on every other mode.
+    """
     if p.exp_tag is not None:
         rate, amp = p.exp_tag
-        return exponential_profile(p.grid, rate, amp * factor(rate),
+        return exponential_profile(p.grid, rate, amp * lift(symbol(rate)),
                                    p.time_stamp + t)
-    z = 2j * np.pi * np.fft.fftfreq(p.grid.node_count, d=p.grid.spacing)
-    samples = np.fft.ifft(factor(z)[:, None, None] * p.spectrum, axis=0)
+    M, h = p.grid.node_count, p.grid.spacing
+    if real and not p.samples.imag.any():
+        values = symbol(2j * np.pi * np.fft.rfftfreq(M, d=h))
+        if M % 2 == 0:
+            values[-1] = values[-1].real
+        # the leading half of a real signal's DFT is its rfft
+        samples = np.fft.irfft(lift(values)[:, None, None] * p.spectrum[:M // 2 + 1],
+                               n=M, axis=0)
+    else:
+        values = symbol(2j * np.pi * np.fft.fftfreq(M, d=h))
+        samples = np.fft.ifft(lift(values)[:, None, None] * p.spectrum, axis=0)
     return MatrixProfile(grid=p.grid, samples=samples, time_stamp=p.time_stamp + t)
 
 
@@ -50,8 +74,7 @@ def evolve(p, params, t):
     if t == 0.0:
         return p
 
-    def factor(z):
-        lam = t * exp_rate_symbol(params, z)
+    def guarded_exp(lam):
         growth = np.max(lam.real)
         if growth > EXP_GUARD:
             raise GrowthError("evolution amplifies the data by up to e^%.3g; "
@@ -59,12 +82,13 @@ def evolve(p, params, t):
                               % growth)
         return np.exp(lam)
 
-    return _multiply(p, factor, t)
+    real = complex(params.mu1).imag == 0.0 and complex(params.mu2).imag == 0.0
+    return _multiply(p, lambda z: t * exp_rate_symbol(params, z), guarded_exp, t, real)
 
 
 def spectral_derivative(p, order=1):
     """Exact d^order/ds^order of a profile on its grid."""
-    return _multiply(p, lambda z: z ** order)
+    return _multiply(p, lambda z: z ** order, real=True)
 
 
 def dispersion_residual(profiles, params):

@@ -1,4 +1,4 @@
-"""Dense Nystrom layer: Q assembly, Fredholm solve, det2 patch monitor.
+"""Nystrom layer: Q assembly, Fredholm solve, det2 patch monitor.
 
 The linearising identity is P = G(id + Q) on the half line (-inf, 0],
 truncated to [-L, 0] with composite trapezoid quadrature.  All kernels
@@ -6,13 +6,26 @@ carry matrix blocks per node pair and their rule; compose is the
 quadrature product of two kernels, and Q = P~ o P, the composition of
 the companion and data Hankel kernels, is built from their Hankel
 structure by assemble_Q.  Every kind's pairs (p, p~) come from pairings
-and its Q from paired_Q.  One function, solve_edges, factors and solves:
-it builds the block matrix I + WQ with the quadrature weights folded in
-on the left of Q, factors it once (lapack.LU), and reads det2 and the
-edges of G from that one factor; solve_origin runs it per rule.  The
-unknown G multiplies (id + Q) from the left, so the row is solved in
-transposed orientation (unknown rows, matrix acting from the right);
-plain transposes, never conjugate ones.
+and its Q from paired_Q.  The unknown G multiplies (id + Q) from the
+left, so the row is solved in transposed orientation (unknown rows,
+matrix acting from the right); plain transposes, never conjugate ones.
+
+solve_origin solves one sample on each of its rules through solve_rule,
+which picks one of two paths per rule, each returning det2 and the edges
+of G:
+
+* dense, solve_edges: builds the block matrix I + WQ with the quadrature
+  weights folded in on the left of Q, factors it once (lapack.LU), and
+  reads det2 and the edges of G from that one factor;
+* low-rank, solve_lowrank: factors P ~ U V with a randomized range
+  finder and HankelFFT (block Hankel products by FFT), then det2 by
+  Sylvester's identity and the edges by Woodbury on an r x r core; no
+  k x k array is formed.
+
+A rule with k = K m >= LOWRANK_CUTOFF unknowns tries the low-rank path,
+and keeps it only when the rank r <= k/4 and the backward error,
+measured with the exact Hankel operators, is at most the scenario's
+solver_tol; otherwise, and always below the cutoff, the dense path runs.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -26,11 +39,24 @@ from .gridkernel import sample_profile
 from .lapack import LU, cores, one_blas_thread
 
 PATCH_THRESHOLD = 1e-8
+SOLVER_TOL = 1e-10
+# systems with k = K*m unknowns at or above LOWRANK_CUTOFF try the
+# low-rank solve first: measured per rule on one core, the dense LU
+# still wins at k = 258 on 2x2 NLS data (rank 35), and the low-rank
+# solve wins from k = 385 on rank-one and 2x2 NLS data alike
+LOWRANK_CUTOFF = 384
+# the range finder keeps the directions whose sketched singular value
+# exceeds SKETCH_TOL times the first sketch's largest, drawing
+# _SKETCH_BLOCK Gaussian probes at a time from a generator seeded with
+# _SKETCH_SEED on every call
+SKETCH_TOL = 1e-13
+_SKETCH_BLOCK = 8
+_SKETCH_SEED = 0
 
 
 class PatchError(Exception):
     """Poor representative coordinate patch: |det2| fell below threshold
-    at some (x,t), so the dense solve cannot be certified there."""
+    at some (x,t), so the solve cannot be certified there."""
 
     def __init__(self, det2_value, x=None, t=None):
         self.det2_value = det2_value
@@ -307,29 +333,219 @@ def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
     return d2, row[-1], col, row, float(berr)
 
 
-def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD):
-    """det2, G at the origin and the backward error for one sample:
-    (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error), the two slices
-    over the nodes of rules[0].
+def _fft_size(n):
+    """The smallest 2^a 3^b 5^c at least n, a length numpy's FFT is fast at."""
+    while True:
+        rest = n
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return n
+        n += 1
 
-    (p, ptil) is a pairing; paired_Q composes its kernel, Q = -P when
-    ptil is None, and solve_edges solves it on each rule.  The backward
-    error is the larger over the rules.  With two rules from
-    quadrature_rules the values are Richardson-extrapolated,
-    (4*fine - coarse)/3 with the fine rule read at every second node,
-    and det2 is the fine rule's.  A |det2| below threshold on either
-    rule raises PatchError.
+
+def _block_product(F, G):
+    """Per frequency, the matrix product of F's (p, q) and G's (q, c)
+    blocks: (p, q, L) and (q, c, L) give (p, c, L).  p and q are block
+    sizes (1 or 2 in practice), so the loops are short, and each product
+    is written in place: temporaries as large as G cost more than the
+    arithmetic."""
+    p, q, L = F.shape
+    out = np.empty((p, G.shape[1], L), dtype=np.result_type(F, G))
+    term = np.empty_like(out[0])
+    for i in range(p):
+        np.multiply(F[i, 0, None], G[0], out=out[i])
+        for j in range(1, q):
+            out[i] += np.multiply(F[i, j, None], G[j], out=term)
+    return out
+
+
+class HankelFFT:
+    """The K x K block Hankel matrix H[i, j] = vals[i + j] (a x b blocks,
+    vals of shape (2K-1, a, b)), applied to blocks of vectors by FFT.
+
+    H Y is a linear convolution of vals with the node-reversed Y, read at
+    the K middle lags, so a cyclic transform of length >= 2K-1 holds it
+    without wrap-around; vals is transformed once.  Every transform runs
+    along a contiguous last axis (the nodes), real (rfft) when vals is
+    real; a complex operand of a real H is split into its real and
+    imaginary parts.  right(Y) is H Y for Y of shape (K b, c); left(Y)
+    is Y H for Y of shape (c, K a), computed as (H^T Y^T)^T, where H^T
+    is the block Hankel matrix of the transposed blocks.
     """
-    out = [solve_edges(paired_Q(p, ptil, x, quad), p, x, threshold) for quad in rules]
+
+    def __init__(self, vals):
+        self.K = (len(vals) + 1) // 2
+        self.a, self.b = vals.shape[1:]
+        self.real = not np.iscomplexobj(vals)
+        self.size = _fft_size(2 * self.K - 1)
+        self.spec = self._forward(np.moveaxis(vals, 0, -1))
+
+    def _forward(self, arr):
+        arr = np.ascontiguousarray(arr)
+        return (np.fft.rfft if self.real else np.fft.fft)(arr, n=self.size, axis=-1)
+
+    def _apply(self, spec, Y):
+        """The block Hankel matrix whose blocks' spectrum is spec (p, q,
+        L) times Y of shape (K q, c)."""
+        if self.real and np.iscomplexobj(Y):
+            return self._apply(spec, Y.real) + 1j * self._apply(spec, Y.imag)
+        p, q, _ = spec.shape
+        c = Y.shape[1]
+        ys = self._forward(np.moveaxis(Y.reshape(self.K, q, c)[::-1], 0, -1))
+        full = (np.fft.irfft if self.real else np.fft.ifft)(_block_product(spec, ys),
+                                                             n=self.size, axis=-1)
+        return np.moveaxis(full[..., self.K - 1: 2 * self.K - 1], -1, 0).reshape(self.K * p, c)
+
+    def right(self, Y):
+        return self._apply(self.spec, Y)
+
+    def left(self, Y):
+        return self._apply(self.spec.transpose(1, 0, 2), Y.T).T
+
+
+def _range_basis(H, limit):
+    """An orthonormal U with H ~ U U^H H to SKETCH_TOL, or None once its
+    rank would pass limit.
+
+    Adaptive randomized range finder (Halko, Martinsson and Tropp, SIAM
+    Review 53, 2011): each round sketches H with _SKETCH_BLOCK Gaussian
+    probes, projects the sketch off U twice, and adds the directions
+    whose singular value exceeds SKETCH_TOL times the first sketch's
+    largest; a round that adds none ends the search.  The generator is
+    seeded on every call, so U depends only on H.
+    """
+    from numpy.random import default_rng  # deferred: costs setup time on import
+
+    rng = default_rng(_SKETCH_SEED)
+    shape = (H.K * H.b, _SKETCH_BLOCK)
+    U = np.empty((H.K * H.a, 0), dtype=float if H.real else complex)
+    top = None
+    while True:
+        probes = rng.standard_normal(shape)
+        if not H.real:
+            probes = probes + 1j * rng.standard_normal(shape)
+        Y = H.right(probes)
+        for _ in range(2):
+            Y -= U @ (U.conj().T @ Y)
+        u, s, _ = np.linalg.svd(Y, full_matrices=False)
+        top = s[0] if top is None else top
+        new = u[:, s > SKETCH_TOL * top]
+        if new.shape[1] == 0:
+            return U
+        new -= U @ (U.conj().T @ new)
+        U = np.hstack([U, np.linalg.qr(new)[0]])
+        if U.shape[1] > limit:
+            return None
+
+
+def solve_lowrank(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+    """solve_edges' tuple for the pairing (p, ptil) on quad, and the rank
+    r it was solved at, without forming any k x k array (k = K m); None
+    when r > k/4 or the backward error exceeds tol.
+
+    WQ = F P with F = W P~ W, or F = -W for neg_identity (Q = -P).  The
+    range finder gives P ~ U V with V = U^H P, so WQ ~ X V with X = F U,
+    and the r x r core C = I_r + V X stands in for A = I + WQ:
+    det2 = det(C) e^{-tr(V X)} (Sylvester), and Woodbury,
+    A^{-1} = I - X C^{-1} V, gives the last block row of G,
+    P_last A^{-1}, and Z = A^{-1} E_last, whose image P Z is the last
+    block column.  Every product with P or P~ runs through HankelFFT.
+    The backward error is solve_edges' measure with A applied through
+    the exact Hankel operators, never through the truncated factors, so
+    it certifies the answer against the system the dense solve factors.
+    A |det2| below threshold (a singular core gives det2 = 0) raises
+    PatchError before any solve.
+    """
+    n, m, K = p.rows, p.cols, quad.node_count
+    wn, wm = np.repeat(quad.weights, n), np.repeat(quad.weights, m)
+    vals = hankel_values(p, x, quad)
+    P = HankelFFT(vals)
+    U = _range_basis(P, K * m // 4)
+    if U is None:
+        return None
+    if ptil is None:
+        def F(Y):
+            return -wm[:, None] * Y
+
+        def F_left(Y):
+            return -Y * wm
+    else:
+        Pt = HankelFFT(hankel_values(ptil, x, quad))
+
+        def F(Y):
+            return wm[:, None] * Pt.right(wn[:, None] * Y)
+
+        def F_left(Y):
+            return Pt.left(Y * wm) * wn
+    V = P.left(U.conj().T)
+    X = F(U)
+    C = V @ X
+    trace = np.trace(C)
+    C[np.diag_indices_from(C)] += 1.0
+    sign, logabs = np.linalg.slogdet(C)
+    d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
+    if abs(d2) < threshold:
+        raise PatchError(d2, x=x)
+    P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
+    row_big = P_last - np.linalg.solve(C.T, (P_last @ X).T).T @ V
+    E_last = np.zeros((K * m, m))
+    E_last[-m:] = np.eye(m)
+    Z = E_last - X @ np.linalg.solve(C, V[:, -m:])
+    PZ = P.right(Z)
+    berr = max(np.abs(row_big + P.left(F_left(row_big)) - P_last).max()
+               / max(np.abs(P_last).max(), 1e-300),
+               np.abs(Z + F(PZ) - E_last).max())
+    if not berr <= tol:
+        return None
+    row = row_big.reshape(n, K, m).transpose(1, 0, 2)
+    col = PZ.reshape(K, n, m)
+    col[-1] = row[-1]
+    return (d2, row[-1], col, row, float(berr)), U.shape[1]
+
+
+def solve_rule(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, Q=None):
+    """solve_edges' tuple for the pairing (p, ptil) on quad, and the rank
+    of the low-rank solve, or None where the dense one ran.
+
+    A system of k = K m >= LOWRANK_CUTOFF unknowns tries solve_lowrank,
+    which stands only when r <= k/4 and its exact-operator backward
+    error is at most tol; otherwise, and below the cutoff, solve_edges
+    factors paired_Q's kernel, or Q when the caller has built it.
+    """
+    if quad.node_count * p.cols >= LOWRANK_CUTOFF:
+        out = solve_lowrank(p, ptil, x, quad, threshold, tol)
+        if out is not None:
+            return out
+    # built in the call, so that no local here holds Q while solve_edges
+    # factors I + WQ (it drops its own reference first)
+    return solve_edges(paired_Q(p, ptil, x, quad) if Q is None else Q, p, x, threshold), None
+
+
+def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+    """det2, G at the origin, the backward error and the ranks for one
+    sample: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error, ranks),
+    the two slices over the nodes of rules[0].
+
+    (p, ptil) is a pairing, Q = -P when ptil is None, and solve_rule
+    solves it on each rule; ranks holds each rule's low-rank rank, or
+    None where the dense solve ran.  The backward error is the larger
+    over the rules.  With two rules from quadrature_rules the values
+    are Richardson-extrapolated, (4*fine - coarse)/3 with the fine rule
+    read at every second node, and det2 is the fine rule's.  A |det2|
+    below threshold on either rule raises PatchError.
+    """
+    out, ranks = zip(*(solve_rule(p, ptil, x, quad, threshold, tol) for quad in rules))
     if len(out) == 1:
-        return out[0]
+        return out[0] + (ranks,)
     (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out
     # combined in complex arithmetic whatever the rules' dtypes, so the
     # values equal the combination of two plain runs' complex tables
     fine = (centre, col[::2], row[::2])
     return ((d2,) + tuple((4.0 * f.astype(complex) - c) / 3.0
                           for f, c in zip(fine, coarse))
-            + (max(berr_c, berr_f),))
+            + (max(berr_c, berr_f), ranks))
 
 
 @dataclass
@@ -352,15 +568,31 @@ class SolutionField:
 
 @dataclass
 class PatchReport:
-    """det2 and backward-error bookkeeping over the sample grid, and the
+    """det2 and backward-error bookkeeping over the sample grid, the
+    rank of every solve (solve_rule's: r for a low-rank solve, None for
+    a dense one; per rule and field of each solved sample), and the
     threads the run used: row workers, and the OpenBLAS count they ran
     at (None where it could not be set)."""
 
     det2: np.ndarray
     skipped: list
     backward_error: np.ndarray
+    ranks: list
     workers: int
     blas_threads: int
+
+    @property
+    def lowrank_solves(self):
+        return sum(r is not None for r in self.ranks)
+
+    @property
+    def dense_solves(self):
+        return sum(r is None for r in self.ranks)
+
+    @property
+    def max_rank(self):
+        """The largest rank of a low-rank solve; None when none ran."""
+        return max((r for r in self.ranks if r is not None), default=None)
 
     @property
     def min_modulus(self):
@@ -407,6 +639,7 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     nt, nx = ts.size, xs.size
     kind = scenario.kind
     threshold = scenario.tolerances["patch_threshold"]
+    tol = scenario.tolerances["solver_tol"]
 
     p0 = sample_profile(scenario.initial, scenario.grid, n, m)
     rules = quadrature_rules(quad, scenario.richardson)
@@ -418,6 +651,7 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     det2_vals = np.full((nt, nx), np.nan, dtype=complex)
     berr = np.full((nt, nx), np.nan)
     skipped = [[] for _ in range(nt)]
+    ranks = [[] for _ in range(nt)]
 
     reverse = time_reversed(kind.companion)
     tasks = {}
@@ -429,9 +663,9 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
             t = ts[it]
             for ix, x in enumerate(xs):
                 try:
-                    solved = solve_origin(p_t, ptil, x, rules, threshold)
+                    solved = solve_origin(p_t, ptil, x, rules, threshold, tol)
                     # role swap: the partner field solves P~ = G~ (id + P P~)
-                    pair = (solve_origin(ptil, p_t, x, rules, threshold)
+                    pair = (solve_origin(ptil, p_t, x, rules, threshold, tol)
                             if kind.coupled else None)
                 except PatchError as err:
                     err.t = t
@@ -441,10 +675,12 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                     skipped[it].append((it, ix, float(t), float(x), err.det2_value))
                     continue
                 (det2_vals[it, ix], center[it, ix], slice_y[it, ix], slice_z[it, ix],
-                 berr[it, ix]) = solved
+                 berr[it, ix], solved_ranks) = solved
+                ranks[it].extend(solved_ranks)
                 if kind.coupled:
                     center_tilde[it, ix] = pair[1]
                     berr[it, ix] = max(berr[it, ix], pair[4])
+                    ranks[it].extend(pair[5])
 
     workers = min(threads, cores())
     with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
@@ -455,5 +691,6 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                               center_tilde=center_tilde)
     flat_skips = [s for row in skipped for s in row]
     report = PatchReport(det2=det2_vals, skipped=flat_skips, backward_error=berr,
+                         ranks=[r for row in ranks for r in row],
                          workers=workers, blas_threads=blas_threads)
     return field_out, report

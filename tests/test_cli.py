@@ -79,10 +79,10 @@ samples:
 """
 
 
-def kdv_positive_text():
+def kdv_positive_text(N=192):
     # place one t sample exactly on the det2 zero of the discrete pole:
     # theta(0,t) S = 1 at t = ln S with S the discrete tail sum
-    quad = make_quadrature(12.0, 192, 0.03125)
+    quad = make_quadrature(12.0, N, 0.03125)
     S = float(np.sum(quad.weights * np.exp(2.0 * quad.nodes)))
     t_star = np.log(S)
     return """
@@ -91,12 +91,12 @@ kind: kdv_primitive
 dims: [1, 1]
 initial: {kind: exponential, amplitude: 1.0, rate: 1.0}
 grid: {X: 28.0, M: 1792}
-quadrature: {L: 12.0, N: 192}
+quadrature: {L: 12.0, N: %d}
 samples:
   x: [-0.25, 0.0, 0.25]
   t: [-1.0, %.17g, -0.25, 0.0]
 outputs: [center, det2]
-""" % t_star
+""" % (N, t_star)
 
 
 def write_scenario(tmp_path, text, name="scenario.yaml"):
@@ -203,6 +203,19 @@ def test_a_solve_never_imports_scipy(tmp_path):
             "assert cli.main(['solve', %r, '--out', %r]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             % (str(path), str(tmp_path / "out")))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    # numpy.random costs about 17 ms to import; only the low-rank solve's
+    # range finder uses it, and it imports it on first use
+    code = ("import sys\n"
+            "import hankelpde.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -777,3 +790,87 @@ def test_main_study_checks_every_level_before_solving(tmp_path, capsys, monkeypa
     assert main(["study", write_scenario(tmp_path, text), "--levels", levels]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def lowrank_texts():
+    """A 3 x 3 cut of kdv_soliton (k = 385 and 769) and 2x2 NLS at
+    N = 192 (k = 386): every rule at or above the low-rank cutoff."""
+    kdv = (SCENARIO_DIR / "kdv_soliton.yaml").read_text()
+    for old, new in (("count: 9}", "count: 3}"),
+                     ("outputs: [center, det2, residuals]", "outputs: [center, slices, det2]")):
+        assert old in kdv
+        kdv = kdv.replace(old, new)
+    nls = (SCENARIO_DIR / "nls_gaussian_2x2.yaml").read_text()
+    for old, new in (("M: 1280", "M: 1920"), ("N: 32", "N: 192"), ("count: 9}", "count: 3}"),
+                     ("outputs: [center, residuals]", "outputs: [center, slices, det2]")):
+        assert old in nls
+        nls = nls.replace(old, new)
+    return {"kdv": kdv, "nls_2x2": nls}
+
+
+@pytest.mark.parametrize("name", ["kdv", "nls_2x2"])
+def test_run_is_thread_independent_on_the_lowrank_path(tmp_path, name):
+    # the range finder's generator is seeded per call, so the tables do
+    # not depend on which row thread solves which sample
+    sc = parse_scenario(write_scenario(tmp_path, lowrank_texts()[name]))
+    tables = []
+    for threads in (1, 2, 3):
+        out = tmp_path / ("t%d" % threads)
+        assert run(sc, out_dir=str(out), threads=threads) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        rules = 2 if sc.richardson else 1
+        assert manifest["lowrank_solves"] == 9 * rules and manifest["dense_solves"] == 0
+        tables.append([(out / f).read_bytes()
+                       for f in ("center.tsv", "slice_y.tsv", "slice_z.tsv", "det2.tsv")])
+    assert tables[0] == tables[1] == tables[2]
+
+
+def test_run_manifest_counts_the_solve_paths(tmp_path):
+    sc = parse_scenario(write_scenario(tmp_path, lowrank_texts()["kdv"]))
+    assert run(sc, out_dir=str(tmp_path / "kdv")) == 0
+    manifest = json.loads((tmp_path / "kdv" / "manifest.json").read_text())
+    assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (18, 0, 1)
+    # nls_rank_one's rules (k = 129 and 257) sit below the cutoff
+    sc = parse_scenario(str(SCENARIO_DIR / "nls_rank_one.yaml"))
+    assert run(sc, out_dir=str(tmp_path / "nls")) == 0
+    manifest = json.loads((tmp_path / "nls" / "manifest.json").read_text())
+    assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (0, 50, None)
+
+
+def test_run_patch_skip_above_the_cutoff_comes_from_the_lowrank_core(tmp_path, monkeypatch):
+    # the pole sample of kdv_positive_pole at N = 384 (k = 385): with the
+    # dense solve refused, the low-rank core's det2 = 0 still skips it
+    # and the run exits 2
+    def refused(*args, **kwargs):
+        raise AssertionError("dense solve above the cutoff")
+
+    monkeypatch.setattr(fredholm, "solve_edges", refused)
+    sc = parse_scenario(write_scenario(tmp_path, kdv_positive_text(N=384)))
+    out = tmp_path / "out"
+    assert run(sc, out_dir=str(out)) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [row[:2] for row in manifest["skipped"]] == [[1, 1]]
+    assert abs(manifest["skipped"][0][4]) < sc.tolerances["patch_threshold"]
+    assert (manifest["lowrank_solves"], manifest["dense_solves"]) == (11, 0)
+
+
+def test_verify_certifies_the_lowrank_path(monkeypatch):
+    # verify's backward error comes from the selection solve runs: on
+    # kdv_soliton (k = 385) that is the low-rank solve, with no dense
+    # system built
+    calls = []
+    lowrank = fredholm.solve_lowrank
+
+    def counted(*args, **kwargs):
+        out = lowrank(*args, **kwargs)
+        calls.append(out[1])
+        return out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dense solve above the cutoff")
+
+    monkeypatch.setattr(fredholm, "solve_lowrank", counted)
+    monkeypatch.setattr(fredholm, "nystrom_matrix", refused)
+    monkeypatch.setattr(fredholm, "LU", refused)
+    assert main(["verify", str(SCENARIO_DIR / "kdv_soliton.yaml")]) == 0
+    assert calls == [1]

@@ -193,3 +193,26 @@ def test_strong_decay_is_not_flagged():
     p = gaussian_profile(g, width=0.2)
     q = evolve(p, HEAT, 5.0)  # Re(t*symbol) is hugely negative, harmless
     assert np.all(np.isfinite(q.samples))
+
+
+def test_real_flows_keep_real_data_exactly_real():
+    # real mu1 and mu2 map real data to real data, and the real inverse
+    # transform keeps every imaginary part exactly zero, so the Hankel
+    # windows downstream are read as real; the values are the complex
+    # transform's to round-off.  An imaginary mu1 (NLS) makes real data
+    # complex, and complex data stay complex under a real flow.
+    g = make_uniform_grid(8.0, 64)
+    p = gaussian_profile(g, amp=0.7, width=0.8, center=0.3)
+    z = 2j * np.pi * np.fft.fftfreq(64, d=g.spacing)
+    for params, t in ((KDV, 0.4), (HEAT, 0.1), (HEAT, -0.01),
+                      (DispersionParams(mu1=0.5, mu2=-1.0), 0.2)):
+        q = evolve(p, params, t)
+        assert not q.samples.imag.any()
+        sym = np.exp(t * exp_rate_symbol(params, z))
+        want = np.fft.ifft(sym[:, None, None] * np.fft.fft(p.samples, axis=0), axis=0)
+        assert np.abs(q.samples - want).max() <= 1e-14 * np.abs(want).max()
+    for order in (1, 2, 3):
+        assert not spectral_derivative(p, order).samples.imag.any()
+    assert np.abs(evolve(p, NLS, 0.4).samples.imag).max() > 1e-3
+    complex_data = gaussian_profile(g, amp=0.7 + 0.1j, width=0.8)
+    assert np.abs(evolve(complex_data, KDV, 0.4).samples.imag).max() > 1e-3

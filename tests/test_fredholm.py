@@ -18,6 +18,7 @@ from hankelpde.fredholm import (
     kdv_Q,
     make_quadrature,
     nystrom_matrix,
+    paired_Q,
     pairings,
     quadrature_rules,
     solve_edges,
@@ -58,7 +59,7 @@ def assert_edges_match(G, edges, tol):
 
 def scenario_stub(**kw):
     base = dict(n=1, m=1, kind=resolve_kind("local_nls"), richardson=False,
-                tolerances={"patch_threshold": 1e-8})
+                tolerances={"patch_threshold": 1e-8, "solver_tol": 1e-10})
     base.update(kw)
     return SimpleNamespace(**base)
 
@@ -506,7 +507,8 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
             p, ptil = ptil, p
     x = 0.375
     rules = quadrature_rules(make_quadrature(2.0, 16, g.spacing), richardson)
-    d2, centre, col, row, berr = solve_origin(p, ptil, x, rules)
+    d2, centre, col, row, berr, ranks = solve_origin(p, ptil, x, rules)
+    assert ranks == (None,) * len(rules)  # k <= 66: every rule below the cutoff
 
     full = []
     for quad in rules:
@@ -627,3 +629,209 @@ def test_evaluate_solution_runs_blas_at_one_thread_and_restores_it(monkeypatch):
     monkeypatch.setattr(lapack, "_routines", lambda: {})
     _, report = evaluate_solution(sc, threads=1)
     assert report.workers == 1 and report.blas_threads is None
+
+
+def lowrank_case(name):
+    """(p, ptil, x, quad) of a system with k = K m at or above the
+    low-rank cutoff, Hankel data of low numerical rank; the master grid
+    also holds the 2N rule, except for the backward heat flow, which
+    needs a coarse grid to keep round-off in its top modes small."""
+    coupled = name == "coupled_role_swap"
+    g = make_uniform_grid(28.0, 896) if coupled else make_uniform_grid(20.0, 3840)
+    amp = [[0.5, 0.32], [0.1, 0.4]]
+    if name == "kdv_real":  # rank one, real arithmetic, Q = -P
+        p0 = sample_profile(InitialDataSpec(kind="exponential", amplitude=[[-1.0]], rate=1.0),
+                            g, 1, 1)
+        kind, N = "kdv_primitive", 384
+    elif name == "neg_identity_2x2":  # real, Q = -P, 2 x 2 blocks
+        p0 = sample_profile(InitialDataSpec(kind="gaussian", amplitude=amp, width=1.0), g, 2, 2)
+        kind, N = "kdv_primitive", 192
+    elif name == "mkdv_real":  # real data under a real flow stay real
+        p0 = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.75]], width=1.0),
+                            g, 1, 1)
+        kind, N = "local_mkdv", 384
+    elif name == "nls_complex":
+        p0 = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.75]], width=1.0),
+                            g, 1, 1)
+        kind, N = "local_nls", 384
+    elif name == "nls_2x2":
+        p0 = sample_profile(InitialDataSpec(kind="gaussian", amplitude=amp, width=1.0), g, 2, 2)
+        kind, N = "local_nls", 192
+    else:  # coupled_role_swap: the coupled partner's 1x2 data on its 2x1 companion
+        p0 = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.6], [0.3]],
+                                            width=1.0), g, 2, 1)
+        kind, N = "coupled_diffusion", 192
+    k = resolve_kind(kind)
+    (p, ptil), = pairings(p0, k.params, k.companion, [0.005])
+    if name == "coupled_role_swap":
+        p, ptil = ptil, p
+    quad = make_quadrature(12.0 if coupled else 8.0, N, g.spacing)
+    assert quad.node_count * p.cols >= fredholm.LOWRANK_CUTOFF
+    return p, ptil, 0.25, quad
+
+
+LOWRANK_CASES = ["kdv_real", "neg_identity_2x2", "mkdv_real", "nls_complex", "nls_2x2",
+                 "coupled_role_swap"]
+
+
+def assert_same_edges(got, want, tol):
+    """Two solve_edges tuples agree: det2 to tol relative, the centre and
+    both slices to tol of the row's largest entry."""
+    assert abs(got[0] - want[0]) <= tol * abs(want[0])
+    scale = np.abs(want[3]).max()
+    for a, b in zip(got[1:4], want[1:4]):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= tol * scale
+
+
+@pytest.mark.parametrize("name", LOWRANK_CASES)
+def test_lowrank_solve_matches_the_dense_oracle(name):
+    p, ptil, x, quad = lowrank_case(name)
+    k = quad.node_count * p.cols
+    out = fredholm.solve_lowrank(p, ptil, x, quad)
+    assert out is not None
+    edges, rank = out
+    dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
+    assert_same_edges(edges, dense, 1e-12)
+    assert 1 <= rank <= k // 4
+    assert rank == 1 if name == "kdv_real" else rank > 1
+    assert 0.0 < edges[4] <= 1e-13
+    # real pairings stay real, complex ones complex, as in the dense solve
+    real = name in ("kdv_real", "neg_identity_2x2", "mkdv_real", "coupled_role_swap")
+    assert np.isrealobj(edges[2]) == np.isrealobj(dense[2]) == real
+    assert np.array_equal(edges[2][-1], edges[1]) and np.array_equal(edges[3][-1], edges[1])
+    # solve_origin takes the low-rank path at this size
+    *got, ranks = solve_origin(p, ptil, x, (quad,))
+    assert ranks == (rank,)
+    assert_same_edges(got, dense, 1e-12)
+
+
+def test_lowrank_richardson_matches_the_dense_oracle():
+    p, ptil, x, quad = lowrank_case("kdv_real")
+    rules = quadrature_rules(quad, True)
+    d2, centre, col, row, berr, ranks = solve_origin(p, ptil, x, rules)
+    assert ranks == (1, 1)
+    (_, *coarse, _), (want_d2, *fine, _) = [solve_edges(paired_Q(p, ptil, x, q), p, x)
+                                            for q in rules]
+    fine[1], fine[2] = fine[1][::2], fine[2][::2]
+    assert abs(d2 - want_d2) <= 1e-12 * abs(want_d2)
+    for got, f, c in zip((centre, col, row), fine, coarse):
+        want = (4.0 * f - c) / 3.0
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert berr <= 1e-13
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("a, b", [(1, 1), (2, 2), (2, 1), (1, 3)])
+def test_hankel_fft_applies_the_block_hankel_matrix(a, b, real):
+    # from both sides, against the gathered block Hankel matrix; a real
+    # H also takes complex operands
+    K = 37
+    rng = np.random.default_rng(10 * a + b)
+    vals = rng.standard_normal((2 * K - 1, a, b))
+    if not real:
+        vals = vals + 1j * rng.standard_normal(vals.shape)
+    H = DiscreteKernel(None, hankel_windows(vals, K)).big()
+    op = fredholm.HankelFFT(vals)
+    Y = rng.standard_normal((K * b, 3)) + 1j * rng.standard_normal((K * b, 3))
+    Yl = rng.standard_normal((4, K * a)) + 1j * rng.standard_normal((4, K * a))
+    for got, want in ((op.right(Y), H @ Y), (op.right(Y.real), H @ Y.real),
+                      (op.left(Yl), Yl @ H), (op.left(Yl.real), Yl.real @ H)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.isrealobj(op.right(Y.real)) == real
+    assert op.size >= 2 * K - 1
+
+
+@pytest.mark.parametrize("kind, richardson, per_sample", [
+    ("kdv_primitive", True, 2), ("local_nls", False, 1), ("coupled_diffusion", False, 2)])
+def test_lowrank_path_forms_no_dense_system(kind, richardson, per_sample, monkeypatch):
+    # above the cutoff nothing builds Q or I + WQ or factors a k x k
+    # matrix, and the results are the unpatched run's
+    coupled = kind == "coupled_diffusion"
+    g = make_uniform_grid(28.0, 896) if coupled else make_uniform_grid(20.0, 3840)
+    if kind == "kdv_primitive":
+        n, N = 1, 384
+        initial = InitialDataSpec(kind="exponential", amplitude=[[-1.0]], rate=1.0)
+    else:
+        n, N = 2, 192
+        initial = InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]],
+                                  width=1.0)
+    sc = scenario_stub(kind=resolve_kind(kind), grid=g, n=n, m=n, richardson=richardson,
+                       quad=make_quadrature(12.0 if coupled else 8.0, N, g.spacing),
+                       initial=initial,
+                       xs=np.array([-0.25, 0.25]),
+                       # the backward heat flow lifts round-off in the top
+                       # modes, and with it the numerical rank, as t grows
+                       ts=np.array([-1.0, 0.0, 1.0]) * (5e-4 if coupled else 5e-3))
+    want, want_report = evaluate_solution(sc)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dense system built on the low-rank path")
+
+    for name in ("assemble_Q", "kdv_Q", "paired_Q", "nystrom_matrix", "compose",
+                 "solve_edges", "LU"):
+        monkeypatch.setattr(fredholm, name, refused)
+    monkeypatch.setattr(lapack, "LU", refused)
+    got, report = evaluate_solution(sc)
+    assert not report.any_below
+    assert report.dense_solves == 0
+    assert report.lowrank_solves == 6 * per_sample == len(report.ranks)
+    assert report.ranks == want_report.ranks
+    assert np.array_equal(got.center, want.center)
+    assert np.array_equal(report.det2, want_report.det2)
+    assert np.all(report.backward_error <= 1e-13)
+
+
+def test_fallback_to_dense_when_the_rank_passes_a_quarter_of_k(monkeypatch):
+    # 2x2 NLS data at k = 66 need a rank above 66 // 4: with the cutoff
+    # lowered, the range finder gives up and the dense solve runs
+    p, ptil, x, _ = lowrank_case("nls_2x2")
+    quad = make_quadrature(8.0, 32, p.grid.spacing)
+    monkeypatch.setattr(fredholm, "LOWRANK_CUTOFF", 0)
+    assert fredholm._range_basis(fredholm.HankelFFT(hankel_values(p, x, quad)), 16) is None
+    assert fredholm.solve_lowrank(p, ptil, x, quad) is None
+    edges, rank = fredholm.solve_rule(p, ptil, x, quad)
+    assert rank is None
+    dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
+    for a, b in zip(edges, dense):
+        assert np.array_equal(a, b)
+
+
+def test_fallback_to_dense_when_the_backward_error_passes_the_bound():
+    p, ptil, x, quad = lowrank_case("nls_2x2")
+    (*_, berr), rank = fredholm.solve_lowrank(p, ptil, x, quad)
+    assert rank is not None and berr > 0.0
+    assert fredholm.solve_lowrank(p, ptil, x, quad, tol=berr / 2) is None
+    edges, rank = fredholm.solve_rule(p, ptil, x, quad, tol=berr / 2)
+    assert rank is None
+    dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
+    for a, b in zip(edges, dense):
+        assert np.array_equal(a, b)
+
+
+def test_a_coarse_sketch_is_caught_by_the_exact_backward_error(monkeypatch):
+    # truncating P at 1e-4 leaves a backward error near 1e-5 against the
+    # exact operators (the truncated system itself is solved to round-off),
+    # so the low-rank solve is refused and the dense one runs
+    p, ptil, x, quad = lowrank_case("nls_2x2")
+    monkeypatch.setattr(fredholm, "SKETCH_TOL", 1e-4)
+    assert fredholm.solve_lowrank(p, ptil, x, quad, tol=1.0)[0][4] > 1e-8
+    assert fredholm.solve_lowrank(p, ptil, x, quad) is None
+    assert fredholm.solve_rule(p, ptil, x, quad)[1] is None
+
+
+def test_lowrank_patch_error_comes_from_a_singular_core():
+    # positive KdV data exactly on the discrete pole: the rank-one core
+    # 1 - V W U vanishes, det2 falls below the threshold and PatchError is
+    # raised before any solve, as on the dense path
+    g = make_uniform_grid(20.0, 1920)
+    quad = make_quadrature(8.0, 384, g.spacing)
+    S = discrete_tail_sum(quad)
+    vals = np.exp(g.nodes)[:, None, None] / S
+    p = sample_profile(InitialDataSpec(kind="tabulated", values=vals + 0j), g, 1, 1)
+    with pytest.raises(PatchError) as info:
+        fredholm.solve_lowrank(p, None, 0.0, quad)
+    assert abs(info.value.det2_value) < 1e-8
+    with pytest.raises(PatchError):
+        fredholm.solve_rule(p, None, 0.0, quad)
