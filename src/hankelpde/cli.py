@@ -351,8 +351,9 @@ def _residual_rows(scenario, field_out):
 def run(scenario, out_dir=".", threads=1):
     """Solve the scenario and write its output files.
 
-    Returns the exit code: 0 clean, 2 when patch monitoring skipped
-    samples.  Failures raise; the command-line wrapper maps them to 1.
+    Returns the exit code: 0 clean, 2 when samples were skipped (det2
+    below patch_threshold, or backward error above solver_tol).
+    Failures raise; the command-line wrapper maps them to 1.
     """
     os.makedirs(out_dir, exist_ok=True)
     timings = {}
@@ -415,8 +416,8 @@ def run(scenario, out_dir=".", threads=1):
         "lowrank_solves": report.lowrank_solves,
         "dense_solves": report.dense_solves,
         "max_rank": report.max_rank,
-        "skipped": [[it, ix, t, x, d.real, d.imag]
-                    for (it, ix, t, x, d) in report.skipped],
+        "skipped": [[it, ix, t, x, d.real, d.imag, reason]
+                    for (it, ix, t, x, d, reason) in report.skipped],
         "residuals": [[name, worst, l2] for name, worst, l2 in residual_rows],
         "exit_code": code,
     }
@@ -523,7 +524,8 @@ def convergence_study(scenario, levels=3, threads=1):
         quadrature_rules(quad, scenario.richardson)
         xs = _refine_axis(base_xs, factor)
         _check_on_grid(scenario.grid, quad, xs)
-        plan.append((factor, replace(scenario, quad=quad, xs=xs,
+        # only the centre values are read, so no level keeps its slices
+        plan.append((factor, replace(scenario, quad=quad, xs=xs, outputs=("center",),
                                      ts=_refine_axis(base_ts, factor))))
 
     out_levels = []

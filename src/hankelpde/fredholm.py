@@ -26,6 +26,17 @@ A rule with k = K m >= LOWRANK_CUTOFF unknowns tries the low-rank path,
 and keeps it only when the rank r <= k/4 and the backward error,
 measured with the exact Hankel operators, is at most the scenario's
 solver_tol; otherwise, and always below the cutoff, the dense path runs.
+evaluate_solution skips a sample whose backward error exceeds solver_tol
+on either path, as it skips one whose det2 is below the patch threshold.
+
+x enters Q only as a shift of the data, so on the node lattice the Q of
+x + l h is the window from node l of one larger Q built at x:
+Q(x + l h)[i][j] = Q_ext[i + l][j + l].  evaluate_solution splits each
+t row's x samples into runs (x_runs: consecutive samples a whole number
+of steps h apart, spanning at most N of them), and run_kernels builds
+one extended Q per run, rule and field with assemble_Q's extension and
+hands each sample its window.  Only composed kernels below the cutoff
+share one: kdv_Q is a free view, and the low-rank path forms no Q.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -116,7 +127,9 @@ class DiscreteKernel:
     """Two-argument kernel sampled at quadrature node pairs.
 
     blocks has shape (K, K, a, b) with K = quad.node_count; blocks[i, j]
-    is the a x b matrix value at (xi_i, xi_j).
+    is the a x b matrix value at (xi_i, xi_j).  An extended kernel
+    (assemble_Q's extension e) has K + e nodes per side, xi_i = -L + i h
+    running past 0, and only window reads it.
     """
 
     quad: QuadratureGrid
@@ -127,6 +140,12 @@ class DiscreteKernel:
         K, _, a, b = self.blocks.shape
         return self.blocks.transpose(0, 2, 1, 3).reshape(K * a, K * b)
 
+    def window(self, offset):
+        """The K x K kernel from node offset on: for an extended Q built
+        at x, the Q of the sample x + offset h."""
+        K = self.quad.node_count
+        return DiscreteKernel(self.quad, self.blocks[offset: offset + K, offset: offset + K])
+
     @classmethod
     def from_big(cls, mat, quad):
         K = quad.node_count
@@ -134,10 +153,11 @@ class DiscreteKernel:
         return cls(quad=quad, blocks=blocks.transpose(0, 2, 1, 3))
 
 
-def hankel_values(p, x, quad):
-    """Profile samples at the 2N+1 distinct arguments xi_i + xi_j + x.
+def hankel_values(p, x, quad, extension=0):
+    """Profile samples at the 2N+1+e distinct arguments xi_i + xi_j + x
+    (i, j = 0..N+e for an extension of e nodes).
 
-    The arguments are x - 2L + u*h for u = 0..2N; all must be master
+    The arguments are x - 2L + u*h for u = 0..2N+e; all must be master
     nodes inside the master domain, otherwise the configuration is
     rejected.  The result is a read-only view of p.samples: its real
     part when every imaginary part in the window is exactly zero (no
@@ -148,10 +168,11 @@ def hankel_values(p, x, quad):
     base = grid.node_index(x - 2.0 * quad.truncation)
     r = quad.stride
     N = quad.intervals
-    top = base + 2 * N * r
+    top = base + (2 * N + extension) * r
     if top >= grid.node_count:
         raise ValueError("argument x=%g reaches past the master domain "
-                         "(need node %d of %d); enlarge X" % (x, top, grid.node_count))
+                         "(need node %d of %d); enlarge X"
+                         % (x + extension * quad.spacing, top, grid.node_count))
     if abs(quad.spacing - r * grid.spacing) > 1e-9 * grid.spacing:
         raise ValueError("quadrature spacing %g is not %d master spacings %g"
                          % (quad.spacing, r, grid.spacing))
@@ -185,7 +206,7 @@ def compose(A, B):
     return DiscreteKernel.from_big(A.big() @ (w[:, None] * B.big()), A.quad)
 
 
-def assemble_Q(p, p_tilde, x, quad):
+def assemble_Q(p, p_tilde, x, quad, extension=0):
     """Quadrature of q(y,z;x) = integral of ptilde(y+xi+x) p(xi+z+x) dxi.
 
     Only the inner dimensions must pair: p has n x m blocks and p_tilde
@@ -202,29 +223,36 @@ def assemble_Q(p, p_tilde, x, quad):
     full, the increments come from one matmul over delta's support, and
     each row adds them to the row above, shifted by one node.
     compose of the two Hankel kernels (hankel_windows) is the reference.
+
+    x enters only as a shift, xi_i + l h = xi_{i+l}, so an extension of
+    e nodes gives the (K+e) x (K+e) kernel whose window at offset l is
+    the Q of x + l h for every l = 0..e: the same recurrence over longer
+    sequences (the quadrature and delta stay those of the rule).
     """
     if p_tilde.cols != p.rows:
         raise ValueError("companion dims %r do not pair with profile dims %r"
                          % ((p_tilde.rows, p_tilde.cols), (p.rows, p.cols)))
-    a_vals, b_vals = hankel_values(p_tilde, x, quad), hankel_values(p, x, quad)
-    K, N, w = quad.node_count, quad.intervals, quad.weights
+    a_vals = hankel_values(p_tilde, x, quad, extension)
+    b_vals = hankel_values(p, x, quad, extension)
+    K, w = quad.node_count, quad.weights
+    E = K + extension
     a, n, m = p_tilde.rows, p.rows, p.cols
     delta = -np.diff(w, prepend=0.0, append=0.0)
     steps = np.flatnonzero(delta)
-    big = np.empty((K, a, K, m), dtype=np.result_type(a_vals, b_vals))
+    big = np.empty((E, a, E, m), dtype=np.result_type(a_vals, b_vals))
     # row 0 transposed: Q[0][j]^T = sum_s b_{s+j}^T (w_s a_s)^T
     big[0] = _hankel_sums(b_vals.transpose(0, 2, 1),
                           (w[:, None, None] * a_vals[:K]).transpose(0, 2, 1)).transpose(2, 0, 1)
     big[1:, :, 0] = _hankel_sums(a_vals[1:], w[:, None, None] * b_vals[:K])
-    nodes = np.arange(N)
+    nodes = np.arange(E - 1)
     left = delta[steps, None, None] * a_vals[nodes[:, None] + steps]
     right = b_vals[steps[:, None] + nodes]
-    np.matmul(left.transpose(0, 2, 1, 3).reshape(N * a, steps.size * n),
-              right.transpose(0, 2, 1, 3).reshape(steps.size * n, N * m),
-              out=big.reshape(K * a, K * m)[a:, m:])
-    for i in range(1, K):
+    np.matmul(left.transpose(0, 2, 1, 3).reshape((E - 1) * a, steps.size * n),
+              right.transpose(0, 2, 1, 3).reshape(steps.size * n, (E - 1) * m),
+              out=big.reshape(E * a, E * m)[a:, m:])
+    for i in range(1, E):
         big[i, :, 1:] += big[i - 1, :, :-1]
-    return DiscreteKernel.from_big(big.reshape(K * a, K * m), quad)
+    return DiscreteKernel(quad, big.transpose(0, 2, 1, 3))
 
 
 def kdv_Q(p, x, quad):
@@ -301,10 +329,10 @@ def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
     once, the factor gives det2 = det(A) e^{-tr(WQ)} in log space (an
     exactly singular A reports det2 = 0), the last block row solves
     row A = P_last with P_last[j] = p(xi_j + x), and the last block
-    column is P Z with A Z = E_last, the last block column of I; the
-    factor is dropped once both are solved.  G(0,0) is the row's last
-    block, written into the column as well, so the centre and both
-    slices hold one value.  The backward error is the larger of
+    column is P Z (by HankelFFT) with A Z = E_last, the last block
+    column of I; the factor is dropped once both are solved.  G(0,0) is
+    the row's last block, written into the column as well, so the centre
+    and both slices hold one value.  The backward error is the larger of
     max|row A - P_last| / max|P_last| and max|A Z - E_last|.
     A |det2| below threshold raises PatchError before any solve.
     """
@@ -323,9 +351,8 @@ def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
     E_last = np.zeros((K * m, m), dtype=A.dtype)
     E_last[-m:] = np.eye(m)
     Z = lu.solve(E_last)
-    del lu  # a k x k copy of A: free it before the contraction
-    col = np.einsum("ijab,jbc->iac", hankel_windows(vals, K),
-                    Z.reshape(K, m, m), optimize=True)
+    del lu  # a k x k copy of A: free it before the product
+    col = HankelFFT(vals).right(Z).reshape(K, n, m)
     row = row_big.reshape(n, K, m).transpose(1, 0, 2)
     col[-1] = row[-1]
     berr = max(np.abs(row_big @ A - P_last).max() / max(np.abs(P_last).max(), 1e-300),
@@ -523,20 +550,22 @@ def solve_rule(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, Q=No
     return solve_edges(paired_Q(p, ptil, x, quad) if Q is None else Q, p, x, threshold), None
 
 
-def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, Qs=None):
     """det2, G at the origin, the backward error and the ranks for one
     sample: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error, ranks),
     the two slices over the nodes of rules[0].
 
     (p, ptil) is a pairing, Q = -P when ptil is None, and solve_rule
-    solves it on each rule; ranks holds each rule's low-rank rank, or
+    solves it on each rule, on Qs' kernel for that rule where the caller
+    has built one (run_kernels); ranks holds each rule's low-rank rank, or
     None where the dense solve ran.  The backward error is the larger
     over the rules.  With two rules from quadrature_rules the values
     are Richardson-extrapolated, (4*fine - coarse)/3 with the fine rule
     read at every second node, and det2 is the fine rule's.  A |det2|
     below threshold on either rule raises PatchError.
     """
-    out, ranks = zip(*(solve_rule(p, ptil, x, quad, threshold, tol) for quad in rules))
+    out, ranks = zip(*(solve_rule(p, ptil, x, quad, threshold, tol, Q)
+                       for quad, Q in zip(rules, Qs or (None,) * len(rules))))
     if len(out) == 1:
         return out[0] + (ranks,)
     (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out
@@ -548,13 +577,50 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
             + (max(berr_c, berr_f), ranks))
 
 
+def x_runs(xs, grid, quad):
+    """xs split into runs of consecutive samples whose master nodes lie
+    whole multiples of quad's spacing h apart, spanning at most N steps
+    of h.  One (x, offsets) per run: x is its leftmost sample, and each
+    sample's offset is its distance from x in steps of h, in xs order."""
+    r, N = quad.stride, quad.intervals
+    nodes = [grid.node_index(x - 2.0 * quad.truncation) for x in xs]
+    runs = []
+    for i, node in enumerate(nodes):
+        span = [nodes[j] for j in runs[-1]] + [node] if runs else []
+        if span and (node - span[0]) % r == 0 and max(span) - min(span) <= N * r:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    out = []
+    for run in runs:
+        low = min(run, key=nodes.__getitem__)
+        out.append((xs[low], [(nodes[i] - nodes[low]) // r for i in run]))
+    return out
+
+
+def run_kernels(p, ptil, xs, quad):
+    """The Q of the pairing at each sample of xs on quad, for solve_rule,
+    one extended assemble_Q per run of x_runs read as its windows; the
+    run's array is dropped when the run ends.  None for every sample
+    where solve_rule forms no Q of its own to share: neg_identity, whose
+    kdv_Q is a free view, and rules at or above LOWRANK_CUTOFF."""
+    if ptil is None or quad.node_count * p.cols >= LOWRANK_CUTOFF:
+        yield from (None for _ in xs)
+        return
+    for x, offsets in x_runs(xs, p.grid, quad):
+        ext = assemble_Q(p, ptil, x, quad, max(offsets))
+        yield from (ext.window(offset) for offset in offsets)
+        del ext
+
+
 @dataclass
 class SolutionField:
     """Solution samples on the (x,t) grid.
 
     center[it, ix] is g(0,0;x,t); slice_y[it, ix, i] is g(xi_i, 0; x,t)
-    and slice_z[it, ix, j] is g(0, xi_j; x,t).  Skipped samples hold
-    NaN.  center_tilde is filled only for the coupled system.
+    and slice_z[it, ix, j] is g(0, xi_j; x,t), both None when nothing
+    reads them.  Skipped samples hold NaN.  center_tilde is filled only
+    for the coupled system.
     """
 
     xs: np.ndarray
@@ -569,10 +635,13 @@ class SolutionField:
 @dataclass
 class PatchReport:
     """det2 and backward-error bookkeeping over the sample grid, the
-    rank of every solve (solve_rule's: r for a low-rank solve, None for
-    a dense one; per rule and field of each solved sample), and the
-    threads the run used: row workers, and the OpenBLAS count they ran
-    at (None where it could not be set)."""
+    skipped samples (it, ix, t, x, det2, reason), the rank of every solve
+    (solve_rule's: r for a low-rank solve, None for a dense one; per rule
+    and field of each solved sample), and the threads the run used: row
+    workers, and the OpenBLAS count they ran at (None where it could not
+    be set).  A sample is skipped for its "det2" (below the patch
+    threshold) or its "backward_error" (above solver_tol, which the
+    backward_error array still records)."""
 
     det2: np.ndarray
     skipped: list
@@ -615,12 +684,16 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     pairings gives each t row's evolved data and its companion; per
     sample, compose Q, check det2, solve, and record the centre value,
-    the two slices through the origin, and det2.  Samples are independent;
-    rows of constant t are distributed over threads and written into
-    index-addressed arrays, so the output does not depend on scheduling.
-    Rows that read p at the same times (t and -t for time-reversed maps)
-    run as one task, so each distinct time is evolved once and only the
-    running tasks' profiles are held.
+    the two slices through the origin, and det2.  Q is built once per run
+    of x samples a whole number of quadrature steps apart, per rule and
+    field (run_kernels), and each sample solves on its window.  The
+    slices are kept only when the scenario's outputs read them ("slices",
+    or "residuals" of a kind with a kernel form).  Samples are
+    independent; rows of constant t are distributed over threads and
+    written into index-addressed arrays, so the output does not depend on
+    scheduling.  Rows that read p at the same times (t and -t for
+    time-reversed maps) run as one task, so each distinct time is evolved
+    once and only the running tasks' profiles are held.
     The pool has min(threads, CPUs) workers, and OpenBLAS runs at one
     thread while it works, whatever the layout: the round-off of its
     factorisations and products depends on its thread count, so one
@@ -629,7 +702,8 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     When |det2| falls below the patch threshold the sample is recorded
     as skipped (NaN field values) and the run continues, unless
     skip_on_patch_error=False, in which case the PatchError propagates
-    with its (x,t) location.
+    with its (x,t) location.  A sample whose backward error exceeds
+    solver_tol is skipped the same way, and never raises.
     """
     xs = np.asarray(scenario.xs, dtype=float)
     ts = np.asarray(scenario.ts, dtype=float)
@@ -645,8 +719,11 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     rules = quadrature_rules(quad, scenario.richardson)
 
     center = np.full((nt, nx, n, m), np.nan, dtype=complex)
-    slice_y = np.full((nt, nx, K, n, m), np.nan, dtype=complex)
-    slice_z = np.full((nt, nx, K, n, m), np.nan, dtype=complex)
+    slice_y = slice_z = None
+    outputs = scenario.outputs
+    if "slices" in outputs or ("residuals" in outputs and kind.has_kernel_form):
+        slice_y = np.full((nt, nx, K, n, m), np.nan, dtype=complex)
+        slice_z = np.full((nt, nx, K, n, m), np.nan, dtype=complex)
     center_tilde = np.full((nt, nx, m, n), np.nan, dtype=complex) if kind.coupled else None
     det2_vals = np.full((nt, nx), np.nan, dtype=complex)
     berr = np.full((nt, nx), np.nan)
@@ -661,26 +738,36 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     def run_rows(rows):
         for it, (p_t, ptil) in zip(rows, pairings(p0, kind.params, kind.companion, ts[rows])):
             t = ts[it]
-            for ix, x in enumerate(xs):
+            # role swap: the partner field solves P~ = G~ (id + P P~)
+            fields = ((p_t, ptil), (ptil, p_t)) if kind.coupled else ((p_t, ptil),)
+            # per sample, per field: each rule's Q, taken before any solve
+            # so that a skipped sample keeps every run in step
+            kernels = zip(*(zip(*(run_kernels(f, g, xs, q) for q in rules))
+                            for f, g in fields))
+            for ix, (x, Qs) in enumerate(zip(xs, kernels)):
                 try:
-                    solved = solve_origin(p_t, ptil, x, rules, threshold, tol)
-                    # role swap: the partner field solves P~ = G~ (id + P P~)
-                    pair = (solve_origin(ptil, p_t, x, rules, threshold, tol)
-                            if kind.coupled else None)
+                    solved = [solve_origin(f, g, x, rules, threshold, tol, Q)
+                              for (f, g), Q in zip(fields, Qs)]
                 except PatchError as err:
                     err.t = t
                     det2_vals[it, ix] = err.det2_value
                     if not skip_on_patch_error:
                         raise
-                    skipped[it].append((it, ix, float(t), float(x), err.det2_value))
+                    skipped[it].append((it, ix, float(t), float(x), err.det2_value, "det2"))
                     continue
-                (det2_vals[it, ix], center[it, ix], slice_y[it, ix], slice_z[it, ix],
-                 berr[it, ix], solved_ranks) = solved
-                ranks[it].extend(solved_ranks)
+                det2_vals[it, ix] = solved[0][0]
+                berr[it, ix] = max(s[4] for s in solved)
+                if not berr[it, ix] <= tol:
+                    skipped[it].append((it, ix, float(t), float(x), solved[0][0],
+                                        "backward_error"))
+                    continue
+                center[it, ix] = solved[0][1]
+                if slice_y is not None:
+                    slice_y[it, ix], slice_z[it, ix] = solved[0][2:4]
                 if kind.coupled:
-                    center_tilde[it, ix] = pair[1]
-                    berr[it, ix] = max(berr[it, ix], pair[4])
-                    ranks[it].extend(pair[5])
+                    center_tilde[it, ix] = solved[1][1]
+                for s in solved:
+                    ranks[it].extend(s[5])
 
     workers = min(threads, cores())
     with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:

@@ -874,3 +874,119 @@ def test_verify_certifies_the_lowrank_path(monkeypatch):
     monkeypatch.setattr(fredholm, "LU", refused)
     assert main(["verify", str(SCENARIO_DIR / "kdv_soliton.yaml")]) == 0
     assert calls == [1]
+
+
+@pytest.mark.parametrize("name, calls", [
+    # one row per t sample; one run per row (x a whole number of steps
+    # apart, within N of them) per rule and field
+    ("nls_gaussian_2x2", 9 * [(32, 8)]),
+    ("nls_rank_one", 5 * [(128, 32), (256, 64)]),
+    ("coupled_diffusion", 9 * 2 * [(16, 8)]),
+])
+def test_assemble_Q_once_per_run_rule_and_field(name, calls, monkeypatch):
+    made = []
+    assemble = fredholm.assemble_Q
+
+    def counted(p, ptil, x, quad, extension=0):
+        made.append((quad.intervals, extension))
+        return assemble(p, ptil, x, quad, extension)
+
+    monkeypatch.setattr(fredholm, "assemble_Q", counted)
+    _, report = fredholm.evaluate_solution(parse_scenario(str(SCENARIO_DIR / (name + ".yaml"))),
+                                           threads=2)
+    assert not report.any_below
+    assert sorted(made) == sorted(calls)
+
+
+def test_tables_are_bitwise_identical_across_threads(tmp_path):
+    for name in ("nls_gaussian_2x2", "nls_rank_one", "coupled_diffusion", "mkdv_gaussian"):
+        sc = parse_scenario(str(SCENARIO_DIR / (name + ".yaml")))
+        tables = []
+        for threads in (1, 2, 3):
+            out = tmp_path / ("%s-%d" % (name, threads))
+            assert run(sc, out_dir=str(out), threads=threads) == 0
+            tables.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
+        assert tables[0] and tables[0] == tables[1] == tables[2]
+
+
+def test_slices_are_held_only_when_read(tmp_path, monkeypatch):
+    fields = []
+    evaluate = cli.evaluate_solution
+
+    def kept(scenario, **kwargs):
+        field_out, report = evaluate(scenario, **kwargs)
+        fields.append(field_out)
+        return field_out, report
+
+    monkeypatch.setattr(cli, "evaluate_solution", kept)
+    mkdv = (SCENARIO_DIR / "mkdv_gaussian.yaml").read_text()
+    # outputs: slices are written; residuals of a kernel kind read them;
+    # residuals of a local kind do not
+    kernel = mkdv.replace("kind: local_mkdv", "kind: kernel_mkdv").replace(
+        "outputs: [center, slices, residuals]", "outputs: [center, residuals]")
+    cases = ((mkdv, True), (kernel, True),
+             ((SCENARIO_DIR / "nls_gaussian_2x2.yaml").read_text(), False))
+    for i, (text, held) in enumerate(cases):
+        path = write_scenario(tmp_path, text, "case%d.yaml" % i)
+        assert run(parse_scenario(path), out_dir=str(tmp_path / ("out%d" % i))) == 0
+        assert (fields[-1].slice_y is not None) == (fields[-1].slice_z is not None) == held
+    names = [row[0] for row in json.loads((tmp_path / "out1" / "manifest.json").read_text())
+             ["residuals"]]
+    assert names == ["kernel_mkdv", "kernel_mkdv_slices"]
+    # a study reads only the centre values, whatever the outputs ask for
+    fields.clear()
+    convergence_study(parse_scenario(str(SCENARIO_DIR / "mkdv_gaussian.yaml")), levels=3)
+    assert len(fields) == 3
+    assert all(f.slice_y is None and f.slice_z is None for f in fields)
+
+
+def test_backward_error_above_solver_tol_skips_the_sample(tmp_path, capsys):
+    # the same samples, certified against a solver_tol just below the
+    # largest backward error the default run measured: that sample (and
+    # any other above the bar) is skipped with its reason, the rest keep
+    # their values, and solve and study exit 2
+    text = (SCENARIO_DIR / "coupled_diffusion.yaml").read_text()
+    sc = parse_scenario(write_scenario(tmp_path, text))
+    field_ok, report_ok = fredholm.evaluate_solution(sc)
+    berr = report_ok.backward_error
+    tol = 0.999 * berr.max()
+    above = {(int(it), int(ix)) for it, ix in np.argwhere(berr > tol)}
+    assert above and not report_ok.skipped
+    strict = text + "tolerances: {solver_tol: %.17e}\n" % tol
+    path = write_scenario(tmp_path, strict, "strict.yaml")
+    out = tmp_path / "out"
+    assert main(["solve", path, "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 2
+    assert {tuple(row[:2]) for row in manifest["skipped"]} == above
+    assert all(row[6] == "backward_error" for row in manifest["skipped"])
+    assert manifest["max_backward_error"] == berr.max()
+    field, report = fredholm.evaluate_solution(parse_scenario(path))
+    for it, ix in np.ndindex(berr.shape):
+        if (it, ix) in above:
+            assert np.all(np.isnan(field.center[it, ix]))
+            assert np.all(np.isnan(field.center_tilde[it, ix]))
+        else:
+            assert np.array_equal(field.center[it, ix], field_ok.center[it, ix])
+    assert np.array_equal(report.det2, report_ok.det2)
+    capsys.readouterr()
+    assert main(["study", path, "--levels", "3"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "completed with patch-skipped samples: %d at level 0" % len(above))
+
+
+def test_a_dense_solve_that_misses_solver_tol_exits_2(tmp_path):
+    # coupled_diffusion on a 6x finer master grid: the backward heat flow
+    # amplifies the round-off of its top modes past anything the solve
+    # can certify, and the run must say so instead of printing the values
+    text = (SCENARIO_DIR / "coupled_diffusion.yaml").read_text().replace("M: 320", "M: 1920")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["solve", write_scenario(tmp_path, text), "--out", str(out)]) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["skipped"]
+    assert {row[6] for row in manifest["skipped"]} == {"backward_error"}
+    assert manifest["max_backward_error"] > manifest["tolerances"]["solver_tol"]
+    rows = np.loadtxt(out / "center.tsv", skiprows=1)
+    assert np.isnan(rows[:, 2]).sum() == len(manifest["skipped"])

@@ -34,6 +34,7 @@ def wave_field(xs, ts, func):
 
 def scenario_stub(**kw):
     base = dict(n=1, m=1, kind=resolve_kind("local_nls"), richardson=False,
+                outputs=("center", "residuals"),
                 tolerances={"patch_threshold": 1e-8, "solver_tol": 1e-10})
     base.update(kw)
     return SimpleNamespace(**base)

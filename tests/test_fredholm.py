@@ -23,6 +23,7 @@ from hankelpde.fredholm import (
     quadrature_rules,
     solve_edges,
     solve_origin,
+    x_runs,
 )
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
 from hankelpde.kinds import resolve_kind
@@ -59,6 +60,7 @@ def assert_edges_match(G, edges, tol):
 
 def scenario_stub(**kw):
     base = dict(n=1, m=1, kind=resolve_kind("local_nls"), richardson=False,
+                outputs=("center", "slices"),
                 tolerances={"patch_threshold": 1e-8, "solver_tol": 1e-10})
     base.update(kw)
     return SimpleNamespace(**base)
@@ -180,6 +182,63 @@ def test_assemble_Q_matches_compose_of_the_hankel_kernels(dims, N, cplx):
     assert Q.blocks.shape == want.blocks.shape == (N + 1, N + 1, a, m)
     assert Q.blocks.dtype == want.blocks.dtype == (np.complex128 if cplx else np.float64)
     assert np.abs(Q.blocks - want.blocks).max() <= 1e-13 * np.abs(want.blocks).max()
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("N", [4, 7, 24])
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 2), (3, 2, 1), (1, 3, 2)],
+                         ids=lambda d: "%dx%d.%dx%d" % (d[0], d[1], d[1], d[2]))
+def test_windows_of_the_extended_Q_are_the_per_sample_Q(dims, N, cplx):
+    # x + l h shifts every node by l, so the window of the kernel built at
+    # x with an extension of e nodes, read from node l, is the Q of x + l h
+    a, n, m = dims
+    g = make_uniform_grid(8.0, 256)
+    rng = np.random.default_rng(N + 10 * a + 100 * m + 1000 * cplx)
+    env = np.exp(-g.nodes ** 2 / 4.0)[:, None, None]
+
+    def profile(rows, cols):
+        vals = rng.standard_normal((256, rows, cols))
+        if cplx:
+            vals = vals + 1j * rng.standard_normal((256, rows, cols))
+        return sample_profile(InitialDataSpec(kind="tabulated", values=env * vals),
+                              g, rows, cols)
+
+    p, ptil = profile(n, m), profile(a, n)
+    quad = make_quadrature(N * g.spacing * 2, N, g.spacing)
+    K, x = N + 1, 0.375
+    assert assemble_Q(p, ptil, x, quad, 0).blocks.shape == (K, K, a, m)
+    wants = [assemble_Q(p, ptil, x + l * quad.spacing, quad).blocks for l in range(N + 1)]
+    for e in range(1, N + 1):
+        ext = assemble_Q(p, ptil, x, quad, e)
+        assert ext.quad is quad and ext.blocks.shape == (K + e, K + e, a, m)
+        for l in range(e + 1):
+            got = ext.window(l)
+            assert got.quad is quad and got.blocks.shape == (K, K, a, m)
+            assert got.blocks.dtype == (np.complex128 if cplx else np.float64)
+            want = wants[l]
+            assert np.abs(got.blocks - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_x_runs_split_on_the_rule_spacing_and_its_span():
+    # master spacing 1/16 and h = 2 master steps, N = 4: a run holds
+    # samples a whole number of h apart, spanning at most N h
+    g = make_uniform_grid(8.0, 256)
+    quad = make_quadrature(0.5, 4, g.spacing)
+    h = quad.spacing
+
+    def runs(steps):
+        return [(x, offsets) for x, offsets in x_runs(np.asarray(steps) * h, g, quad)]
+
+    assert runs(np.arange(7)) == [(0.0, [0, 1, 2, 3, 4]), (5 * h, [0, 1])]
+    # dx = 1.5 h: no two neighbours share a window
+    assert runs(1.5 * np.arange(4)) == [(0.0, [0]), (1.5 * h, [0]), (3 * h, [0]), (4.5 * h, [0])]
+    assert runs([0, 1, 2, 3.5, 4.5, 5]) == [(0.0, [0, 1, 2]), (3.5 * h, [0, 1]), (5 * h, [0])]
+    # the offsets count from the run's leftmost sample, in sample order
+    assert runs([2, 1, 0, -2, 3]) == [(-2 * h, [4, 3, 2, 0]), (3 * h, [0])]
+    assert runs([0]) == [(0.0, [0])]
+    # a sample off the master nodes is refused, as hankel_values refuses it
+    with pytest.raises(ValueError):
+        x_runs([0.01], g, quad)
 
 
 def discrete_tail_sum(quad, rate=1.0):
@@ -427,7 +486,8 @@ def test_evaluate_solution_patch_skip_and_propagate():
     field, report = evaluate_solution(sc)
     assert report.any_below
     assert len(report.skipped) == 1
-    it, ix, t, x, d2 = report.skipped[0]
+    it, ix, t, x, d2, reason = report.skipped[0]
+    assert reason == "det2"
     assert (it, ix) == (1, 0)
     assert np.isnan(field.center[1, 0, 0, 0].real)
     assert np.isfinite(field.center[0, 0, 0, 0].real)
