@@ -42,6 +42,7 @@ from .equations import (
     u_identity_check,
 )
 from .fredholm import (
+    LOWRANK_CUTOFF,
     PATCH_THRESHOLD,
     SOLVER_TOL,
     PatchError,
@@ -310,8 +311,10 @@ def _write_table(path, header, keys, values, tail=()):
     columns; every number as %.17g."""
     values = values.reshape(len(keys), -1)
     re_im = np.stack([values.real, values.imag], axis=-1).reshape(len(keys), -1)
-    np.savetxt(path, np.column_stack([keys, re_im, *tail]), fmt="%.17g",
-               delimiter="\t", header="\t".join(header), comments="")
+    table = np.column_stack([keys, re_im, *tail])
+    row = "\t".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("\t".join(header) + "\n" + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def _sample_keys(field_out, *inner):
@@ -346,6 +349,18 @@ def _residual_rows(scenario, field_out):
         rows.append((scenario.kind.name + "_slices", worst_k,
                      max(_l2_norm(R1, dx, dt), _l2_norm(R2, dx, dt))))
     return rows
+
+
+def _finite_or_null(value):
+    """value with every non-finite float, nested in dicts and lists, as
+    None: strict JSON has no nan or inf, so the manifest writes null."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
 
 
 def run(scenario, out_dir=".", threads=1):
@@ -423,7 +438,8 @@ def run(scenario, out_dir=".", threads=1):
     }
     mpath = os.path.join(out_dir, "manifest.json")
     with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=str)
+        json.dump(_finite_or_null(manifest), fh, indent=2, sort_keys=True, default=str,
+                  allow_nan=False)
         fh.write("\n")
     return code
 
@@ -589,10 +605,12 @@ def _verify_checks(scenario):
                        - np.abs(np.fft.fft(p0.samples, axis=0) / M)).max()
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
-    # the per-rule selection solve runs, on the Q the family already built
+    # the solve that solve runs on this rule: low-rank at or above the
+    # cutoff, else dense on the Q the family already built
     tols = scenario.tolerances
+    lowrank = quad.node_count * scenario.m >= LOWRANK_CUTOFF
     (*_, berr), _ = solve_rule(p0, ptil, x0, quad, tols["patch_threshold"],
-                               tols["solver_tol"], Q=kernels[2])
+                               tols["solver_tol"], None if lowrank else kernels[2])
     checks.append(("nystrom_backward_error", berr, tols["solver_tol"]))
     return checks
 

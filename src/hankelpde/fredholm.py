@@ -17,26 +17,32 @@ of G:
 * dense, solve_edges: builds the block matrix I + WQ with the quadrature
   weights folded in on the left of Q, factors it once (lapack.LU), and
   reads det2 and the edges of G from that one factor;
-* low-rank, solve_lowrank: factors P ~ U V with a randomized range
-  finder and HankelFFT (block Hankel products by FFT), then det2 by
-  Sylvester's identity and the edges by Woodbury on an r x r core; no
-  k x k array is formed.
+* low-rank, solve_lowrank: P ~ U V from a randomized range finder and
+  HankelFFT (block Hankel products by FFT), then det2 by Sylvester's
+  identity and the edges by Woodbury on an r x r core; no k x k array
+  is formed.
 
 A rule with k = K m >= LOWRANK_CUTOFF unknowns tries the low-rank path,
 and keeps it only when the rank r <= k/4 and the backward error,
-measured with the exact Hankel operators, is at most the scenario's
-solver_tol; otherwise, and always below the cutoff, the dense path runs.
+measured with the sample's exact Hankel operators, is at most the
+scenario's solver_tol; otherwise, and always below the cutoff, the dense
+path runs.
 evaluate_solution skips a sample whose backward error exceeds solver_tol
 on either path, as it skips one whose det2 is below the patch threshold.
 
 x enters Q only as a shift of the data, so on the node lattice the Q of
 x + l h is the window from node l of one larger Q built at x:
-Q(x + l h)[i][j] = Q_ext[i + l][j + l].  evaluate_solution splits each
-t row's x samples into runs (x_runs: consecutive samples a whole number
-of steps h apart, spanning at most N of them), and run_kernels builds
-one extended Q per run, rule and field with assemble_Q's extension and
-hands each sample its window.  Only composed kernels below the cutoff
-share one: kdv_Q is a free view, and the low-rank path forms no Q.
+Q(x + l h)[i][j] = Q_ext[i + l][j + l], and its P is the column window
+P(x + l h) = H[:, l:l+K] of the K x (K+e) block Hankel matrix H of the
+data from x on.  evaluate_solution splits each t row's x samples into
+runs (x_runs: consecutive samples a whole number of steps h apart,
+spanning at most N of them), and run_kernels builds one share per run,
+rule and field and hands each sample its window: below the cutoff one
+extended Q (assemble_Q's extension; for neg_identity each sample's
+kdv_Q, a free view), at or above it one LowRankFactors (lowrank_run:
+one range finder on H, V = U^H H and X of the whole run), whose range
+holds every sample's P; a run whose rank passes k/4 takes the dense
+share instead.  The core, det2 and the backward error stay per sample.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -342,7 +348,8 @@ def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
     del Q  # as large as A: free it before the factorisation
     lu = LU(A)
     sign, logabs = lu.slogdet()
-    d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
+    with np.errstate(over="ignore"):  # past the float range det2 is inf
+        d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
     if abs(d2) < threshold:
         raise PatchError(d2, x=x)
     vals = hankel_values(p, x, quad)
@@ -389,47 +396,50 @@ def _block_product(F, G):
 
 
 class HankelFFT:
-    """The K x K block Hankel matrix H[i, j] = vals[i + j] (a x b blocks,
-    vals of shape (2K-1, a, b)), applied to blocks of vectors by FFT.
+    """The R x C block Hankel matrix H[i, j] = vals[i + j] (a x b blocks,
+    vals of shape (R + C - 1, a, b)), applied to blocks of vectors by FFT.
+    R defaults to the square case, R = C = (len(vals) + 1) / 2.
 
     H Y is a linear convolution of vals with the node-reversed Y, read at
-    the K middle lags, so a cyclic transform of length >= 2K-1 holds it
-    without wrap-around; vals is transformed once.  Every transform runs
-    along a contiguous last axis (the nodes), real (rfft) when vals is
-    real; a complex operand of a real H is split into its real and
-    imaginary parts.  right(Y) is H Y for Y of shape (K b, c); left(Y)
-    is Y H for Y of shape (c, K a), computed as (H^T Y^T)^T, where H^T
-    is the block Hankel matrix of the transposed blocks.
+    the R lags from C - 1 on, so a cyclic transform of length
+    >= len(vals) holds it without wrap-around; vals is transformed once.
+    Every transform runs along a contiguous last axis (the nodes), real
+    (rfft) when vals is real; a complex operand of a real H is split into
+    its real and imaginary parts.  right(Y) is H Y for Y of shape (C b, c);
+    left(Y) is Y H for Y of shape (c, R a), computed as (H^T Y^T)^T, where
+    H^T is the C x R block Hankel matrix of the transposed blocks.
     """
 
-    def __init__(self, vals):
-        self.K = (len(vals) + 1) // 2
+    def __init__(self, vals, rows=None):
+        self.R = (len(vals) + 1) // 2 if rows is None else rows
+        self.C = len(vals) - self.R + 1
         self.a, self.b = vals.shape[1:]
         self.real = not np.iscomplexobj(vals)
-        self.size = _fft_size(2 * self.K - 1)
+        self.size = _fft_size(len(vals))
         self.spec = self._forward(np.moveaxis(vals, 0, -1))
 
     def _forward(self, arr):
         arr = np.ascontiguousarray(arr)
         return (np.fft.rfft if self.real else np.fft.fft)(arr, n=self.size, axis=-1)
 
-    def _apply(self, spec, Y):
-        """The block Hankel matrix whose blocks' spectrum is spec (p, q,
-        L) times Y of shape (K q, c)."""
+    def _apply(self, spec, Y, rows, cols):
+        """The rows x cols block Hankel matrix whose blocks' spectrum is
+        spec (p, q, L) times Y of shape (cols q, c)."""
         if self.real and np.iscomplexobj(Y):
-            return self._apply(spec, Y.real) + 1j * self._apply(spec, Y.imag)
+            return (self._apply(spec, Y.real, rows, cols)
+                    + 1j * self._apply(spec, Y.imag, rows, cols))
         p, q, _ = spec.shape
         c = Y.shape[1]
-        ys = self._forward(np.moveaxis(Y.reshape(self.K, q, c)[::-1], 0, -1))
+        ys = self._forward(np.moveaxis(Y.reshape(cols, q, c)[::-1], 0, -1))
         full = (np.fft.irfft if self.real else np.fft.ifft)(_block_product(spec, ys),
                                                              n=self.size, axis=-1)
-        return np.moveaxis(full[..., self.K - 1: 2 * self.K - 1], -1, 0).reshape(self.K * p, c)
+        return np.moveaxis(full[..., cols - 1: cols - 1 + rows], -1, 0).reshape(rows * p, c)
 
     def right(self, Y):
-        return self._apply(self.spec, Y)
+        return self._apply(self.spec, Y, self.R, self.C)
 
     def left(self, Y):
-        return self._apply(self.spec.transpose(1, 0, 2), Y.T).T
+        return self._apply(self.spec.transpose(1, 0, 2), Y.T, self.C, self.R).T
 
 
 def _range_basis(H, limit):
@@ -446,8 +456,8 @@ def _range_basis(H, limit):
     from numpy.random import default_rng  # deferred: costs setup time on import
 
     rng = default_rng(_SKETCH_SEED)
-    shape = (H.K * H.b, _SKETCH_BLOCK)
-    U = np.empty((H.K * H.a, 0), dtype=float if H.real else complex)
+    shape = (H.C * H.b, _SKETCH_BLOCK)
+    U = np.empty((H.R * H.a, 0), dtype=float if H.real else complex)
     top = None
     while True:
         probes = rng.standard_normal(shape)
@@ -467,38 +477,96 @@ def _range_basis(H, limit):
             return None
 
 
-def solve_lowrank(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+@dataclass(frozen=True)
+class LowRankFactors:
+    """The low-rank factors of a pairing's Hankel operators over a run of
+    x samples on quad's rule (k = K m unknowns per sample).
+
+    H is the K x (K+e) block Hankel matrix of the data from x on
+    (hankel_values with an extension of e nodes).  U is an orthonormal
+    (K n, r) basis of its range, V = U^H H as (r, K+e, m) blocks, and
+    T = P~_tall (W U) as (K+e, m, r) blocks, with P~_tall the (K+e) x K
+    block Hankel matrix of the companion; T is None for neg_identity
+    (Q = -P).  The sample x + l h has P = H[:, l:l+K], whose range U
+    spans, so window(l) is its own factors, node rows l..l+K-1 of V and
+    T: P ~ U V, and WQ ~ X V with X = W T, or -W U for neg_identity.
+    """
+
+    quad: QuadratureGrid
+    U: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
+    T: np.ndarray = field(repr=False)
+
+    @property
+    def rank(self):
+        return self.U.shape[1]
+
+    def window(self, offset):
+        """The factors of the sample x + offset h."""
+        K = self.quad.node_count
+        return LowRankFactors(self.quad, self.U, self.V[:, offset: offset + K],
+                              None if self.T is None else self.T[offset: offset + K])
+
+
+def lowrank_run(p, ptil, x, quad, extension=0):
+    """The LowRankFactors of the pairing (p, ptil) for the samples x + l h,
+    l = 0..e, on quad, or None once the rank passes k/4 (k = K m).
+
+    One range finder on H (HankelFFT of K rows), one product V = U^H H,
+    and one T = P~_tall (W U) serve every sample of the run.
+    """
+    n, m, K = p.rows, p.cols, quad.node_count
+    E = K + extension
+    H = HankelFFT(hankel_values(p, x, quad, extension), K)
+    U = _range_basis(H, K * m // 4)
+    if U is None:
+        return None
+    V = H.left(U.conj().T).reshape(U.shape[1], E, m)
+    T = None
+    if ptil is not None:
+        Pt = HankelFFT(hankel_values(ptil, x, quad, extension), E)
+        T = Pt.right(np.repeat(quad.weights, n)[:, None] * U).reshape(E, m, U.shape[1])
+    return LowRankFactors(quad, U, V, T)
+
+
+def solve_lowrank(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, factors=None):
     """solve_edges' tuple for the pairing (p, ptil) on quad, and the rank
     r it was solved at, without forming any k x k array (k = K m); None
     when r > k/4 or the backward error exceeds tol.
 
-    WQ = F P with F = W P~ W, or F = -W for neg_identity (Q = -P).  The
-    range finder gives P ~ U V with V = U^H P, so WQ ~ X V with X = F U,
-    and the r x r core C = I_r + V X stands in for A = I + WQ:
-    det2 = det(C) e^{-tr(V X)} (Sylvester), and Woodbury,
+    factors is the sample's window of its run's LowRankFactors; without
+    one, a run of this one sample is built (lowrank_run, no extension).
+    They give P ~ U V and WQ ~ X V (WQ = F P with F = W P~ W, or F = -W
+    for neg_identity), and the r x r core C = I_r + V X stands in for
+    A = I + WQ: det2 = det(C) e^{-tr(V X)} (Sylvester), and Woodbury,
     A^{-1} = I - X C^{-1} V, gives the last block row of G,
     P_last A^{-1}, and Z = A^{-1} E_last, whose image P Z is the last
     block column.  Every product with P or P~ runs through HankelFFT.
     The backward error is solve_edges' measure with A applied through
-    the exact Hankel operators, never through the truncated factors, so
-    it certifies the answer against the system the dense solve factors.
-    A |det2| below threshold (a singular core gives det2 = 0) raises
-    PatchError before any solve.
+    the sample's exact Hankel operators, never through the truncated
+    factors, so it certifies the answer against the system the dense
+    solve factors.  A |det2| below threshold (a singular core gives
+    det2 = 0) raises PatchError before any solve.
     """
+    if factors is None:
+        factors = lowrank_run(p, ptil, x, quad)
+        if factors is None:
+            return None
     n, m, K = p.rows, p.cols, quad.node_count
     wn, wm = np.repeat(quad.weights, n), np.repeat(quad.weights, m)
     vals = hankel_values(p, x, quad)
     P = HankelFFT(vals)
-    U = _range_basis(P, K * m // 4)
-    if U is None:
-        return None
+    U, V = factors.U, factors.V.reshape(factors.rank, K * m)
     if ptil is None:
+        X = -wm[:, None] * U
+
         def F(Y):
             return -wm[:, None] * Y
 
         def F_left(Y):
             return -Y * wm
     else:
+        X = wm[:, None] * factors.T.reshape(K * m, factors.rank)
         Pt = HankelFFT(hankel_values(ptil, x, quad))
 
         def F(Y):
@@ -506,13 +574,12 @@ def solve_lowrank(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
 
         def F_left(Y):
             return Pt.left(Y * wm) * wn
-    V = P.left(U.conj().T)
-    X = F(U)
     C = V @ X
     trace = np.trace(C)
     C[np.diag_indices_from(C)] += 1.0
     sign, logabs = np.linalg.slogdet(C)
-    d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
+    with np.errstate(over="ignore"):  # past the float range det2 is inf
+        d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
     if abs(d2) < threshold:
         raise PatchError(d2, x=x)
     P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
@@ -529,43 +596,48 @@ def solve_lowrank(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
     row = row_big.reshape(n, K, m).transpose(1, 0, 2)
     col = PZ.reshape(K, n, m)
     col[-1] = row[-1]
-    return (d2, row[-1], col, row, float(berr)), U.shape[1]
+    return (d2, row[-1], col, row, float(berr)), factors.rank
 
 
-def solve_rule(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, Q=None):
+def solve_rule(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, shared=None):
     """solve_edges' tuple for the pairing (p, ptil) on quad, and the rank
     of the low-rank solve, or None where the dense one ran.
 
-    A system of k = K m >= LOWRANK_CUTOFF unknowns tries solve_lowrank,
-    which stands only when r <= k/4 and its exact-operator backward
-    error is at most tol; otherwise, and below the cutoff, solve_edges
-    factors paired_Q's kernel, or Q when the caller has built it.
+    shared is the sample's share of its run (run_kernels): a window of
+    the run's LowRankFactors or of its Q, or None where no run built
+    one.  solve_lowrank runs on shared factors, and without shared on a
+    system of k = K m >= LOWRANK_CUTOFF unknowns; it stands only when
+    r <= k/4 and its exact-operator backward error is at most tol.
+    Otherwise solve_edges factors the shared Q, or paired_Q's kernel.
     """
-    if quad.node_count * p.cols >= LOWRANK_CUTOFF:
-        out = solve_lowrank(p, ptil, x, quad, threshold, tol)
+    if isinstance(shared, LowRankFactors) or (
+            shared is None and quad.node_count * p.cols >= LOWRANK_CUTOFF):
+        out = solve_lowrank(p, ptil, x, quad, threshold, tol, shared)
         if out is not None:
             return out
-    # built in the call, so that no local here holds Q while solve_edges
-    # factors I + WQ (it drops its own reference first)
-    return solve_edges(paired_Q(p, ptil, x, quad) if Q is None else Q, p, x, threshold), None
+    if not isinstance(shared, DiscreteKernel):
+        # built in the call, so that no local here holds Q while
+        # solve_edges factors I + WQ (it drops its own reference first)
+        return solve_edges(paired_Q(p, ptil, x, quad), p, x, threshold), None
+    return solve_edges(shared, p, x, threshold), None
 
 
-def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, Qs=None):
+def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, shared=None):
     """det2, G at the origin, the backward error and the ranks for one
     sample: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error, ranks),
     the two slices over the nodes of rules[0].
 
     (p, ptil) is a pairing, Q = -P when ptil is None, and solve_rule
-    solves it on each rule, on Qs' kernel for that rule where the caller
-    has built one (run_kernels); ranks holds each rule's low-rank rank, or
-    None where the dense solve ran.  The backward error is the larger
+    solves it on each rule, with shared's entry for that rule where the
+    caller has one (run_kernels); ranks holds each rule's low-rank rank,
+    or None where the dense solve ran.  The backward error is the larger
     over the rules.  With two rules from quadrature_rules the values
     are Richardson-extrapolated, (4*fine - coarse)/3 with the fine rule
     read at every second node, and det2 is the fine rule's.  A |det2|
     below threshold on either rule raises PatchError.
     """
-    out, ranks = zip(*(solve_rule(p, ptil, x, quad, threshold, tol, Q)
-                       for quad, Q in zip(rules, Qs or (None,) * len(rules))))
+    out, ranks = zip(*(solve_rule(p, ptil, x, quad, threshold, tol, s)
+                       for quad, s in zip(rules, shared or (None,) * len(rules))))
     if len(out) == 1:
         return out[0] + (ranks,)
     (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out
@@ -599,18 +671,24 @@ def x_runs(xs, grid, quad):
 
 
 def run_kernels(p, ptil, xs, quad):
-    """The Q of the pairing at each sample of xs on quad, for solve_rule,
-    one extended assemble_Q per run of x_runs read as its windows; the
-    run's array is dropped when the run ends.  None for every sample
-    where solve_rule forms no Q of its own to share: neg_identity, whose
-    kdv_Q is a free view, and rules at or above LOWRANK_CUTOFF."""
-    if ptil is None or quad.node_count * p.cols >= LOWRANK_CUTOFF:
-        yield from (None for _ in xs)
-        return
+    """Each sample's share of its run of xs (x_runs) on quad, for
+    solve_rule, built once per run and dropped when the run ends.  At or
+    above LOWRANK_CUTOFF it is the sample's window of the run's
+    LowRankFactors (lowrank_run).  Below the cutoff, or where the run's
+    rank passes k/4, it is the sample's Q: a window of one extended
+    assemble_Q, or for neg_identity the sample's kdv_Q, a free view.
+    """
+    lowrank = quad.node_count * p.cols >= LOWRANK_CUTOFF
     for x, offsets in x_runs(xs, p.grid, quad):
-        ext = assemble_Q(p, ptil, x, quad, max(offsets))
-        yield from (ext.window(offset) for offset in offsets)
-        del ext
+        extension = max(offsets)
+        run = lowrank_run(p, ptil, x, quad, extension) if lowrank else None
+        if run is None and ptil is None:
+            shares = (kdv_Q(p, x + offset * quad.spacing, quad) for offset in offsets)
+        else:
+            run = run or assemble_Q(p, ptil, x, quad, extension)
+            shares = (run.window(offset) for offset in offsets)
+        yield from shares
+        del run, shares
 
 
 @dataclass
@@ -683,10 +761,11 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     """Run the full pipeline over the scenario's (x,t) sample grid.
 
     pairings gives each t row's evolved data and its companion; per
-    sample, compose Q, check det2, solve, and record the centre value,
-    the two slices through the origin, and det2.  Q is built once per run
-    of x samples a whole number of quadrature steps apart, per rule and
-    field (run_kernels), and each sample solves on its window.  The
+    sample, solve, check det2, and record the centre value, the two
+    slices through the origin, and det2.  Q, or at or above the low-rank
+    cutoff the low-rank factors, is built once per run of x samples a
+    whole number of quadrature steps apart, per rule and field
+    (run_kernels), and each sample solves on its window.  The
     slices are kept only when the scenario's outputs read them ("slices",
     or "residuals" of a kind with a kernel form).  Samples are
     independent; rows of constant t are distributed over threads and
@@ -740,14 +819,14 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
             t = ts[it]
             # role swap: the partner field solves P~ = G~ (id + P P~)
             fields = ((p_t, ptil), (ptil, p_t)) if kind.coupled else ((p_t, ptil),)
-            # per sample, per field: each rule's Q, taken before any solve
-            # so that a skipped sample keeps every run in step
-            kernels = zip(*(zip(*(run_kernels(f, g, xs, q) for q in rules))
-                            for f, g in fields))
-            for ix, (x, Qs) in enumerate(zip(xs, kernels)):
+            # per sample, per field: each rule's share of its run, taken
+            # before any solve so that a skipped sample keeps every run in step
+            shares = zip(*(zip(*(run_kernels(f, g, xs, q) for q in rules))
+                           for f, g in fields))
+            for ix, (x, shared) in enumerate(zip(xs, shares)):
                 try:
-                    solved = [solve_origin(f, g, x, rules, threshold, tol, Q)
-                              for (f, g), Q in zip(fields, Qs)]
+                    solved = [solve_origin(f, g, x, rules, threshold, tol, s)
+                              for (f, g), s in zip(fields, shared)]
                 except PatchError as err:
                     err.t = t
                     det2_vals[it, ix] = err.det2_value

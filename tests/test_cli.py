@@ -704,6 +704,49 @@ def test_run_tables_match_loop_writer(tmp_path):
         assert (out / name).read_text() == expected, name
 
 
+def test_write_table_bytes_equal_savetxt(tmp_path):
+    # the one-pass writer gives np.savetxt's bytes for every float it may
+    # meet: nan, +-inf, -0.0, subnormal-adjacent and complex entries
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 1.0 / 3.0, 2.5e17, -7.0]
+    keys = np.array([[x, t] for x in special[:5] for t in special[5:]])
+    rng = np.random.default_rng(5)
+    values = np.empty((len(keys), 2), dtype=complex)
+    values.real = rng.permutation(special * 10)[:2 * len(keys)].reshape(values.shape)
+    values.imag = rng.permutation(special * 10)[:2 * len(keys)].reshape(values.shape)
+    tail = np.abs(values[:, 0])
+    path = tmp_path / "table.tsv"
+    cli._write_table(str(path), ["x", "t", "a", "b", "c", "d", "abs"], keys, values, (tail,))
+    re_im = np.stack([values.real, values.imag], axis=-1).reshape(len(keys), -1)
+    np.savetxt(tmp_path / "want.tsv", np.column_stack([keys, re_im, tail]), fmt="%.17g",
+               delimiter="\t", header="\t".join(["x", "t", "a", "b", "c", "d", "abs"]),
+               comments="")
+    got = path.read_bytes()
+    assert got == (tmp_path / "want.tsv").read_bytes()
+    for word in (b"nan", b"inf", b"-inf", b"-0", b"1e-300"):
+        assert word in got
+
+
+def test_manifest_is_strict_json_when_det2_overflows(tmp_path):
+    # coupled_diffusion on a 6x finer master grid drives the dense det2
+    # past the float range: the run prints no overflow warning, and the
+    # manifest writes the infinite det2 values as null, never Infinity
+    text = (SCENARIO_DIR / "coupled_diffusion.yaml").read_text().replace("M: 320", "M: 1920")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hankelpde.cli", "solve",
+                           write_scenario(tmp_path, text), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr
+    assert "overflow" not in done.stderr and "Warning" not in done.stderr
+
+    def refused(name):
+        raise AssertionError("non-standard JSON constant %s" % name)
+
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=refused)
+    assert manifest["skipped"]
+    assert any(row[4] is None for row in manifest["skipped"])
+
+
 RANK_ONE_ASYMMETRIC_T = """
 name: rank-one-reference
 %s

@@ -895,3 +895,146 @@ def test_lowrank_patch_error_comes_from_a_singular_core():
     assert abs(info.value.det2_value) < 1e-8
     with pytest.raises(PatchError):
         fredholm.solve_rule(p, None, 0.0, quad)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("rows, cols", [(9, 14), (14, 9), (1, 6), (6, 1)])
+def test_hankel_fft_applies_a_rectangular_block_hankel_matrix(rows, cols, real):
+    # rows x cols blocks from rows + cols - 1 values, from both sides
+    a, b = 2, 1
+    rng = np.random.default_rng(rows + 7 * cols)
+    vals = rng.standard_normal((rows + cols - 1, a, b))
+    if not real:
+        vals = vals + 1j * rng.standard_normal(vals.shape)
+    H = hankel_windows(vals, cols).transpose(0, 2, 1, 3).reshape(rows * a, cols * b)
+    op = fredholm.HankelFFT(vals, rows)
+    assert (op.R, op.C) == (rows, cols) and op.size >= len(vals)
+    Y = rng.standard_normal((cols * b, 3)) + 1j * rng.standard_normal((cols * b, 3))
+    Yl = rng.standard_normal((4, rows * a)) + 1j * rng.standard_normal((4, rows * a))
+    for got, want in ((op.right(Y), H @ Y), (op.left(Yl), Yl @ H)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def count_range_finder(monkeypatch):
+    """The (H, limit) of every _range_basis call from now on."""
+    made = []
+    finder = fredholm._range_basis
+
+    def counted(H, limit):
+        made.append((H, limit))
+        return finder(H, limit)
+
+    monkeypatch.setattr(fredholm, "_range_basis", counted)
+    return made
+
+
+@pytest.mark.parametrize("name", LOWRANK_CASES)
+def test_run_factors_are_the_windows_of_each_sample(name):
+    # one range finder for the run x + l h, l = 0..e: at every offset, V
+    # and T read as windows equal the products a one-sample build takes
+    # with the same U through the sample's own Hankel operators, and U
+    # holds the sample's P
+    p, ptil, x, quad = lowrank_case(name)
+    K, n, m = quad.node_count, p.rows, p.cols
+    offsets = [0, 1, 2, 7, 24]
+    run = fredholm.lowrank_run(p, ptil, x, quad, max(offsets))
+    assert run.V.shape == (run.rank, K + 24, m)
+    assert np.iscomplexobj(run.U) == (name in ("nls_complex", "nls_2x2"))
+    for l in offsets:
+        xl = x + l * quad.spacing
+        f = run.window(l)
+        assert f.U is run.U and f.rank == run.rank
+        P = fredholm.HankelFFT(hankel_values(p, xl, quad))
+        V = f.V.reshape(f.rank, K * m)
+        want = P.left(run.U.conj().T)
+        assert np.abs(V - want).max() <= 1e-13 * np.abs(want).max()
+        if ptil is None:
+            assert f.T is None
+        else:
+            Pt = fredholm.HankelFFT(hankel_values(ptil, xl, quad))
+            want = Pt.right(np.repeat(quad.weights, n)[:, None] * run.U)
+            T = f.T.reshape(K * m, f.rank)
+            assert np.abs(T - want).max() <= 1e-13 * np.abs(want).max()
+        dense = hankel_kernel(p, xl, quad).big()
+        assert np.abs(run.U @ V - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("kind, richardson, calls", [
+    # per t row: one run of the 5 x samples, on 2 rules or 1, one field
+    ("kdv_primitive", True, 10), ("local_nls", False, 6)])
+def test_range_finder_runs_once_per_run_rule_and_field(kind, richardson, calls, monkeypatch):
+    if kind == "kdv_primitive":
+        g, quad = make_uniform_grid(28.0, 3584), 12.0
+        n, xs, ts = 1, np.linspace(-2.0, 2.0, 5), np.linspace(-2.0, 2.0, 5)
+        initial = InitialDataSpec(kind="exponential", amplitude=[[-0.75]], rate=1.0)
+    else:
+        g, quad = make_uniform_grid(20.0, 1920), 8.0
+        n, xs, ts = 2, np.linspace(-1.0, 1.0, 5), np.linspace(-0.8, 0.8, 6)
+        initial = InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]],
+                                  width=1.0)
+    sc = scenario_stub(kind=resolve_kind(kind), grid=g, n=n, m=n, richardson=richardson,
+                       quad=make_quadrature(quad, 384, g.spacing), initial=initial,
+                       xs=xs, ts=ts, tolerances={"patch_threshold": 1e-12, "solver_tol": 1e-10})
+    made = count_range_finder(monkeypatch)
+    _, report = evaluate_solution(sc, threads=2)
+    assert not report.any_below
+    assert len(made) == calls
+    # each run's H reaches over all of its samples: 4 x steps of h
+    assert {H.C - H.R for H, _ in made} == ({4 * 32, 4 * 64} if richardson else {4 * 24})
+    assert report.dense_solves == 0
+    assert report.lowrank_solves == xs.size * ts.size * (2 if richardson else 1)
+
+
+def test_a_run_past_the_rank_limit_calls_the_finder_once_and_goes_dense(monkeypatch):
+    # 2x2 NLS data at k = 66 need a rank above 66 // 4: with the cutoff
+    # lowered, the run's one range finder gives up, and every sample
+    # solves dense on the run's extended Q, as below the cutoff
+    p0 = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]],
+                                        width=1.0), make_uniform_grid(20.0, 3840), 2, 2)
+    quad = make_quadrature(8.0, 32, p0.grid.spacing)
+    sc = scenario_stub(kind=resolve_kind("local_nls"), grid=p0.grid, n=2, m=2, quad=quad,
+                       initial=InitialDataSpec(kind="gaussian",
+                                               amplitude=[[0.5, 0.32], [0.1, 0.4]], width=1.0),
+                       xs=0.25 + quad.spacing * np.arange(4), ts=np.array([0.005]))
+    want, want_report = evaluate_solution(sc)
+    assert want_report.ranks == [None] * 4
+    made = count_range_finder(monkeypatch)
+    monkeypatch.setattr(fredholm, "LOWRANK_CUTOFF", 0)
+    got, report = evaluate_solution(sc)
+    assert [limit for _, limit in made] == [16]
+    assert report.ranks == [None] * 4
+    assert np.array_equal(got.center, want.center)
+    assert np.array_equal(got.slice_y, want.slice_y)
+    assert np.array_equal(report.det2, want_report.det2)
+
+
+def test_a_sample_past_solver_tol_falls_back_to_dense_alone(monkeypatch):
+    # a sketch truncated at 1e-8 leaves backward errors of 4e-11 to 2e-10
+    # over one run of 2x2 NLS samples (k = 386): only the sample above
+    # solver_tol = 1e-10 solves dense, the rest keep the shared factors
+    g = make_uniform_grid(20.0, 3840)
+    quad = make_quadrature(8.0, 192, g.spacing)
+    initial = InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]], width=1.0)
+    kind = resolve_kind("local_nls")
+    sc = scenario_stub(kind=kind, grid=g, n=2, m=2, quad=quad, initial=initial,
+                       xs=0.25 + quad.spacing * np.array([0, 3, 10, 24]), ts=np.array([0.005]),
+                       tolerances={"patch_threshold": 1e-8, "solver_tol": 1.0})
+    monkeypatch.setattr(fredholm, "SKETCH_TOL", 1e-8)
+    loose, loose_report = evaluate_solution(sc)
+    berr = loose_report.backward_error[0]
+    assert berr[:3].max() < 1e-10 < berr[3]
+    made = count_range_finder(monkeypatch)
+    sc.tolerances = {"patch_threshold": 1e-8, "solver_tol": 1e-10}
+    got, report = evaluate_solution(sc)
+    assert len(made) == 1
+    rank = loose_report.ranks[0]
+    assert report.ranks == [rank, rank, rank, None]
+    assert not report.any_below
+    assert np.array_equal(got.center[0, :3], loose.center[0, :3])
+    (p, ptil), = pairings(sample_profile(initial, g, 2, 2), kind.params, kind.companion,
+                          [0.005])
+    with lapack.one_blas_thread():  # as evaluate_solution runs it
+        dense = solve_edges(paired_Q(p, ptil, sc.xs[3], quad), p, sc.xs[3])
+    assert np.array_equal(got.center[0, 3], dense[1])
+    assert report.backward_error[0, 3] == dense[4]

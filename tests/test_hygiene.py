@@ -74,3 +74,28 @@ def test_an_unused_definition_is_caught():
                "b.py": "from a import used, LIMIT\n"}
     assert _dead_definitions(sources, ["a.py"]) == [("a.py", 5, "Unused"),
                                                      ("a.py", 8, "SPARE")]
+
+
+def _callers(sources, name):
+    """(path, line) of every call of name, as a plain or dotted name."""
+    calls = []
+    for path, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "attr", getattr(func, "id", None)) == name:
+                    calls.append((path, node.lineno))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["_range_basis", "LU"])
+def test_one_caller_in_the_package(name):
+    # one range finder per run (fredholm.lowrank_run) and one
+    # factorisation per dense system (fredholm.solve_edges)
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert [path for path, _ in _callers(sources, name)] == ["fredholm.py"]
+
+
+def test_a_second_caller_is_caught():
+    sources = {"a.py": "def f(x):\n    return x\n\n\nf(1)\n", "b.py": "import a\na.f(2)\n"}
+    assert _callers(sources, "f") == [("a.py", 5), ("b.py", 2)]
