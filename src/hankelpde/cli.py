@@ -42,7 +42,6 @@ from .equations import (
     u_identity_check,
 )
 from .fredholm import (
-    LOWRANK_CUTOFF,
     PATCH_THRESHOLD,
     SOLVER_TOL,
     PatchError,
@@ -605,12 +604,11 @@ def _verify_checks(scenario):
                        - np.abs(np.fft.fft(p0.samples, axis=0) / M)).max()
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
-    # the solve that solve runs on this rule: low-rank at or above the
-    # cutoff, else dense on the Q the family already built
+    # the solve that solve runs on this rule: low-rank where the data's
+    # rank allows, else dense on paired_Q's kernel
     tols = scenario.tolerances
-    lowrank = quad.node_count * scenario.m >= LOWRANK_CUTOFF
     (*_, berr), _ = solve_rule(p0, ptil, x0, quad, tols["patch_threshold"],
-                               tols["solver_tol"], None if lowrank else kernels[2])
+                               tols["solver_tol"])
     checks.append(("nystrom_backward_error", berr, tols["solver_tol"]))
     return checks
 

@@ -22,11 +22,11 @@ of G:
   identity and the edges by Woodbury on an r x r core; no k x k array
   is formed.
 
-A rule with k = K m >= LOWRANK_CUTOFF unknowns tries the low-rank path,
-and keeps it only when the rank r <= k/4 and the backward error,
-measured with the sample's exact Hankel operators, is at most the
-scenario's solver_tol; otherwise, and always below the cutoff, the dense
-path runs.
+solve_rule tries the low-rank path unless its share is a Q window, and
+keeps it only when the rank r <= k/4 (k = K m unknowns) and the
+backward error, measured with the sample's exact Hankel operators, is
+at most the scenario's solver_tol; otherwise the dense path runs.  No
+size decides the path: the rank of the data does.
 evaluate_solution skips a sample whose backward error exceeds solver_tol
 on either path, as it skips one whose det2 is below the patch threshold.
 
@@ -37,12 +37,12 @@ P(x + l h) = H[:, l:l+K] of the K x (K+e) block Hankel matrix H of the
 data from x on.  evaluate_solution splits each t row's x samples into
 runs (x_runs: consecutive samples a whole number of steps h apart,
 spanning at most N of them), and run_kernels builds one share per run,
-rule and field and hands each sample its window: below the cutoff one
-extended Q (assemble_Q's extension; for neg_identity each sample's
-kdv_Q, a free view), at or above it one LowRankFactors (lowrank_run:
-one range finder on H, V = U^H H and X of the whole run), whose range
-holds every sample's P; a run whose rank passes k/4 takes the dense
-share instead.  The core, det2 and the backward error stay per sample.
+rule and field and hands each sample its window: one LowRankFactors
+(lowrank_run: one range finder on H, V = U^H H and X of the whole run),
+whose range holds every sample's P, or, where the run's rank passes
+k/4, one extended Q (assemble_Q's extension; for neg_identity each
+sample's kdv_Q, a free view).  The core, det2 and the backward error
+stay per sample.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -57,18 +57,11 @@ from .lapack import LU, cores, one_blas_thread
 
 PATCH_THRESHOLD = 1e-8
 SOLVER_TOL = 1e-10
-# systems with k = K*m unknowns at or above LOWRANK_CUTOFF try the
-# low-rank solve first: measured per rule on one core, the dense LU
-# still wins at k = 258 on 2x2 NLS data (rank 35), and the low-rank
-# solve wins from k = 385 on rank-one and 2x2 NLS data alike
-LOWRANK_CUTOFF = 384
 # the range finder keeps the directions whose sketched singular value
 # exceeds SKETCH_TOL times the first sketch's largest, drawing
-# _SKETCH_BLOCK Gaussian probes at a time from a generator seeded with
-# _SKETCH_SEED on every call
+# _SKETCH_BLOCK probes at a time (_probes, restarted on every call)
 SKETCH_TOL = 1e-13
 _SKETCH_BLOCK = 8
-_SKETCH_SEED = 0
 
 
 class PatchError(Exception):
@@ -442,27 +435,45 @@ class HankelFFT:
         return self._apply(self.spec.transpose(1, 0, 2), Y.T, self.C, self.R).T
 
 
+def _probes(drawn, count):
+    """count probe values in [-1, 1), the draws drawn..drawn + count - 1
+    of splitmix64 (Steele, Lea and Flood, OOPSLA 2014): each value is a
+    fixed bijective mix of its counter, so a draw depends only on its
+    index, and numpy.random is never imported."""
+    z = np.arange(drawn + 1, drawn + count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)  # uint64 arithmetic wraps modulo 2^64
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    # the top 53 bits, exact in a double, on the grid of spacing 2^-52
+    z >>= 11
+    return z * 2.0 ** -52 - 1.0
+
+
 def _range_basis(H, limit):
     """An orthonormal U with H ~ U U^H H to SKETCH_TOL, or None once its
     rank would pass limit.
 
     Adaptive randomized range finder (Halko, Martinsson and Tropp, SIAM
-    Review 53, 2011): each round sketches H with _SKETCH_BLOCK Gaussian
+    Review 53, 2011): each round sketches H with _SKETCH_BLOCK random
     probes, projects the sketch off U twice, and adds the directions
     whose singular value exceeds SKETCH_TOL times the first sketch's
-    largest; a round that adds none ends the search.  The generator is
-    seeded on every call, so U depends only on H.
+    largest; a round that adds none ends the search, and one that would
+    pass limit gives up before it orthogonalises them.  The probes are
+    uniform on [-1, 1) (real and imaginary parts for complex H), drawn
+    from _probes from index 0 on every call, so U depends only on H.
     """
-    from numpy.random import default_rng  # deferred: costs setup time on import
-
-    rng = default_rng(_SKETCH_SEED)
-    shape = (H.C * H.b, _SKETCH_BLOCK)
+    rows = H.C * H.b
+    per_probe = rows if H.real else 2 * rows
     U = np.empty((H.R * H.a, 0), dtype=float if H.real else complex)
     top = None
+    drawn = 0
     while True:
-        probes = rng.standard_normal(shape)
-        if not H.real:
-            probes = probes + 1j * rng.standard_normal(shape)
+        vals = _probes(drawn, per_probe * _SKETCH_BLOCK).reshape(-1, _SKETCH_BLOCK)
+        drawn += vals.size
+        probes = vals if H.real else vals[:rows] + 1j * vals[rows:]
         Y = H.right(probes)
         for _ in range(2):
             Y -= U @ (U.conj().T @ Y)
@@ -471,10 +482,10 @@ def _range_basis(H, limit):
         new = u[:, s > SKETCH_TOL * top]
         if new.shape[1] == 0:
             return U
+        if U.shape[1] + new.shape[1] > limit:
+            return None
         new -= U @ (U.conj().T @ new)
         U = np.hstack([U, np.linalg.qr(new)[0]])
-        if U.shape[1] > limit:
-            return None
 
 
 @dataclass(frozen=True)
@@ -605,17 +616,15 @@ def solve_rule(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, shar
 
     shared is the sample's share of its run (run_kernels): a window of
     the run's LowRankFactors or of its Q, or None where no run built
-    one.  solve_lowrank runs on shared factors, and without shared on a
-    system of k = K m >= LOWRANK_CUTOFF unknowns; it stands only when
-    r <= k/4 and its exact-operator backward error is at most tol.
-    Otherwise solve_edges factors the shared Q, or paired_Q's kernel.
+    one.  Unless shared is a Q, solve_lowrank runs, on the shared factors
+    or on a run of this one sample; it stands only when r <= k/4 (k = K m)
+    and its exact-operator backward error is at most tol.  Otherwise
+    solve_edges factors the shared Q, or paired_Q's kernel.
     """
-    if isinstance(shared, LowRankFactors) or (
-            shared is None and quad.node_count * p.cols >= LOWRANK_CUTOFF):
+    if not isinstance(shared, DiscreteKernel):
         out = solve_lowrank(p, ptil, x, quad, threshold, tol, shared)
         if out is not None:
             return out
-    if not isinstance(shared, DiscreteKernel):
         # built in the call, so that no local here holds Q while
         # solve_edges factors I + WQ (it drops its own reference first)
         return solve_edges(paired_Q(p, ptil, x, quad), p, x, threshold), None
@@ -672,16 +681,16 @@ def x_runs(xs, grid, quad):
 
 def run_kernels(p, ptil, xs, quad):
     """Each sample's share of its run of xs (x_runs) on quad, for
-    solve_rule, built once per run and dropped when the run ends.  At or
-    above LOWRANK_CUTOFF it is the sample's window of the run's
-    LowRankFactors (lowrank_run).  Below the cutoff, or where the run's
-    rank passes k/4, it is the sample's Q: a window of one extended
+    solve_rule, built once per run and dropped when the run ends: the
+    sample's window of the run's LowRankFactors (lowrank_run), or, where
+    the run's rank passes k/4, the sample's Q: a window of one extended
     assemble_Q, or for neg_identity the sample's kdv_Q, a free view.
+    Every run tries the range finder once, whatever its size, and the
+    choice depends only on the run's data, never on which thread runs it.
     """
-    lowrank = quad.node_count * p.cols >= LOWRANK_CUTOFF
     for x, offsets in x_runs(xs, p.grid, quad):
         extension = max(offsets)
-        run = lowrank_run(p, ptil, x, quad, extension) if lowrank else None
+        run = lowrank_run(p, ptil, x, quad, extension)
         if run is None and ptil is None:
             shares = (kdv_Q(p, x + offset * quad.spacing, quad) for offset in offsets)
         else:
@@ -762,9 +771,9 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     pairings gives each t row's evolved data and its companion; per
     sample, solve, check det2, and record the centre value, the two
-    slices through the origin, and det2.  Q, or at or above the low-rank
-    cutoff the low-rank factors, is built once per run of x samples a
-    whole number of quadrature steps apart, per rule and field
+    slices through the origin, and det2.  The low-rank factors, or where
+    the run's rank passes k/4 the Q, are built once per run of x samples
+    a whole number of quadrature steps apart, per rule and field
     (run_kernels), and each sample solves on its window.  The
     slices are kept only when the scenario's outputs read them ("slices",
     or "residuals" of a kind with a kernel form).  Samples are

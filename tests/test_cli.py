@@ -210,17 +210,27 @@ def test_a_solve_never_imports_scipy(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-def test_importing_the_cli_does_not_load_numpy_random():
-    # numpy.random costs about 17 ms to import; only the low-rank solve's
-    # range finder uses it, and it imports it on first use
-    code = ("import sys\n"
-            "import hankelpde.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n")
+def test_importing_the_cli_does_not_load_numpy_random(tmp_path):
+    # numpy.random costs about 6 MB of resident memory and 30 ms to
+    # import; the range finder draws its probes without it, so neither
+    # the import nor a low-rank solve or study loads it
+    path = write_scenario(tmp_path, STUDY_NLS)
+    out = tmp_path / "out"
+    code = ("import json, sys\n"
+            "import hankelpde.cli as cli\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
+            "print(loaded())\n"
+            "assert cli.main(['solve', %r, '--out', %r]) == 0\n"
+            "assert json.load(open(%r))['lowrank_solves'] == 25\n"
+            "assert cli.main(['study', %r]) == 0\n"
+            "print(loaded())\n"
+            % (str(path), str(out), str(out / "manifest.json"), str(path)))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_run_rank_one_kdv_center_value(tmp_path):
@@ -479,8 +489,8 @@ def test_parse_scenario_names_bad_env_override_and_tabulated_values(tmp_path, mo
 
 def test_verify_builds_each_system_once(monkeypatch):
     # Q at x0 is the middle member of the identity family, the companion
-    # is built once, and solve_edges builds I + WQ once for det2 and the
-    # backward error
+    # is built once, and the backward error comes from the rank-one data's
+    # low-rank solve, which builds no I + WQ
     calls = {"assemble_Q": 0, "companion_profile": 0, "nystrom_matrix": 0}
 
     def counted(module, name):
@@ -495,7 +505,7 @@ def test_verify_builds_each_system_once(monkeypatch):
     counted(fredholm, "companion_profile")
     counted(fredholm, "nystrom_matrix")
     assert main(["verify", str(SCENARIO_DIR / "nls_rank_one_study.yaml")]) == 0
-    assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": 1}
+    assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": 0}
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
@@ -836,8 +846,9 @@ def test_main_study_checks_every_level_before_solving(tmp_path, capsys, monkeypa
 
 
 def lowrank_texts():
-    """A 3 x 3 cut of kdv_soliton (k = 385 and 769) and 2x2 NLS at
-    N = 192 (k = 386): every rule at or above the low-rank cutoff."""
+    """A 3 x 3 cut of kdv_soliton (k = 385 and 769), 2x2 NLS at N = 192
+    (k = 386) and nls_rank_one (k = 129 and 257): every rule's rank
+    within k/4."""
     kdv = (SCENARIO_DIR / "kdv_soliton.yaml").read_text()
     for old, new in (("count: 9}", "count: 3}"),
                      ("outputs: [center, det2, residuals]", "outputs: [center, slices, det2]")):
@@ -848,24 +859,25 @@ def lowrank_texts():
                      ("outputs: [center, residuals]", "outputs: [center, slices, det2]")):
         assert old in nls
         nls = nls.replace(old, new)
-    return {"kdv": kdv, "nls_2x2": nls}
+    return {"kdv": kdv, "nls_2x2": nls,
+            "nls_rank_one": (SCENARIO_DIR / "nls_rank_one.yaml").read_text()}
 
 
-@pytest.mark.parametrize("name", ["kdv", "nls_2x2"])
+@pytest.mark.parametrize("name", ["kdv", "nls_2x2", "nls_rank_one"])
 def test_run_is_thread_independent_on_the_lowrank_path(tmp_path, name):
-    # the range finder's generator is seeded per call, so the tables do
-    # not depend on which row thread solves which sample
+    # each run's path and the range finder's probes depend only on the
+    # run's data, so the tables do not depend on which row thread solves
+    # which sample
     sc = parse_scenario(write_scenario(tmp_path, lowrank_texts()[name]))
     tables = []
     for threads in (1, 2, 3):
         out = tmp_path / ("t%d" % threads)
         assert run(sc, out_dir=str(out), threads=threads) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        rules = 2 if sc.richardson else 1
-        assert manifest["lowrank_solves"] == 9 * rules and manifest["dense_solves"] == 0
-        tables.append([(out / f).read_bytes()
-                       for f in ("center.tsv", "slice_y.tsv", "slice_z.tsv", "det2.tsv")])
-    assert tables[0] == tables[1] == tables[2]
+        solves = len(sc.xs) * len(sc.ts) * (2 if sc.richardson else 1)
+        assert manifest["lowrank_solves"] == solves and manifest["dense_solves"] == 0
+        tables.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
+    assert tables[0] and tables[0] == tables[1] == tables[2]
 
 
 def test_run_manifest_counts_the_solve_paths(tmp_path):
@@ -873,11 +885,16 @@ def test_run_manifest_counts_the_solve_paths(tmp_path):
     assert run(sc, out_dir=str(tmp_path / "kdv")) == 0
     manifest = json.loads((tmp_path / "kdv" / "manifest.json").read_text())
     assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (18, 0, 1)
-    # nls_rank_one's rules (k = 129 and 257) sit below the cutoff
+    # nls_rank_one's rules (k = 129 and 257) have rank one, so they go
+    # low-rank too; nls_gaussian_2x2's (k = 66) rank passes k/4
     sc = parse_scenario(str(SCENARIO_DIR / "nls_rank_one.yaml"))
     assert run(sc, out_dir=str(tmp_path / "nls")) == 0
     manifest = json.loads((tmp_path / "nls" / "manifest.json").read_text())
-    assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (0, 50, None)
+    assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (50, 0, 1)
+    sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
+    assert run(sc, out_dir=str(tmp_path / "nls2")) == 0
+    manifest = json.loads((tmp_path / "nls2" / "manifest.json").read_text())
+    assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (0, 81, None)
 
 
 def test_run_patch_skip_above_the_cutoff_comes_from_the_lowrank_core(tmp_path, monkeypatch):
@@ -885,7 +902,7 @@ def test_run_patch_skip_above_the_cutoff_comes_from_the_lowrank_core(tmp_path, m
     # dense solve refused, the low-rank core's det2 = 0 still skips it
     # and the run exits 2
     def refused(*args, **kwargs):
-        raise AssertionError("dense solve above the cutoff")
+        raise AssertionError("dense solve on the low-rank path")
 
     monkeypatch.setattr(fredholm, "solve_edges", refused)
     sc = parse_scenario(write_scenario(tmp_path, kdv_positive_text(N=384)))
@@ -910,7 +927,7 @@ def test_verify_certifies_the_lowrank_path(monkeypatch):
         return out
 
     def refused(*args, **kwargs):
-        raise AssertionError("dense solve above the cutoff")
+        raise AssertionError("dense solve on the low-rank path")
 
     monkeypatch.setattr(fredholm, "solve_lowrank", counted)
     monkeypatch.setattr(fredholm, "nystrom_matrix", refused)
@@ -921,9 +938,10 @@ def test_verify_certifies_the_lowrank_path(monkeypatch):
 
 @pytest.mark.parametrize("name, calls", [
     # one row per t sample; one run per row (x a whole number of steps
-    # apart, within N of them) per rule and field
+    # apart, within N of them) per rule and field whose rank passes k/4;
+    # nls_rank_one's rank-one runs go low-rank and build no Q
     ("nls_gaussian_2x2", 9 * [(32, 8)]),
-    ("nls_rank_one", 5 * [(128, 32), (256, 64)]),
+    ("nls_rank_one", []),
     ("coupled_diffusion", 9 * 2 * [(16, 8)]),
 ])
 def test_assemble_Q_once_per_run_rule_and_field(name, calls, monkeypatch):

@@ -568,7 +568,10 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
     x = 0.375
     rules = quadrature_rules(make_quadrature(2.0, 16, g.spacing), richardson)
     d2, centre, col, row, berr, ranks = solve_origin(p, ptil, x, rules)
-    assert ranks == (None,) * len(rules)  # k <= 66: every rule below the cutoff
+    # the role swap's fine rule (k = 66) has rank 11 <= 66 // 4 and goes
+    # low-rank; every other rule's rank passes k/4, so it solves dense
+    assert ranks == ((None, 11) if (pairing, richardson) == ("role_swap", True)
+                     else (None,) * len(rules))
 
     full = []
     for quad in rules:
@@ -604,8 +607,9 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
     ("kdv_primitive", True, 2), ("local_nls", False, 1), ("coupled_diffusion", True, 4)])
 def test_one_factorisation_per_rule_and_no_dense_composition(kind, richardson, per_sample,
                                                              monkeypatch):
-    # per sample and rule, one LU and no K*m matmul for Q; the coupled
-    # kind solves its partner too
+    # per sample and rule, one LU where the dense solve runs and no K*m
+    # matmul for Q; the coupled kind solves its partner too, and the
+    # partner's fine rule (k = 66, rank 14) goes low-rank, with no LU
     def no_compose(*args):
         raise AssertionError("compose called on the per-sample path")
 
@@ -627,7 +631,9 @@ def test_one_factorisation_per_rule_and_no_dense_composition(kind, richardson, p
                        xs=np.array([-0.25, 0.25]), ts=np.array([-0.01, 0.0, 0.01]))
     _, report = evaluate_solution(sc)
     assert not report.any_below
-    assert len(made) == 6 * per_sample
+    assert report.dense_solves + report.lowrank_solves == 6 * per_sample
+    assert report.lowrank_solves == (6 if kind == "coupled_diffusion" else 0)
+    assert len(made) == report.dense_solves
 
 
 def test_pairings_evolve_each_distinct_time_once(monkeypatch):
@@ -692,8 +698,8 @@ def test_evaluate_solution_runs_blas_at_one_thread_and_restores_it(monkeypatch):
 
 
 def lowrank_case(name):
-    """(p, ptil, x, quad) of a system with k = K m at or above the
-    low-rank cutoff, Hankel data of low numerical rank; the master grid
+    """(p, ptil, x, quad) of a system with k = K m from 385 to 386
+    unknowns, Hankel data of low numerical rank; the master grid
     also holds the 2N rule, except for the backward heat flow, which
     needs a coarse grid to keep round-off in its top modes small."""
     coupled = name == "coupled_role_swap"
@@ -726,7 +732,6 @@ def lowrank_case(name):
     if name == "coupled_role_swap":
         p, ptil = ptil, p
     quad = make_quadrature(12.0 if coupled else 8.0, N, g.spacing)
-    assert quad.node_count * p.cols >= fredholm.LOWRANK_CUTOFF
     return p, ptil, 0.25, quad
 
 
@@ -806,7 +811,7 @@ def test_hankel_fft_applies_the_block_hankel_matrix(a, b, real):
 @pytest.mark.parametrize("kind, richardson, per_sample", [
     ("kdv_primitive", True, 2), ("local_nls", False, 1), ("coupled_diffusion", False, 2)])
 def test_lowrank_path_forms_no_dense_system(kind, richardson, per_sample, monkeypatch):
-    # above the cutoff nothing builds Q or I + WQ or factors a k x k
+    # on the low-rank path nothing builds Q or I + WQ or factors a k x k
     # matrix, and the results are the unpatched run's
     coupled = kind == "coupled_diffusion"
     g = make_uniform_grid(28.0, 896) if coupled else make_uniform_grid(20.0, 3840)
@@ -843,12 +848,11 @@ def test_lowrank_path_forms_no_dense_system(kind, richardson, per_sample, monkey
     assert np.all(report.backward_error <= 1e-13)
 
 
-def test_fallback_to_dense_when_the_rank_passes_a_quarter_of_k(monkeypatch):
-    # 2x2 NLS data at k = 66 need a rank above 66 // 4: with the cutoff
-    # lowered, the range finder gives up and the dense solve runs
+def test_fallback_to_dense_when_the_rank_passes_a_quarter_of_k():
+    # 2x2 NLS data at k = 66 need a rank above 66 // 4: the range finder
+    # gives up and the dense solve runs
     p, ptil, x, _ = lowrank_case("nls_2x2")
     quad = make_quadrature(8.0, 32, p.grid.spacing)
-    monkeypatch.setattr(fredholm, "LOWRANK_CUTOFF", 0)
     assert fredholm._range_basis(fredholm.HankelFFT(hankel_values(p, x, quad)), 16) is None
     assert fredholm.solve_lowrank(p, ptil, x, quad) is None
     edges, rank = fredholm.solve_rule(p, ptil, x, quad)
@@ -856,6 +860,26 @@ def test_fallback_to_dense_when_the_rank_passes_a_quarter_of_k(monkeypatch):
     dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
     for a, b in zip(edges, dense):
         assert np.array_equal(a, b)
+
+
+def test_a_failed_range_finder_stops_before_orthogonalising_past_the_limit(monkeypatch):
+    # 2x2 NLS data at k = 66: each round of 8 probes adds 8 directions,
+    # so the third round would pass 66 // 4 = 16 and gives up before
+    # its QR; a finder whose rank holds is unchanged by the early exit
+    p, _, x, _ = lowrank_case("nls_2x2")
+    H = fredholm.HankelFFT(hankel_values(p, x, make_quadrature(8.0, 32, p.grid.spacing)))
+    qr = np.linalg.qr
+    made = []
+
+    def counted(a, *args, **kwargs):
+        made.append(a.shape[1])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    assert fredholm._range_basis(H, 16) is None
+    assert made == [8, 8]
+    made.clear()
+    assert fredholm._range_basis(H, H.R * H.a).shape[1] == sum(made) > 16
 
 
 def test_fallback_to_dense_when_the_backward_error_passes_the_bound():
@@ -986,31 +1010,72 @@ def test_range_finder_runs_once_per_run_rule_and_field(kind, richardson, calls, 
     assert report.lowrank_solves == xs.size * ts.size * (2 if richardson else 1)
 
 
+def nls_2x2_run(N, xs):
+    """A one-row local_nls scenario of 2x2 Gaussian data on the rule of N
+    intervals over [-8, 0], and its one pairing (p, ptil)."""
+    g = make_uniform_grid(20.0, 3840)
+    initial = InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]], width=1.0)
+    kind = resolve_kind("local_nls")
+    sc = scenario_stub(kind=kind, grid=g, n=2, m=2, quad=make_quadrature(8.0, N, g.spacing),
+                       initial=initial, xs=xs, ts=np.array([0.005]))
+    (pair,) = pairings(sample_profile(initial, g, 2, 2), kind.params, kind.companion, [0.005])
+    return sc, pair
+
+
 def test_a_run_past_the_rank_limit_calls_the_finder_once_and_goes_dense(monkeypatch):
-    # 2x2 NLS data at k = 66 need a rank above 66 // 4: with the cutoff
-    # lowered, the run's one range finder gives up, and every sample
-    # solves dense on the run's extended Q, as below the cutoff
-    p0 = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]],
-                                        width=1.0), make_uniform_grid(20.0, 3840), 2, 2)
-    quad = make_quadrature(8.0, 32, p0.grid.spacing)
-    sc = scenario_stub(kind=resolve_kind("local_nls"), grid=p0.grid, n=2, m=2, quad=quad,
-                       initial=InitialDataSpec(kind="gaussian",
-                                               amplitude=[[0.5, 0.32], [0.1, 0.4]], width=1.0),
-                       xs=0.25 + quad.spacing * np.arange(4), ts=np.array([0.005]))
-    want, want_report = evaluate_solution(sc)
-    assert want_report.ranks == [None] * 4
+    # 2x2 NLS data at k = 66 need a rank above 66 // 4: the run's one
+    # range finder gives up, and every sample solves dense on its window
+    # of the run's one extended Q
+    sc, (p, ptil) = nls_2x2_run(32, 0.25 + 0.25 * np.arange(4))
+    quad = sc.quad
     made = count_range_finder(monkeypatch)
-    monkeypatch.setattr(fredholm, "LOWRANK_CUTOFF", 0)
+    built = []
+    assemble = fredholm.assemble_Q
+
+    def counted(p, ptil, x, quad, extension=0):
+        built.append(extension)
+        return assemble(p, ptil, x, quad, extension)
+
+    monkeypatch.setattr(fredholm, "assemble_Q", counted)
     got, report = evaluate_solution(sc)
     assert [limit for _, limit in made] == [16]
+    assert built == [3]
     assert report.ranks == [None] * 4
-    assert np.array_equal(got.center, want.center)
-    assert np.array_equal(got.slice_y, want.slice_y)
-    assert np.array_equal(report.det2, want_report.det2)
+    Q = assemble(p, ptil, sc.xs[0], quad, 3)
+    with lapack.one_blas_thread():  # as evaluate_solution runs it
+        for l, x in enumerate(sc.xs):
+            d2, centre, col, row, _ = solve_edges(Q.window(l), p, x)
+            assert np.array_equal(got.center[0, l], centre)
+            assert np.array_equal(got.slice_y[0, l], col)
+            assert report.det2[0, l] == d2
+
+
+def test_2x2_nls_at_k_258_goes_lowrank_with_one_finder_call_per_run(monkeypatch):
+    # the same data at N = 128 have ranks 25 and 51 on these two runs,
+    # within 258 // 4: each run's one range finder holds, and no sample
+    # builds a Q or factors I + WQ
+    xs = np.array([-3.0, -2.9375, -2.875, 5.5, 6.0])  # two runs, over N steps apart
+    sc, (p, ptil) = nls_2x2_run(128, xs)
+    assert [len(offsets) for _, offsets in x_runs(xs, p.grid, sc.quad)] == [3, 2]
+    dense = [solve_edges(assemble_Q(p, ptil, x, sc.quad), p, x) for x in xs]
+    made = count_range_finder(monkeypatch)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dense system built on the low-rank path")
+
+    for name in ("assemble_Q", "paired_Q", "nystrom_matrix", "LU"):
+        monkeypatch.setattr(fredholm, name, refused)
+    got, report = evaluate_solution(sc)
+    assert [limit for _, limit in made] == [64, 64]
+    assert report.dense_solves == 0 and not report.any_below
+    assert len(report.ranks) == 5 and all(1 <= r <= 64 for r in report.ranks)
+    for ix, want in enumerate(dense):
+        assert abs(report.det2[0, ix] - want[0]) <= 1e-12 * abs(want[0])
+        assert np.abs(got.center[0, ix] - want[1]).max() <= 1e-12 * np.abs(want[3]).max()
 
 
 def test_a_sample_past_solver_tol_falls_back_to_dense_alone(monkeypatch):
-    # a sketch truncated at 1e-8 leaves backward errors of 4e-11 to 2e-10
+    # a sketch truncated at 3e-8 leaves backward errors of 4e-11 to 1.3e-10
     # over one run of 2x2 NLS samples (k = 386): only the sample above
     # solver_tol = 1e-10 solves dense, the rest keep the shared factors
     g = make_uniform_grid(20.0, 3840)
@@ -1020,7 +1085,7 @@ def test_a_sample_past_solver_tol_falls_back_to_dense_alone(monkeypatch):
     sc = scenario_stub(kind=kind, grid=g, n=2, m=2, quad=quad, initial=initial,
                        xs=0.25 + quad.spacing * np.array([0, 3, 10, 24]), ts=np.array([0.005]),
                        tolerances={"patch_threshold": 1e-8, "solver_tol": 1.0})
-    monkeypatch.setattr(fredholm, "SKETCH_TOL", 1e-8)
+    monkeypatch.setattr(fredholm, "SKETCH_TOL", 3e-8)
     loose, loose_report = evaluate_solution(sc)
     berr = loose_report.backward_error[0]
     assert berr[:3].max() < 1e-10 < berr[3]
