@@ -45,12 +45,12 @@ from .fredholm import (
     PATCH_THRESHOLD,
     SOLVER_TOL,
     PatchError,
+    Run,
     evaluate_solution,
     make_quadrature,
     paired_Q,
     pairings,
     quadrature_rules,
-    solve_rule,
 )
 from .gridkernel import (
     DECAY_TOL,
@@ -579,7 +579,11 @@ def _verify_checks(scenario):
     x0 = float(scenario.xs[len(scenario.xs) // 2])
     dxq = quad.spacing
 
-    kernels = [paired_Q(p0, ptil, x0 + k * dxq, quad) for k in (-2, -1, 0, 1, 2)]
+    # the solve that solve runs on this rule, whose Q at x0, where it
+    # keeps one, is the middle member of the identity family
+    run = Run(p0, ptil, x0, quad)
+    kernels = [run.Q if k == 0 and run.Q is not None else paired_Q(p0, ptil, x0 + k * dxq, quad)
+               for k in (-2, -1, 0, 1, 2)]
     rep_fine = u_identity_check(kernels[1:4], dx=dxq)
     rep_coarse = u_identity_check(kernels[::2], dx=2 * dxq)
     checks.append(("u_identity_ii", rep_fine.identity_ii_error, 1e-10))
@@ -604,11 +608,8 @@ def _verify_checks(scenario):
                        - np.abs(np.fft.fft(p0.samples, axis=0) / M)).max()
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
-    # the solve that solve runs on this rule: low-rank where the data's
-    # rank allows, else dense on paired_Q's kernel
     tols = scenario.tolerances
-    (*_, berr), _ = solve_rule(p0, ptil, x0, quad, tols["patch_threshold"],
-                               tols["solver_tol"])
+    (*_, berr), _ = run.solve(0, tols["patch_threshold"], tols["solver_tol"])
     checks.append(("nystrom_backward_error", berr, tols["solver_tol"]))
     return checks
 

@@ -10,22 +10,21 @@ and its Q from paired_Q.  The unknown G multiplies (id + Q) from the
 left, so the row is solved in transposed orientation (unknown rows,
 matrix acting from the right); plain transposes, never conjugate ones.
 
-solve_origin solves one sample on each of its rules through solve_rule,
-which picks one of two paths per rule, each returning det2 and the edges
+solve_origin solves one sample on each of its rules through Run.solve,
+the one place a path is chosen, each path returning det2 and the edges
 of G:
 
 * dense, solve_edges: builds the block matrix I + WQ with the quadrature
   weights folded in on the left of Q, factors it once (lapack.LU), and
   reads det2 and the edges of G from that one factor;
-* low-rank, solve_lowrank: P ~ U V from a randomized range finder and
-  HankelFFT (block Hankel products by FFT), then det2 by Sylvester's
-  identity and the edges by Woodbury on an r x r core; no k x k array
-  is formed.
+* low-rank: P ~ U V from a randomized range finder and HankelFFT (block
+  Hankel products by FFT), then det2 by Sylvester's identity and the
+  edges by Woodbury on an r x r core; no k x k array is formed.
 
-solve_rule tries the low-rank path unless its share is a Q window, and
-keeps it only when the rank r <= k/4 (k = K m unknowns) and the
-backward error, measured with the sample's exact Hankel operators, is
-at most the scenario's solver_tol; otherwise the dense path runs.  No
+A Run keeps the low-rank factors only when the rank r <= k/4 (k = K m
+unknowns), and each of its samples keeps the low-rank answer only when
+its backward error, measured with the sample's exact Hankel operators,
+is at most the scenario's solver_tol; otherwise the dense path runs.  No
 size decides the path: the rank of the data does.
 evaluate_solution skips a sample whose backward error exceeds solver_tol
 on either path, as it skips one whose det2 is below the patch threshold.
@@ -36,13 +35,12 @@ Q(x + l h)[i][j] = Q_ext[i + l][j + l], and its P is the column window
 P(x + l h) = H[:, l:l+K] of the K x (K+e) block Hankel matrix H of the
 data from x on.  evaluate_solution splits each t row's x samples into
 runs (x_runs: consecutive samples a whole number of steps h apart,
-spanning at most N of them), and run_kernels builds one share per run,
-rule and field and hands each sample its window: one LowRankFactors
-(lowrank_run: one range finder on H, V = U^H H and X of the whole run),
-whose range holds every sample's P, or, where the run's rank passes
-k/4, one extended Q (assemble_Q's extension; for neg_identity each
-sample's kdv_Q, a free view).  The core, det2 and the backward error
-stay per sample.
+spanning at most N of them), and runs builds one Run per run, rule and
+field: one range finder on H, then either V = U^H H and T of the whole
+run, whose range holds every sample's P, or, where the rank passes k/4,
+one extended Q (assemble_Q's extension; none for neg_identity, whose
+samples each take their kdv_Q, a free view).  Each sample solves at its
+offset; the core, det2 and the backward error stay per sample.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -320,6 +318,17 @@ def quadrature_rules(quad, richardson):
                                  quad.spacing / quad.stride)
 
 
+def _det2(sign, logabs, trace, threshold, x):
+    """det2 = det(A) e^{-tr(WQ)} from det(A)'s sign and log modulus (an
+    exactly singular A, sign 0, gives 0); PatchError at x when |det2| is
+    below threshold."""
+    with np.errstate(over="ignore"):  # past the float range det2 is inf
+        d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
+    if abs(d2) < threshold:
+        raise PatchError(d2, x=x)
+    return d2
+
+
 def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
     """det2, the edges of G and the backward error of one Nystrom system
     on Q's rule: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error).
@@ -340,11 +349,7 @@ def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
     A, trace = nystrom_matrix(Q)
     del Q  # as large as A: free it before the factorisation
     lu = LU(A)
-    sign, logabs = lu.slogdet()
-    with np.errstate(over="ignore"):  # past the float range det2 is inf
-        d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
-    if abs(d2) < threshold:
-        raise PatchError(d2, x=x)
+    d2 = _det2(*lu.slogdet(), trace, threshold, x)
     vals = hankel_values(p, x, quad)
     P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
     row_big = lu.solve_rows(P_last)
@@ -488,165 +493,144 @@ def _range_basis(H, limit):
         U = np.hstack([U, np.linalg.qr(new)[0]])
 
 
-@dataclass(frozen=True)
-class LowRankFactors:
-    """The low-rank factors of a pairing's Hankel operators over a run of
-    x samples on quad's rule (k = K m unknowns per sample).
+class Run:
+    """The solves of the samples x + l h, l = 0..e, of the pairing
+    (p, ptil) on quad (k = K m unknowns per sample), and what they share.
 
-    H is the K x (K+e) block Hankel matrix of the data from x on
-    (hankel_values with an extension of e nodes).  U is an orthonormal
-    (K n, r) basis of its range, V = U^H H as (r, K+e, m) blocks, and
-    T = P~_tall (W U) as (K+e, m, r) blocks, with P~_tall the (K+e) x K
-    block Hankel matrix of the companion; T is None for neg_identity
-    (Q = -P).  The sample x + l h has P = H[:, l:l+K], whose range U
-    spans, so window(l) is its own factors, node rows l..l+K-1 of V and
-    T: P ~ U V, and WQ ~ X V with X = W T, or -W U for neg_identity.
+    One range finder on H, the K x (K+e) block Hankel matrix of the data
+    from x on (hankel_values with an extension of e nodes), picks the
+    path of the whole run.  Where the rank r is at most k/4, the run
+    keeps U, an orthonormal (K n, r) basis of H's range, V = U^H H as
+    (r, K+e, m) blocks, and T = P~_tall (W U) as (K+e, m, r) blocks, with
+    P~_tall the (K+e) x K block Hankel matrix of the companion; T is None
+    for neg_identity (Q = -P).  The sample x + l h has P = H[:, l:l+K],
+    whose range U spans, so node rows l..l+K-1 of V and T are its own
+    factors: P ~ U V, and WQ ~ X V with X = W T, or -W U for
+    neg_identity.  Otherwise the run keeps Q, the extended assemble_Q
+    whose window at l is the sample's Q, or none for neg_identity, whose
+    samples each take their kdv_Q, a free view.
     """
 
-    quad: QuadratureGrid
-    U: np.ndarray = field(repr=False)
-    V: np.ndarray = field(repr=False)
-    T: np.ndarray = field(repr=False)
+    def __init__(self, p, ptil, x, quad, extension=0):
+        self.p, self.ptil, self.x, self.quad = p, ptil, x, quad
+        n, m, K = p.rows, p.cols, quad.node_count
+        E = K + extension
+        H = HankelFFT(hankel_values(p, x, quad, extension), K)
+        self.U = _range_basis(H, K * m // 4)
+        self.V = self.T = self.Q = None
+        if self.U is not None:
+            self.V = H.left(self.U.conj().T).reshape(self.rank, E, m)
+            if ptil is not None:
+                Pt = HankelFFT(hankel_values(ptil, x, quad, extension), E)
+                self.T = Pt.right(np.repeat(quad.weights, n)[:, None] * self.U).reshape(
+                    E, m, self.rank)
+        elif ptil is not None:
+            self.Q = assemble_Q(p, ptil, x, quad, extension)
 
     @property
     def rank(self):
-        return self.U.shape[1]
+        """r, or None where it passed k/4."""
+        return None if self.U is None else self.U.shape[1]
 
-    def window(self, offset):
-        """The factors of the sample x + offset h."""
-        K = self.quad.node_count
-        return LowRankFactors(self.quad, self.U, self.V[:, offset: offset + K],
-                              None if self.T is None else self.T[offset: offset + K])
+    def solve(self, offset, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, x=None):
+        """solve_edges' tuple for the sample x + offset h, and the rank of
+        its low-rank solve, or None where the dense one ran.
 
-
-def lowrank_run(p, ptil, x, quad, extension=0):
-    """The LowRankFactors of the pairing (p, ptil) for the samples x + l h,
-    l = 0..e, on quad, or None once the rank passes k/4 (k = K m).
-
-    One range finder on H (HankelFFT of K rows), one product V = U^H H,
-    and one T = P~_tall (W U) serve every sample of the run.
-    """
-    n, m, K = p.rows, p.cols, quad.node_count
-    E = K + extension
-    H = HankelFFT(hankel_values(p, x, quad, extension), K)
-    U = _range_basis(H, K * m // 4)
-    if U is None:
-        return None
-    V = H.left(U.conj().T).reshape(U.shape[1], E, m)
-    T = None
-    if ptil is not None:
-        Pt = HankelFFT(hankel_values(ptil, x, quad, extension), E)
-        T = Pt.right(np.repeat(quad.weights, n)[:, None] * U).reshape(E, m, U.shape[1])
-    return LowRankFactors(quad, U, V, T)
-
-
-def solve_lowrank(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, factors=None):
-    """solve_edges' tuple for the pairing (p, ptil) on quad, and the rank
-    r it was solved at, without forming any k x k array (k = K m); None
-    when r > k/4 or the backward error exceeds tol.
-
-    factors is the sample's window of its run's LowRankFactors; without
-    one, a run of this one sample is built (lowrank_run, no extension).
-    They give P ~ U V and WQ ~ X V (WQ = F P with F = W P~ W, or F = -W
-    for neg_identity), and the r x r core C = I_r + V X stands in for
-    A = I + WQ: det2 = det(C) e^{-tr(V X)} (Sylvester), and Woodbury,
-    A^{-1} = I - X C^{-1} V, gives the last block row of G,
-    P_last A^{-1}, and Z = A^{-1} E_last, whose image P Z is the last
-    block column.  Every product with P or P~ runs through HankelFFT.
-    The backward error is solve_edges' measure with A applied through
-    the sample's exact Hankel operators, never through the truncated
-    factors, so it certifies the answer against the system the dense
-    solve factors.  A |det2| below threshold (a singular core gives
-    det2 = 0) raises PatchError before any solve.
-    """
-    if factors is None:
-        factors = lowrank_run(p, ptil, x, quad)
-        if factors is None:
-            return None
-    n, m, K = p.rows, p.cols, quad.node_count
-    wn, wm = np.repeat(quad.weights, n), np.repeat(quad.weights, m)
-    vals = hankel_values(p, x, quad)
-    P = HankelFFT(vals)
-    U, V = factors.U, factors.V.reshape(factors.rank, K * m)
-    if ptil is None:
-        X = -wm[:, None] * U
-
-        def F(Y):
-            return -wm[:, None] * Y
-
-        def F_left(Y):
-            return -Y * wm
-    else:
-        X = wm[:, None] * factors.T.reshape(K * m, factors.rank)
-        Pt = HankelFFT(hankel_values(ptil, x, quad))
-
-        def F(Y):
-            return wm[:, None] * Pt.right(wn[:, None] * Y)
-
-        def F_left(Y):
-            return Pt.left(Y * wm) * wn
-    C = V @ X
-    trace = np.trace(C)
-    C[np.diag_indices_from(C)] += 1.0
-    sign, logabs = np.linalg.slogdet(C)
-    with np.errstate(over="ignore"):  # past the float range det2 is inf
-        d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
-    if abs(d2) < threshold:
-        raise PatchError(d2, x=x)
-    P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
-    row_big = P_last - np.linalg.solve(C.T, (P_last @ X).T).T @ V
-    E_last = np.zeros((K * m, m))
-    E_last[-m:] = np.eye(m)
-    Z = E_last - X @ np.linalg.solve(C, V[:, -m:])
-    PZ = P.right(Z)
-    berr = max(np.abs(row_big + P.left(F_left(row_big)) - P_last).max()
-               / max(np.abs(P_last).max(), 1e-300),
-               np.abs(Z + F(PZ) - E_last).max())
-    if not berr <= tol:
-        return None
-    row = row_big.reshape(n, K, m).transpose(1, 0, 2)
-    col = PZ.reshape(K, n, m)
-    col[-1] = row[-1]
-    return (d2, row[-1], col, row, float(berr)), factors.rank
-
-
-def solve_rule(p, ptil, x, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, shared=None):
-    """solve_edges' tuple for the pairing (p, ptil) on quad, and the rank
-    of the low-rank solve, or None where the dense one ran.
-
-    shared is the sample's share of its run (run_kernels): a window of
-    the run's LowRankFactors or of its Q, or None where no run built
-    one.  Unless shared is a Q, solve_lowrank runs, on the shared factors
-    or on a run of this one sample; it stands only when r <= k/4 (k = K m)
-    and its exact-operator backward error is at most tol.  Otherwise
-    solve_edges factors the shared Q, or paired_Q's kernel.
-    """
-    if not isinstance(shared, DiscreteKernel):
-        out = solve_lowrank(p, ptil, x, quad, threshold, tol, shared)
+        x is the sample's own position (x + offset h by default), which
+        PatchError reports.  A run that kept factors solves low-rank, and
+        a sample whose backward error exceeds tol solves dense alone, on
+        its paired_Q; a run that kept none solves dense, on its window of
+        the run's Q or on the sample's kdv_Q.
+        """
+        p, ptil, quad = self.p, self.ptil, self.quad
+        x = self.x + offset * quad.spacing if x is None else x
+        if self.U is None:
+            return solve_edges(kdv_Q(p, x, quad) if self.Q is None else self.Q.window(offset),
+                               p, x, threshold), None
+        out = self._lowrank(offset, x, threshold, tol)
         if out is not None:
-            return out
+            return out, self.rank
         # built in the call, so that no local here holds Q while
         # solve_edges factors I + WQ (it drops its own reference first)
         return solve_edges(paired_Q(p, ptil, x, quad), p, x, threshold), None
-    return solve_edges(shared, p, x, threshold), None
+
+    def _lowrank(self, offset, x, threshold, tol):
+        """solve_edges' tuple for the sample at x, the run's offset, without
+        forming any k x k array; None when the backward error exceeds tol.
+
+        The sample's factors give P ~ U V and WQ ~ X V (WQ = F P with
+        F = W P~ W, or F = -W for neg_identity), and the r x r core
+        C = I_r + V X stands in for A = I + WQ: det2 = det(C) e^{-tr(V X)}
+        (Sylvester), and Woodbury, A^{-1} = I - X C^{-1} V, gives the last
+        block row of G, P_last A^{-1}, and Z = A^{-1} E_last, whose image
+        P Z is the last block column.  Every product with P or P~ runs
+        through HankelFFT.  The backward error is solve_edges' measure
+        with A applied through the sample's exact Hankel operators, never
+        through the truncated factors, so it certifies the answer against
+        the system the dense solve factors.  A |det2| below threshold (a
+        singular core gives det2 = 0) raises PatchError before any solve.
+        """
+        p, ptil, quad, r = self.p, self.ptil, self.quad, self.rank
+        n, m, K = p.rows, p.cols, quad.node_count
+        wn, wm = np.repeat(quad.weights, n), np.repeat(quad.weights, m)
+        vals = hankel_values(p, x, quad)
+        P = HankelFFT(vals)
+        V = self.V[:, offset: offset + K].reshape(r, K * m)
+        if ptil is None:
+            X = -wm[:, None] * self.U
+
+            def F(Y):
+                return -wm[:, None] * Y
+
+            def F_left(Y):
+                return -Y * wm
+        else:
+            X = wm[:, None] * self.T[offset: offset + K].reshape(K * m, r)
+            Pt = HankelFFT(hankel_values(ptil, x, quad))
+
+            def F(Y):
+                return wm[:, None] * Pt.right(wn[:, None] * Y)
+
+            def F_left(Y):
+                return Pt.left(Y * wm) * wn
+        C = V @ X
+        trace = np.trace(C)
+        C[np.diag_indices_from(C)] += 1.0
+        d2 = _det2(*np.linalg.slogdet(C), trace, threshold, x)
+        P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
+        row_big = P_last - np.linalg.solve(C.T, (P_last @ X).T).T @ V
+        E_last = np.zeros((K * m, m))
+        E_last[-m:] = np.eye(m)
+        Z = E_last - X @ np.linalg.solve(C, V[:, -m:])
+        PZ = P.right(Z)
+        berr = max(np.abs(row_big + P.left(F_left(row_big)) - P_last).max()
+                   / max(np.abs(P_last).max(), 1e-300),
+                   np.abs(Z + F(PZ) - E_last).max())
+        if not berr <= tol:
+            return None
+        row = row_big.reshape(n, K, m).transpose(1, 0, 2)
+        col = PZ.reshape(K, n, m)
+        col[-1] = row[-1]
+        return d2, row[-1], col, row, float(berr)
 
 
-def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, shared=None):
+def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, placed=None):
     """det2, G at the origin, the backward error and the ranks for one
     sample: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error, ranks),
     the two slices over the nodes of rules[0].
 
-    (p, ptil) is a pairing, Q = -P when ptil is None, and solve_rule
-    solves it on each rule, with shared's entry for that rule where the
-    caller has one (run_kernels); ranks holds each rule's low-rank rank,
-    or None where the dense solve ran.  The backward error is the larger
-    over the rules.  With two rules from quadrature_rules the values
-    are Richardson-extrapolated, (4*fine - coarse)/3 with the fine rule
-    read at every second node, and det2 is the fine rule's.  A |det2|
-    below threshold on either rule raises PatchError.
+    (p, ptil) is a pairing, Q = -P when ptil is None.  placed holds the
+    sample's (run, offset) per rule where the caller has them (runs);
+    without them each rule solves on a Run of this one sample.  ranks
+    holds each rule's low-rank rank, or None where the dense solve ran.
+    The backward error is the larger over the rules.  With two rules
+    from quadrature_rules the values are Richardson-extrapolated,
+    (4*fine - coarse)/3 with the fine rule read at every second node,
+    and det2 is the fine rule's.  A |det2| below threshold on either
+    rule raises PatchError.
     """
-    out, ranks = zip(*(solve_rule(p, ptil, x, quad, threshold, tol, s)
-                       for quad, s in zip(rules, shared or (None,) * len(rules))))
+    placed = placed or ((Run(p, ptil, x, quad), 0) for quad in rules)
+    out, ranks = zip(*(run.solve(offset, threshold, tol, x) for run, offset in placed))
     if len(out) == 1:
         return out[0] + (ranks,)
     (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out
@@ -679,25 +663,18 @@ def x_runs(xs, grid, quad):
     return out
 
 
-def run_kernels(p, ptil, xs, quad):
-    """Each sample's share of its run of xs (x_runs) on quad, for
-    solve_rule, built once per run and dropped when the run ends: the
-    sample's window of the run's LowRankFactors (lowrank_run), or, where
-    the run's rank passes k/4, the sample's Q: a window of one extended
-    assemble_Q, or for neg_identity the sample's kdv_Q, a free view.
-    Every run tries the range finder once, whatever its size, and the
-    choice depends only on the run's data, never on which thread runs it.
+def runs(p, ptil, xs, quad):
+    """One (run, offset) per sample of xs, in xs order: the Run of its run
+    of samples (x_runs) on quad, and its offset there.  Each Run is built
+    when its first sample is reached and released here after its last;
+    every run tries the range finder once, whatever its size, and
+    its path depends only on its data, never on which thread solves it.
     """
     for x, offsets in x_runs(xs, p.grid, quad):
-        extension = max(offsets)
-        run = lowrank_run(p, ptil, x, quad, extension)
-        if run is None and ptil is None:
-            shares = (kdv_Q(p, x + offset * quad.spacing, quad) for offset in offsets)
-        else:
-            run = run or assemble_Q(p, ptil, x, quad, extension)
-            shares = (run.window(offset) for offset in offsets)
-        yield from shares
-        del run, shares
+        run = Run(p, ptil, x, quad, max(offsets))
+        for offset in offsets:
+            yield run, offset
+        del run
 
 
 @dataclass
@@ -723,7 +700,7 @@ class SolutionField:
 class PatchReport:
     """det2 and backward-error bookkeeping over the sample grid, the
     skipped samples (it, ix, t, x, det2, reason), the rank of every solve
-    (solve_rule's: r for a low-rank solve, None for a dense one; per rule
+    (Run.solve's: r for a low-rank solve, None for a dense one; per rule
     and field of each solved sample), and the threads the run used: row
     workers, and the OpenBLAS count they ran at (None where it could not
     be set).  A sample is skipped for its "det2" (below the patch
@@ -771,11 +748,10 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     pairings gives each t row's evolved data and its companion; per
     sample, solve, check det2, and record the centre value, the two
-    slices through the origin, and det2.  The low-rank factors, or where
-    the run's rank passes k/4 the Q, are built once per run of x samples
-    a whole number of quadrature steps apart, per rule and field
-    (run_kernels), and each sample solves on its window.  The
-    slices are kept only when the scenario's outputs read them ("slices",
+    slices through the origin, and det2.  One Run is built per run of x
+    samples a whole number of quadrature steps apart, per rule and field
+    (runs), and each sample solves at its offset in it.  The slices are
+    kept only when the scenario's outputs read them ("slices",
     or "residuals" of a kind with a kernel form).  Samples are
     independent; rows of constant t are distributed over threads and
     written into index-addressed arrays, so the output does not depend on
@@ -828,14 +804,13 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
             t = ts[it]
             # role swap: the partner field solves P~ = G~ (id + P P~)
             fields = ((p_t, ptil), (ptil, p_t)) if kind.coupled else ((p_t, ptil),)
-            # per sample, per field: each rule's share of its run, taken
+            # per sample, per field: each rule's (run, offset), taken
             # before any solve so that a skipped sample keeps every run in step
-            shares = zip(*(zip(*(run_kernels(f, g, xs, q) for q in rules))
-                           for f, g in fields))
-            for ix, (x, shared) in enumerate(zip(xs, shares)):
+            placings = zip(*(zip(*(runs(f, g, xs, q) for q in rules)) for f, g in fields))
+            for ix, (x, placed) in enumerate(zip(xs, placings)):
                 try:
-                    solved = [solve_origin(f, g, x, rules, threshold, tol, s)
-                              for (f, g), s in zip(fields, shared)]
+                    solved = [solve_origin(f, g, x, rules, threshold, tol, at)
+                              for (f, g), at in zip(fields, placed)]
                 except PatchError as err:
                     err.t = t
                     det2_vals[it, ix] = err.det2_value

@@ -490,8 +490,9 @@ def test_parse_scenario_names_bad_env_override_and_tabulated_values(tmp_path, mo
 def test_verify_builds_each_system_once(monkeypatch):
     # Q at x0 is the middle member of the identity family, the companion
     # is built once, and the backward error comes from the rank-one data's
-    # low-rank solve, which builds no I + WQ
-    calls = {"assemble_Q": 0, "companion_profile": 0, "nystrom_matrix": 0}
+    # low-rank solve, which builds no I + WQ, or from the dense solve of
+    # the 2x2 data on the family's Q at x0, which is not built again
+    calls = {}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -504,8 +505,10 @@ def test_verify_builds_each_system_once(monkeypatch):
     counted(fredholm, "assemble_Q")
     counted(fredholm, "companion_profile")
     counted(fredholm, "nystrom_matrix")
-    assert main(["verify", str(SCENARIO_DIR / "nls_rank_one_study.yaml")]) == 0
-    assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": 0}
+    for scenario, systems in (("nls_rank_one_study", 0), ("nls_gaussian_2x2", 1)):
+        calls.update(assemble_Q=0, companion_profile=0, nystrom_matrix=0)
+        assert main(["verify", str(SCENARIO_DIR / (scenario + ".yaml"))]) == 0
+        assert calls == {"assemble_Q": 5, "companion_profile": 1, "nystrom_matrix": systems}
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem)
@@ -919,17 +922,17 @@ def test_verify_certifies_the_lowrank_path(monkeypatch):
     # kdv_soliton (k = 385) that is the low-rank solve, with no dense
     # system built
     calls = []
-    lowrank = fredholm.solve_lowrank
+    solve = fredholm.Run.solve
 
     def counted(*args, **kwargs):
-        out = lowrank(*args, **kwargs)
+        out = solve(*args, **kwargs)
         calls.append(out[1])
         return out
 
     def refused(*args, **kwargs):
         raise AssertionError("dense solve on the low-rank path")
 
-    monkeypatch.setattr(fredholm, "solve_lowrank", counted)
+    monkeypatch.setattr(fredholm.Run, "solve", counted)
     monkeypatch.setattr(fredholm, "nystrom_matrix", refused)
     monkeypatch.setattr(fredholm, "LU", refused)
     assert main(["verify", str(SCENARIO_DIR / "kdv_soliton.yaml")]) == 0

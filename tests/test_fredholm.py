@@ -753,9 +753,9 @@ def assert_same_edges(got, want, tol):
 def test_lowrank_solve_matches_the_dense_oracle(name):
     p, ptil, x, quad = lowrank_case(name)
     k = quad.node_count * p.cols
-    out = fredholm.solve_lowrank(p, ptil, x, quad)
-    assert out is not None
-    edges, rank = out
+    run = fredholm.Run(p, ptil, x, quad)
+    edges, rank = run.solve(0)
+    assert rank is not None and rank == run.rank
     dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
     assert_same_edges(edges, dense, 1e-12)
     assert 1 <= rank <= k // 4
@@ -854,8 +854,9 @@ def test_fallback_to_dense_when_the_rank_passes_a_quarter_of_k():
     p, ptil, x, _ = lowrank_case("nls_2x2")
     quad = make_quadrature(8.0, 32, p.grid.spacing)
     assert fredholm._range_basis(fredholm.HankelFFT(hankel_values(p, x, quad)), 16) is None
-    assert fredholm.solve_lowrank(p, ptil, x, quad) is None
-    edges, rank = fredholm.solve_rule(p, ptil, x, quad)
+    run = fredholm.Run(p, ptil, x, quad)
+    assert run.rank is None and run.V is None
+    edges, rank = run.solve(0)
     assert rank is None
     dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
     for a, b in zip(edges, dense):
@@ -883,12 +884,13 @@ def test_a_failed_range_finder_stops_before_orthogonalising_past_the_limit(monke
 
 
 def test_fallback_to_dense_when_the_backward_error_passes_the_bound():
+    # the run keeps its factors; the sample alone goes dense
     p, ptil, x, quad = lowrank_case("nls_2x2")
-    (*_, berr), rank = fredholm.solve_lowrank(p, ptil, x, quad)
+    run = fredholm.Run(p, ptil, x, quad)
+    (*_, berr), rank = run.solve(0)
     assert rank is not None and berr > 0.0
-    assert fredholm.solve_lowrank(p, ptil, x, quad, tol=berr / 2) is None
-    edges, rank = fredholm.solve_rule(p, ptil, x, quad, tol=berr / 2)
-    assert rank is None
+    edges, rank = run.solve(0, tol=berr / 2)
+    assert rank is None and run.rank is not None
     dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
     for a, b in zip(edges, dense):
         assert np.array_equal(a, b)
@@ -900,25 +902,31 @@ def test_a_coarse_sketch_is_caught_by_the_exact_backward_error(monkeypatch):
     # so the low-rank solve is refused and the dense one runs
     p, ptil, x, quad = lowrank_case("nls_2x2")
     monkeypatch.setattr(fredholm, "SKETCH_TOL", 1e-4)
-    assert fredholm.solve_lowrank(p, ptil, x, quad, tol=1.0)[0][4] > 1e-8
-    assert fredholm.solve_lowrank(p, ptil, x, quad) is None
-    assert fredholm.solve_rule(p, ptil, x, quad)[1] is None
+    run = fredholm.Run(p, ptil, x, quad)
+    (*_, berr), rank = run.solve(0, tol=1.0)
+    assert rank is not None and berr > 1e-8
+    assert run.solve(0)[1] is None
 
 
-def test_lowrank_patch_error_comes_from_a_singular_core():
+def test_lowrank_patch_error_comes_from_a_singular_core(monkeypatch):
     # positive KdV data exactly on the discrete pole: the rank-one core
     # 1 - V W U vanishes, det2 falls below the threshold and PatchError is
-    # raised before any solve, as on the dense path
+    # raised before any solve, as on the dense path, which never runs
     g = make_uniform_grid(20.0, 1920)
     quad = make_quadrature(8.0, 384, g.spacing)
     S = discrete_tail_sum(quad)
     vals = np.exp(g.nodes)[:, None, None] / S
     p = sample_profile(InitialDataSpec(kind="tabulated", values=vals + 0j), g, 1, 1)
+    run = fredholm.Run(p, None, 0.0, quad)
+    assert run.rank == 1
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dense solve on the low-rank path")
+
+    monkeypatch.setattr(fredholm, "solve_edges", refused)
     with pytest.raises(PatchError) as info:
-        fredholm.solve_lowrank(p, None, 0.0, quad)
+        run.solve(0)
     assert abs(info.value.det2_value) < 1e-8
-    with pytest.raises(PatchError):
-        fredholm.solve_rule(p, None, 0.0, quad)
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -955,33 +963,35 @@ def count_range_finder(monkeypatch):
 
 @pytest.mark.parametrize("name", LOWRANK_CASES)
 def test_run_factors_are_the_windows_of_each_sample(name):
-    # one range finder for the run x + l h, l = 0..e: at every offset, V
-    # and T read as windows equal the products a one-sample build takes
-    # with the same U through the sample's own Hankel operators, and U
-    # holds the sample's P
+    # one range finder for the run x + l h, l = 0..e: at every offset,
+    # node rows l..l+K-1 of V and T equal the products a one-sample build
+    # takes with the same U through the sample's own Hankel operators, U
+    # holds the sample's P, and the run's solve at l is the sample's
+    # dense solve
     p, ptil, x, quad = lowrank_case(name)
     K, n, m = quad.node_count, p.rows, p.cols
     offsets = [0, 1, 2, 7, 24]
-    run = fredholm.lowrank_run(p, ptil, x, quad, max(offsets))
-    assert run.V.shape == (run.rank, K + 24, m)
+    run = fredholm.Run(p, ptil, x, quad, max(offsets))
+    assert run.V.shape == (run.rank, K + 24, m) and run.Q is None
     assert np.iscomplexobj(run.U) == (name in ("nls_complex", "nls_2x2"))
     for l in offsets:
         xl = x + l * quad.spacing
-        f = run.window(l)
-        assert f.U is run.U and f.rank == run.rank
         P = fredholm.HankelFFT(hankel_values(p, xl, quad))
-        V = f.V.reshape(f.rank, K * m)
+        V = run.V[:, l: l + K].reshape(run.rank, K * m)
         want = P.left(run.U.conj().T)
         assert np.abs(V - want).max() <= 1e-13 * np.abs(want).max()
         if ptil is None:
-            assert f.T is None
+            assert run.T is None
         else:
             Pt = fredholm.HankelFFT(hankel_values(ptil, xl, quad))
             want = Pt.right(np.repeat(quad.weights, n)[:, None] * run.U)
-            T = f.T.reshape(K * m, f.rank)
+            T = run.T[l: l + K].reshape(K * m, run.rank)
             assert np.abs(T - want).max() <= 1e-13 * np.abs(want).max()
         dense = hankel_kernel(p, xl, quad).big()
         assert np.abs(run.U @ V - dense).max() <= 1e-12 * np.abs(dense).max()
+        edges, rank = run.solve(l)
+        assert rank == run.rank
+        assert_same_edges(edges, solve_edges(paired_Q(p, ptil, xl, quad), p, xl), 1e-12)
 
 
 @pytest.mark.parametrize("kind, richardson, calls", [

@@ -90,8 +90,8 @@ def _callers(sources, name):
 
 @pytest.mark.parametrize("name", ["_range_basis", "LU"])
 def test_one_caller_in_the_package(name):
-    # one range finder per run (fredholm.lowrank_run) and one
-    # factorisation per dense system (fredholm.solve_edges)
+    # one range finder per run (fredholm.Run) and one factorisation per
+    # dense system (fredholm.solve_edges)
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert [path for path, _ in _callers(sources, name)] == ["fredholm.py"]
 
