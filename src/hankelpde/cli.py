@@ -46,6 +46,7 @@ from .fredholm import (
     SOLVER_TOL,
     PatchError,
     Run,
+    combine_rules,
     evaluate_solution,
     make_quadrature,
     paired_Q,
@@ -609,7 +610,8 @@ def _verify_checks(scenario):
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
     tols = scenario.tolerances
-    (*_, berr), _ = run.solve(0, tols["patch_threshold"], tols["solver_tol"])
+    *_, berr, _ = combine_rules(run.solve([0], threshold=tols["patch_threshold"],
+                                          tol=tols["solver_tol"]))
     checks.append(("nystrom_backward_error", berr, tols["solver_tol"]))
     return checks
 

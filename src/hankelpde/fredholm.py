@@ -10,16 +10,18 @@ and its Q from paired_Q.  The unknown G multiplies (id + Q) from the
 left, so the row is solved in transposed orientation (unknown rows,
 matrix acting from the right); plain transposes, never conjugate ones.
 
-solve_origin solves one sample on each of its rules through Run.solve,
-the one place a path is chosen, each path returning det2 and the edges
-of G:
+Run.solve is the one place a sample's path is chosen, each path
+returning det2 and the edges of G:
 
 * dense, solve_edges: builds the block matrix I + WQ with the quadrature
   weights folded in on the left of Q, factors it once (lapack.LU), and
   reads det2 and the edges of G from that one factor;
 * low-rank: P ~ U V from a randomized range finder and HankelFFT (block
   Hankel products by FFT), then det2 by Sylvester's identity and the
-  edges by Woodbury on an r x r core; no k x k array is formed.
+  edges by Woodbury on an r x r core; no k x k array is formed.  A run's
+  samples solve as one batch: the cores stay per sample, and every
+  Hankel product of the batch is one FFT product through the run's
+  transforms.
 
 A Run keeps the low-rank factors only when the rank r <= k/4 (k = K m
 unknowns), and each of its samples keeps the low-rank answer only when
@@ -35,15 +37,18 @@ Q(x + l h)[i][j] = Q_ext[i + l][j + l], and its P is the column window
 P(x + l h) = H[:, l:l+K] of the K x (K+e) block Hankel matrix H of the
 data from x on.  evaluate_solution splits each t row's x samples into
 runs (x_runs: consecutive samples a whole number of steps h apart,
-spanning at most N of them), and runs builds one Run per run, rule and
-field: one range finder on H, then either V = U^H H and T of the whole
-run, whose range holds every sample's P, or, where the rank passes k/4,
-one extended Q (assemble_Q's extension; none for neg_identity, whose
-samples each take their kdv_Q, a free view).  Each sample solves at its
-offset; the core, det2 and the backward error stay per sample.
+spanning at most N of them), and solve_runs builds one Run per run, rule
+and field, and drops it once its samples are solved: one range finder on
+H, then either V = U^H H and T of the whole run, whose range holds every
+sample's P, or, where the rank passes k/4, one extended Q (assemble_Q's
+extension; none for neg_identity, whose samples each take their kdv_Q, a
+free view).  combine_rules turns a sample's outcomes on its rules into
+its values, the one Richardson combination, for evaluate_solution and
+for solve_origin, which solves one sample on a Run of its own.
 """
 
 from concurrent.futures import ThreadPoolExecutor
+import copy
 from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -400,12 +405,15 @@ class HankelFFT:
 
     H Y is a linear convolution of vals with the node-reversed Y, read at
     the R lags from C - 1 on, so a cyclic transform of length
-    >= len(vals) holds it without wrap-around; vals is transformed once.
+    >= len(vals) holds it without wrap-around; vals is transformed once,
+    and the spectrum serves every shape of the same values (with_rows).
     Every transform runs along a contiguous last axis (the nodes), real
     (rfft) when vals is real; a complex operand of a real H is split into
     its real and imaginary parts.  right(Y) is H Y for Y of shape (C b, c);
     left(Y) is Y H for Y of shape (c, R a), computed as (H^T Y^T)^T, where
     H^T is the C x R block Hankel matrix of the transposed blocks.
+    right_windows and left_windows apply the square windows H[:, l:l+R]
+    to one block vector each, all in one product.
     """
 
     def __init__(self, vals, rows=None):
@@ -416,6 +424,13 @@ class HankelFFT:
         self.size = _fft_size(len(vals))
         self.spec = self._forward(np.moveaxis(vals, 0, -1))
 
+    def with_rows(self, rows):
+        """The rows x (R + C - rows) block Hankel matrix of the same
+        values, on this one's spectrum: no transform."""
+        other = copy.copy(self)
+        other.R, other.C = rows, self.R + self.C - rows
+        return other
+
     def _forward(self, arr):
         arr = np.ascontiguousarray(arr)
         return (np.fft.rfft if self.real else np.fft.fft)(arr, n=self.size, axis=-1)
@@ -423,14 +438,23 @@ class HankelFFT:
     def _apply(self, spec, Y, rows, cols):
         """The rows x cols block Hankel matrix whose blocks' spectrum is
         spec (p, q, L) times Y of shape (cols q, c)."""
-        if self.real and np.iscomplexobj(Y):
-            return (self._apply(spec, Y.real, rows, cols)
-                    + 1j * self._apply(spec, Y.imag, rows, cols))
-        p, q, _ = spec.shape
-        c = Y.shape[1]
-        ys = self._forward(np.moveaxis(Y.reshape(cols, q, c)[::-1], 0, -1))
-        full = (np.fft.irfft if self.real else np.fft.ifft)(_block_product(spec, ys),
-                                                             n=self.size, axis=-1)
+        q = spec.shape[1]
+        return self._product(spec, np.moveaxis(Y.reshape(cols, q, -1)[::-1], 0, -1), rows, cols)
+
+    def _product(self, spec, ops, rows, cols):
+        """_apply's product with its operand ops, (q, c, cols): Y's blocks
+        node-reversed, nodes last.  Each array is dropped once the next is
+        formed, so a caller that hands over its operand holds no copy."""
+        if self.real and np.iscomplexobj(ops):
+            return (self._product(spec, ops.real, rows, cols)
+                    + 1j * self._product(spec, ops.imag, rows, cols))
+        p, c = spec.shape[0], ops.shape[1]
+        ys = self._forward(ops)
+        del ops
+        prod = _block_product(spec, ys)
+        del ys
+        full = (np.fft.irfft if self.real else np.fft.ifft)(prod, n=self.size, axis=-1)
+        del prod
         return np.moveaxis(full[..., cols - 1: cols - 1 + rows], -1, 0).reshape(rows * p, c)
 
     def right(self, Y):
@@ -438,6 +462,32 @@ class HankelFFT:
 
     def left(self, Y):
         return self._apply(self.spec.transpose(1, 0, 2), Y.T, self.C, self.R).T
+
+    def right_windows(self, Y, offsets, weights=None):
+        """H[:, l:l+R] Y_s for the column blocks Y_s of Y, (R b, S c), one
+        per offset l, as one (R a, S c) product: each Y_s, its rows scaled
+        by weights (R b) where given, is placed at its node offset in one
+        zero-padded (C b, S c) operand, which H takes whole."""
+        return self._product(self.spec, self._padded(Y, offsets, weights), self.R, self.C)
+
+    def _padded(self, Y, offsets, weights):
+        """right_windows' operand, built as _product takes it."""
+        R, C, S, b = self.R, self.C, len(offsets), self.b
+        c = Y.shape[1] // S
+        blocks = np.moveaxis(Y.reshape(R, b, S, c)[::-1], 0, -1)
+        w = 1.0 if weights is None else np.moveaxis(weights.reshape(R, b)[::-1], 0, -1)[:, None]
+        pad = np.zeros((b, S, c, C), dtype=Y.dtype)
+        for s, l in enumerate(offsets):
+            np.multiply(blocks[:, s], w, out=pad[:, s, :, C - l - R: C - l])
+        return pad.reshape(b, S * c, C)
+
+    def left_windows(self, Y, offsets):
+        """Y_s H[:, l:l+R] for the row blocks Y_s of Y, (S c, R a), one per
+        offset l, as one (S c, R b) product: Y is multiplied once, and
+        each row block is read at its R-node column window from l."""
+        R, S, b = self.R, len(offsets), self.b
+        full = self.left(Y).reshape(S, -1, self.C * b)
+        return np.concatenate([full[s, :, l * b: (l + R) * b] for s, l in enumerate(offsets)])
 
 
 def _probes(drawn, count):
@@ -497,33 +547,38 @@ class Run:
     """The solves of the samples x + l h, l = 0..e, of the pairing
     (p, ptil) on quad (k = K m unknowns per sample), and what they share.
 
-    One range finder on H, the K x (K+e) block Hankel matrix of the data
-    from x on (hankel_values with an extension of e nodes), picks the
+    H is the K x (K+e) block Hankel matrix of the data from x on
+    (hankel_values with an extension of e nodes), transformed once; the
+    sample x + l h has P = H[:, l:l+K].  One range finder on H picks the
     path of the whole run.  Where the rank r is at most k/4, the run
     keeps U, an orthonormal (K n, r) basis of H's range, V = U^H H as
-    (r, K+e, m) blocks, and T = P~_tall (W U) as (K+e, m, r) blocks, with
-    P~_tall the (K+e) x K block Hankel matrix of the companion; T is None
-    for neg_identity (Q = -P).  The sample x + l h has P = H[:, l:l+K],
-    whose range U spans, so node rows l..l+K-1 of V and T are its own
-    factors: P ~ U V, and WQ ~ X V with X = W T, or -W U for
-    neg_identity.  Otherwise the run keeps Q, the extended assemble_Q
-    whose window at l is the sample's Q, or none for neg_identity, whose
-    samples each take their kdv_Q, a free view.
+    (r, K+e, m) blocks, T = P~_tall (W U) as (K+e, m, r) blocks, with
+    P~_tall the (K+e) x K block Hankel matrix of the companion, and the
+    transforms H and Ht, the companion's K x (K+e) matrix, whose window
+    at l is the sample's P~; Ht and P~_tall share one spectrum, and T and
+    Ht are None for neg_identity (Q = -P).  U spans every sample's P, so
+    node rows l..l+K-1 of V and T are the sample's own factors: P ~ U V,
+    and WQ ~ X V with X = W T, or -W U for neg_identity.  Otherwise the
+    run keeps Q, the extended assemble_Q whose window at l is the
+    sample's Q, or none for neg_identity, whose samples each take their
+    kdv_Q, a free view.
     """
 
     def __init__(self, p, ptil, x, quad, extension=0):
         self.p, self.ptil, self.x, self.quad = p, ptil, x, quad
         n, m, K = p.rows, p.cols, quad.node_count
         E = K + extension
-        H = HankelFFT(hankel_values(p, x, quad, extension), K)
+        self.vals = hankel_values(p, x, quad, extension)
+        H = HankelFFT(self.vals, K)
         self.U = _range_basis(H, K * m // 4)
-        self.V = self.T = self.Q = None
+        self.H = self.Ht = self.V = self.T = self.Q = None
         if self.U is not None:
+            self.H = H
             self.V = H.left(self.U.conj().T).reshape(self.rank, E, m)
             if ptil is not None:
-                Pt = HankelFFT(hankel_values(ptil, x, quad, extension), E)
-                self.T = Pt.right(np.repeat(quad.weights, n)[:, None] * self.U).reshape(
-                    E, m, self.rank)
+                self.Ht = HankelFFT(hankel_values(ptil, x, quad, extension), K)
+                self.T = self.Ht.with_rows(E).right(
+                    np.repeat(quad.weights, n)[:, None] * self.U).reshape(E, m, self.rank)
         elif ptil is not None:
             self.Q = assemble_Q(p, ptil, x, quad, extension)
 
@@ -532,105 +587,146 @@ class Run:
         """r, or None where it passed k/4."""
         return None if self.U is None else self.U.shape[1]
 
-    def solve(self, offset, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, x=None):
-        """solve_edges' tuple for the sample x + offset h, and the rank of
-        its low-rank solve, or None where the dense one ran.
+    def solve(self, offsets, xs=None, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+        """One outcome per sample x + l h, l in offsets: solve_edges' tuple
+        and the rank of its low-rank solve, or None where the dense one
+        ran, as a pair; or the PatchError its det2 raised.
 
-        x is the sample's own position (x + offset h by default), which
-        PatchError reports.  A run that kept factors solves low-rank, and
-        a sample whose backward error exceeds tol solves dense alone, on
-        its paired_Q; a run that kept none solves dense, on its window of
-        the run's Q or on the sample's kdv_Q.
+        xs are the samples' own positions (x + l h by default), which
+        PatchError reports.  A run that kept factors solves its samples
+        low-rank as one batch (_woodbury), and a sample whose backward
+        error exceeds tol then solves dense alone, on its paired_Q; a run
+        that kept none solves each sample dense, on its window of the
+        run's Q or on its kdv_Q.
         """
         p, ptil, quad = self.p, self.ptil, self.quad
-        x = self.x + offset * quad.spacing if x is None else x
-        if self.U is None:
-            return solve_edges(kdv_Q(p, x, quad) if self.Q is None else self.Q.window(offset),
-                               p, x, threshold), None
-        out = self._lowrank(offset, x, threshold, tol)
-        if out is not None:
-            return out, self.rank
-        # built in the call, so that no local here holds Q while
-        # solve_edges factors I + WQ (it drops its own reference first)
-        return solve_edges(paired_Q(p, ptil, x, quad), p, x, threshold), None
+        if xs is None:
+            xs = [self.x + l * quad.spacing for l in offsets]
+        out = [None] * len(offsets) if self.U is None else self._woodbury(offsets, xs, threshold)
+        for i, (l, x) in enumerate(zip(offsets, xs)):
+            done = out[i]
+            if isinstance(done, PatchError) or done is not None and done[0][4] <= tol:
+                continue
+            try:
+                # built in the call, so that no local here holds Q while
+                # solve_edges factors I + WQ (it drops its own reference first)
+                out[i] = solve_edges(kdv_Q(p, x, quad) if ptil is None
+                                     else paired_Q(p, ptil, x, quad) if self.Q is None
+                                     else self.Q.window(l), p, x, threshold), None
+            except PatchError as err:
+                out[i] = err.with_traceback(None)  # a traceback would hold the frames' arrays
+        return out
 
-    def _lowrank(self, offset, x, threshold, tol):
-        """solve_edges' tuple for the sample at x, the run's offset, without
-        forming any k x k array; None when the backward error exceeds tol.
+    def _woodbury(self, offsets, xs, threshold):
+        """Per sample, (solve_edges' tuple, r) from the run's factors, or
+        the PatchError of a det2 below threshold; no k x k array is formed.
 
         The sample's factors give P ~ U V and WQ ~ X V (WQ = F P with
         F = W P~ W, or F = -W for neg_identity), and the r x r core
         C = I_r + V X stands in for A = I + WQ: det2 = det(C) e^{-tr(V X)}
         (Sylvester), and Woodbury, A^{-1} = I - X C^{-1} V, gives the last
         block row of G, P_last A^{-1}, and Z = A^{-1} E_last, whose image
-        P Z is the last block column.  Every product with P or P~ runs
-        through HankelFFT.  The backward error is solve_edges' measure
-        with A applied through the sample's exact Hankel operators, never
-        through the truncated factors, so it certifies the answer against
-        the system the dense solve factors.  A |det2| below threshold (a
-        singular core gives det2 = 0) raises PatchError before any solve.
+        P Z is the last block column.  The cores, det2 and both solves run
+        per sample on views of V and T, and a |det2| below threshold (a
+        singular core gives det2 = 0) drops the sample before any solve.
+        Every product with P or P~ then runs once for the whole batch,
+        through the run's H and Ht (right_windows, left_windows).  The
+        backward error is solve_edges' measure with A applied through each
+        sample's exact Hankel operators, never through the truncated
+        factors, so it certifies the answer against the system the dense
+        solve factors.
         """
-        p, ptil, quad, r = self.p, self.ptil, self.quad, self.rank
-        n, m, K = p.rows, p.cols, quad.node_count
+        ptil, quad, r = self.ptil, self.quad, self.rank
+        n, m, K = self.p.rows, self.p.cols, quad.node_count
         wn, wm = np.repeat(quad.weights, n), np.repeat(quad.weights, m)
-        vals = hankel_values(p, x, quad)
-        P = HankelFFT(vals)
+        out = [None] * len(offsets)
+        # the last block row and Z of each sample that passed its det2,
+        # stacked in the order of kept
+        dtype = np.result_type(self.V, self.vals, self.U if self.T is None else self.T)
+        rows = np.empty((len(offsets), n, K * m), dtype)
+        Z = np.empty((K * m, len(offsets), m), dtype)
+        kept = []
+        for i, (l, x) in enumerate(zip(offsets, xs)):
+            try:
+                d2, rows[len(kept)], Z[:, len(kept)] = self._core(l, x, threshold)
+            except PatchError as err:
+                out[i] = err.with_traceback(None)
+                continue
+            kept.append((i, d2))
+        S = len(kept)
+        if S == 0:
+            return out
+        at = [offsets[i] for i, _ in kept]
+        rows, Z = rows[:S], Z[:, :S].reshape(K * m, S * m)
+        PZ = self.H.right_windows(Z, at)
+        # the column check, A Z - E_last, first, so that Z is freed before
+        # the row check's products
+        FPZ = (-wm[:, None] * PZ if ptil is None
+               else wm[:, None] * self.Ht.right_windows(PZ, at, wn))
+        FPZ += Z
+        FPZ[-m:] -= np.tile(np.eye(m), S)
+        col_err = np.abs(FPZ).reshape(K * m, S, m).max(axis=(0, 2))
+        del Z, FPZ
+        rows_wm = rows.reshape(S * n, K * m) * wm
+        FL = -rows_wm if ptil is None else self.Ht.left_windows(rows_wm, at) * wn
+        del rows_wm
+        PFL = self.H.left_windows(FL, at).reshape(S, n, K * m)
+        del FL
+        PZ = PZ.reshape(K, n, S, m)
+        for s, ((i, d2), l) in enumerate(zip(kept, at)):
+            P_last = self._P_last(l)
+            berr = max(np.abs(rows[s] + PFL[s] - P_last).max() / max(np.abs(P_last).max(), 1e-300),
+                       col_err[s])
+            row = rows[s].reshape(n, K, m).transpose(1, 0, 2)
+            col = PZ[:, :, s].copy()
+            col[-1] = row[-1]
+            out[i] = (d2, row[-1], col, row, float(berr)), r
+        return out
+
+    def _core(self, offset, x, threshold):
+        """det2, the last block row of G and Z for the sample at offset, from
+        its r x r core; PatchError (at x) when |det2| is below threshold."""
+        m, K, r = self.p.cols, self.quad.node_count, self.rank
+        wm = np.repeat(self.quad.weights, m)
         V = self.V[:, offset: offset + K].reshape(r, K * m)
-        if ptil is None:
-            X = -wm[:, None] * self.U
-
-            def F(Y):
-                return -wm[:, None] * Y
-
-            def F_left(Y):
-                return -Y * wm
-        else:
-            X = wm[:, None] * self.T[offset: offset + K].reshape(K * m, r)
-            Pt = HankelFFT(hankel_values(ptil, x, quad))
-
-            def F(Y):
-                return wm[:, None] * Pt.right(wn[:, None] * Y)
-
-            def F_left(Y):
-                return Pt.left(Y * wm) * wn
+        X = wm[:, None] * (-self.U if self.ptil is None
+                           else self.T[offset: offset + K].reshape(K * m, r))
         C = V @ X
         trace = np.trace(C)
         C[np.diag_indices_from(C)] += 1.0
         d2 = _det2(*np.linalg.slogdet(C), trace, threshold, x)
-        P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
-        row_big = P_last - np.linalg.solve(C.T, (P_last @ X).T).T @ V
+        P_last = self._P_last(offset)
         E_last = np.zeros((K * m, m))
         E_last[-m:] = np.eye(m)
-        Z = E_last - X @ np.linalg.solve(C, V[:, -m:])
-        PZ = P.right(Z)
-        berr = max(np.abs(row_big + P.left(F_left(row_big)) - P_last).max()
-                   / max(np.abs(P_last).max(), 1e-300),
-                   np.abs(Z + F(PZ) - E_last).max())
-        if not berr <= tol:
-            return None
-        row = row_big.reshape(n, K, m).transpose(1, 0, 2)
-        col = PZ.reshape(K, n, m)
-        col[-1] = row[-1]
-        return d2, row[-1], col, row, float(berr)
+        return (d2, P_last - np.linalg.solve(C.T, (P_last @ X).T).T @ V,
+                E_last - X @ np.linalg.solve(C, V[:, -m:]))
+
+    def _P_last(self, offset):
+        """The sample's data on its last node row, p(xi_N + xi_j + x), as
+        one (n, K m) block row."""
+        n, m, K = self.p.rows, self.p.cols, self.quad.node_count
+        N = self.quad.intervals
+        return self.vals[offset + N: offset + N + K].transpose(1, 0, 2).reshape(n, K * m)
 
 
-def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, placed=None):
-    """det2, G at the origin, the backward error and the ranks for one
-    sample: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error, ranks),
-    the two slices over the nodes of rules[0].
+def combine_rules(outcomes):
+    """One sample's solve from its outcomes on each rule (Run.solve's):
+    (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error, ranks), the two
+    slices over the nodes of the first rule; the first PatchError among
+    them is raised, and outcomes may be a generator, read no further.
 
-    (p, ptil) is a pairing, Q = -P when ptil is None.  placed holds the
-    sample's (run, offset) per rule where the caller has them (runs);
-    without them each rule solves on a Run of this one sample.  ranks
-    holds each rule's low-rank rank, or None where the dense solve ran.
-    The backward error is the larger over the rules.  With two rules
-    from quadrature_rules the values are Richardson-extrapolated,
-    (4*fine - coarse)/3 with the fine rule read at every second node,
-    and det2 is the fine rule's.  A |det2| below threshold on either
-    rule raises PatchError.
+    ranks holds each rule's low-rank rank, or None where the dense solve
+    ran, and the backward error is the larger over the rules.  With two
+    rules from quadrature_rules the values are Richardson-extrapolated,
+    (4*fine - coarse)/3 with the fine rule read at every second node, and
+    det2 is the fine rule's.
     """
-    placed = placed or ((Run(p, ptil, x, quad), 0) for quad in rules)
-    out, ranks = zip(*(run.solve(offset, threshold, tol, x) for run, offset in placed))
+    solved = []
+    for outcome in outcomes:
+        if isinstance(outcome, PatchError):
+            raise outcome
+        solved.append(outcome)
+    out, ranks = zip(*solved)
     if len(out) == 1:
         return out[0] + (ranks,)
     (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out
@@ -640,6 +736,17 @@ def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL, p
     return ((d2,) + tuple((4.0 * f.astype(complex) - c) / 3.0
                           for f, c in zip(fine, coarse))
             + (max(berr_c, berr_f), ranks))
+
+
+def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+    """combine_rules of one sample's solves on each of rules, each on a
+    Run of this one sample: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward
+    error, ranks).  (p, ptil) is a pairing, Q = -P when ptil is None.  A
+    |det2| below threshold on either rule raises PatchError, and a rule
+    after it is not solved.
+    """
+    return combine_rules(Run(p, ptil, x, quad).solve([0], [x], threshold, tol)[0]
+                         for quad in rules)
 
 
 def x_runs(xs, grid, quad):
@@ -663,18 +770,18 @@ def x_runs(xs, grid, quad):
     return out
 
 
-def runs(p, ptil, xs, quad):
-    """One (run, offset) per sample of xs, in xs order: the Run of its run
-    of samples (x_runs) on quad, and its offset there.  Each Run is built
-    when its first sample is reached and released here after its last;
-    every run tries the range finder once, whatever its size, and
-    its path depends only on its data, never on which thread solves it.
-    """
+def solve_runs(p, ptil, xs, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+    """Run.solve's outcome for every sample of xs on quad, in xs order:
+    one Run per run of samples (x_runs), built as a temporary that is
+    dropped once its batch returns, so no two runs of one caller are
+    alive at once.  Every run tries the range finder once, whatever its
+    size, and its path depends only on its data, never on which thread
+    solves it."""
+    out = []
     for x, offsets in x_runs(xs, p.grid, quad):
-        run = Run(p, ptil, x, quad, max(offsets))
-        for offset in offsets:
-            yield run, offset
-        del run
+        out += Run(p, ptil, x, quad, max(offsets)).solve(
+            offsets, xs[len(out): len(out) + len(offsets)], threshold, tol)
+    return out
 
 
 @dataclass
@@ -748,9 +855,10 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     pairings gives each t row's evolved data and its companion; per
     sample, solve, check det2, and record the centre value, the two
-    slices through the origin, and det2.  One Run is built per run of x
-    samples a whole number of quadrature steps apart, per rule and field
-    (runs), and each sample solves at its offset in it.  The slices are
+    slices through the origin, and det2.  Per field and rule, each run
+    of x samples a whole number of quadrature steps apart solves in one
+    call (solve_runs), and combine_rules combines each sample's rules,
+    reporting the first PatchError in (field, rule) order.  The slices are
     kept only when the scenario's outputs read them ("slices",
     or "residuals" of a kind with a kernel form).  Samples are
     independent; rows of constant t are distributed over threads and
@@ -804,13 +912,13 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
             t = ts[it]
             # role swap: the partner field solves P~ = G~ (id + P P~)
             fields = ((p_t, ptil), (ptil, p_t)) if kind.coupled else ((p_t, ptil),)
-            # per sample, per field: each rule's (run, offset), taken
-            # before any solve so that a skipped sample keeps every run in step
-            placings = zip(*(zip(*(runs(f, g, xs, q) for q in rules)) for f, g in fields))
-            for ix, (x, placed) in enumerate(zip(xs, placings)):
+            # per field and rule, every sample's outcome, one batch per run
+            outcomes = [[solve_runs(f, g, xs, q, threshold, tol) for q in rules]
+                        for f, g in fields]
+            for ix, x in enumerate(xs):
                 try:
-                    solved = [solve_origin(f, g, x, rules, threshold, tol, at)
-                              for (f, g), at in zip(fields, placed)]
+                    solved = [combine_rules(per_rule[ix] for per_rule in per_field)
+                              for per_field in outcomes]
                 except PatchError as err:
                     err.t = t
                     det2_vals[it, ix] = err.det2_value

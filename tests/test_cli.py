@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -926,7 +927,7 @@ def test_verify_certifies_the_lowrank_path(monkeypatch):
 
     def counted(*args, **kwargs):
         out = solve(*args, **kwargs)
-        calls.append(out[1])
+        calls.extend(rank for _, rank in out)
         return out
 
     def refused(*args, **kwargs):
@@ -960,6 +961,30 @@ def test_assemble_Q_once_per_run_rule_and_field(name, calls, monkeypatch):
                                            threads=2)
     assert not report.any_below
     assert sorted(made) == sorted(calls)
+
+
+def test_a_run_is_dropped_before_the_next_is_built(monkeypatch):
+    # nls_gaussian_2x2 with its x samples split into two dense runs per t
+    # row: when the second run builds its extended Q, the first, with its
+    # own, is gone
+    sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
+    h = sc.quad.spacing
+    sc = replace(sc, xs=-1.0 + h * np.array([0.0, 1.0, 2.0, 0.5, 1.5]))
+    assert [len(offsets) for _, offsets in fredholm.x_runs(sc.xs, sc.grid, sc.quad)] == [3, 2]
+    dense, alive = [], []
+    init = fredholm.Run.__init__
+
+    def tracked(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in dense))
+        init(self, *args, **kwargs)
+        if self.Q is not None:
+            dense.append(weakref.ref(self))
+
+    monkeypatch.setattr(fredholm.Run, "__init__", tracked)
+    _, report = fredholm.evaluate_solution(sc)
+    assert not report.any_below
+    assert len(dense) == len(alive) == 2 * sc.ts.size
+    assert alive == [0] * len(alive)
 
 
 def test_tables_are_bitwise_identical_across_threads(tmp_path):

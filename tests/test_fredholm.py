@@ -675,13 +675,13 @@ def test_evaluate_solution_runs_blas_at_one_thread_and_restores_it(monkeypatch):
     have = lapack._routines()
     get, put = have["openblas_get_num_threads"], have["openblas_set_num_threads"]
     seen = []
-    solve = fredholm.solve_origin
+    solve = fredholm.solve_runs
 
     def recorded(*args):
         seen.append(get())
         return solve(*args)
 
-    monkeypatch.setattr(fredholm, "solve_origin", recorded)
+    monkeypatch.setattr(fredholm, "solve_runs", recorded)
     sc = kdv_scenario(xs=[0.0], ts=[-0.1, 0.0, 0.1], richardson=False)
     old = get()
     put(2)
@@ -754,7 +754,7 @@ def test_lowrank_solve_matches_the_dense_oracle(name):
     p, ptil, x, quad = lowrank_case(name)
     k = quad.node_count * p.cols
     run = fredholm.Run(p, ptil, x, quad)
-    edges, rank = run.solve(0)
+    (edges, rank), = run.solve([0])
     assert rank is not None and rank == run.rank
     dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
     assert_same_edges(edges, dense, 1e-12)
@@ -856,7 +856,7 @@ def test_fallback_to_dense_when_the_rank_passes_a_quarter_of_k():
     assert fredholm._range_basis(fredholm.HankelFFT(hankel_values(p, x, quad)), 16) is None
     run = fredholm.Run(p, ptil, x, quad)
     assert run.rank is None and run.V is None
-    edges, rank = run.solve(0)
+    (edges, rank), = run.solve([0])
     assert rank is None
     dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
     for a, b in zip(edges, dense):
@@ -887,9 +887,9 @@ def test_fallback_to_dense_when_the_backward_error_passes_the_bound():
     # the run keeps its factors; the sample alone goes dense
     p, ptil, x, quad = lowrank_case("nls_2x2")
     run = fredholm.Run(p, ptil, x, quad)
-    (*_, berr), rank = run.solve(0)
+    ((*_, berr), rank), = run.solve([0])
     assert rank is not None and berr > 0.0
-    edges, rank = run.solve(0, tol=berr / 2)
+    (edges, rank), = run.solve([0], tol=berr / 2)
     assert rank is None and run.rank is not None
     dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
     for a, b in zip(edges, dense):
@@ -903,9 +903,10 @@ def test_a_coarse_sketch_is_caught_by_the_exact_backward_error(monkeypatch):
     p, ptil, x, quad = lowrank_case("nls_2x2")
     monkeypatch.setattr(fredholm, "SKETCH_TOL", 1e-4)
     run = fredholm.Run(p, ptil, x, quad)
-    (*_, berr), rank = run.solve(0, tol=1.0)
+    ((*_, berr), rank), = run.solve([0], tol=1.0)
     assert rank is not None and berr > 1e-8
-    assert run.solve(0)[1] is None
+    (_, rank), = run.solve([0])
+    assert rank is None
 
 
 def test_lowrank_patch_error_comes_from_a_singular_core(monkeypatch):
@@ -924,9 +925,11 @@ def test_lowrank_patch_error_comes_from_a_singular_core(monkeypatch):
         raise AssertionError("dense solve on the low-rank path")
 
     monkeypatch.setattr(fredholm, "solve_edges", refused)
-    with pytest.raises(PatchError) as info:
-        run.solve(0)
-    assert abs(info.value.det2_value) < 1e-8
+    err, = run.solve([0])
+    assert isinstance(err, PatchError) and err.x == 0.0
+    assert abs(err.det2_value) < 1e-8
+    with pytest.raises(PatchError):
+        solve_origin(p, None, 0.0, (quad,))
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -966,15 +969,18 @@ def test_run_factors_are_the_windows_of_each_sample(name):
     # one range finder for the run x + l h, l = 0..e: at every offset,
     # node rows l..l+K-1 of V and T equal the products a one-sample build
     # takes with the same U through the sample's own Hankel operators, U
-    # holds the sample's P, and the run's solve at l is the sample's
-    # dense solve
+    # holds the sample's P, and the run's one batched solve gives, at
+    # each l, the sample's dense solve, and bitwise what the run gives
+    # that sample solved alone
     p, ptil, x, quad = lowrank_case(name)
     K, n, m = quad.node_count, p.rows, p.cols
     offsets = [0, 1, 2, 7, 24]
     run = fredholm.Run(p, ptil, x, quad, max(offsets))
     assert run.V.shape == (run.rank, K + 24, m) and run.Q is None
     assert np.iscomplexobj(run.U) == (name in ("nls_complex", "nls_2x2"))
-    for l in offsets:
+    batch = run.solve(offsets)
+    assert len(batch) == len(offsets)
+    for l, (edges, rank) in zip(offsets, batch):
         xl = x + l * quad.spacing
         P = fredholm.HankelFFT(hankel_values(p, xl, quad))
         V = run.V[:, l: l + K].reshape(run.rank, K * m)
@@ -989,9 +995,11 @@ def test_run_factors_are_the_windows_of_each_sample(name):
             assert np.abs(T - want).max() <= 1e-13 * np.abs(want).max()
         dense = hankel_kernel(p, xl, quad).big()
         assert np.abs(run.U @ V - dense).max() <= 1e-12 * np.abs(dense).max()
-        edges, rank = run.solve(l)
         assert rank == run.rank
         assert_same_edges(edges, solve_edges(paired_Q(p, ptil, xl, quad), p, xl), 1e-12)
+        (alone, _), = run.solve([l], [xl])
+        for a, b in zip(edges, alone):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind, richardson, calls", [
@@ -1113,3 +1121,139 @@ def test_a_sample_past_solver_tol_falls_back_to_dense_alone(monkeypatch):
         dense = solve_edges(paired_Q(p, ptil, sc.xs[3], quad), p, sc.xs[3])
     assert np.array_equal(got.center[0, 3], dense[1])
     assert report.backward_error[0, 3] == dense[4]
+
+
+def mixed_batch(monkeypatch):
+    """A one-row scenario of 2x2 NLS samples (k = 386) in one low-rank run
+    from x = -3: det2 falls and the backward error of a sketch truncated
+    at 3e-8 rises with x, so at patch_threshold 0.6 and solver_tol 1e-10
+    the last sample (|det2| 0.57) leaves the batch on its det2, the one
+    before it (backward error 1.2e-10) solves dense, and the first two
+    stay low-rank; and its pairing (p, ptil)."""
+    g = make_uniform_grid(20.0, 3840)
+    quad = make_quadrature(8.0, 192, g.spacing)
+    initial = InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]], width=1.0)
+    kind = resolve_kind("local_nls")
+    monkeypatch.setattr(fredholm, "SKETCH_TOL", 3e-8)
+    sc = scenario_stub(kind=kind, grid=g, n=2, m=2, quad=quad, initial=initial,
+                       xs=-3.0 + quad.spacing * np.array([0, 8, 80, 120]), ts=np.array([0.005]),
+                       tolerances={"patch_threshold": 0.6, "solver_tol": 1e-10})
+    (pair,) = pairings(sample_profile(initial, g, 2, 2), kind.params, kind.companion, [0.005])
+    return sc, pair
+
+
+def test_a_mixed_batch_gives_each_sample_its_own_outcome(monkeypatch):
+    # one sample below the patch threshold, one past solver_tol, two
+    # low-rank: in one batch each gets exactly what the run gives it
+    # solved alone, and the dense one is its own paired_Q's solve
+    sc, (p, ptil) = mixed_batch(monkeypatch)
+    quad, offsets = sc.quad, [0, 8, 80, 120]
+    run = fredholm.Run(p, ptil, sc.xs[0], quad, 120)
+    batch = run.solve(offsets, sc.xs, threshold=0.6, tol=1e-10)
+    for l, x, got in zip(offsets, sc.xs, batch):
+        (alone,) = run.solve([l], [x], threshold=0.6, tol=1e-10)
+        if isinstance(got, PatchError):
+            assert isinstance(alone, PatchError) and got.det2_value == alone.det2_value
+            assert got.x == alone.x == x and got.__traceback__ is None
+            continue
+        assert got[1] == alone[1]
+        for a, b in zip(got[0], alone[0]):
+            assert np.array_equal(a, b)
+    assert isinstance(batch[3], PatchError) and 0.5 < abs(batch[3].det2_value) < 0.6
+    assert [outcome[1] for outcome in batch[:3]] == [run.rank, run.rank, None]
+    assert max(batch[0][0][4], batch[1][0][4]) <= 1e-10
+    dense = solve_edges(paired_Q(p, ptil, sc.xs[2], quad), p, sc.xs[2], 0.6)
+    for a, b in zip(batch[2][0], dense):
+        assert np.array_equal(a, b)
+    for l, x, (edges, _) in zip(offsets[:2], sc.xs, batch):
+        assert_same_edges(edges, solve_edges(paired_Q(p, ptil, x, quad), p, x), 1e-9)
+
+
+def test_a_mixed_batch_skips_and_raises_at_its_patch_sample(monkeypatch):
+    sc, (p, ptil) = mixed_batch(monkeypatch)
+    got, report = evaluate_solution(sc)
+    (skip,) = report.skipped
+    assert skip[:4] == (0, 3, 0.005, sc.xs[3]) and skip[5] == "det2"
+    assert abs(skip[4]) < 0.6 and report.det2[0, 3] == skip[4]
+    assert report.ranks[:2] == [report.ranks[0]] * 2 and report.ranks[2] is None
+    assert len(report.ranks) == 3 and report.ranks[0] is not None
+    assert np.isnan(got.center[0, 3]).all() and np.isfinite(got.center[0, :3]).all()
+    with pytest.raises(PatchError) as info:
+        evaluate_solution(sc, skip_on_patch_error=False)
+    assert (info.value.x, info.value.t) == (sc.xs[3], 0.005)
+
+
+@pytest.mark.parametrize("samples", [3, 17])
+def test_the_transforms_are_per_run_not_per_sample(samples, monkeypatch):
+    # 2x2 NLS at k = 258, one row, one rule, one field and one low-rank
+    # run: the data and the companion are transformed once each, however
+    # many samples the run holds
+    xs = -3.0 + 0.125 * np.arange(samples)
+    sc, _ = nls_2x2_run(128, xs)
+    made = count_range_finder(monkeypatch)
+    transforms = []
+    init = fredholm.HankelFFT.__init__
+
+    def counted(self, vals, rows=None):
+        transforms.append(len(vals))
+        init(self, vals, rows)
+
+    monkeypatch.setattr(fredholm.HankelFFT, "__init__", counted)
+    _, report = evaluate_solution(sc)
+    assert len(made) == 1
+    assert report.lowrank_solves == samples and report.dense_solves == 0
+    assert transforms == [2 * 128 + 1 + 2 * (samples - 1)] * 2
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("a, b", [(2, 2), (2, 1), (1, 1)])
+def test_hankel_fft_windows_apply_each_square_window(a, b, real):
+    # the R x (R+e) matrix's window from node l, one block vector per
+    # offset, against the gathered windows; the weights scale the rows of
+    # each block vector; a tall shape of the same values shares the spectrum
+    R, e = 11, 9
+    offsets = [0, 4, 9, 4]
+    rng = np.random.default_rng(a + 3 * b)
+    vals = rng.standard_normal((2 * R - 1 + e, a, b))
+    if not real:
+        vals = vals + 1j * rng.standard_normal(vals.shape)
+    op = fredholm.HankelFFT(vals, R)
+    windows = [DiscreteKernel(None, hankel_windows(vals[l:], R)[:R]).big() for l in offsets]
+    S, c = len(offsets), 2
+    Y = rng.standard_normal((R * b, S * c)) + 1j * rng.standard_normal((R * b, S * c))
+    Yl = rng.standard_normal((S * c, R * a)) + 1j * rng.standard_normal((S * c, R * a))
+    w = rng.uniform(0.5, 1.5, R * b)
+    right, weighted = op.right_windows(Y, offsets), op.right_windows(Y, offsets, w)
+    left = op.left_windows(Yl, offsets)
+    for s, H in enumerate(windows):
+        cols = slice(s * c, (s + 1) * c)
+        for got, want in ((right[:, cols], H @ Y[:, cols]),
+                          (weighted[:, cols], H @ (w[:, None] * Y[:, cols])),
+                          (left[cols], Yl[cols] @ H)):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.isrealobj(op.right_windows(Y.real, offsets)) == real
+    tall = op.with_rows(R + e)
+    assert (tall.R, tall.C) == (R + e, R) and tall.spec is op.spec
+    want = hankel_windows(vals, R).transpose(0, 2, 1, 3).reshape((R + e) * a, R * b) @ Y[:, :c]
+    assert np.abs(tall.right(Y[:, :c]) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_a_skip_reports_the_first_rule_whose_det2_fails(monkeypatch):
+    # with Richardson and a threshold above every |det2|, both rules of
+    # every sample fail: the skip row and skip_on_patch_error=False carry
+    # the coarse rule's det2, as a per-sample loop over the rules would
+    sc = kdv_scenario(xs=[-0.5, 0.0, 0.5], ts=[0.0])
+    sc.tolerances = {"patch_threshold": 1e3, "solver_tol": 1e-10}
+    (p, _), = pairings(sample_profile(sc.initial, sc.grid, 1, 1), sc.kind.params,
+                       sc.kind.companion, [0.0])
+    _, report = evaluate_solution(sc)
+    assert len(report.skipped) == 3
+    for (_, ix, _, x, d2, reason), want in zip(report.skipped, sc.xs):
+        assert x == want and reason == "det2"
+        coarse, fine = (fredholm.Run(p, None, x, q).solve([0], [x], 1e3)[0]
+                        for q in quadrature_rules(sc.quad, True))
+        gap = abs(fine.det2_value - coarse.det2_value)
+        assert abs(d2 - coarse.det2_value) <= 1e-12 * abs(d2) < gap
+    with pytest.raises(PatchError) as info:
+        evaluate_solution(sc, skip_on_patch_error=False)
+    assert info.value.x == sc.xs[0] and info.value.det2_value == report.skipped[0][4]
