@@ -19,9 +19,10 @@ returning det2 and the edges of G:
 * low-rank: P ~ U V from a randomized range finder and HankelFFT (block
   Hankel products by FFT), then det2 by Sylvester's identity and the
   edges by Woodbury on an r x r core; no k x k array is formed.  A run's
-  samples solve as one batch: the cores stay per sample, and every
-  Hankel product of the batch is one FFT product through the run's
-  transforms.
+  samples solve as one batch in a number of numpy calls that does not
+  grow with their count: the cores are one stack, det2 one batched
+  slogdet and each Woodbury solve one batched solve, and every Hankel
+  product of the batch is one FFT product through the run's transforms.
 
 A Run keeps the low-rank factors only when the rank r <= k/4 (k = K m
 unknowns), and each of its samples keeps the low-rank answer only when
@@ -49,6 +50,7 @@ for solve_origin, which solves one sample on a Run of its own.
 
 from concurrent.futures import ThreadPoolExecutor
 import copy
+import math
 from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,7 +64,8 @@ PATCH_THRESHOLD = 1e-8
 SOLVER_TOL = 1e-10
 # the range finder keeps the directions whose sketched singular value
 # exceeds SKETCH_TOL times the first sketch's largest, drawing
-# _SKETCH_BLOCK probes at a time (_probes, restarted on every call)
+# _SKETCH_BLOCK probes in its first round and doubling the block each
+# round after (_probes, restarted on every call)
 SKETCH_TOL = 1e-13
 _SKETCH_BLOCK = 8
 
@@ -323,15 +326,13 @@ def quadrature_rules(quad, richardson):
                                  quad.spacing / quad.stride)
 
 
-def _det2(sign, logabs, trace, threshold, x):
-    """det2 = det(A) e^{-tr(WQ)} from det(A)'s sign and log modulus (an
-    exactly singular A, sign 0, gives 0); PatchError at x when |det2| is
-    below threshold."""
+def _det2(sign, logabs, trace):
+    """det2 = det(A) e^{-tr(WQ)} from det(A)'s sign and log modulus,
+    elementwise over a stack; an exactly singular A (sign 0, log modulus
+    -inf) gives 0.  A caller drops the samples whose |det2| is below the
+    patch threshold."""
     with np.errstate(over="ignore"):  # past the float range det2 is inf
-        d2 = 0.0 + 0.0j if sign == 0 else sign * np.exp(logabs - trace)
-    if abs(d2) < threshold:
-        raise PatchError(d2, x=x)
-    return d2
+        return sign * np.exp(logabs - trace)
 
 
 def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
@@ -354,7 +355,9 @@ def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
     A, trace = nystrom_matrix(Q)
     del Q  # as large as A: free it before the factorisation
     lu = LU(A)
-    d2 = _det2(*lu.slogdet(), trace, threshold, x)
+    d2 = _det2(*lu.slogdet(), trace)
+    if abs(d2) < threshold:
+        raise PatchError(d2, x=x)
     vals = hankel_values(p, x, quad)
     P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
     row_big = lu.solve_rows(P_last)
@@ -387,14 +390,15 @@ def _block_product(F, G):
     blocks: (p, q, L) and (q, c, L) give (p, c, L).  p and q are block
     sizes (1 or 2 in practice), so the loops are short, and each product
     is written in place: temporaries as large as G cost more than the
-    arithmetic."""
+    arithmetic.  G is consumed: the last block row's terms are formed in
+    G's own blocks, and every row before it uses the last row's slot of
+    the result for its terms, so only the result is allocated."""
     p, q, L = F.shape
     out = np.empty((p, G.shape[1], L), dtype=np.result_type(F, G))
-    term = np.empty_like(out[0])
     for i in range(p):
         np.multiply(F[i, 0, None], G[0], out=out[i])
         for j in range(1, q):
-            out[i] += np.multiply(F[i, j, None], G[j], out=term)
+            out[i] += np.multiply(F[i, j, None], G[j], out=out[-1] if i < p - 1 else G[j])
     return out
 
 
@@ -512,35 +516,41 @@ def _range_basis(H, limit):
     rank would pass limit.
 
     Adaptive randomized range finder (Halko, Martinsson and Tropp, SIAM
-    Review 53, 2011): each round sketches H with _SKETCH_BLOCK random
-    probes, projects the sketch off U twice, and adds the directions
+    Review 53, 2011): each round sketches H with a block of random
+    probes, _SKETCH_BLOCK in the first round and twice the last round's
+    after it, projects the sketch off U twice, and adds the directions
     whose singular value exceeds SKETCH_TOL times the first sketch's
-    largest; a round that adds none ends the search, and one that would
-    pass limit gives up before it orthogonalises them.  The probes are
-    uniform on [-1, 1) (real and imaginary parts for complex H), drawn
-    from _probes from index 0 on every call, so U depends only on H.
+    largest.  A round that keeps fewer directions than it drew probes has
+    found the rest of the range and ends the search; one that would pass
+    limit gives up before it orthogonalises them.  The probes are uniform
+    on [-1, 1) (real and imaginary parts for complex H), drawn from
+    _probes from index 0 on every call, so U depends only on H.
     """
     rows = H.C * H.b
     per_probe = rows if H.real else 2 * rows
     U = np.empty((H.R * H.a, 0), dtype=float if H.real else complex)
     top = None
     drawn = 0
+    block = _SKETCH_BLOCK
     while True:
-        vals = _probes(drawn, per_probe * _SKETCH_BLOCK).reshape(-1, _SKETCH_BLOCK)
-        drawn += vals.size
-        probes = vals if H.real else vals[:rows] + 1j * vals[rows:]
+        probes = _probes(drawn, per_probe * block).reshape(-1, block)
+        drawn += probes.size
+        if not H.real:
+            probes = probes[:rows] + 1j * probes[rows:]
         Y = H.right(probes)
         for _ in range(2):
             Y -= U @ (U.conj().T @ Y)
         u, s, _ = np.linalg.svd(Y, full_matrices=False)
         top = s[0] if top is None else top
         new = u[:, s > SKETCH_TOL * top]
-        if new.shape[1] == 0:
-            return U
         if U.shape[1] + new.shape[1] > limit:
             return None
-        new -= U @ (U.conj().T @ new)
-        U = np.hstack([U, np.linalg.qr(new)[0]])
+        if new.shape[1]:
+            new -= U @ (U.conj().T @ new)
+            U = np.hstack([U, np.linalg.qr(new)[0]])
+        if new.shape[1] < block:
+            return U
+        block *= 2
 
 
 class Run:
@@ -558,10 +568,11 @@ class Run:
     at l is the sample's P~; Ht and P~_tall share one spectrum, and T and
     Ht are None for neg_identity (Q = -P).  U spans every sample's P, so
     node rows l..l+K-1 of V and T are the sample's own factors: P ~ U V,
-    and WQ ~ X V with X = W T, or -W U for neg_identity.  Otherwise the
-    run keeps Q, the extended assemble_Q whose window at l is the
-    sample's Q, or none for neg_identity, whose samples each take their
-    kdv_Q, a free view.
+    and WQ ~ X V with X = W T, or -W U for neg_identity.  Such a run
+    solves one batch: the batch releases U, V and T (rank stays), and a
+    second solve raises.  Otherwise the run keeps Q, the extended
+    assemble_Q whose window at l is the sample's Q, or none for
+    neg_identity, whose samples each take their kdv_Q, a free view.
     """
 
     def __init__(self, p, ptil, x, quad, extension=0):
@@ -571,6 +582,7 @@ class Run:
         self.vals = hankel_values(p, x, quad, extension)
         H = HankelFFT(self.vals, K)
         self.U = _range_basis(H, K * m // 4)
+        self.rank = None if self.U is None else self.U.shape[1]
         self.H = self.Ht = self.V = self.T = self.Q = None
         if self.U is not None:
             self.H = H
@@ -581,11 +593,6 @@ class Run:
                     np.repeat(quad.weights, n)[:, None] * self.U).reshape(E, m, self.rank)
         elif ptil is not None:
             self.Q = assemble_Q(p, ptil, x, quad, extension)
-
-    @property
-    def rank(self):
-        """r, or None where it passed k/4."""
-        return None if self.U is None else self.U.shape[1]
 
     def solve(self, offsets, xs=None, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
         """One outcome per sample x + l h, l in offsets: solve_edges' tuple
@@ -602,7 +609,7 @@ class Run:
         p, ptil, quad = self.p, self.ptil, self.quad
         if xs is None:
             xs = [self.x + l * quad.spacing for l in offsets]
-        out = [None] * len(offsets) if self.U is None else self._woodbury(offsets, xs, threshold)
+        out = [None] * len(offsets) if self.rank is None else self._woodbury(offsets, xs, threshold)
         for i, (l, x) in enumerate(zip(offsets, xs)):
             done = out[i]
             if isinstance(done, PatchError) or done is not None and done[0][4] <= tol:
@@ -626,38 +633,71 @@ class Run:
         C = I_r + V X stands in for A = I + WQ: det2 = det(C) e^{-tr(V X)}
         (Sylvester), and Woodbury, A^{-1} = I - X C^{-1} V, gives the last
         block row of G, P_last A^{-1}, and Z = A^{-1} E_last, whose image
-        P Z is the last block column.  The cores, det2 and both solves run
-        per sample on views of V and T, and a |det2| below threshold (a
-        singular core gives det2 = 0) drops the sample before any solve.
-        Every product with P or P~ then runs once for the whole batch,
+        P Z is the last block column.  Each step runs once over the batch:
+        the samples' windows of V and T are one strided view (every g-th
+        window from the first offset, g the offsets' common step), the
+        cores one stack (W = h I plus the end weights' excess, so no
+        window is copied), det2 one batched slogdet, and the two Woodbury
+        solves one batched solve each, on the samples whose |det2| is at
+        least threshold (a singular core gives det2 = 0).  The batch then
+        releases U, V and T, and every product with P or P~ runs once,
         through the run's H and Ht (right_windows, left_windows).  The
         backward error is solve_edges' measure with A applied through each
         sample's exact Hankel operators, never through the truncated
         factors, so it certifies the answer against the system the dense
         solve factors.
         """
+        if self.V is None:
+            raise RuntimeError("a low-rank Run solves one batch: its factors are released")
         ptil, quad, r = self.ptil, self.quad, self.rank
-        n, m, K = self.p.rows, self.p.cols, quad.node_count
-        wn, wm = np.repeat(quad.weights, n), np.repeat(quad.weights, m)
+        n, m, K, N = self.p.rows, self.p.cols, quad.node_count, quad.intervals
+        h, wn, wm = quad.spacing, np.repeat(quad.weights, n), np.repeat(quad.weights, m)
+        lo = min(offsets)
+        step = math.gcd(*(l - lo for l in offsets)) or 1
+        win = [(l - lo) // step for l in offsets]  # each sample's window
+        count = max(win) + 1
+        cols = slice(lo * m, (lo + step * (count - 1)) * m + 1, step * m)
+        Em = self.V.shape[1] * m
+        V = sliding_window_view(self.V.reshape(r, Em), K * m, axis=1)[:, cols].transpose(1, 0, 2)
+        T = (-self.U[None] if ptil is None else
+             sliding_window_view(self.T.reshape(Em, r), K * m, axis=0)[cols].transpose(0, 2, 1))
+        self.U = self.V = self.T = None  # V and T above hold them until the cores' products
+        nodes = lo + step * np.arange(count)[:, None] + np.arange(K)
+        P_last = self.vals[N + nodes].transpose(0, 2, 1, 3).reshape(count, n, K * m)
+        ends = np.flatnonzero(wm != h)  # the columns whose weight is not h
+        C = V @ T
+        C *= h
+        C += (V[..., ends] * (wm[ends] - h)) @ T[:, ends]
+        trace = np.trace(C, axis1=1, axis2=2)
+        C[:, np.arange(r), np.arange(r)] += 1.0
+        d2 = _det2(*np.linalg.slogdet(C), trace)
         out = [None] * len(offsets)
-        # the last block row and Z of each sample that passed its det2,
-        # stacked in the order of kept
-        dtype = np.result_type(self.V, self.vals, self.U if self.T is None else self.T)
-        rows = np.empty((len(offsets), n, K * m), dtype)
-        Z = np.empty((K * m, len(offsets), m), dtype)
         kept = []
-        for i, (l, x) in enumerate(zip(offsets, xs)):
-            try:
-                d2, rows[len(kept)], Z[:, len(kept)] = self._core(l, x, threshold)
-            except PatchError as err:
-                out[i] = err.with_traceback(None)
-                continue
-            kept.append((i, d2))
-        S = len(kept)
-        if S == 0:
+        for i, (w, x) in enumerate(zip(win, xs)):
+            if abs(d2[w]) < threshold:
+                out[i] = PatchError(d2[w], x=x)
+            else:
+                kept.append(i)
+        if not kept:
             return out
-        at = [offsets[i] for i, _ in kept]
-        rows, Z = rows[:S], Z[:, :S].reshape(K * m, S * m)
+        S = len(kept)
+        win = [win[i] for i in kept]
+        at = [offsets[i] for i in kept]
+        solved = sorted(set(win))  # np.unique would import numpy.ma, 1.6 MB
+        PX = ((P_last * wm) @ T)[solved]
+        Y = np.zeros((count, n, r), np.result_type(C, PX))
+        Y[solved] = np.linalg.solve(C[solved].transpose(0, 2, 1),
+                                    PX.transpose(0, 2, 1)).transpose(0, 2, 1)
+        B = np.zeros((count, r, m), Y.dtype)
+        B[solved] = np.linalg.solve(C[solved], V[solved, :, -m:])
+        rows = Y @ V
+        np.subtract(P_last, rows, out=rows)
+        Z = T @ B
+        Z *= -wm[:, None]
+        Z[:, -m:] += np.eye(m)
+        del V, T, C, PX, Y, B
+        rows, Z, P_last = rows[win], Z[win], P_last[win]
+        Z = Z.transpose(1, 0, 2).reshape(K * m, S * m)
         PZ = self.H.right_windows(Z, at)
         # the column check, A Z - E_last, first, so that Z is freed before
         # the row check's products
@@ -672,41 +712,15 @@ class Run:
         del rows_wm
         PFL = self.H.left_windows(FL, at).reshape(S, n, K * m)
         del FL
+        scale = np.maximum(np.abs(P_last).max(axis=(1, 2)), 1e-300)
+        berr = np.maximum(np.abs(rows + PFL - P_last).max(axis=(1, 2)) / scale, col_err)
         PZ = PZ.reshape(K, n, S, m)
-        for s, ((i, d2), l) in enumerate(zip(kept, at)):
-            P_last = self._P_last(l)
-            berr = max(np.abs(rows[s] + PFL[s] - P_last).max() / max(np.abs(P_last).max(), 1e-300),
-                       col_err[s])
+        for s, i in enumerate(kept):
             row = rows[s].reshape(n, K, m).transpose(1, 0, 2)
             col = PZ[:, :, s].copy()
             col[-1] = row[-1]
-            out[i] = (d2, row[-1], col, row, float(berr)), r
+            out[i] = (d2[win[s]], row[-1], col, row, float(berr[s])), r
         return out
-
-    def _core(self, offset, x, threshold):
-        """det2, the last block row of G and Z for the sample at offset, from
-        its r x r core; PatchError (at x) when |det2| is below threshold."""
-        m, K, r = self.p.cols, self.quad.node_count, self.rank
-        wm = np.repeat(self.quad.weights, m)
-        V = self.V[:, offset: offset + K].reshape(r, K * m)
-        X = wm[:, None] * (-self.U if self.ptil is None
-                           else self.T[offset: offset + K].reshape(K * m, r))
-        C = V @ X
-        trace = np.trace(C)
-        C[np.diag_indices_from(C)] += 1.0
-        d2 = _det2(*np.linalg.slogdet(C), trace, threshold, x)
-        P_last = self._P_last(offset)
-        E_last = np.zeros((K * m, m))
-        E_last[-m:] = np.eye(m)
-        return (d2, P_last - np.linalg.solve(C.T, (P_last @ X).T).T @ V,
-                E_last - X @ np.linalg.solve(C, V[:, -m:]))
-
-    def _P_last(self, offset):
-        """The sample's data on its last node row, p(xi_N + xi_j + x), as
-        one (n, K m) block row."""
-        n, m, K = self.p.rows, self.p.cols, self.quad.node_count
-        N = self.quad.intervals
-        return self.vals[offset + N: offset + N + K].transpose(1, 0, 2).reshape(n, K * m)
 
 
 def combine_rules(outcomes):

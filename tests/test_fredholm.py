@@ -864,9 +864,10 @@ def test_fallback_to_dense_when_the_rank_passes_a_quarter_of_k():
 
 
 def test_a_failed_range_finder_stops_before_orthogonalising_past_the_limit(monkeypatch):
-    # 2x2 NLS data at k = 66: each round of 8 probes adds 8 directions,
-    # so the third round would pass 66 // 4 = 16 and gives up before
-    # its QR; a finder whose rank holds is unchanged by the early exit
+    # 2x2 NLS data at k = 66: the first round's 8 probes add 8
+    # directions, and the second round's 16 would pass 66 // 4 = 16, so
+    # it gives up before its QR; a finder whose rank holds is unchanged
+    # by the early exit
     p, _, x, _ = lowrank_case("nls_2x2")
     H = fredholm.HankelFFT(hankel_values(p, x, make_quadrature(8.0, 32, p.grid.spacing)))
     qr = np.linalg.qr
@@ -878,17 +879,47 @@ def test_a_failed_range_finder_stops_before_orthogonalising_past_the_limit(monke
 
     monkeypatch.setattr(np.linalg, "qr", counted)
     assert fredholm._range_basis(H, 16) is None
-    assert made == [8, 8]
+    assert made == [8]
     made.clear()
     assert fredholm._range_basis(H, H.R * H.a).shape[1] == sum(made) > 16
+
+
+@pytest.mark.parametrize("case, rounds, widths", [("rank_one", [8], [1]),
+                                                  ("nls_2x2_k258", [8, 16, 32], [8, 16, 6])])
+def test_the_sketch_block_doubles_each_round(case, rounds, widths, monkeypatch):
+    # rounds of 8, 16, 32, ... probes, and the first round that keeps
+    # fewer directions than it drew ends the search: rank-one data end
+    # after one round and one QR of width 1; study-shaped 2x2 NLS data at
+    # k = 258 keep 8 and 16 directions and end in the third round
+    if case == "rank_one":
+        p, _, x, quad = lowrank_case("kdv_real")
+    else:
+        sc, (p, _) = nls_2x2_run(128, np.array([0.25]))
+        x, quad = 0.25, sc.quad
+    H = fredholm.HankelFFT(hankel_values(p, x, quad))
+    svd, qr = np.linalg.svd, np.linalg.qr
+    sketched, made = [], []
+
+    def counted_svd(a, *args, **kwargs):
+        sketched.append(a.shape[1])
+        return svd(a, *args, **kwargs)
+
+    def counted_qr(a, *args, **kwargs):
+        made.append(a.shape[1])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    U = fredholm._range_basis(H, quad.node_count * p.cols // 4)
+    assert sketched == rounds and made == widths and U.shape[1] == sum(widths)
 
 
 def test_fallback_to_dense_when_the_backward_error_passes_the_bound():
     # the run keeps its factors; the sample alone goes dense
     p, ptil, x, quad = lowrank_case("nls_2x2")
-    run = fredholm.Run(p, ptil, x, quad)
-    ((*_, berr), rank), = run.solve([0])
+    ((*_, berr), rank), = fredholm.Run(p, ptil, x, quad).solve([0])
     assert rank is not None and berr > 0.0
+    run = fredholm.Run(p, ptil, x, quad)
     (edges, rank), = run.solve([0], tol=berr / 2)
     assert rank is None and run.rank is not None
     dense = solve_edges(paired_Q(p, ptil, x, quad), p, x)
@@ -902,10 +933,9 @@ def test_a_coarse_sketch_is_caught_by_the_exact_backward_error(monkeypatch):
     # so the low-rank solve is refused and the dense one runs
     p, ptil, x, quad = lowrank_case("nls_2x2")
     monkeypatch.setattr(fredholm, "SKETCH_TOL", 1e-4)
-    run = fredholm.Run(p, ptil, x, quad)
-    ((*_, berr), rank), = run.solve([0], tol=1.0)
+    ((*_, berr), rank), = fredholm.Run(p, ptil, x, quad).solve([0], tol=1.0)
     assert rank is not None and berr > 1e-8
-    (_, rank), = run.solve([0])
+    (_, rank), = fredholm.Run(p, ptil, x, quad).solve([0])
     assert rank is None
 
 
@@ -970,17 +1000,15 @@ def test_run_factors_are_the_windows_of_each_sample(name):
     # node rows l..l+K-1 of V and T equal the products a one-sample build
     # takes with the same U through the sample's own Hankel operators, U
     # holds the sample's P, and the run's one batched solve gives, at
-    # each l, the sample's dense solve, and bitwise what the run gives
-    # that sample solved alone
+    # each l, the sample's dense solve, and bitwise what a run of the same
+    # data gives that sample solved alone; the batch releases the factors
     p, ptil, x, quad = lowrank_case(name)
     K, n, m = quad.node_count, p.rows, p.cols
     offsets = [0, 1, 2, 7, 24]
     run = fredholm.Run(p, ptil, x, quad, max(offsets))
     assert run.V.shape == (run.rank, K + 24, m) and run.Q is None
     assert np.iscomplexobj(run.U) == (name in ("nls_complex", "nls_2x2"))
-    batch = run.solve(offsets)
-    assert len(batch) == len(offsets)
-    for l, (edges, rank) in zip(offsets, batch):
+    for l in offsets:
         xl = x + l * quad.spacing
         P = fredholm.HankelFFT(hankel_values(p, xl, quad))
         V = run.V[:, l: l + K].reshape(run.rank, K * m)
@@ -995,9 +1023,17 @@ def test_run_factors_are_the_windows_of_each_sample(name):
             assert np.abs(T - want).max() <= 1e-13 * np.abs(want).max()
         dense = hankel_kernel(p, xl, quad).big()
         assert np.abs(run.U @ V - dense).max() <= 1e-12 * np.abs(dense).max()
-        assert rank == run.rank
+    rank = run.rank
+    batch = run.solve(offsets)
+    assert len(batch) == len(offsets)
+    assert run.U is None and run.V is None and run.T is None and run.rank == rank
+    with pytest.raises(RuntimeError):
+        run.solve([0])
+    for l, (edges, got_rank) in zip(offsets, batch):
+        xl = x + l * quad.spacing
+        assert got_rank == rank
         assert_same_edges(edges, solve_edges(paired_Q(p, ptil, xl, quad), p, xl), 1e-12)
-        (alone, _), = run.solve([l], [xl])
+        (alone, _), = fredholm.Run(p, ptil, x, quad, max(offsets)).solve([l], [xl])
         for a, b in zip(edges, alone):
             assert np.array_equal(a, b)
 
@@ -1093,17 +1129,19 @@ def test_2x2_nls_at_k_258_goes_lowrank_with_one_finder_call_per_run(monkeypatch)
 
 
 def test_a_sample_past_solver_tol_falls_back_to_dense_alone(monkeypatch):
-    # a sketch truncated at 3e-8 leaves backward errors of 4e-11 to 1.3e-10
-    # over one run of 2x2 NLS samples (k = 386): only the sample above
-    # solver_tol = 1e-10 solves dense, the rest keep the shared factors
+    # a sketch truncated at 1.5e-9 (rank 22, which every truncation from
+    # 1e-9 to 3e-9 gives) leaves backward errors of 8.8e-11, 9.0e-11,
+    # 9.3e-11 and 3.5e-10 over one run of 2x2 NLS samples (k = 386): only
+    # the sample above solver_tol = 1e-10 solves dense, the rest keep the
+    # shared factors
     g = make_uniform_grid(20.0, 3840)
     quad = make_quadrature(8.0, 192, g.spacing)
     initial = InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]], width=1.0)
     kind = resolve_kind("local_nls")
     sc = scenario_stub(kind=kind, grid=g, n=2, m=2, quad=quad, initial=initial,
-                       xs=0.25 + quad.spacing * np.array([0, 3, 10, 24]), ts=np.array([0.005]),
+                       xs=0.25 + quad.spacing * np.array([0, 1, 3, 24]), ts=np.array([0.005]),
                        tolerances={"patch_threshold": 1e-8, "solver_tol": 1.0})
-    monkeypatch.setattr(fredholm, "SKETCH_TOL", 3e-8)
+    monkeypatch.setattr(fredholm, "SKETCH_TOL", 1.5e-9)
     loose, loose_report = evaluate_solution(sc)
     berr = loose_report.backward_error[0]
     assert berr[:3].max() < 1e-10 < berr[3]
@@ -1128,8 +1166,8 @@ def mixed_batch(monkeypatch):
     from x = -3: det2 falls and the backward error of a sketch truncated
     at 3e-8 rises with x, so at patch_threshold 0.6 and solver_tol 1e-10
     the last sample (|det2| 0.57) leaves the batch on its det2, the one
-    before it (backward error 1.2e-10) solves dense, and the first two
-    stay low-rank; and its pairing (p, ptil)."""
+    before it (backward error 2.3e-9) solves dense, and the first two
+    (9.5e-13 and 5.0e-12) stay low-rank; and its pairing (p, ptil)."""
     g = make_uniform_grid(20.0, 3840)
     quad = make_quadrature(8.0, 192, g.spacing)
     initial = InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]], width=1.0)
@@ -1151,7 +1189,8 @@ def test_a_mixed_batch_gives_each_sample_its_own_outcome(monkeypatch):
     run = fredholm.Run(p, ptil, sc.xs[0], quad, 120)
     batch = run.solve(offsets, sc.xs, threshold=0.6, tol=1e-10)
     for l, x, got in zip(offsets, sc.xs, batch):
-        (alone,) = run.solve([l], [x], threshold=0.6, tol=1e-10)
+        fresh = fredholm.Run(p, ptil, sc.xs[0], quad, 120)
+        (alone,) = fresh.solve([l], [x], threshold=0.6, tol=1e-10)
         if isinstance(got, PatchError):
             assert isinstance(alone, PatchError) and got.det2_value == alone.det2_value
             assert got.x == alone.x == x and got.__traceback__ is None
@@ -1186,8 +1225,9 @@ def test_a_mixed_batch_skips_and_raises_at_its_patch_sample(monkeypatch):
 @pytest.mark.parametrize("samples", [3, 17])
 def test_the_transforms_are_per_run_not_per_sample(samples, monkeypatch):
     # 2x2 NLS at k = 258, one row, one rule, one field and one low-rank
-    # run: the data and the companion are transformed once each, however
-    # many samples the run holds
+    # run: the data and the companion are transformed once each, and
+    # every sample's core goes through one batched slogdet and the two
+    # batched Woodbury solves, however many samples the run holds
     xs = -3.0 + 0.125 * np.arange(samples)
     sc, _ = nls_2x2_run(128, xs)
     made = count_range_finder(monkeypatch)
@@ -1199,10 +1239,18 @@ def test_the_transforms_are_per_run_not_per_sample(samples, monkeypatch):
         init(self, vals, rows)
 
     monkeypatch.setattr(fredholm.HankelFFT, "__init__", counted)
+    calls = []
+    for name in ("slogdet", "solve"):
+        def batched(*args, name=name, call=getattr(np.linalg, name)):
+            calls.append(name)
+            return call(*args)
+
+        monkeypatch.setattr(np.linalg, name, batched)
     _, report = evaluate_solution(sc)
     assert len(made) == 1
     assert report.lowrank_solves == samples and report.dense_solves == 0
     assert transforms == [2 * 128 + 1 + 2 * (samples - 1)] * 2
+    assert calls == ["slogdet", "solve", "solve"]
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
