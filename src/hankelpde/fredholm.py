@@ -537,12 +537,18 @@ def _range_basis(H, limit):
         drawn += probes.size
         if not H.real:
             probes = probes[:rows] + 1j * probes[rows:]
-        Y = H.right(probes)
+        # the columns are independent, so a wider round sketches them
+        # 2 _SKETCH_BLOCK at a time: no transient outgrows the second round's
+        parts = [H.right(probes[:, j:j + 2 * _SKETCH_BLOCK])
+                 for j in range(0, block, 2 * _SKETCH_BLOCK)]
+        Y = np.hstack(parts) if len(parts) > 1 else parts[0]
+        del parts
         for _ in range(2):
             Y -= U @ (U.conj().T @ Y)
         u, s, _ = np.linalg.svd(Y, full_matrices=False)
         top = s[0] if top is None else top
         new = u[:, s > SKETCH_TOL * top]
+        del probes, Y, u  # the next round's sketch runs without them
         if U.shape[1] + new.shape[1] > limit:
             return None
         if new.shape[1]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from hankelpde import cli, fredholm, lapack
+from hankelpde import cli, floatfmt, fredholm, lapack
 from hankelpde.cli import (
     Scenario,
     convergence_study,
@@ -193,6 +193,8 @@ def test_run_rank_one_nls_center_value(tmp_path):
     # the run records how it solved: one LU per system, and its threads
     assert manifest["factorisation"] == "openblas-getrf"
     assert (manifest["threads"], manifest["workers"], manifest["blas_threads"]) == (1, 1, 1)
+    # and where its time went: the solve, the table writes, the total
+    assert sorted(manifest["timings"]) == ["solve_s", "tables_s", "total_s"]
 
 
 def test_a_solve_never_imports_scipy(tmp_path):
@@ -226,6 +228,31 @@ def test_importing_the_cli_does_not_load_numpy_random(tmp_path):
             "assert cli.main(['study', %r]) == 0\n"
             "print(loaded())\n"
             % (str(path), str(out), str(out / "manifest.json"), str(path)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]"
+
+
+def test_writing_tables_loads_neither_fractions_nor_decimal(tmp_path):
+    # the table writer builds its powers of ten from Python ints on first
+    # use: importing fractions alone costs about 3 ms of start-up, so
+    # neither the import, a solve that writes tables in numpy, nor a
+    # study loads fractions or decimal
+    text = STUDY_NLS.replace("outputs: [center, det2]", "outputs: [center, slices, det2]")
+    path = write_scenario(tmp_path, text)
+    code = ("import sys\n"
+            "import hankelpde.cli as cli\n"
+            "from hankelpde import floatfmt\n"
+            "loaded = lambda: sorted(m for m in ('fractions', 'decimal') if m in sys.modules)\n"
+            "print(loaded())\n"
+            "assert cli.main(['solve', %r, '--out', %r]) == 0\n"
+            "assert floatfmt._tables.cache_info().currsize == 1\n"
+            "assert cli.main(['study', %r]) == 0\n"
+            "print(loaded())\n"
+            % (str(path), str(tmp_path / "out"), str(path)))
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -719,24 +746,34 @@ def test_run_tables_match_loop_writer(tmp_path):
 
 
 def test_write_table_bytes_equal_savetxt(tmp_path):
-    # the one-pass writer gives np.savetxt's bytes for every float it may
-    # meet: nan, +-inf, -0.0, subnormal-adjacent and complex entries
-    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 1.0 / 3.0, 2.5e17, -7.0]
-    keys = np.array([[x, t] for x in special[:5] for t in special[5:]])
+    # the writer gives np.savetxt's bytes for every float it may meet:
+    # nan, +-inf, -0.0, the smallest subnormal, the largest float and
+    # complex entries (which Python's format writes), and values on each
+    # side of a %g layout switch: 1e-5 and 1e-4, 1e16, the largest
+    # double below 1e17, 9.9999999999999999e16 and 1e17; in a table small
+    # enough for Python's format and in one large enough for numpy's
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e-5,
+               1e-300, -1e-300, 1.0 / 3.0, 2.5e17, -7.0, 1e-4, 1e16,
+               np.nextafter(1e17, 0), 9.9999999999999999e16, 1e17]
+    keys = np.array([[x, t] for x in special[:8] for t in special[8:]])
     rng = np.random.default_rng(5)
     values = np.empty((len(keys), 2), dtype=complex)
     values.real = rng.permutation(special * 10)[:2 * len(keys)].reshape(values.shape)
     values.imag = rng.permutation(special * 10)[:2 * len(keys)].reshape(values.shape)
     tail = np.abs(values[:, 0])
-    path = tmp_path / "table.tsv"
-    cli._write_table(str(path), ["x", "t", "a", "b", "c", "d", "abs"], keys, values, (tail,))
-    re_im = np.stack([values.real, values.imag], axis=-1).reshape(len(keys), -1)
-    np.savetxt(tmp_path / "want.tsv", np.column_stack([keys, re_im, tail]), fmt="%.17g",
-               delimiter="\t", header="\t".join(["x", "t", "a", "b", "c", "d", "abs"]),
-               comments="")
-    got = path.read_bytes()
-    assert got == (tmp_path / "want.tsv").read_bytes()
-    for word in (b"nan", b"inf", b"-inf", b"-0", b"1e-300"):
+    header = ["x", "t", "a", "b", "c", "d", "abs"]
+    assert 5 * len(header) < floatfmt._FEW <= len(keys) * len(header)
+    for rows in (5, len(keys)):
+        path = tmp_path / "table.tsv"
+        cli._write_table(str(path), header, keys[:rows], values[:rows], (tail[:rows],))
+        re_im = np.stack([values.real, values.imag], axis=-1)[:rows].reshape(rows, -1)
+        np.savetxt(tmp_path / "want.tsv", np.column_stack([keys[:rows], re_im, tail[:rows]]),
+                   fmt="%.17g", delimiter="\t", header="\t".join(header), comments="")
+        got = path.read_bytes()
+        assert got == (tmp_path / "want.tsv").read_bytes()
+    for word in (b"nan", b"inf", b"-inf", b"-0", b"1e-300", b"4.9406564584124654e-324",
+                 b"1.7976931348623157e+308", b"1.0000000000000001e-05", b"\t0.0001\t",
+                 b"10000000000000000", b"99999999999999984", b"1e+17"):
         assert word in got
 
 
