@@ -615,9 +615,8 @@ def _verify_checks(scenario):
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
     tols = scenario.tolerances
-    *_, berr, _ = combine_rules(run.solve([0], threshold=tols["patch_threshold"],
-                                          tol=tols["solver_tol"]))
-    checks.append(("nystrom_backward_error", berr, tols["solver_tol"]))
+    edges = combine_rules(run.solve([0], tols["patch_threshold"], tols["solver_tol"]))
+    checks.append(("nystrom_backward_error", edges.berr, tols["solver_tol"]))
     return checks
 
 

@@ -221,8 +221,8 @@ def miura_check(p0, quad, xs, ts, richardson=False):
         gm = np.empty((xs.size,) + (p0.rows, p0.cols), dtype=complex)
         gk = np.empty_like(gm)
         for ix, x in enumerate(xs):
-            gm[ix] = solve_origin(p_t, ptil, x, rules)[1]
-            gk[ix] = solve_origin(p_t, None, x, rules)[1]
+            gm[ix] = solve_origin(p_t, ptil, x, rules).row[-1]
+            gk[ix] = solve_origin(p_t, None, x, rules).row[-1]
         dgk = (gk[2:] - gk[:-2]) / (2.0 * dx)
         dgm = (gm[2:] - gm[:-2]) / (2.0 * dx)
         defect = dgk - dgm - gm[1:-1] @ gm[1:-1]

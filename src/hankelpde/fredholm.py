@@ -11,24 +11,28 @@ left, so the row is solved in transposed orientation (unknown rows,
 matrix acting from the right); plain transposes, never conjugate ones.
 
 Run.solve is the one place a sample's path is chosen, each path
-returning det2 and the edges of G:
+returning det2, the last block row of G and Z = A^{-1} E_last:
 
 * dense, solve_edges: builds the block matrix I + WQ with the quadrature
   weights folded in on the left of Q, factors it once (lapack.LU), and
-  reads det2 and the edges of G from that one factor;
+  reads det2, the row and Z from that one factor;
 * low-rank: P ~ U V from a randomized range finder and HankelFFT (block
   Hankel products by FFT), then det2 by Sylvester's identity and the
-  edges by Woodbury on an r x r core; no k x k array is formed.  A run's
-  samples solve as one batch in a number of numpy calls that does not
-  grow with their count: the cores are one stack, det2 one batched
-  slogdet and each Woodbury solve one batched solve, and every Hankel
-  product of the batch is one FFT product through the run's transforms.
+  row and Z by Woodbury on an r x r core; no k x k array is formed.  A
+  run's samples solve as one batch in a number of numpy calls that does
+  not grow with their count: the cores are one stack, det2 one batched
+  slogdet and each Woodbury solve one batched solve.
+
+One batched check serves both paths (Run._edges): through the run's
+transforms of P and P~ it forms each sample's last block column P Z and
+its backward error, with A = I + WQ applied through the sample's exact
+Hankel operators, so an error in the truncated factors or in the
+assembled Q shows in it.  The result is one Edges record per sample.
 
 A Run keeps the low-rank factors only when the rank r <= k/4 (k = K m
 unknowns), and each of its samples keeps the low-rank answer only when
-its backward error, measured with the sample's exact Hankel operators,
-is at most the scenario's solver_tol; otherwise the dense path runs.  No
-size decides the path: the rank of the data does.
+its backward error is at most the scenario's solver_tol; otherwise the
+dense path runs.  No size decides the path: the rank of the data does.
 evaluate_solution skips a sample whose backward error exceeds solver_tol
 on either path, as it skips one whose det2 is below the patch threshold.
 
@@ -38,14 +42,19 @@ Q(x + l h)[i][j] = Q_ext[i + l][j + l], and its P is the column window
 P(x + l h) = H[:, l:l+K] of the K x (K+e) block Hankel matrix H of the
 data from x on.  evaluate_solution splits each t row's x samples into
 runs (x_runs: consecutive samples a whole number of steps h apart,
-spanning at most N of them), and solve_runs builds one Run per run, rule
-and field, and drops it once its samples are solved: one range finder on
-H, then either V = U^H H and T of the whole run, whose range holds every
+spanning at most N of them), and solve_runs builds one Run per run and
+rule, and drops it once its samples are solved: one range finder on H,
+then either V = U^H H and T of the whole run, whose range holds every
 sample's P, or, where the rank passes k/4, one extended Q (assemble_Q's
 extension; none for neg_identity, whose samples each take their kdv_Q, a
 free view).  combine_rules turns a sample's outcomes on its rules into
 its values, the one Richardson combination, for evaluate_solution and
 for solve_origin, which solves one sample on a Run of its own.
+
+The coupled kind's partner needs no solve of its own.  Its pairing at t
+is P~_t = P_{-t}^T, so by the push-through identity
+(I + P~P)^{-1} P~ = P~ (I + P P~)^{-1} its partner G~ at t is G at -t,
+transposed: evaluate_solution reads it from the solve at -t.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -75,12 +84,27 @@ class PatchError(Exception):
     at some (x,t), so the solve cannot be certified there."""
 
     def __init__(self, det2_value, x=None, t=None):
-        self.det2_value = det2_value
-        self.x = x
-        self.t = t
-        where = "" if t is None else " t=%g" % t
-        super().__init__("det2 = %g below patch threshold at x=%s%s"
-                         % (abs(det2_value), x, where))
+        super().__init__(det2_value)
+        self.det2_value, self.x, self.t = det2_value, x, t
+
+    def __str__(self):
+        where = "" if self.t is None else " t=%g" % self.t
+        return "det2 = %g below patch threshold at x=%s%s" % (abs(self.det2_value), self.x, where)
+
+
+@dataclass(frozen=True)
+class Edges:
+    """One sample's solve, on one rule or combined over its rules: det2,
+    the last block column G(xi_i, 0) and row G(0, xi_j) of G over the
+    nodes of the (first) rule, whose last blocks both hold the centre
+    G(0,0) = row[-1], the backward error, and ranks, per rule the rank of
+    its low-rank solve or None where the dense one ran."""
+
+    det2: complex
+    col: np.ndarray
+    row: np.ndarray
+    berr: float
+    ranks: tuple
 
 
 @dataclass(frozen=True)
@@ -335,42 +359,27 @@ def _det2(sign, logabs, trace):
         return sign * np.exp(logabs - trace)
 
 
-def solve_edges(Q, p, x, threshold=PATCH_THRESHOLD):
-    """det2, the edges of G and the backward error of one Nystrom system
-    on Q's rule: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error).
+def solve_edges(Q, P_last, threshold=PATCH_THRESHOLD):
+    """(det2, R, Z) of the Nystrom system A = I + WQ on Q's rule: the
+    last block row R of G, with R A = P_last (n x K m, P_last[j] =
+    p(xi_j + x)), and Z with A Z = E_last, the last block column of I.
 
-    Only the edges of G are solved for: A = I + WQ is built and factored
-    once, the factor gives det2 = det(A) e^{-tr(WQ)} in log space (an
-    exactly singular A reports det2 = 0), the last block row solves
-    row A = P_last with P_last[j] = p(xi_j + x), and the last block
-    column is P Z (by HankelFFT) with A Z = E_last, the last block
-    column of I; the factor is dropped once both are solved.  G(0,0) is
-    the row's last block, written into the column as well, so the centre
-    and both slices hold one value.  The backward error is the larger of
-    max|row A - P_last| / max|P_last| and max|A Z - E_last|.
-    A |det2| below threshold raises PatchError before any solve.
+    A is built and factored once, and the factor gives det2 =
+    det(A) e^{-tr(WQ)} in log space (an exactly singular A reports
+    det2 = 0) and both solves.  A |det2| below threshold raises
+    PatchError before any solve.  Run.solve checks R and Z against the
+    system itself (Run._edges), not against this A.
     """
-    quad = Q.quad
-    n, m, K = p.rows, p.cols, quad.node_count
+    m = Q.blocks.shape[3]
     A, trace = nystrom_matrix(Q)
     del Q  # as large as A: free it before the factorisation
     lu = LU(A)
     d2 = _det2(*lu.slogdet(), trace)
     if abs(d2) < threshold:
-        raise PatchError(d2, x=x)
-    vals = hankel_values(p, x, quad)
-    P_last = vals[quad.intervals:].transpose(1, 0, 2).reshape(n, K * m)
-    row_big = lu.solve_rows(P_last)
-    E_last = np.zeros((K * m, m), dtype=A.dtype)
+        raise PatchError(d2)
+    E_last = np.zeros((len(A), m), dtype=A.dtype)
     E_last[-m:] = np.eye(m)
-    Z = lu.solve(E_last)
-    del lu  # a k x k copy of A: free it before the product
-    col = HankelFFT(vals).right(Z).reshape(K, n, m)
-    row = row_big.reshape(n, K, m).transpose(1, 0, 2)
-    col[-1] = row[-1]
-    berr = max(np.abs(row_big @ A - P_last).max() / max(np.abs(P_last).max(), 1e-300),
-               np.abs(A @ Z - E_last).max())
-    return d2, row[-1], col, row, float(berr)
+    return d2, lu.solve_rows(P_last), lu.solve(E_last)
 
 
 def _fft_size(n):
@@ -564,21 +573,22 @@ class Run:
     (p, ptil) on quad (k = K m unknowns per sample), and what they share.
 
     H is the K x (K+e) block Hankel matrix of the data from x on
-    (hankel_values with an extension of e nodes), transformed once; the
-    sample x + l h has P = H[:, l:l+K].  One range finder on H picks the
-    path of the whole run.  Where the rank r is at most k/4, the run
-    keeps U, an orthonormal (K n, r) basis of H's range, V = U^H H as
-    (r, K+e, m) blocks, T = P~_tall (W U) as (K+e, m, r) blocks, with
-    P~_tall the (K+e) x K block Hankel matrix of the companion, and the
-    transforms H and Ht, the companion's K x (K+e) matrix, whose window
-    at l is the sample's P~; Ht and P~_tall share one spectrum, and T and
-    Ht are None for neg_identity (Q = -P).  U spans every sample's P, so
-    node rows l..l+K-1 of V and T are the sample's own factors: P ~ U V,
-    and WQ ~ X V with X = W T, or -W U for neg_identity.  Such a run
-    solves one batch: the batch releases U, V and T (rank stays), and a
-    second solve raises.  Otherwise the run keeps Q, the extended
-    assemble_Q whose window at l is the sample's Q, or none for
-    neg_identity, whose samples each take their kdv_Q, a free view.
+    (hankel_values with an extension of e nodes), and Ht the companion's,
+    each transformed once; the sample x + l h has P = H[:, l:l+K] and
+    P~ = Ht[:, l:l+K], and Ht is None for neg_identity (Q = -P).  Every
+    sample's answer is checked through them (_edges).  One range finder
+    on H picks the path of the whole run.  Where the rank r is at most
+    k/4, the run keeps U, an orthonormal (K n, r) basis of H's range,
+    V = U^H H as (r, K+e, m) blocks and T = P~_tall (W U) as (K+e, m, r)
+    blocks, with P~_tall the (K+e) x K block Hankel matrix of the
+    companion, which shares Ht's spectrum (T is None for neg_identity).
+    U spans every sample's P, so node rows l..l+K-1 of V and T are the
+    sample's own factors: P ~ U V, and WQ ~ X V with X = W T, or -W U for
+    neg_identity.  Such a run solves one batch: the batch releases U, V
+    and T (rank stays), and a second solve raises.  Otherwise the run
+    keeps Q, the extended assemble_Q whose window at l is the sample's Q,
+    or none for neg_identity, whose samples each take their kdv_Q, a free
+    view.
     """
 
     def __init__(self, p, ptil, x, quad, extension=0):
@@ -586,78 +596,80 @@ class Run:
         n, m, K = p.rows, p.cols, quad.node_count
         E = K + extension
         self.vals = hankel_values(p, x, quad, extension)
-        H = HankelFFT(self.vals, K)
-        self.U = _range_basis(H, K * m // 4)
+        self.H = HankelFFT(self.vals, K)
+        self.Ht = None if ptil is None else HankelFFT(hankel_values(ptil, x, quad, extension), K)
+        self.U = _range_basis(self.H, K * m // 4)
         self.rank = None if self.U is None else self.U.shape[1]
-        self.H = self.Ht = self.V = self.T = self.Q = None
+        self.V = self.T = self.Q = None
         if self.U is not None:
-            self.H = H
-            self.V = H.left(self.U.conj().T).reshape(self.rank, E, m)
+            self.V = self.H.left(self.U.conj().T).reshape(self.rank, E, m)
             if ptil is not None:
-                self.Ht = HankelFFT(hankel_values(ptil, x, quad, extension), K)
                 self.T = self.Ht.with_rows(E).right(
                     np.repeat(quad.weights, n)[:, None] * self.U).reshape(E, m, self.rank)
         elif ptil is not None:
             self.Q = assemble_Q(p, ptil, x, quad, extension)
 
-    def solve(self, offsets, xs=None, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
-        """One outcome per sample x + l h, l in offsets: solve_edges' tuple
-        and the rank of its low-rank solve, or None where the dense one
-        ran, as a pair; or the PatchError its det2 raised.
+    def solve(self, offsets, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+        """One outcome per sample x + l h, l in offsets: its Edges, or the
+        PatchError its det2 raised, reporting x + l h as its x.
 
-        xs are the samples' own positions (x + l h by default), which
-        PatchError reports.  A run that kept factors solves its samples
-        low-rank as one batch (_woodbury), and a sample whose backward
-        error exceeds tol then solves dense alone, on its paired_Q; a run
-        that kept none solves each sample dense, on its window of the
-        run's Q or on its kdv_Q.
+        A run that kept factors solves its samples low-rank as one batch
+        (_woodbury), and a sample whose backward error exceeds tol then
+        solves dense, on its paired_Q; a run that kept none solves each
+        sample dense, on its window of the run's Q or on its paired_Q.
+        Each path's samples are checked as one batch (_edges).
         """
         p, ptil, quad = self.p, self.ptil, self.quad
-        if xs is None:
-            xs = [self.x + l * quad.spacing for l in offsets]
-        out = [None] * len(offsets) if self.rank is None else self._woodbury(offsets, xs, threshold)
-        for i, (l, x) in enumerate(zip(offsets, xs)):
-            done = out[i]
-            if isinstance(done, PatchError) or done is not None and done[0][4] <= tol:
-                continue
+        out = ([None] * len(offsets) if self.rank is None
+               else self._edges(offsets, self._woodbury(offsets, threshold), self.rank))
+        redo = [i for i, o in enumerate(out)
+                if o is None or isinstance(o, Edges) and not o.berr <= tol]
+        dense = []
+        for l in (offsets[i] for i in redo):
+            x = self.x + l * quad.spacing
             try:
                 # built in the call, so that no local here holds Q while
                 # solve_edges factors I + WQ (it drops its own reference first)
-                out[i] = solve_edges(kdv_Q(p, x, quad) if ptil is None
-                                     else paired_Q(p, ptil, x, quad) if self.Q is None
-                                     else self.Q.window(l), p, x, threshold), None
+                dense.append(solve_edges(paired_Q(p, ptil, x, quad) if self.Q is None
+                                         else self.Q.window(l), self._last_rows([l])[0], threshold))
             except PatchError as err:
-                out[i] = err.with_traceback(None)  # a traceback would hold the frames' arrays
+                # kept without its traceback, which would hold the frames' arrays
+                err.x = x
+                dense.append(err.with_traceback(None))
+        for i, outcome in zip(redo, self._edges([offsets[i] for i in redo], dense, None)):
+            out[i] = outcome
         return out
 
-    def _woodbury(self, offsets, xs, threshold):
-        """Per sample, (solve_edges' tuple, r) from the run's factors, or
-        the PatchError of a det2 below threshold; no k x k array is formed.
+    def _last_rows(self, at):
+        """P_last of the samples at offsets at, as (S, n, K m): the last
+        block row of each sample's P."""
+        n, m, K, N = self.p.rows, self.p.cols, self.quad.node_count, self.quad.intervals
+        nodes = N + np.add.outer(at, np.arange(K))
+        return self.vals[nodes].transpose(0, 2, 1, 3).reshape(len(at), n, K * m)
+
+    def _woodbury(self, offsets, threshold):
+        """Per sample, (det2, R, Z) as solve_edges gives them, from the
+        run's factors, or the PatchError of a det2 below threshold; no
+        k x k array is formed.
 
         The sample's factors give P ~ U V and WQ ~ X V (WQ = F P with
         F = W P~ W, or F = -W for neg_identity), and the r x r core
         C = I_r + V X stands in for A = I + WQ: det2 = det(C) e^{-tr(V X)}
         (Sylvester), and Woodbury, A^{-1} = I - X C^{-1} V, gives the last
-        block row of G, P_last A^{-1}, and Z = A^{-1} E_last, whose image
-        P Z is the last block column.  Each step runs once over the batch:
-        the samples' windows of V and T are one strided view (every g-th
-        window from the first offset, g the offsets' common step), the
-        cores one stack (W = h I plus the end weights' excess, so no
-        window is copied), det2 one batched slogdet, and the two Woodbury
-        solves one batched solve each, on the samples whose |det2| is at
-        least threshold (a singular core gives det2 = 0).  The batch then
-        releases U, V and T, and every product with P or P~ runs once,
-        through the run's H and Ht (right_windows, left_windows).  The
-        backward error is solve_edges' measure with A applied through each
-        sample's exact Hankel operators, never through the truncated
-        factors, so it certifies the answer against the system the dense
-        solve factors.
+        block row of G, P_last A^{-1}, and Z = A^{-1} E_last.  Each step
+        runs once over the batch: the samples' windows of V and T are one
+        strided view (every g-th window from the first offset, g the
+        offsets' common step), the cores one stack (W = h I plus the end
+        weights' excess, so no window is copied), det2 one batched
+        slogdet, and the two Woodbury solves one batched solve each, on
+        the samples whose |det2| is at least threshold (a singular core
+        gives det2 = 0).  The batch releases U, V and T.
         """
         if self.V is None:
             raise RuntimeError("a low-rank Run solves one batch: its factors are released")
         ptil, quad, r = self.ptil, self.quad, self.rank
-        n, m, K, N = self.p.rows, self.p.cols, quad.node_count, quad.intervals
-        h, wn, wm = quad.spacing, np.repeat(quad.weights, n), np.repeat(quad.weights, m)
+        n, m, K = self.p.rows, self.p.cols, quad.node_count
+        h, wm = quad.spacing, np.repeat(quad.weights, m)
         lo = min(offsets)
         step = math.gcd(*(l - lo for l in offsets)) or 1
         win = [(l - lo) // step for l in offsets]  # each sample's window
@@ -668,8 +680,7 @@ class Run:
         T = (-self.U[None] if ptil is None else
              sliding_window_view(self.T.reshape(Em, r), K * m, axis=0)[cols].transpose(0, 2, 1))
         self.U = self.V = self.T = None  # V and T above hold them until the cores' products
-        nodes = lo + step * np.arange(count)[:, None] + np.arange(K)
-        P_last = self.vals[N + nodes].transpose(0, 2, 1, 3).reshape(count, n, K * m)
+        P_last = self._last_rows(lo + step * np.arange(count))
         ends = np.flatnonzero(wm != h)  # the columns whose weight is not h
         C = V @ T
         C *= h
@@ -677,19 +688,7 @@ class Run:
         trace = np.trace(C, axis1=1, axis2=2)
         C[:, np.arange(r), np.arange(r)] += 1.0
         d2 = _det2(*np.linalg.slogdet(C), trace)
-        out = [None] * len(offsets)
-        kept = []
-        for i, (w, x) in enumerate(zip(win, xs)):
-            if abs(d2[w]) < threshold:
-                out[i] = PatchError(d2[w], x=x)
-            else:
-                kept.append(i)
-        if not kept:
-            return out
-        S = len(kept)
-        win = [win[i] for i in kept]
-        at = [offsets[i] for i in kept]
-        solved = sorted(set(win))  # np.unique would import numpy.ma, 1.6 MB
+        solved = sorted({w for w in win if not abs(d2[w]) < threshold})
         PX = ((P_last * wm) @ T)[solved]
         Y = np.zeros((count, n, r), np.result_type(C, PX))
         Y[solved] = np.linalg.solve(C[solved].transpose(0, 2, 1),
@@ -701,9 +700,31 @@ class Run:
         Z = T @ B
         Z *= -wm[:, None]
         Z[:, -m:] += np.eye(m)
-        del V, T, C, PX, Y, B
-        rows, Z, P_last = rows[win], Z[win], P_last[win]
-        Z = Z.transpose(1, 0, 2).reshape(K * m, S * m)
+        return [(d2[w], rows[w], Z[w]) if w in solved else PatchError(d2[w], x=self.x + l * h)
+                for w, l in zip(win, offsets)]
+
+    def _edges(self, at, solved, rank):
+        """solved, one entry per sample at offsets at, with each (det2, R,
+        Z) replaced by the sample's Edges, one check for the whole batch;
+        a PatchError stays.
+
+        The last block column is P Z, and the backward error the larger
+        of max|R A - P_last| / max|P_last| and max|A Z - E_last|, with A
+        applied through each sample's exact Hankel operators (H, Ht:
+        right_windows, left_windows), never through the truncated
+        factors or an assembled Q, so it certifies the answer against the
+        system itself.  G(0,0) is R's last block, written into the column
+        as well, so the centre and both slices hold one value.
+        """
+        kept = [i for i, s in enumerate(solved) if isinstance(s, tuple)]
+        if not kept:
+            return solved
+        ptil, quad = self.ptil, self.quad
+        n, m, K = self.p.rows, self.p.cols, quad.node_count
+        wn, wm = np.repeat(quad.weights, n), np.repeat(quad.weights, m)
+        at, S = [at[i] for i in kept], len(kept)
+        d2, rows, Z = zip(*(solved[i] for i in kept))
+        rows, Z = np.stack(rows), np.hstack(Z)
         PZ = self.H.right_windows(Z, at)
         # the column check, A Z - E_last, first, so that Z is freed before
         # the row check's products
@@ -718,55 +739,52 @@ class Run:
         del rows_wm
         PFL = self.H.left_windows(FL, at).reshape(S, n, K * m)
         del FL
+        P_last = self._last_rows(at)
         scale = np.maximum(np.abs(P_last).max(axis=(1, 2)), 1e-300)
         berr = np.maximum(np.abs(rows + PFL - P_last).max(axis=(1, 2)) / scale, col_err)
         PZ = PZ.reshape(K, n, S, m)
+        out = list(solved)
         for s, i in enumerate(kept):
             row = rows[s].reshape(n, K, m).transpose(1, 0, 2)
             col = PZ[:, :, s].copy()
             col[-1] = row[-1]
-            out[i] = (d2[win[s]], row[-1], col, row, float(berr[s])), r
+            out[i] = Edges(d2[s], col, row, float(berr[s]), (rank,))
         return out
 
 
 def combine_rules(outcomes):
-    """One sample's solve from its outcomes on each rule (Run.solve's):
-    (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward error, ranks), the two
-    slices over the nodes of the first rule; the first PatchError among
-    them is raised, and outcomes may be a generator, read no further.
+    """One sample's Edges from its outcomes on each rule (Run.solve's),
+    the slices over the nodes of the first rule; the first PatchError
+    among them is raised, and outcomes may be a generator, read no
+    further.
 
-    ranks holds each rule's low-rank rank, or None where the dense solve
-    ran, and the backward error is the larger over the rules.  With two
-    rules from quadrature_rules the values are Richardson-extrapolated,
-    (4*fine - coarse)/3 with the fine rule read at every second node, and
-    det2 is the fine rule's.
+    ranks joins the rules' ranks, and the backward error is the larger
+    over the rules.  With two rules from quadrature_rules the slices are
+    Richardson-extrapolated, (4*fine - coarse)/3 with the fine rule read
+    at every second node, and det2 is the fine rule's.
     """
     solved = []
     for outcome in outcomes:
         if isinstance(outcome, PatchError):
             raise outcome
         solved.append(outcome)
-    out, ranks = zip(*solved)
-    if len(out) == 1:
-        return out[0] + (ranks,)
-    (_, *coarse, berr_c), (d2, centre, col, row, berr_f) = out
+    if len(solved) == 1:
+        return solved[0]
+    coarse, fine = solved
     # combined in complex arithmetic whatever the rules' dtypes, so the
     # values equal the combination of two plain runs' complex tables
-    fine = (centre, col[::2], row[::2])
-    return ((d2,) + tuple((4.0 * f.astype(complex) - c) / 3.0
-                          for f, c in zip(fine, coarse))
-            + (max(berr_c, berr_f), ranks))
+    col, row = ((4.0 * f[::2].astype(complex) - c) / 3.0
+                for f, c in ((fine.col, coarse.col), (fine.row, coarse.row)))
+    return Edges(fine.det2, col, row, max(coarse.berr, fine.berr), coarse.ranks + fine.ranks)
 
 
 def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
     """combine_rules of one sample's solves on each of rules, each on a
-    Run of this one sample: (det2, G(0,0), G(xi_i,0), G(0,xi_j), backward
-    error, ranks).  (p, ptil) is a pairing, Q = -P when ptil is None.  A
-    |det2| below threshold on either rule raises PatchError, and a rule
-    after it is not solved.
+    Run of this one sample: its Edges.  (p, ptil) is a pairing, Q = -P
+    when ptil is None.  A |det2| below threshold on either rule raises
+    PatchError, and a rule after it is not solved.
     """
-    return combine_rules(Run(p, ptil, x, quad).solve([0], [x], threshold, tol)[0]
-                         for quad in rules)
+    return combine_rules(Run(p, ptil, x, quad).solve([0], threshold, tol)[0] for quad in rules)
 
 
 def x_runs(xs, grid, quad):
@@ -799,8 +817,7 @@ def solve_runs(p, ptil, xs, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
     solves it."""
     out = []
     for x, offsets in x_runs(xs, p.grid, quad):
-        out += Run(p, ptil, x, quad, max(offsets)).solve(
-            offsets, xs[len(out): len(out) + len(offsets)], threshold, tol)
+        out += Run(p, ptil, x, quad, max(offsets)).solve(offsets, threshold, tol)
     return out
 
 
@@ -811,7 +828,7 @@ class SolutionField:
     center[it, ix] is g(0,0;x,t); slice_y[it, ix, i] is g(xi_i, 0; x,t)
     and slice_z[it, ix, j] is g(0, xi_j; x,t), both None when nothing
     reads them.  Skipped samples hold NaN.  center_tilde is filled only
-    for the coupled system.
+    for the coupled system: the partner G~(x,t) = G(x,-t)^T.
     """
 
     xs: np.ndarray
@@ -826,13 +843,15 @@ class SolutionField:
 @dataclass
 class PatchReport:
     """det2 and backward-error bookkeeping over the sample grid, the
-    skipped samples (it, ix, t, x, det2, reason), the rank of every solve
-    (Run.solve's: r for a low-rank solve, None for a dense one; per rule
-    and field of each solved sample), and the threads the run used: row
-    workers, and the OpenBLAS count they ran at (None where it could not
-    be set).  A sample is skipped for its "det2" (below the patch
-    threshold) or its "backward_error" (above solver_tol, which the
-    backward_error array still records)."""
+    skipped samples (it, ix, t, x, det2, reason), the rank of every
+    system solved (Edges.ranks: r for a low-rank solve, None for a dense
+    one; per rule of each kept sample, each system once, so the coupled
+    kind adds its partner's only where -t is not a sample time), and the
+    threads the run used: row workers, and the OpenBLAS count they ran at
+    (None where it could not be set).  A sample is skipped for its "det2"
+    (below the patch threshold) or its "backward_error" (above
+    solver_tol, which the backward_error array still records); a coupled
+    sample also for its partner's, checked after its own."""
 
     det2: np.ndarray
     skipped: list
@@ -875,17 +894,19 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     pairings gives each t row's evolved data and its companion; per
     sample, solve, check det2, and record the centre value, the two
-    slices through the origin, and det2.  Per field and rule, each run
-    of x samples a whole number of quadrature steps apart solves in one
-    call (solve_runs), and combine_rules combines each sample's rules,
-    reporting the first PatchError in (field, rule) order.  The slices are
+    slices through the origin, and det2.  Per rule, each run of x
+    samples a whole number of quadrature steps apart solves in one call
+    (solve_runs), and combine_rules combines each sample's rules,
+    reporting the first PatchError in rule order.  The slices are
     kept only when the scenario's outputs read them ("slices",
     or "residuals" of a kind with a kernel form).  Samples are
     independent; rows of constant t are distributed over threads and
     written into index-addressed arrays, so the output does not depend on
     scheduling.  Rows that read p at the same times (t and -t for
     time-reversed maps) run as one task, so each distinct time is evolved
-    once and only the running tasks' profiles are held.
+    and solved once and only the running tasks' profiles are held; the
+    coupled kind's partner at t is the solve at -t, transposed, and a -t
+    that is no sample time is solved in the same task.
     The pool has min(threads, CPUs) workers, and OpenBLAS runs at one
     thread while it works, whatever the layout: the round-off of its
     factorisations and products depends on its thread count, so one
@@ -928,37 +949,40 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
         tasks.setdefault(abs(t) if reverse else t, []).append(it)
 
     def run_rows(rows):
-        for it, (p_t, ptil) in zip(rows, pairings(p0, kind.params, kind.companion, ts[rows])):
+        own = list(ts[rows])
+        times = list(dict.fromkeys(own + ([-t for t in own] if kind.coupled else [])))
+        # per time and rule, every sample's outcome, one batch per run
+        solved = {t: [solve_runs(p_t, ptil, xs, q, threshold, tol) for q in rules]
+                  for t, (p_t, ptil)
+                  in zip(times, pairings(p0, kind.params, kind.companion, times))}
+        for it in rows:
             t = ts[it]
-            # role swap: the partner field solves P~ = G~ (id + P P~)
-            fields = ((p_t, ptil), (ptil, p_t)) if kind.coupled else ((p_t, ptil),)
-            # per field and rule, every sample's outcome, one batch per run
-            outcomes = [[solve_runs(f, g, xs, q, threshold, tol) for q in rules]
-                        for f, g in fields]
+            # the sample's own solve first, then its coupled partner's
+            mirror = (t, -t) if kind.coupled else (t,)
             for ix, x in enumerate(xs):
                 try:
-                    solved = [combine_rules(per_rule[ix] for per_rule in per_field)
-                              for per_field in outcomes]
+                    edges = [combine_rules(per_rule[ix] for per_rule in solved[s]) for s in mirror]
                 except PatchError as err:
-                    err.t = t
+                    err.x, err.t = x, t
                     det2_vals[it, ix] = err.det2_value
                     if not skip_on_patch_error:
                         raise
                     skipped[it].append((it, ix, float(t), float(x), err.det2_value, "det2"))
                     continue
-                det2_vals[it, ix] = solved[0][0]
-                berr[it, ix] = max(s[4] for s in solved)
+                det2_vals[it, ix] = edges[0].det2
+                berr[it, ix] = max(e.berr for e in edges)
                 if not berr[it, ix] <= tol:
-                    skipped[it].append((it, ix, float(t), float(x), solved[0][0],
+                    skipped[it].append((it, ix, float(t), float(x), edges[0].det2,
                                         "backward_error"))
                     continue
-                center[it, ix] = solved[0][1]
+                center[it, ix] = edges[0].row[-1]
                 if slice_y is not None:
-                    slice_y[it, ix], slice_z[it, ix] = solved[0][2:4]
+                    slice_y[it, ix], slice_z[it, ix] = edges[0].col, edges[0].row
                 if kind.coupled:
-                    center_tilde[it, ix] = solved[1][1]
-                for s in solved:
-                    ranks[it].extend(s[5])
+                    center_tilde[it, ix] = edges[1].row[-1].T
+                # each system once: a mirror that is a sample time counts its own
+                for e in edges[:1] if -t in own else edges:
+                    ranks[it].extend(e.ranks)
 
     workers = min(threads, cores())
     with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:

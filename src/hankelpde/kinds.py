@@ -52,7 +52,8 @@ class ResolvedKind:
 
     @property
     def coupled(self):
-        """Whether the partner field is solved rather than mapped."""
+        """Whether the kind has a partner field G~, read from the solve at
+        -t: G~(x,t) = G(x,-t)^T (evaluate_solution)."""
         return self.name == "coupled_diffusion"
 
     @property
@@ -67,7 +68,10 @@ class ResolvedKind:
 
     @property
     def reflect_t(self):
-        """Whether the residual reads g at -t; a coupled partner is solved."""
+        """Whether the residual reads g at -t (t grid symmetric about 0).
+        The coupled kind's residual reads its partner from center_tilde,
+        which evaluate_solution fills on any t grid, solving the -t the
+        grid lacks."""
         return time_reversed(self.companion) and not self.coupled
 
 

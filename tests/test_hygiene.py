@@ -88,10 +88,11 @@ def _callers(sources, name):
     return calls
 
 
-@pytest.mark.parametrize("name", ["_range_basis", "LU"])
+@pytest.mark.parametrize("name", ["_range_basis", "LU", "solve_edges"])
 def test_one_caller_in_the_package(name):
-    # one range finder per run (fredholm.Run) and one factorisation per
-    # dense system (fredholm.solve_edges)
+    # one range finder per run (fredholm.Run), one factorisation per
+    # dense system (fredholm.solve_edges), and one caller of that, the
+    # one place a sample's path is chosen (fredholm.Run.solve)
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert [path for path, _ in _callers(sources, name)] == ["fredholm.py"]
 
