@@ -49,7 +49,6 @@ from .fredholm import (
     SOLVER_TOL,
     PatchError,
     Run,
-    combine_rules,
     evaluate_solution,
     make_quadrature,
     paired_Q,
@@ -615,7 +614,9 @@ def _verify_checks(scenario):
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
     tols = scenario.tolerances
-    edges = combine_rules(run.solve([0], tols["patch_threshold"], tols["solver_tol"]))
+    edges, = run.solve([0], tols["patch_threshold"], tols["solver_tol"])
+    if edges.row is None:
+        raise PatchError(edges.det2, x0)
     checks.append(("nystrom_backward_error", edges.berr, tols["solver_tol"]))
     return checks
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .companion import companion_field, companion_parameters
 from .dispersion import dispersion_residual
-from .fredholm import (DiscreteKernel, assemble_Q, compose, hankel_values, nystrom_matrix,
-                       pairings, quadrature_rules, solve_origin)
+from .fredholm import (DiscreteKernel, PatchError, assemble_Q, compose, hankel_values,
+                       nystrom_matrix, pairings, quadrature_rules, solve_samples)
 from .kinds import resolve_kind
 
 
@@ -204,6 +204,7 @@ def miura_check(p0, quad, xs, ts, richardson=False):
     composed kernel is -P.P) and the primitive KdV system (Q = -P), and
     measure d<G_kdv>/dx - d<G_mkdv>/dx - <G_mkdv>^2 with centered x
     differences.  Second-order accurate in the x step and quadrature.
+    A sample whose det2 falls below the patch threshold raises PatchError.
     """
     sym_err = np.abs(p0.samples - _tr(p0.samples)).max()
     scale = max(np.abs(p0.samples).max(), 1.0)
@@ -217,12 +218,14 @@ def miura_check(p0, quad, xs, ts, richardson=False):
     mkdv = resolve_kind("local_mkdv")
 
     worst = 0.0
-    for p_t, ptil in pairings(p0, mkdv.params, mkdv.companion, ts):
-        gm = np.empty((xs.size,) + (p0.rows, p0.cols), dtype=complex)
+    for t, (p_t, ptil) in zip(ts, pairings(p0, mkdv.params, mkdv.companion, ts)):
+        gm = np.empty((xs.size, p0.rows, p0.cols), dtype=complex)
         gk = np.empty_like(gm)
-        for ix, x in enumerate(xs):
-            gm[ix] = solve_origin(p_t, ptil, x, rules).row[-1]
-            gk[ix] = solve_origin(p_t, None, x, rules).row[-1]
+        for g, pairing in ((gm, ptil), (gk, None)):
+            for ix, (x, edges) in enumerate(zip(xs, solve_samples(p_t, pairing, xs, rules))):
+                if edges.row is None:
+                    raise PatchError(edges.det2, x, t)
+                g[ix] = edges.row[-1]
         dgk = (gk[2:] - gk[:-2]) / (2.0 * dx)
         dgm = (gm[2:] - gm[:-2]) / (2.0 * dx)
         defect = dgk - dgm - gm[1:-1] @ gm[1:-1]

@@ -15,12 +15,13 @@ only decides exact ties, which fall inside the margin).  The %g layout
 is then numpy work on a 32-byte record per value, assembled from lookup
 tables: fixed notation for -4 <= X < 17, exponent notation otherwise,
 trailing zeros stripped, the unused bytes NUL and deleted at the end.
++-0 takes the same layout with D = 0 and X = 0, which gives "0" and "-0".
 
 A value the product cannot certify takes Python's own '%.17g': a
-fraction within _MARGIN of 1/2, |v| outside [_TINY, _HUGE) (where the
-split or the power of ten would leave the double range), nan, +-inf and
-+-0.  So does a block of fewer than _FEW values, where numpy's per-call
-cost exceeds the format calls it saves.
+fraction within _MARGIN of 1/2, nonzero |v| outside [_TINY, _HUGE)
+(where the split or the power of ten would leave the double range), nan
+and +-inf.  So does a block of fewer than _FEW values, where numpy's
+per-call cost exceeds the format calls it saves.
 """
 
 import functools
@@ -143,8 +144,11 @@ def _records(v):
     the indices of the values that took Python's format."""
     quads, zeros, keep_before, keep_after, point, head, tail = _tables()
     a = np.abs(v)
-    fallback = ~((a >= _TINY) & (a < _HUGE))
-    D, X, certified = _digits(np.where(fallback, 1.0, a))
+    zero = a == 0
+    fallback = ~((a >= _TINY) & (a < _HUGE) | zero)
+    # zeros run as 1.0, D = 10^16 and X = 0, and then take D = 0
+    D, X, certified = _digits(np.where(fallback | zero, 1.0, a))
+    D[zero] = 0
     fallback |= ~certified
 
     # D in base 10^4: q[0] the leading digit, then four groups of four

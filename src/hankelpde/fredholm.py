@@ -27,29 +27,31 @@ One batched check serves both paths (Run._edges): through the run's
 transforms of P and P~ it forms each sample's last block column P Z and
 its backward error, with A = I + WQ applied through the sample's exact
 Hankel operators, so an error in the truncated factors or in the
-assembled Q shows in it.  The result is one Edges record per sample.
+assembled Q shows in it.  The result is one Edges record per sample,
+also where det2 falls below the patch threshold: such a sample solves
+nothing, and its record has no row or column.
 
-A Run keeps the low-rank factors only when the rank r <= k/4 (k = K m
+A Run keeps its low-rank basis only when the rank r <= k/4 (k = K m
 unknowns), and each of its samples keeps the low-rank answer only when
 its backward error is at most the scenario's solver_tol; otherwise the
 dense path runs.  No size decides the path: the rank of the data does.
 evaluate_solution skips a sample whose backward error exceeds solver_tol
-on either path, as it skips one whose det2 is below the patch threshold.
+on either path, as it skips one whose det2 is below the patch threshold;
+PatchError is raised only by a caller that asks for one.
 
 x enters Q only as a shift of the data, so on the node lattice the Q of
 x + l h is the window from node l of one larger Q built at x:
 Q(x + l h)[i][j] = Q_ext[i + l][j + l], and its P is the column window
 P(x + l h) = H[:, l:l+K] of the K x (K+e) block Hankel matrix H of the
-data from x on.  evaluate_solution splits each t row's x samples into
-runs (x_runs: consecutive samples a whole number of steps h apart,
-spanning at most N of them), and solve_runs builds one Run per run and
-rule, and drops it once its samples are solved: one range finder on H,
-then either V = U^H H and T of the whole run, whose range holds every
-sample's P, or, where the rank passes k/4, one extended Q (assemble_Q's
-extension; none for neg_identity, whose samples each take their kdv_Q, a
-free view).  combine_rules turns a sample's outcomes on its rules into
-its values, the one Richardson combination, for evaluate_solution and
-for solve_origin, which solves one sample on a Run of its own.
+data from x on.  solve_samples, the one entry point, splits the x
+samples into runs (x_runs: consecutive samples a whole number of steps
+h apart, spanning at most N of them), and builds one Run per run and
+rule, dropped once its samples are solved: one range finder on H, whose
+basis U holds every sample's P, or, where the rank passes k/4, one
+extended Q (assemble_Q's extension; none for neg_identity, whose
+samples each take their kdv_Q, a free view).  It returns one Edges per
+sample, combined over the rules by combine_rules, the one Richardson
+combination; evaluate_solution and equations.miura_check call it.
 
 The coupled kind's partner needs no solve of its own.  Its pairing at t
 is P~_t = P_{-t}^T, so by the push-through identity
@@ -81,7 +83,8 @@ _SKETCH_BLOCK = 8
 
 class PatchError(Exception):
     """Poor representative coordinate patch: |det2| fell below threshold
-    at some (x,t), so the solve cannot be certified there."""
+    at some (x,t), so the solve cannot be certified there.  Raised by the
+    callers that ask for it, from a skipped sample's Edges."""
 
     def __init__(self, det2_value, x=None, t=None):
         super().__init__(det2_value)
@@ -98,7 +101,9 @@ class Edges:
     the last block column G(xi_i, 0) and row G(0, xi_j) of G over the
     nodes of the (first) rule, whose last blocks both hold the centre
     G(0,0) = row[-1], the backward error, and ranks, per rule the rank of
-    its low-rank solve or None where the dense one ran."""
+    its low-rank solve or None where the dense one ran.  A sample whose
+    |det2| fell below the patch threshold solved nothing: col and row are
+    None and berr is NaN."""
 
     det2: complex
     col: np.ndarray
@@ -364,11 +369,11 @@ def solve_edges(Q, P_last, threshold=PATCH_THRESHOLD):
     last block row R of G, with R A = P_last (n x K m, P_last[j] =
     p(xi_j + x)), and Z with A Z = E_last, the last block column of I.
 
-    A is built and factored once, and the factor gives det2 =
+    A is built and factored once, in place, and the factor gives det2 =
     det(A) e^{-tr(WQ)} in log space (an exactly singular A reports
-    det2 = 0) and both solves.  A |det2| below threshold raises
-    PatchError before any solve.  Run.solve checks R and Z against the
-    system itself (Run._edges), not against this A.
+    det2 = 0) and both solves.  A |det2| below threshold gives
+    (det2, None, None): no solve runs.  Run.solve checks R and Z against
+    the system itself (Run._edges), not against this A.
     """
     m = Q.blocks.shape[3]
     A, trace = nystrom_matrix(Q)
@@ -376,7 +381,7 @@ def solve_edges(Q, P_last, threshold=PATCH_THRESHOLD):
     lu = LU(A)
     d2 = _det2(*lu.slogdet(), trace)
     if abs(d2) < threshold:
-        raise PatchError(d2)
+        return d2, None, None
     E_last = np.zeros((len(A), m), dtype=A.dtype)
     E_last[-m:] = np.eye(m)
     return d2, lu.solve_rows(P_last), lu.solve(E_last)
@@ -579,65 +584,49 @@ class Run:
     sample's answer is checked through them (_edges).  One range finder
     on H picks the path of the whole run.  Where the rank r is at most
     k/4, the run keeps U, an orthonormal (K n, r) basis of H's range,
-    V = U^H H as (r, K+e, m) blocks and T = P~_tall (W U) as (K+e, m, r)
-    blocks, with P~_tall the (K+e) x K block Hankel matrix of the
-    companion, which shares Ht's spectrum (T is None for neg_identity).
-    U spans every sample's P, so node rows l..l+K-1 of V and T are the
-    sample's own factors: P ~ U V, and WQ ~ X V with X = W T, or -W U for
-    neg_identity.  Such a run solves one batch: the batch releases U, V
-    and T (rank stays), and a second solve raises.  Otherwise the run
-    keeps Q, the extended assemble_Q whose window at l is the sample's Q,
-    or none for neg_identity, whose samples each take their kdv_Q, a free
-    view.
+    which spans every sample's P, and each batch takes its factors from
+    it (_factors).  Otherwise the run keeps Q, the extended assemble_Q
+    whose window at l is the sample's Q, or none for neg_identity, whose
+    samples each take their kdv_Q, a free view.  A Run keeps nothing
+    from one solve to the next, so solving it again gives the same
+    records.
     """
 
     def __init__(self, p, ptil, x, quad, extension=0):
         self.p, self.ptil, self.x, self.quad = p, ptil, x, quad
-        n, m, K = p.rows, p.cols, quad.node_count
-        E = K + extension
+        K = quad.node_count
         self.vals = hankel_values(p, x, quad, extension)
         self.H = HankelFFT(self.vals, K)
         self.Ht = None if ptil is None else HankelFFT(hankel_values(ptil, x, quad, extension), K)
-        self.U = _range_basis(self.H, K * m // 4)
+        self.U = _range_basis(self.H, K * p.cols // 4)
         self.rank = None if self.U is None else self.U.shape[1]
-        self.V = self.T = self.Q = None
-        if self.U is not None:
-            self.V = self.H.left(self.U.conj().T).reshape(self.rank, E, m)
-            if ptil is not None:
-                self.T = self.Ht.with_rows(E).right(
-                    np.repeat(quad.weights, n)[:, None] * self.U).reshape(E, m, self.rank)
-        elif ptil is not None:
-            self.Q = assemble_Q(p, ptil, x, quad, extension)
+        self.Q = (assemble_Q(p, ptil, x, quad, extension)
+                  if self.U is None and ptil is not None else None)
 
     def solve(self, offsets, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
-        """One outcome per sample x + l h, l in offsets: its Edges, or the
-        PatchError its det2 raised, reporting x + l h as its x.
+        """One Edges per sample x + l h, l in offsets.
 
-        A run that kept factors solves its samples low-rank as one batch
+        A run that kept a basis solves its samples low-rank as one batch
         (_woodbury), and a sample whose backward error exceeds tol then
         solves dense, on its paired_Q; a run that kept none solves each
         sample dense, on its window of the run's Q or on its paired_Q.
-        Each path's samples are checked as one batch (_edges).
+        Each path's samples are checked as one batch (_edges).  A sample
+        whose |det2| is below threshold on the path it took is skipped
+        there, not solved again.
         """
         p, ptil, quad = self.p, self.ptil, self.quad
         out = ([None] * len(offsets) if self.rank is None
                else self._edges(offsets, self._woodbury(offsets, threshold), self.rank))
-        redo = [i for i, o in enumerate(out)
-                if o is None or isinstance(o, Edges) and not o.berr <= tol]
-        dense = []
-        for l in (offsets[i] for i in redo):
-            x = self.x + l * quad.spacing
-            try:
-                # built in the call, so that no local here holds Q while
-                # solve_edges factors I + WQ (it drops its own reference first)
-                dense.append(solve_edges(paired_Q(p, ptil, x, quad) if self.Q is None
-                                         else self.Q.window(l), self._last_rows([l])[0], threshold))
-            except PatchError as err:
-                # kept without its traceback, which would hold the frames' arrays
-                err.x = x
-                dense.append(err.with_traceback(None))
-        for i, outcome in zip(redo, self._edges([offsets[i] for i in redo], dense, None)):
-            out[i] = outcome
+        redo = [i for i, e in enumerate(out)
+                if e is None or (e.row is not None and not e.berr <= tol)]
+        at = [offsets[i] for i in redo]
+        # each Q built in the call, so that no local here holds it while
+        # solve_edges factors I + WQ (it drops its own reference first)
+        dense = [solve_edges(paired_Q(p, ptil, self.x + l * quad.spacing, quad)
+                             if self.Q is None else self.Q.window(l),
+                             self._last_rows([l])[0], threshold) for l in at]
+        for i, edges in zip(redo, self._edges(at, dense, None)):
+            out[i] = edges
         return out
 
     def _last_rows(self, at):
@@ -647,10 +636,24 @@ class Run:
         nodes = N + np.add.outer(at, np.arange(K))
         return self.vals[nodes].transpose(0, 2, 1, 3).reshape(len(at), n, K * m)
 
+    def _factors(self):
+        """(V, T) of the run's basis U: V = U^H H as (r, K+e, m) blocks and
+        T = P~_tall (W U) as (K+e, m, r) blocks, with P~_tall the (K+e) x K
+        block Hankel matrix of the companion, which shares Ht's spectrum
+        (T is None for neg_identity).  Node rows l..l+K-1 of V and T are
+        the factors of the sample x + l h: P ~ U V, and WQ ~ X V with
+        X = W T, or -W U for neg_identity."""
+        n, m, r, E = self.p.rows, self.p.cols, self.rank, self.H.C
+        V = self.H.left(self.U.conj().T).reshape(r, E, m)
+        if self.ptil is None:
+            return V, None
+        WU = np.repeat(self.quad.weights, n)[:, None] * self.U
+        return V, self.Ht.with_rows(E).right(WU).reshape(E, m, r)
+
     def _woodbury(self, offsets, threshold):
         """Per sample, (det2, R, Z) as solve_edges gives them, from the
-        run's factors, or the PatchError of a det2 below threshold; no
-        k x k array is formed.
+        run's factors, or (det2, None, None) for a det2 below threshold;
+        no k x k array is formed.
 
         The sample's factors give P ~ U V and WQ ~ X V (WQ = F P with
         F = W P~ W, or F = -W for neg_identity), and the r x r core
@@ -663,10 +666,8 @@ class Run:
         weights' excess, so no window is copied), det2 one batched
         slogdet, and the two Woodbury solves one batched solve each, on
         the samples whose |det2| is at least threshold (a singular core
-        gives det2 = 0).  The batch releases U, V and T.
+        gives det2 = 0).
         """
-        if self.V is None:
-            raise RuntimeError("a low-rank Run solves one batch: its factors are released")
         ptil, quad, r = self.ptil, self.quad, self.rank
         n, m, K = self.p.rows, self.p.cols, quad.node_count
         h, wm = quad.spacing, np.repeat(quad.weights, m)
@@ -675,11 +676,11 @@ class Run:
         win = [(l - lo) // step for l in offsets]  # each sample's window
         count = max(win) + 1
         cols = slice(lo * m, (lo + step * (count - 1)) * m + 1, step * m)
-        Em = self.V.shape[1] * m
-        V = sliding_window_view(self.V.reshape(r, Em), K * m, axis=1)[:, cols].transpose(1, 0, 2)
+        V, T = self._factors()
+        Em = V.shape[1] * m
+        V = sliding_window_view(V.reshape(r, Em), K * m, axis=1)[:, cols].transpose(1, 0, 2)
         T = (-self.U[None] if ptil is None else
-             sliding_window_view(self.T.reshape(Em, r), K * m, axis=0)[cols].transpose(0, 2, 1))
-        self.U = self.V = self.T = None  # V and T above hold them until the cores' products
+             sliding_window_view(T.reshape(Em, r), K * m, axis=0)[cols].transpose(0, 2, 1))
         P_last = self._last_rows(lo + step * np.arange(count))
         ends = np.flatnonzero(wm != h)  # the columns whose weight is not h
         C = V @ T
@@ -700,13 +701,12 @@ class Run:
         Z = T @ B
         Z *= -wm[:, None]
         Z[:, -m:] += np.eye(m)
-        return [(d2[w], rows[w], Z[w]) if w in solved else PatchError(d2[w], x=self.x + l * h)
-                for w, l in zip(win, offsets)]
+        return [(d2[w], rows[w], Z[w]) if w in solved else (d2[w], None, None) for w in win]
 
     def _edges(self, at, solved, rank):
-        """solved, one entry per sample at offsets at, with each (det2, R,
-        Z) replaced by the sample's Edges, one check for the whole batch;
-        a PatchError stays.
+        """The Edges of each sample at offsets at from its (det2, R, Z) in
+        solved, one check for the whole batch; a sample with no R skipped
+        on its det2, and its record holds only det2 and rank.
 
         The last block column is P Z, and the backward error the larger
         of max|R A - P_last| / max|P_last| and max|A Z - E_last|, with A
@@ -716,9 +716,10 @@ class Run:
         system itself.  G(0,0) is R's last block, written into the column
         as well, so the centre and both slices hold one value.
         """
-        kept = [i for i, s in enumerate(solved) if isinstance(s, tuple)]
+        out = [Edges(d2, None, None, math.nan, (rank,)) for d2, _, _ in solved]
+        kept = [i for i, (_, R, _) in enumerate(solved) if R is not None]
         if not kept:
-            return solved
+            return out
         ptil, quad = self.ptil, self.quad
         n, m, K = self.p.rows, self.p.cols, quad.node_count
         wn, wm = np.repeat(quad.weights, n), np.repeat(quad.weights, m)
@@ -743,7 +744,6 @@ class Run:
         scale = np.maximum(np.abs(P_last).max(axis=(1, 2)), 1e-300)
         berr = np.maximum(np.abs(rows + PFL - P_last).max(axis=(1, 2)) / scale, col_err)
         PZ = PZ.reshape(K, n, S, m)
-        out = list(solved)
         for s, i in enumerate(kept):
             row = rows[s].reshape(n, K, m).transpose(1, 0, 2)
             col = PZ[:, :, s].copy()
@@ -752,39 +752,25 @@ class Run:
         return out
 
 
-def combine_rules(outcomes):
-    """One sample's Edges from its outcomes on each rule (Run.solve's),
-    the slices over the nodes of the first rule; the first PatchError
-    among them is raised, and outcomes may be a generator, read no
-    further.
+def combine_rules(solved):
+    """One sample's Edges from its Edges on each rule, the slices over
+    the nodes of the first rule.  A sample skipped on some rule takes the
+    record of the first such rule.
 
     ranks joins the rules' ranks, and the backward error is the larger
     over the rules.  With two rules from quadrature_rules the slices are
     Richardson-extrapolated, (4*fine - coarse)/3 with the fine rule read
     at every second node, and det2 is the fine rule's.
     """
-    solved = []
-    for outcome in outcomes:
-        if isinstance(outcome, PatchError):
-            raise outcome
-        solved.append(outcome)
-    if len(solved) == 1:
-        return solved[0]
+    skipped = [edges for edges in solved if edges.row is None]
+    if skipped or len(solved) == 1:
+        return (skipped or solved)[0]
     coarse, fine = solved
     # combined in complex arithmetic whatever the rules' dtypes, so the
     # values equal the combination of two plain runs' complex tables
     col, row = ((4.0 * f[::2].astype(complex) - c) / 3.0
                 for f, c in ((fine.col, coarse.col), (fine.row, coarse.row)))
     return Edges(fine.det2, col, row, max(coarse.berr, fine.berr), coarse.ranks + fine.ranks)
-
-
-def solve_origin(p, ptil, x, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
-    """combine_rules of one sample's solves on each of rules, each on a
-    Run of this one sample: its Edges.  (p, ptil) is a pairing, Q = -P
-    when ptil is None.  A |det2| below threshold on either rule raises
-    PatchError, and a rule after it is not solved.
-    """
-    return combine_rules(Run(p, ptil, x, quad).solve([0], threshold, tol)[0] for quad in rules)
 
 
 def x_runs(xs, grid, quad):
@@ -808,17 +794,21 @@ def x_runs(xs, grid, quad):
     return out
 
 
-def solve_runs(p, ptil, xs, quad, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
-    """Run.solve's outcome for every sample of xs on quad, in xs order:
-    one Run per run of samples (x_runs), built as a temporary that is
-    dropped once its batch returns, so no two runs of one caller are
-    alive at once.  Every run tries the range finder once, whatever its
-    size, and its path depends only on its data, never on which thread
-    solves it."""
-    out = []
-    for x, offsets in x_runs(xs, p.grid, quad):
-        out += Run(p, ptil, x, quad, max(offsets)).solve(offsets, threshold, tol)
-    return out
+def solve_samples(p, ptil, xs, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
+    """One Edges per sample of xs, in xs order, combined over rules
+    (combine_rules).  (p, ptil) is a pairing, Q = -P when ptil is None.
+
+    Per rule, one Run per run of samples (x_runs) solves them as one
+    batch; each Run is a temporary, dropped once its batch returns, so no
+    two runs of one caller are alive at once.  Every run tries the range
+    finder once, whatever its size, and its path depends only on its
+    data, never on which thread solves it."""
+    per_rule = []
+    for quad in rules:
+        per_rule.append([])
+        for x, offsets in x_runs(xs, p.grid, quad):
+            per_rule[-1] += Run(p, ptil, x, quad, max(offsets)).solve(offsets, threshold, tol)
+    return [combine_rules(solved) for solved in zip(*per_rule)]
 
 
 @dataclass
@@ -894,12 +884,11 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     pairings gives each t row's evolved data and its companion; per
     sample, solve, check det2, and record the centre value, the two
-    slices through the origin, and det2.  Per rule, each run of x
-    samples a whole number of quadrature steps apart solves in one call
-    (solve_runs), and combine_rules combines each sample's rules,
-    reporting the first PatchError in rule order.  The slices are
-    kept only when the scenario's outputs read them ("slices",
-    or "residuals" of a kind with a kernel form).  Samples are
+    slices through the origin, and det2.  Each distinct time solves all
+    its x samples in one call (solve_samples), a skip carrying the det2
+    of the first rule that failed.  The slices are kept only when the
+    scenario's outputs read them ("slices", or "residuals" of a kind
+    with a kernel form).  Samples are
     independent; rows of constant t are distributed over threads and
     written into index-addressed arrays, so the output does not depend on
     scheduling.  Rows that read p at the same times (t and -t for
@@ -914,8 +903,8 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     When |det2| falls below the patch threshold the sample is recorded
     as skipped (NaN field values) and the run continues, unless
-    skip_on_patch_error=False, in which case the PatchError propagates
-    with its (x,t) location.  A sample whose backward error exceeds
+    skip_on_patch_error=False, in which case a PatchError is raised with
+    its (x,t) location.  A sample whose backward error exceeds
     solver_tol is skipped the same way, and never raises.
     """
     xs = np.asarray(scenario.xs, dtype=float)
@@ -951,8 +940,8 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     def run_rows(rows):
         own = list(ts[rows])
         times = list(dict.fromkeys(own + ([-t for t in own] if kind.coupled else [])))
-        # per time and rule, every sample's outcome, one batch per run
-        solved = {t: [solve_runs(p_t, ptil, xs, q, threshold, tol) for q in rules]
+        # per time, every sample's Edges
+        solved = {t: solve_samples(p_t, ptil, xs, rules, threshold, tol)
                   for t, (p_t, ptil)
                   in zip(times, pairings(p0, kind.params, kind.companion, times))}
         for it in rows:
@@ -960,16 +949,14 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
             # the sample's own solve first, then its coupled partner's
             mirror = (t, -t) if kind.coupled else (t,)
             for ix, x in enumerate(xs):
-                try:
-                    edges = [combine_rules(per_rule[ix] for per_rule in solved[s]) for s in mirror]
-                except PatchError as err:
-                    err.x, err.t = x, t
-                    det2_vals[it, ix] = err.det2_value
+                edges = [solved[s][ix] for s in mirror]
+                skip = next((e for e in edges if e.row is None), None)
+                det2_vals[it, ix] = (skip or edges[0]).det2
+                if skip is not None:
                     if not skip_on_patch_error:
-                        raise
-                    skipped[it].append((it, ix, float(t), float(x), err.det2_value, "det2"))
+                        raise PatchError(skip.det2, x, t)
+                    skipped[it].append((it, ix, float(t), float(x), skip.det2, "det2"))
                     continue
-                det2_vals[it, ix] = edges[0].det2
                 berr[it, ix] = max(e.berr for e in edges)
                 if not berr[it, ix] <= tol:
                     skipped[it].append((it, ix, float(t), float(x), edges[0].det2,

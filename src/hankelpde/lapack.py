@@ -78,7 +78,9 @@ class LU:
     solve(B) the X with A X = B, and solve_rows(B) the X with X A = B;
     plain transposes, never conjugate ones.  An exactly singular A has
     sign 0, and solving with it raises LinAlgError, as numpy.linalg.solve
-    does.  The factor is a copy: A is left as it is.
+    does.  A writeable C-ordered float64 or complex128 A is factored in
+    place, so it holds the factor afterwards; any other A is copied first
+    (and the numpy.linalg fallback leaves A as it is).
 
     A C-ordered array is the Fortran transpose of itself, so ?getrf
     factors F = A^T.  det F = det A; solve_rows is F X^T = B^T (trans N)
@@ -95,7 +97,7 @@ class LU:
             return
         complex_ = np.iscomplexobj(A)
         self._code = "z" if complex_ else "d"
-        self._f = np.array(A, dtype=complex if complex_ else float, order="C")
+        self._f = np.require(A, complex if complex_ else float, ["C", "W"])
         k = self._f.shape[0]
         self._piv = np.empty(k, dtype=np.int64)
         info = ctypes.c_int64()

@@ -112,3 +112,17 @@ def test_fallback_is_rare_on_normal_values():
     rec, slow = floatfmt._records(v)
     assert slow.size < 0.01 * v.size
     assert_formats(v[:3000])
+
+
+def test_signed_zeros_take_the_fast_path():
+    # +-0 are a large share of real-data tables (imaginary parts, slice
+    # cells): they print as "0" and "-0" without Python's format, in
+    # blocks of zeros alone and mixed with other values
+    zeros = np.zeros(4000)
+    zeros[1::3] = -0.0
+    mixed = zeros.copy()
+    mixed[::7] = np.random.default_rng(5).standard_normal(mixed[::7].size)
+    for v in (zeros, mixed):
+        assert_formats(v, cols=7)
+        _, slow = floatfmt._records(v)
+        assert not np.any(v[slow] == 0)

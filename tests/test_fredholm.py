@@ -22,7 +22,7 @@ from hankelpde.fredholm import (
     pairings,
     quadrature_rules,
     solve_edges,
-    solve_origin,
+    solve_samples,
     x_runs,
 )
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
@@ -51,12 +51,15 @@ def dense_edges(Q, p, x, threshold=fredholm.PATCH_THRESHOLD):
     G(0,xi_j), backward error), from solve_edges' det2, row and Z, with
     the column P Z through the gathered Hankel matrix and the backward
     error measured against the assembled A = I + WQ, not through the
-    Hankel operators of Run's own check."""
+    Hankel operators of Run's own check.  A |det2| below threshold gives
+    (det2, None, None, None, nan), as the skipped sample's Edges holds."""
     quad, n, m = Q.quad, p.rows, p.cols
     K = quad.node_count
     P_last = last_rows(p, x, quad)
     A = nystrom_matrix(Q)[0]
     d2, R, Z = solve_edges(Q, P_last, threshold)
+    if R is None:
+        return d2, None, None, None, float("nan")
     row = R.reshape(n, K, m).transpose(1, 0, 2)
     col = (hankel_kernel(p, x, quad).big() @ Z).reshape(K, n, m)
     col[-1] = row[-1]
@@ -423,13 +426,11 @@ def test_patch_error_near_rank_one_singularity():
     vals = np.exp(g.nodes)[:, None, None] / (S * np.exp(g.nodes[g.node_index(0.0)]))
     p_star = sample_profile(InitialDataSpec(kind="tabulated", values=vals + 0j), g, 1, 1)
     Q_star = kdv_Q(p_star, 0.0, quad)
-    with pytest.raises(PatchError) as info:
-        dense_edges(Q_star, p_star, 0.0)
-    assert abs(info.value.det2_value) < 1e-8
-    # a one-sample run reports its sample's x
-    with pytest.raises(PatchError) as info:
-        solve_origin(p_star, None, 0.0, (quad,))
-    assert info.value.x == 0.0
+    d2, centre, *_ = dense_edges(Q_star, p_star, 0.0)
+    assert abs(d2) < 1e-8 and centre is None
+    # the sample's record skips it, with the det2 of its own solve
+    edges, = solve_samples(p_star, None, [0.0], (quad,))
+    assert edges.row is None and abs(edges.det2) < 1e-8
 
 
 def test_det2_of_an_exactly_singular_system_is_zero():
@@ -441,9 +442,8 @@ def test_det2_of_an_exactly_singular_system_is_zero():
     Q = DiscreteKernel(quad, blocks)
     g = make_uniform_grid(8.0, 32)
     p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5]], width=1.0), g, 1, 1)
-    with pytest.raises(PatchError) as info:
-        dense_edges(Q, p, 0.0)
-    assert info.value.det2_value == 0.0
+    d2, centre, *_ = dense_edges(Q, p, 0.0)
+    assert d2 == 0.0 and centre is None
 
 
 def kdv_scenario(xs, ts, amp=-1.0, richardson=True):
@@ -597,7 +597,7 @@ def test_solve_origin_edges_match_full_solve(pairing, richardson):
             p, ptil = ptil, p
     x = 0.375
     rules = quadrature_rules(make_quadrature(2.0, 16, g.spacing), richardson)
-    got = solve_origin(p, ptil, x, rules)
+    got, = solve_samples(p, ptil, [x], rules)
     d2, col, row, berr, ranks = got.det2, got.col, got.row, got.berr, got.ranks
     centre = row[-1]
     # the role swap's fine rule (k = 66) has rank 11 <= 66 // 4 and goes
@@ -708,13 +708,13 @@ def test_evaluate_solution_runs_blas_at_one_thread_and_restores_it(monkeypatch):
     have = lapack._routines()
     get, put = have["openblas_get_num_threads"], have["openblas_set_num_threads"]
     seen = []
-    solve = fredholm.solve_runs
+    solve = fredholm.solve_samples
 
     def recorded(*args):
         seen.append(get())
         return solve(*args)
 
-    monkeypatch.setattr(fredholm, "solve_runs", recorded)
+    monkeypatch.setattr(fredholm, "solve_samples", recorded)
     sc = kdv_scenario(xs=[0.0], ts=[-0.1, 0.0, 0.1], richardson=False)
     old = get()
     put(2)
@@ -793,8 +793,10 @@ def assert_dense_solve(edges, Q, p, x, threshold=fredholm.PATCH_THRESHOLD):
 
 
 def assert_identical(a, b):
-    """Two Edges records hold the same bits."""
-    assert (a.det2, a.berr, a.ranks) == (b.det2, b.berr, b.ranks)
+    """Two Edges records hold the same bits (a skip's None slices and NaN
+    backward error included)."""
+    assert (a.det2, a.ranks) == (b.det2, b.ranks)
+    assert np.array_equal(a.berr, b.berr, equal_nan=True)
     assert np.array_equal(a.col, b.col) and np.array_equal(a.row, b.row)
 
 
@@ -815,8 +817,8 @@ def test_lowrank_solve_matches_the_dense_oracle(name):
     real = name in ("kdv_real", "neg_identity_2x2", "mkdv_real", "coupled_role_swap")
     assert np.isrealobj(edges.col) == np.isrealobj(dense[2]) == real
     assert np.array_equal(edges.col[-1], edges.row[-1])
-    # solve_origin takes the low-rank path at this size
-    got = solve_origin(p, ptil, x, (quad,))
+    # solve_samples takes the low-rank path at this size
+    got, = solve_samples(p, ptil, [x], (quad,))
     assert got.ranks == (rank,)
     assert_same_edges(got, dense, 1e-12)
 
@@ -824,7 +826,7 @@ def test_lowrank_solve_matches_the_dense_oracle(name):
 def test_lowrank_richardson_matches_the_dense_oracle():
     p, ptil, x, quad = lowrank_case("kdv_real")
     rules = quadrature_rules(quad, True)
-    edges = solve_origin(p, ptil, x, rules)
+    edges, = solve_samples(p, ptil, [x], rules)
     assert edges.ranks == (1, 1)
     (_, *coarse, _), (want_d2, *fine, _) = [dense_edges(paired_Q(p, ptil, x, q), p, x)
                                             for q in rules]
@@ -906,7 +908,7 @@ def test_fallback_to_dense_when_the_rank_passes_a_quarter_of_k():
     quad = make_quadrature(8.0, 32, p.grid.spacing)
     assert fredholm._range_basis(fredholm.HankelFFT(hankel_values(p, x, quad)), 16) is None
     run = fredholm.Run(p, ptil, x, quad)
-    assert run.rank is None and run.V is None
+    assert run.rank is None and run.U is None
     edges, = run.solve([0])
     assert_dense_solve(edges, paired_Q(p, ptil, x, quad), p, x)
 
@@ -987,8 +989,8 @@ def test_a_coarse_sketch_is_caught_by_the_exact_backward_error(monkeypatch):
 
 def test_lowrank_patch_error_comes_from_a_singular_core(monkeypatch):
     # positive KdV data exactly on the discrete pole: the rank-one core
-    # 1 - V W U vanishes, det2 falls below the threshold and PatchError is
-    # raised before any solve, as on the dense path, which never runs
+    # 1 - V W U vanishes, det2 falls below the threshold and the sample is
+    # skipped before any solve, as on the dense path, which never runs
     g = make_uniform_grid(20.0, 1920)
     quad = make_quadrature(8.0, 384, g.spacing)
     S = discrete_tail_sum(quad)
@@ -1001,11 +1003,24 @@ def test_lowrank_patch_error_comes_from_a_singular_core(monkeypatch):
         raise AssertionError("dense solve on the low-rank path")
 
     monkeypatch.setattr(fredholm, "solve_edges", refused)
-    err, = run.solve([0])
-    assert isinstance(err, PatchError) and err.x == 0.0
-    assert abs(err.det2_value) < 1e-8
-    with pytest.raises(PatchError):
-        solve_origin(p, None, 0.0, (quad,))
+    skip, = run.solve([0])
+    assert skip.col is None and skip.row is None and np.isnan(skip.berr)
+    assert abs(skip.det2) < 1e-8 and skip.ranks == (1,)
+    edges, = solve_samples(p, None, [0.0], (quad,))
+    assert edges.row is None and edges.det2 == skip.det2
+
+
+def test_a_dense_skip_is_a_record():
+    # 2x2 NLS data at k = 66 solve dense; above every |det2| the sample
+    # is skipped with solve_edges' det2, and nothing is solved
+    p, ptil, x, _ = lowrank_case("nls_2x2")
+    quad = make_quadrature(8.0, 32, p.grid.spacing)
+    run = fredholm.Run(p, ptil, x, quad)
+    assert run.rank is None
+    skip, = run.solve([0], threshold=1e3)
+    assert skip.col is None and skip.row is None and np.isnan(skip.berr)
+    assert skip.ranks == (None,)
+    assert skip.det2 == dense_edges(paired_Q(p, ptil, x, quad), p, x, 1e3)[0]
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -1047,37 +1062,37 @@ def test_run_factors_are_the_windows_of_each_sample(name):
     # takes with the same U through the sample's own Hankel operators, U
     # holds the sample's P, and the run's one batched solve gives, at
     # each l, the sample's dense solve, and bitwise what a run of the same
-    # data gives that sample solved alone; the batch releases the factors
+    # data gives that sample solved alone; the run keeps only its basis,
+    # so a second batch gives the same records
     p, ptil, x, quad = lowrank_case(name)
     K, n, m = quad.node_count, p.rows, p.cols
     offsets = [0, 1, 2, 7, 24]
     run = fredholm.Run(p, ptil, x, quad, max(offsets))
-    assert run.V.shape == (run.rank, K + 24, m) and run.Q is None
+    run_V, run_T = run._factors()
+    assert run_V.shape == (run.rank, K + 24, m) and run.Q is None
     assert np.iscomplexobj(run.U) == (name in ("nls_complex", "nls_2x2"))
     for l in offsets:
         xl = x + l * quad.spacing
         P = fredholm.HankelFFT(hankel_values(p, xl, quad))
-        V = run.V[:, l: l + K].reshape(run.rank, K * m)
+        V = run_V[:, l: l + K].reshape(run.rank, K * m)
         want = P.left(run.U.conj().T)
         assert np.abs(V - want).max() <= 1e-13 * np.abs(want).max()
         if ptil is None:
-            assert run.T is None
+            assert run_T is None
         else:
             Pt = fredholm.HankelFFT(hankel_values(ptil, xl, quad))
             want = Pt.right(np.repeat(quad.weights, n)[:, None] * run.U)
-            T = run.T[l: l + K].reshape(K * m, run.rank)
+            T = run_T[l: l + K].reshape(K * m, run.rank)
             assert np.abs(T - want).max() <= 1e-13 * np.abs(want).max()
         dense = hankel_kernel(p, xl, quad).big()
         assert np.abs(run.U @ V - dense).max() <= 1e-12 * np.abs(dense).max()
-    rank = run.rank
     batch = run.solve(offsets)
     assert len(batch) == len(offsets)
-    assert run.U is None and run.V is None and run.T is None and run.rank == rank
-    with pytest.raises(RuntimeError):
-        run.solve([0])
+    for first, again in zip(batch, run.solve(offsets)):
+        assert_identical(first, again)
     for l, edges in zip(offsets, batch):
         xl = x + l * quad.spacing
-        assert edges.ranks == (rank,)
+        assert edges.ranks == (run.rank,)
         assert_same_edges(edges, dense_edges(paired_Q(p, ptil, xl, quad), p, xl), 1e-12)
         alone, = fredholm.Run(p, ptil, x, quad, max(offsets)).solve([l])
         assert_identical(edges, alone)
@@ -1234,21 +1249,55 @@ def test_a_mixed_batch_gives_each_sample_its_own_outcome(monkeypatch):
     quad, offsets = sc.quad, [0, 8, 80, 120]
     run = fredholm.Run(p, ptil, sc.xs[0], quad, 120)
     batch = run.solve(offsets, threshold=0.6, tol=1e-10)
-    for l, x, got in zip(offsets, sc.xs, batch):
+    for l, got in zip(offsets, batch):
         fresh = fredholm.Run(p, ptil, sc.xs[0], quad, 120)
         (alone,) = fresh.solve([l], threshold=0.6, tol=1e-10)
-        if isinstance(got, PatchError):
-            assert isinstance(alone, PatchError) and got.det2_value == alone.det2_value
-            assert got.x == alone.x == sc.xs[0] + l * quad.spacing
-            assert abs(got.x - x) <= 1e-15 and got.__traceback__ is None
-            continue
         assert_identical(got, alone)
-    assert isinstance(batch[3], PatchError) and 0.5 < abs(batch[3].det2_value) < 0.6
-    assert [outcome.ranks for outcome in batch[:3]] == [(run.rank,), (run.rank,), (None,)]
+    skip = batch[3]
+    assert skip.row is None and skip.col is None and np.isnan(skip.berr)
+    assert 0.5 < abs(skip.det2) < 0.6
+    assert [edges.ranks for edges in batch] == [(run.rank,), (run.rank,), (None,), (run.rank,)]
     assert max(batch[0].berr, batch[1].berr) <= 1e-10
     assert_dense_solve(batch[2], paired_Q(p, ptil, sc.xs[2], quad), p, sc.xs[2], 0.6)
     for x, edges in zip(sc.xs, batch[:2]):
         assert_same_edges(edges, dense_edges(paired_Q(p, ptil, x, quad), p, x), 1e-9)
+
+
+def test_a_run_solved_twice_gives_the_same_records(monkeypatch):
+    # the mixed batch's low-rank, dense and skipped samples: a Run keeps
+    # nothing from one solve to the next
+    sc, (p, ptil) = mixed_batch(monkeypatch)
+    run = fredholm.Run(p, ptil, sc.xs[0], sc.quad, 120)
+    first = run.solve([0, 8, 80, 120], threshold=0.6, tol=1e-10)
+    again = run.solve([0, 8, 80, 120], threshold=0.6, tol=1e-10)
+    assert [e.ranks for e in first] == [(run.rank,), (run.rank,), (None,), (run.rank,)]
+    for a, b in zip(first, again):
+        assert_identical(a, b)
+
+
+@pytest.mark.parametrize("N, richardson", [(192, False), (32, True)], ids=["lowrank", "dense"])
+def test_one_sample_is_its_record_in_a_batch(N, richardson):
+    # solve_samples on [x] alone gives the record the sample gets in a
+    # batch of its run, to round-off: the run's transforms and range
+    # finder see more data, so a rule's path may differ (the fine rule
+    # at k = 130 goes low-rank alone and dense in the batch); a skip is
+    # a skip
+    p, ptil, x, _ = lowrank_case("nls_2x2")
+    rules = quadrature_rules(make_quadrature(8.0, N, p.grid.spacing), richardson)
+    xs = x + rules[0].spacing * np.array([0, 1, 7, 24])
+    batch = solve_samples(p, ptil, xs, rules)
+    skips = solve_samples(p, ptil, xs, rules, threshold=1e3)
+    for xl, edges, skipped in zip(xs, batch, skips):
+        alone, = solve_samples(p, ptil, [xl], rules)
+        assert (alone.ranks[0] is None) == (edges.ranks[0] is None) == (N == 32)
+        assert abs(alone.det2 - edges.det2) <= 1e-12 * abs(edges.det2)
+        scale = np.abs(edges.row).max()
+        for a, b in ((alone.col, edges.col), (alone.row, edges.row)):
+            assert np.abs(a - b).max() <= 1e-12 * scale
+        assert max(alone.berr, edges.berr) <= 1e-13
+        skip, = solve_samples(p, ptil, [xl], rules, threshold=1e3)
+        assert skip.row is skipped.row is None
+        assert abs(skip.det2 - skipped.det2) <= 1e-12 * abs(skipped.det2)
 
 
 def test_a_mixed_batch_skips_and_raises_at_its_patch_sample(monkeypatch):
@@ -1343,8 +1392,9 @@ def test_a_skip_reports_the_first_rule_whose_det2_fails(monkeypatch):
         assert x == want and reason == "det2"
         coarse, fine = (fredholm.Run(p, None, x, q).solve([0], 1e3)[0]
                         for q in quadrature_rules(sc.quad, True))
-        gap = abs(fine.det2_value - coarse.det2_value)
-        assert abs(d2 - coarse.det2_value) <= 1e-12 * abs(d2) < gap
+        assert coarse.row is None and fine.row is None
+        gap = abs(fine.det2 - coarse.det2)
+        assert abs(d2 - coarse.det2) <= 1e-12 * abs(d2) < gap
     with pytest.raises(PatchError) as info:
         evaluate_solution(sc, skip_on_patch_error=False)
     assert info.value.x == sc.xs[0] and info.value.det2_value == report.skipped[0][4]
@@ -1381,7 +1431,7 @@ def test_coupled_partner_is_the_mirror_solve_on_any_t_grid(monkeypatch):
     pairs = pairings(sample_profile(initial, g, 2, 1), kind.params, kind.companion, ts)
     with lapack.one_blas_thread():  # as evaluate_solution runs it
         for it, (p, ptil) in enumerate(pairs):
-            own = fredholm.solve_runs(p, ptil, xs, sc.quad)
+            own = solve_samples(p, ptil, xs, (sc.quad,))
             for ix, x in enumerate(xs):
                 swapped, = fredholm.Run(ptil, p, x, sc.quad).solve([0])
                 assert np.abs(field.center_tilde[it, ix] - swapped.row[-1]).max() <= 1e-15

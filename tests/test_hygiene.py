@@ -100,3 +100,27 @@ def test_one_caller_in_the_package(name):
 def test_a_second_caller_is_caught():
     sources = {"a.py": "def f(x):\n    return x\n\n\nf(1)\n", "b.py": "import a\na.f(2)\n"}
     assert _callers(sources, "f") == [("a.py", 5), ("b.py", 2)]
+
+
+def _unraised_calls(source, name):
+    """Lines of the calls of name that are not the exception of a raise
+    statement: an exception type built only to be raised."""
+    tree = ast.parse(source)
+    raised = {id(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in raised
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_patch_error_is_only_raised(path):
+    # a skipped sample is an Edges record; a PatchError exists only where
+    # a caller asks for one and raises it
+    assert _unraised_calls(path.read_text(), "PatchError") == []
+
+
+def test_a_returned_patch_error_is_caught():
+    source = ("def f(d):\n    raise PatchError(d)\n\n\n"
+              "def g(d):\n    return PatchError(d)\n\n\n"
+              "def h(d):\n    raise fredholm.PatchError(d, 0.0)\n")
+    assert _unraised_calls(source, "PatchError") == [6]

@@ -25,8 +25,8 @@ def test_the_openblas_routines_are_found():
 @pytest.mark.parametrize("k", [5, 66, 770])
 def test_lu_matches_numpy_linalg(k, dtype):
     A, B = random_system(k, dtype, seed=k)
-    keep = A.copy()
-    lu = LU(A)
+    work = A.copy()
+    lu = LU(work)
     sign, logabs = lu.slogdet()
     want_sign, want_logabs = np.linalg.slogdet(A)
     # the phase is a product of k unit factors: k roundings
@@ -39,7 +39,16 @@ def test_lu_matches_numpy_linalg(k, dtype):
     assert np.abs(Y - np.linalg.solve(A.T, B).T).max() <= 1e-12 * np.abs(Y).max()
     assert np.abs(A @ X - B).max() <= 1e-12 * k
     assert np.abs(Y @ A - B.T).max() <= 1e-12 * k
-    assert np.array_equal(A, keep)  # the factor is a copy
+    # a writeable C-ordered A of LAPACK's dtype is factored in place; a
+    # read-only, Fortran-ordered or other-dtype A is copied and kept
+    assert not np.array_equal(work, A)
+    frozen = A.copy()
+    frozen.flags.writeable = False
+    for other in (frozen, np.asfortranarray(A), A.astype(np.complex64 if dtype is complex
+                                                          else np.float32)):
+        keep = other.copy()
+        LU(other)
+        assert np.array_equal(other, keep)
 
 
 def test_lu_of_a_real_matrix_solves_complex_right_hand_sides():
@@ -75,7 +84,7 @@ def test_lu_of_an_exactly_singular_matrix(dtype):
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
 def test_the_fallback_agrees_with_the_lu(dtype, monkeypatch):
     A, B = random_system(66, dtype, seed=4)
-    lu = LU(A)
+    lu = LU(A.copy())
     got = (lu.slogdet(), lu.solve(B), lu.solve_rows(B.T))
     monkeypatch.setattr(lapack, "_routines", lambda: {})
     assert lu_path() == "numpy-linalg"
