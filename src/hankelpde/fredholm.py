@@ -44,14 +44,15 @@ x + l h is the window from node l of one larger Q built at x:
 Q(x + l h)[i][j] = Q_ext[i + l][j + l], and its P is the column window
 P(x + l h) = H[:, l:l+K] of the K x (K+e) block Hankel matrix H of the
 data from x on.  solve_samples, the one entry point, splits the x
-samples into runs (x_runs: consecutive samples a whole number of steps
-h apart, spanning at most N of them), and builds one Run per run and
-rule, dropped once its samples are solved: one range finder on H, whose
-basis U holds every sample's P, or, where the rank passes k/4, one
-extended Q (assemble_Q's extension; none for neg_identity, whose
-samples each take their kdv_Q, a free view).  It returns one Edges per
-sample, combined over the rules by combine_rules, the one Richardson
-combination; evaluate_solution and equations.miura_check call it.
+samples into runs (x_runs: samples a whole number of steps h apart,
+wherever they sit in xs, spanning at most N of them), and builds one
+Run per run and rule, dropped once its samples are solved: one range
+finder on H, whose basis U holds every sample's P, or, where the rank
+passes k/4, one extended Q (assemble_Q's extension; none for
+neg_identity, whose samples each take their kdv_Q, a free view).  It
+returns one Edges per sample, in xs order, combined over the rules by
+combine_rules, the one Richardson combination; evaluate_solution and
+equations.miura_check call it.
 
 The coupled kind's partner needs no solve of its own.  Its pairing at t
 is P~_t = P_{-t}^T, so by the push-through identity
@@ -774,24 +775,21 @@ def combine_rules(solved):
 
 
 def x_runs(xs, grid, quad):
-    """xs split into runs of consecutive samples whose master nodes lie
-    whole multiples of quad's spacing h apart, spanning at most N steps
-    of h.  One (x, offsets) per run: x is its leftmost sample, and each
-    sample's offset is its distance from x in steps of h, in xs order."""
+    """xs split into runs: samples on one lattice of quad's spacing h, in
+    any order of xs, sorted and cut to span at most N steps of h.  One
+    (x, indexes, offsets) per run: x its leftmost sample, indexes its
+    samples' positions in xs, offsets their distances from x in steps of
+    h, ascending."""
     r, N = quad.stride, quad.intervals
     nodes = [grid.node_index(x - 2.0 * quad.truncation) for x in xs]
     runs = []
-    for i, node in enumerate(nodes):
-        span = [nodes[j] for j in runs[-1]] + [node] if runs else []
-        if span and (node - span[0]) % r == 0 and max(span) - min(span) <= N * r:
+    for i in sorted(range(len(xs)), key=lambda i: (nodes[i] % r, nodes[i])):
+        gap = nodes[i] - nodes[runs[-1][0]] if runs else None
+        if gap is not None and gap % r == 0 and gap <= N * r:
             runs[-1].append(i)
         else:
             runs.append([i])
-    out = []
-    for run in runs:
-        low = min(run, key=nodes.__getitem__)
-        out.append((xs[low], [(nodes[i] - nodes[low]) // r for i in run]))
-    return out
+    return [(xs[run[0]], run, [(nodes[i] - nodes[run[0]]) // r for i in run]) for run in runs]
 
 
 def solve_samples(p, ptil, xs, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL):
@@ -799,15 +797,19 @@ def solve_samples(p, ptil, xs, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL)
     (combine_rules).  (p, ptil) is a pairing, Q = -P when ptil is None.
 
     Per rule, one Run per run of samples (x_runs) solves them as one
-    batch; each Run is a temporary, dropped once its batch returns, so no
-    two runs of one caller are alive at once.  Every run tries the range
-    finder once, whatever its size, and its path depends only on its
-    data, never on which thread solves it."""
+    batch, whose records go to the run's indexes: they depend neither on
+    the order of xs nor on which thread solves them.  Each Run is a
+    temporary, dropped once its batch returns, so no two runs of one
+    caller are alive at once.  Every run tries the range finder once,
+    whatever its size, and its path depends only on its data."""
     per_rule = []
     for quad in rules:
-        per_rule.append([])
-        for x, offsets in x_runs(xs, p.grid, quad):
-            per_rule[-1] += Run(p, ptil, x, quad, max(offsets)).solve(offsets, threshold, tol)
+        records = [None] * len(xs)
+        for x, indexes, offsets in x_runs(xs, p.grid, quad):
+            batch = Run(p, ptil, x, quad, offsets[-1]).solve(offsets, threshold, tol)
+            for i, edges in zip(indexes, batch):
+                records[i] = edges
+        per_rule.append(records)
     return [combine_rules(solved) for solved in zip(*per_rule)]
 
 

@@ -1008,7 +1008,7 @@ def test_a_run_is_dropped_before_the_next_is_built(monkeypatch):
     sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
     h = sc.quad.spacing
     sc = replace(sc, xs=-1.0 + h * np.array([0.0, 1.0, 2.0, 0.5, 1.5]))
-    assert [len(offsets) for _, offsets in fredholm.x_runs(sc.xs, sc.grid, sc.quad)] == [3, 2]
+    assert [len(offsets) for _, _, offsets in fredholm.x_runs(sc.xs, sc.grid, sc.quad)] == [3, 2]
     dense, alive = [], []
     init = fredholm.Run.__init__
 

@@ -250,21 +250,26 @@ def test_windows_of_the_extended_Q_are_the_per_sample_Q(dims, N, cplx):
 
 def test_x_runs_split_on_the_rule_spacing_and_its_span():
     # master spacing 1/16 and h = 2 master steps, N = 4: a run holds
-    # samples a whole number of h apart, spanning at most N h
+    # samples a whole number of h apart, wherever they sit in xs,
+    # spanning at most N h
     g = make_uniform_grid(8.0, 256)
     quad = make_quadrature(0.5, 4, g.spacing)
     h = quad.spacing
 
     def runs(steps):
-        return [(x, offsets) for x, offsets in x_runs(np.asarray(steps) * h, g, quad)]
+        return x_runs(np.asarray(steps) * h, g, quad)
 
-    assert runs(np.arange(7)) == [(0.0, [0, 1, 2, 3, 4]), (5 * h, [0, 1])]
-    # dx = 1.5 h: no two neighbours share a window
-    assert runs(1.5 * np.arange(4)) == [(0.0, [0]), (1.5 * h, [0]), (3 * h, [0]), (4.5 * h, [0])]
-    assert runs([0, 1, 2, 3.5, 4.5, 5]) == [(0.0, [0, 1, 2]), (3.5 * h, [0, 1]), (5 * h, [0])]
-    # the offsets count from the run's leftmost sample, in sample order
-    assert runs([2, 1, 0, -2, 3]) == [(-2 * h, [4, 3, 2, 0]), (3 * h, [0])]
-    assert runs([0]) == [(0.0, [0])]
+    assert runs(np.arange(7)) == [(0.0, [0, 1, 2, 3, 4], [0, 1, 2, 3, 4]),
+                                  (5 * h, [5, 6], [0, 1])]
+    # dx = 1.5 h: every second sample shares a lattice
+    assert runs(1.5 * np.arange(4)) == [(0.0, [0, 2], [0, 3]), (1.5 * h, [1, 3], [0, 3])]
+    assert runs([0, 1, 2, 3.5, 4.5, 5]) == [(0.0, [0, 1, 2], [0, 1, 2]), (5 * h, [5], [0]),
+                                            (3.5 * h, [3, 4], [0, 1])]
+    # the offsets count from the run's leftmost sample, ascending, each
+    # with its sample's index in xs; a repeated x keeps its xs order
+    assert runs([2, 1, 0, -2, 3]) == [(-2 * h, [3, 2, 1, 0], [0, 2, 3, 4]), (3 * h, [4], [0])]
+    assert runs([1, 0, 1]) == [(0.0, [1, 0, 2], [0, 1, 1])]
+    assert runs([0]) == [(0.0, [0], [0])]
     # a sample off the master nodes is refused, as hankel_values refuses it
     with pytest.raises(ValueError):
         x_runs([0.01], g, quad)
@@ -1171,7 +1176,7 @@ def test_2x2_nls_at_k_258_goes_lowrank_with_one_finder_call_per_run(monkeypatch)
     # builds a Q or factors I + WQ
     xs = np.array([-3.0, -2.9375, -2.875, 5.5, 6.0])  # two runs, over N steps apart
     sc, (p, ptil) = nls_2x2_run(128, xs)
-    assert [len(offsets) for _, offsets in x_runs(xs, p.grid, sc.quad)] == [3, 2]
+    assert [len(offsets) for _, _, offsets in x_runs(xs, p.grid, sc.quad)] == [3, 2]
     dense = [dense_edges(assemble_Q(p, ptil, x, sc.quad), p, x) for x in xs]
     made = count_range_finder(monkeypatch)
 
@@ -1275,16 +1280,15 @@ def test_a_run_solved_twice_gives_the_same_records(monkeypatch):
         assert_identical(a, b)
 
 
-@pytest.mark.parametrize("N, richardson", [(192, False), (32, True)], ids=["lowrank", "dense"])
-def test_one_sample_is_its_record_in_a_batch(N, richardson):
-    # solve_samples on [x] alone gives the record the sample gets in a
-    # batch of its run, to round-off: the run's transforms and range
-    # finder see more data, so a rule's path may differ (the fine rule
-    # at k = 130 goes low-rank alone and dense in the batch); a skip is
-    # a skip
+def assert_each_sample_is_its_record(steps, N, richardson):
+    """solve_samples on [x] alone gives the record the sample x + s h, s
+    in steps, gets in a batch of its run, to round-off: the run's
+    transforms and range finder see more data, so a rule's path may
+    differ (the fine rule at k = 130 goes low-rank alone and dense in the
+    batch); a skip is a skip."""
     p, ptil, x, _ = lowrank_case("nls_2x2")
     rules = quadrature_rules(make_quadrature(8.0, N, p.grid.spacing), richardson)
-    xs = x + rules[0].spacing * np.array([0, 1, 7, 24])
+    xs = x + rules[0].spacing * np.asarray(steps)
     batch = solve_samples(p, ptil, xs, rules)
     skips = solve_samples(p, ptil, xs, rules, threshold=1e3)
     for xl, edges, skipped in zip(xs, batch, skips):
@@ -1300,6 +1304,32 @@ def test_one_sample_is_its_record_in_a_batch(N, richardson):
         assert abs(skip.det2 - skipped.det2) <= 1e-12 * abs(skipped.det2)
 
 
+@pytest.mark.parametrize("N, richardson", [(192, False), (32, True)], ids=["lowrank", "dense"])
+def test_one_sample_is_its_record_in_a_batch(N, richardson):
+    assert_each_sample_is_its_record([0, 1, 7, 24], N, richardson)
+
+
+@pytest.mark.parametrize("N, richardson", [(192, False), (32, True)], ids=["lowrank", "dense"])
+def test_an_off_lattice_unsorted_sample_is_its_record_in_a_batch(N, richardson):
+    # samples off the rule's lattice, out of order and one repeated: the
+    # lattice runs gather them from anywhere in xs, and each record
+    # still lands at its own sample
+    assert_each_sample_is_its_record([7, 0.5, 24, 1, 0, 7.25, 1], N, richardson)
+
+
+@pytest.mark.parametrize("N, richardson", [(192, False), (32, True)], ids=["lowrank", "dense"])
+def test_permuting_xs_permutes_the_records(N, richardson):
+    # a run is a set of lattice samples, whatever their order in xs, so
+    # its records are the same bits in any order
+    p, ptil, x, _ = lowrank_case("nls_2x2")
+    rules = quadrature_rules(make_quadrature(8.0, N, p.grid.spacing), richardson)
+    xs = x + rules[0].spacing * np.array([0, 1, 7, 24, 0.5, 1.5, 7])
+    batch = solve_samples(p, ptil, xs, rules)
+    for order in ([4, 2, 0, 6, 5, 3, 1], [6, 5, 4, 3, 2, 1, 0]):
+        for i, edges in zip(order, solve_samples(p, ptil, xs[order], rules)):
+            assert_identical(edges, batch[i])
+
+
 def test_a_mixed_batch_skips_and_raises_at_its_patch_sample(monkeypatch):
     sc, (p, ptil) = mixed_batch(monkeypatch)
     got, report = evaluate_solution(sc)
@@ -1312,6 +1342,22 @@ def test_a_mixed_batch_skips_and_raises_at_its_patch_sample(monkeypatch):
     with pytest.raises(PatchError) as info:
         evaluate_solution(sc, skip_on_patch_error=False)
     assert (info.value.x, info.value.t) == (sc.xs[3], 0.005)
+
+
+def test_a_skip_inside_a_lattice_run_reports_its_own_sample(monkeypatch):
+    # the mixed batch's lattice run, its samples out of order and an
+    # off-lattice sample among them: the skipped sample, last in its run,
+    # is reported at its own place in xs
+    sc, _ = mixed_batch(monkeypatch)
+    sc.xs = -3.0 + sc.quad.spacing * np.array([80, 120, 40.5, 0, 8])
+    got, report = evaluate_solution(sc)
+    (skip,) = report.skipped
+    assert skip[:4] == (0, 1, 0.005, sc.xs[1]) and skip[5] == "det2"
+    assert np.isnan(got.center[0, 1]).all()
+    assert np.isfinite(np.delete(got.center[0], 1, axis=0)).all()
+    with pytest.raises(PatchError) as info:
+        evaluate_solution(sc, skip_on_patch_error=False)
+    assert (info.value.x, info.value.t) == (sc.xs[1], 0.005)
 
 
 @pytest.mark.parametrize("samples", [3, 17])

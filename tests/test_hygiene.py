@@ -88,11 +88,12 @@ def _callers(sources, name):
     return calls
 
 
-@pytest.mark.parametrize("name", ["_range_basis", "LU", "solve_edges"])
+@pytest.mark.parametrize("name", ["_range_basis", "LU", "solve_edges", "x_runs"])
 def test_one_caller_in_the_package(name):
     # one range finder per run (fredholm.Run), one factorisation per
     # dense system (fredholm.solve_edges), and one caller of that, the
-    # one place a sample's path is chosen (fredholm.Run.solve)
+    # one place a sample's path is chosen (fredholm.Run.solve); samples
+    # are grouped into runs in one place (fredholm.solve_samples)
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert [path for path, _ in _callers(sources, name)] == ["fredholm.py"]
 
