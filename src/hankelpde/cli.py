@@ -435,6 +435,7 @@ def run(scenario, out_dir=".", threads=1):
         "lowrank_solves": report.lowrank_solves,
         "dense_solves": report.dense_solves,
         "max_rank": report.max_rank,
+        "conjugated_rows": report.conjugated_rows,
         "skipped": [[it, ix, t, x, d.real, d.imag, reason]
                     for (it, ix, t, x, d, reason) in report.skipped],
         "residuals": [[name, worst, l2] for name, worst, l2 in residual_rows],

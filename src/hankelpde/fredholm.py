@@ -58,6 +58,17 @@ The coupled kind's partner needs no solve of its own.  Its pairing at t
 is P~_t = P_{-t}^T, so by the push-through identity
 (I + P~P)^{-1} P~ = P~ (I + P P~)^{-1} its partner G~ at t is G at -t,
 transposed: evaluate_solution reads it from the solve at -t.
+
+Nor does the row at -t of a conjugation-reversible kind on exactly real
+data (kinds.ResolvedKind.conjugation_reversible: the NLS kinds).  There
+p_{-t} = conj p_t, every companion map commutes with conjugation, and so
+Q_{-t} = conj Q_t and G(x,-t) = conj G(x,t): evaluate_solution solves
+the non-negative member of each pair t, -t of sample times and fills the
+other row with the conjugated records (Edges.conjugate).  No check is
+skipped: a conjugated record solves the conjugated system exactly as
+its source solves its own, conj(R) conj(A) - conj(P) = conj(R A - P),
+so it carries its source's backward error, and a skip at t is the same
+skip at -t.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -111,6 +122,12 @@ class Edges:
     row: np.ndarray
     berr: float
     ranks: tuple
+
+    def conjugate(self):
+        """The record of the conjugated system: det2, col and row
+        conjugated, the same backward error and ranks."""
+        return Edges(np.conj(self.det2), None if self.col is None else self.col.conj(),
+                     None if self.row is None else self.row.conj(), self.berr, self.ranks)
 
 
 @dataclass(frozen=True)
@@ -838,12 +855,15 @@ class PatchReport:
     skipped samples (it, ix, t, x, det2, reason), the rank of every
     system solved (Edges.ranks: r for a low-rank solve, None for a dense
     one; per rule of each kept sample, each system once, so the coupled
-    kind adds its partner's only where -t is not a sample time), and the
-    threads the run used: row workers, and the OpenBLAS count they ran at
-    (None where it could not be set).  A sample is skipped for its "det2"
-    (below the patch threshold) or its "backward_error" (above
-    solver_tol, which the backward_error array still records); a coupled
-    sample also for its partner's, checked after its own."""
+    kind adds its partner's only where -t is not a sample time, and a
+    conjugated row adds none), the threads the run used: row workers, and
+    the OpenBLAS count they ran at (None where it could not be set), and
+    conjugated_rows, the number of t rows filled by conjugating the solve
+    at -t (a conjugation-reversible kind on exactly real data).  A sample
+    is skipped for its "det2" (below the patch threshold) or its
+    "backward_error" (above solver_tol, which the backward_error array
+    still records); a coupled sample also for its partner's, checked
+    after its own."""
 
     det2: np.ndarray
     skipped: list
@@ -851,6 +871,7 @@ class PatchReport:
     ranks: list
     workers: int
     blas_threads: int
+    conjugated_rows: int
 
     @property
     def lowrank_solves(self):
@@ -897,7 +918,13 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     time-reversed maps) run as one task, so each distinct time is evolved
     and solved once and only the running tasks' profiles are held; the
     coupled kind's partner at t is the solve at -t, transposed, and a -t
-    that is no sample time is solved in the same task.
+    that is no sample time is solved in the same task.  A
+    conjugation-reversible kind on exactly real p0 samples (no
+    tolerance, as in hankel_values) groups t with -t too: the
+    non-negative member of each pair is evolved and solved, and the other
+    row is its conjugate, with the same backward error and skips (module
+    docstring); a t whose mirror is no sample time is solved.  The path
+    depends only on the kind and the data, at every --threads.
     The pool has min(threads, CPUs) workers, and OpenBLAS runs at one
     thread while it works, whatever the layout: the round-off of its
     factorisations and products depends on its thread count, so one
@@ -934,20 +961,26 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     skipped = [[] for _ in range(nt)]
     ranks = [[] for _ in range(nt)]
 
+    # G(x, -t) = conj G(x, t) (module docstring)
+    mirrored = kind.conjugation_reversible and not p0.samples.imag.any()
     reverse = time_reversed(kind.companion)
     tasks = {}
     for it, t in enumerate(ts):
-        tasks.setdefault(abs(t) if reverse else t, []).append(it)
+        tasks.setdefault(abs(t) if reverse or mirrored else t, []).append(it)
+    conjugated = [False] * nt
 
     def run_rows(rows):
         own = list(ts[rows])
         times = list(dict.fromkeys(own + ([-t for t in own] if kind.coupled else [])))
+        copies = [t for t in times if mirrored and t < 0 and -t in times]
+        at = [t for t in times if t not in copies]
         # per time, every sample's Edges
         solved = {t: solve_samples(p_t, ptil, xs, rules, threshold, tol)
-                  for t, (p_t, ptil)
-                  in zip(times, pairings(p0, kind.params, kind.companion, times))}
+                  for t, (p_t, ptil) in zip(at, pairings(p0, kind.params, kind.companion, at))}
+        solved.update({t: [e.conjugate() for e in solved[-t]] for t in copies})
         for it in rows:
             t = ts[it]
+            conjugated[it] = t in copies
             # the sample's own solve first, then its coupled partner's
             mirror = (t, -t) if kind.coupled else (t,)
             for ix, x in enumerate(xs):
@@ -969,9 +1002,11 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                     slice_y[it, ix], slice_z[it, ix] = edges[0].col, edges[0].row
                 if kind.coupled:
                     center_tilde[it, ix] = edges[1].row[-1].T
-                # each system once: a mirror that is a sample time counts its own
-                for e in edges[:1] if -t in own else edges:
-                    ranks[it].extend(e.ranks)
+                # each system once: a mirror that is a sample time counts
+                # its own, and a conjugated record none
+                for s, e in zip(mirror[:1] if -t in own else mirror, edges):
+                    if s not in copies:
+                        ranks[it].extend(e.ranks)
 
     workers = min(threads, cores())
     with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
@@ -983,5 +1018,6 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     flat_skips = [s for row in skipped for s in row]
     report = PatchReport(det2=det2_vals, skipped=flat_skips, backward_error=berr,
                          ranks=[r for row in ranks for r in row],
-                         workers=workers, blas_threads=blas_threads)
+                         workers=workers, blas_threads=blas_threads,
+                         conjugated_rows=sum(conjugated))
     return field_out, report

@@ -57,6 +57,14 @@ class ResolvedKind:
         return self.name == "coupled_diffusion"
 
     @property
+    def conjugation_reversible(self):
+        """Whether conjugation reverses the flow: with mu1 and mu2 purely
+        imaginary, conj sigma(z) = -sigma(-z) on the imaginary z of the
+        grid modes, so exactly real data have p_{-t} = conj p_t, and every
+        companion map commutes with conjugation (evaluate_solution)."""
+        return all(complex(mu).real == 0.0 for mu in (self.params.mu1, self.params.mu2))
+
+    @property
     def has_kernel_form(self):
         """Whether the kind has a two-argument kernel equation."""
         return self.name in ("kernel_nls", "kernel_mkdv")

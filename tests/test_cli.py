@@ -23,6 +23,7 @@ from hankelpde.cli import (
     verify,
 )
 from hankelpde.fredholm import make_quadrature
+from hankelpde.gridkernel import sample_profile
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -224,7 +225,9 @@ def test_importing_the_cli_does_not_load_numpy_random(tmp_path):
             "loaded = lambda: sorted(m for m in sys.modules if m.startswith('numpy.random'))\n"
             "print(loaded())\n"
             "assert cli.main(['solve', %r, '--out', %r]) == 0\n"
-            "assert json.load(open(%r))['lowrank_solves'] == 25\n"
+            # 5 x samples on the 3 rows t >= 0; the 2 at t < 0 are their
+            # conjugates (fredholm.evaluate_solution)
+            "assert json.load(open(%r))['lowrank_solves'] == 15\n"
             "assert cli.main(['study', %r]) == 0\n"
             "print(loaded())\n"
             % (str(path), str(out), str(out / "manifest.json"), str(path)))
@@ -908,15 +911,17 @@ def lowrank_texts():
 def test_run_is_thread_independent_on_the_lowrank_path(tmp_path, name):
     # each run's path and the range finder's probes depend only on the
     # run's data, so the tables do not depend on which row thread solves
-    # which sample
+    # which sample; the NLS kinds on real data solve only the rows t >= 0
     sc = parse_scenario(write_scenario(tmp_path, lowrank_texts()[name]))
+    conjugated = {"kdv": 0, "nls_2x2": 1, "nls_rank_one": 2}[name]
     tables = []
     for threads in (1, 2, 3):
         out = tmp_path / ("t%d" % threads)
         assert run(sc, out_dir=str(out), threads=threads) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        solves = len(sc.xs) * len(sc.ts) * (2 if sc.richardson else 1)
+        solves = len(sc.xs) * (len(sc.ts) - conjugated) * (2 if sc.richardson else 1)
         assert manifest["lowrank_solves"] == solves and manifest["dense_solves"] == 0
+        assert manifest["conjugated_rows"] == conjugated
         tables.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
     assert tables[0] and tables[0] == tables[1] == tables[2]
 
@@ -924,18 +929,25 @@ def test_run_is_thread_independent_on_the_lowrank_path(tmp_path, name):
 def test_run_manifest_counts_the_solve_paths(tmp_path):
     sc = parse_scenario(write_scenario(tmp_path, lowrank_texts()["kdv"]))
     assert run(sc, out_dir=str(tmp_path / "kdv")) == 0
+    counts = ("lowrank_solves", "dense_solves", "max_rank", "conjugated_rows")
     manifest = json.loads((tmp_path / "kdv" / "manifest.json").read_text())
-    assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (18, 0, 1)
+    assert tuple(manifest[key] for key in counts) == (18, 0, 1, 0)
     # nls_rank_one's rules (k = 129 and 257) have rank one, so they go
-    # low-rank too; nls_gaussian_2x2's (k = 66) rank passes k/4
+    # low-rank too; nls_gaussian_2x2's (k = 66) rank passes k/4.  Both
+    # have real data, so only their rows t >= 0 solve, 3 of 5 and 5 of 9
     sc = parse_scenario(str(SCENARIO_DIR / "nls_rank_one.yaml"))
     assert run(sc, out_dir=str(tmp_path / "nls")) == 0
     manifest = json.loads((tmp_path / "nls" / "manifest.json").read_text())
-    assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (50, 0, 1)
+    assert tuple(manifest[key] for key in counts) == (30, 0, 1, 2)
     sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
     assert run(sc, out_dir=str(tmp_path / "nls2")) == 0
     manifest = json.loads((tmp_path / "nls2" / "manifest.json").read_text())
-    assert (manifest["lowrank_solves"], manifest["dense_solves"], manifest["max_rank"]) == (0, 81, None)
+    assert tuple(manifest[key] for key in counts) == (0, 45, None, 4)
+    # with a complex amplitude every row solves
+    sc = complex_nls_2x2()
+    assert run(sc, out_dir=str(tmp_path / "nls2c")) == 0
+    manifest = json.loads((tmp_path / "nls2c" / "manifest.json").read_text())
+    assert tuple(manifest[key] for key in counts) == (0, 81, None, 0)
 
 
 def test_run_patch_skip_above_the_cutoff_comes_from_the_lowrank_core(tmp_path, monkeypatch):
@@ -977,14 +989,27 @@ def test_verify_certifies_the_lowrank_path(monkeypatch):
     assert calls == [1]
 
 
+def complex_nls_2x2():
+    """nls_gaussian_2x2 with one amplitude entry complex, 0.32 -> 0.2+0.25i
+    (the same modulus): no row is the conjugate of another."""
+    sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
+    amplitude = [[0.5, 0.2 + 0.25j], [0.1, 0.4]]
+    assert np.allclose(np.abs(amplitude), np.abs(sc.initial.amplitude), atol=1e-3)
+    return replace(sc, initial=replace(sc.initial, amplitude=amplitude))
+
+
 @pytest.mark.parametrize("name, calls", [
-    # one row per t sample; one run per row (x a whole number of steps
-    # apart, within N of them) per rule whose rank passes k/4;
-    # nls_rank_one's rank-one runs go low-rank and build no Q, and the
-    # coupled partner is the solve at -t, which builds no Q of its own
-    ("nls_gaussian_2x2", 9 * [(32, 8)]),
+    # one row per t sample of its own solve; one run per row (x a whole
+    # number of steps apart, within N of them) per rule whose rank passes
+    # k/4; nls_gaussian_2x2 has real data, so its 4 rows at t < 0 are the
+    # conjugates of its rows at -t and build nothing, and with a complex
+    # amplitude all 9 rows solve; nls_rank_one's rank-one runs go
+    # low-rank and build no Q, and the coupled partner is the solve at -t,
+    # which builds no Q of its own
+    ("nls_gaussian_2x2", 5 * [(32, 8)]),
     ("nls_rank_one", []),
     ("coupled_diffusion", 9 * [(16, 8)]),
+    ("nls_gaussian_2x2_complex", 9 * [(32, 8)]),
 ])
 def test_assemble_Q_once_per_run_rule_and_field(name, calls, monkeypatch):
     made = []
@@ -995,20 +1020,18 @@ def test_assemble_Q_once_per_run_rule_and_field(name, calls, monkeypatch):
         return assemble(p, ptil, x, quad, extension)
 
     monkeypatch.setattr(fredholm, "assemble_Q", counted)
-    _, report = fredholm.evaluate_solution(parse_scenario(str(SCENARIO_DIR / (name + ".yaml"))),
-                                           threads=2)
+    sc = (complex_nls_2x2() if name == "nls_gaussian_2x2_complex"
+          else parse_scenario(str(SCENARIO_DIR / (name + ".yaml"))))
+    _, report = fredholm.evaluate_solution(sc, threads=2)
     assert not report.any_below
     assert sorted(made) == sorted(calls)
 
 
 def test_a_run_is_dropped_before_the_next_is_built(monkeypatch):
-    # nls_gaussian_2x2 with its x samples split into two dense runs per t
-    # row: when the second run builds its extended Q, the first, with its
-    # own, is gone
-    sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
-    h = sc.quad.spacing
-    sc = replace(sc, xs=-1.0 + h * np.array([0.0, 1.0, 2.0, 0.5, 1.5]))
-    assert [len(offsets) for _, _, offsets in fredholm.x_runs(sc.xs, sc.grid, sc.quad)] == [3, 2]
+    # nls_gaussian_2x2 with its x samples split into two dense runs per
+    # solved t row: when the second run builds its extended Q, the first,
+    # with its own, is gone.  The real data solve the 5 rows t >= 0 (the
+    # rows t < 0 are their conjugates), the complex ones all 9
     dense, alive = [], []
     init = fredholm.Run.__init__
 
@@ -1019,10 +1042,18 @@ def test_a_run_is_dropped_before_the_next_is_built(monkeypatch):
             dense.append(weakref.ref(self))
 
     monkeypatch.setattr(fredholm.Run, "__init__", tracked)
-    _, report = fredholm.evaluate_solution(sc)
-    assert not report.any_below
-    assert len(dense) == len(alive) == 2 * sc.ts.size
-    assert alive == [0] * len(alive)
+    for sc, rows in ((parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml")), 5),
+                     (complex_nls_2x2(), 9)):
+        h = sc.quad.spacing
+        sc = replace(sc, xs=-1.0 + h * np.array([0.0, 1.0, 2.0, 0.5, 1.5]))
+        assert ([len(offsets) for _, _, offsets in fredholm.x_runs(sc.xs, sc.grid, sc.quad)]
+                == [3, 2])
+        dense.clear()
+        alive.clear()
+        _, report = fredholm.evaluate_solution(sc)
+        assert not report.any_below
+        assert len(dense) == len(alive) == 2 * rows
+        assert alive == [0] * len(alive)
 
 
 def test_tables_are_bitwise_identical_across_threads(tmp_path):
@@ -1117,3 +1148,101 @@ def test_a_dense_solve_that_misses_solver_tol_exits_2(tmp_path):
     assert manifest["max_backward_error"] > manifest["tolerances"]["solver_tol"]
     rows = np.loadtxt(out / "center.tsv", skiprows=1)
     assert np.isnan(rows[:, 2]).sum() == len(manifest["skipped"])
+
+
+def conjugation_texts():
+    """Real data under each conjugation-reversible kind, every field kept:
+    the 2x2 local_nls scenario, exp-tagged local_nls data, and a small
+    real Gaussian under kernel_nls, rev_time_nls (whose companion is p at
+    -t) and rev_spacetime_nls (which also reflects s)."""
+    keep = "outputs: [center, slices, det2]"
+    small = GAUSS_NLS_SMALL + keep + "\n"
+    return {
+        "local_nls": (SCENARIO_DIR / "nls_gaussian_2x2.yaml").read_text().replace(
+            "outputs: [center, residuals]", keep),
+        "local_nls_exponential": STUDY_NLS.replace("outputs: [center, det2]", keep),
+        "kernel_nls": small.replace("kind: local_nls", "kind: kernel_nls"),
+        "rev_time_nls": small.replace("kind: local_nls", "kind: rev_time_nls"),
+        "rev_spacetime_nls": small.replace("kind: local_nls", "kind: rev_spacetime_nls"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(conjugation_texts()))
+def test_rows_at_minus_t_are_the_conjugates_of_their_mirrors(tmp_path, name):
+    # on real data each row at -t is the conjugate of the solve at t,
+    # exactly, in every field the run keeps, with the same backward
+    # error; it agrees with a solve of its own to round-off and passes
+    # solver_tol as that solve does
+    sc = parse_scenario(write_scenario(tmp_path, conjugation_texts()[name]))
+    assert sc.kind.name == name.replace("_exponential", "")
+    field_out, report = fredholm.evaluate_solution(sc, threads=2)
+    assert not report.any_below and not report.skipped
+    ts = list(sc.ts)
+    mirrors = [(it, ts.index(-t)) for it, t in enumerate(ts) if t < 0]
+    assert len(mirrors) == report.conjugated_rows == (len(ts) - 1) // 2
+    for it, mirror in mirrors:
+        for values in (field_out.center, field_out.slice_y, field_out.slice_z, report.det2):
+            assert np.array_equal(values[it], np.conj(values[mirror]))
+        assert np.array_equal(report.backward_error[it], report.backward_error[mirror])
+    kind, tol = sc.kind, sc.tolerances["solver_tol"]
+    p0 = sample_profile(sc.initial, sc.grid, sc.n, sc.m)
+    assert (p0.exp_tag is not None) == name.endswith("_exponential")
+    rules = fredholm.quadrature_rules(sc.quad, sc.richardson)
+    for it, _ in mirrors:
+        t = ts[it]
+        (p_t, ptil), = fredholm.pairings(p0, kind.params, kind.companion, [t])
+        assert p_t.time_stamp == t
+        own = fredholm.solve_samples(p_t, ptil, sc.xs, rules, tol=tol)
+        for ix, edges in enumerate(own):
+            assert edges.berr <= tol and report.backward_error[it, ix] <= tol
+            scale = np.abs(edges.row).max()
+            assert abs(edges.det2 - report.det2[it, ix]) <= 1e-12 * abs(edges.det2)
+            for got, want in ((field_out.center[it, ix], edges.row[-1]),
+                              (field_out.slice_y[it, ix], edges.col),
+                              (field_out.slice_z[it, ix], edges.row)):
+                assert np.abs(got - want).max() <= 1e-12 * scale
+    tables = []
+    for threads in (1, 2, 3):
+        out = tmp_path / ("t%d" % threads)
+        assert run(sc, out_dir=str(out), threads=threads) == 0
+        tables.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
+    assert len(tables[0]) == 4 and tables[0] == tables[1] == tables[2]
+
+
+def test_a_skip_at_t_is_the_conjugated_skip_at_minus_t(tmp_path):
+    # a patch threshold just above |det2| at (x, t) skips that sample and
+    # its conjugate at (x, -t), which carries the conjugated det2; asked
+    # to raise, the run names the first of the two in t order, -t
+    text = GAUSS_NLS_SMALL.replace("t: {start: -0.2, stop: 0.2, count: 5}",
+                                   "t: [-0.2, 0.2]") + "outputs: [center, det2]\n"
+    sc = parse_scenario(write_scenario(tmp_path, text))
+    _, report = fredholm.evaluate_solution(sc)
+    assert report.conjugated_rows == 1 and not report.skipped
+    d = report.det2[1]
+    ix = int(np.argmin(np.abs(d)))
+    assert np.sum(np.abs(d) <= abs(d[ix])) == 1
+    cut = dict(sc.tolerances, patch_threshold=abs(d[ix]) * (1 + 1e-9))
+    sc = replace(sc, tolerances=cut)
+    field_out, report = fredholm.evaluate_solution(sc)
+    x = float(sc.xs[ix])
+    assert report.skipped == [(0, ix, -0.2, x, np.conj(d[ix]), "det2"),
+                              (1, ix, 0.2, x, d[ix], "det2")]
+    assert np.isnan(field_out.center[:, ix]).all()
+    assert np.array_equal(report.det2, np.array([np.conj(d), d]))
+    with pytest.raises(fredholm.PatchError) as err:
+        fredholm.evaluate_solution(sc, skip_on_patch_error=False)
+    assert (err.value.x, err.value.t, err.value.det2_value) == (x, -0.2, np.conj(d[ix]))
+
+
+@pytest.mark.parametrize("name", ["rev_time_nls", "mkdv_gaussian", "coupled_diffusion"])
+def test_no_row_is_conjugated_without_real_data_and_an_imaginary_flow(name):
+    # rev_time_nls has a complex amplitude (0.6+0.45i); mkdv_gaussian and
+    # coupled_diffusion have real data under real flows: every row solves
+    sc = parse_scenario(str(SCENARIO_DIR / (name + ".yaml")))
+    assert sc.kind.conjugation_reversible == (name == "rev_time_nls")
+    _, report = fredholm.evaluate_solution(sc, threads=2)
+    assert not report.any_below
+    assert report.conjugated_rows == 0
+    # the coupled partner at t is the row at -t, a sample time here
+    assert len(report.ranks) == sc.xs.size * sc.ts.size
+

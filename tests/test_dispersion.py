@@ -216,3 +216,24 @@ def test_real_flows_keep_real_data_exactly_real():
     assert np.abs(evolve(p, NLS, 0.4).samples.imag).max() > 1e-3
     complex_data = gaussian_profile(g, amp=0.7 + 0.1j, width=0.8)
     assert np.abs(evolve(complex_data, KDV, 0.4).samples.imag).max() > 1e-3
+
+
+def test_conjugation_reverses_the_nls_flow():
+    # an imaginary flow polynomial has conj sigma(z) = -sigma(-z) on the
+    # imaginary grid modes, so real data evolve to p_{-t} = conj p_t, on
+    # sampled data (a non-normal 2x2 Gaussian) and exactly on exp-tagged
+    # data; a real flow (heat) has no such symmetry
+    g = make_uniform_grid(20.0, 640)
+    gauss = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]],
+                                           width=1.0), g, 2, 2)
+    tagged = sample_profile(InitialDataSpec(kind="exponential", amplitude=[[-1.0]], rate=1.0),
+                            g, 1, 1)
+    for p in (gauss, tagged):
+        for t in (0.05, 0.8):
+            ahead, back = evolve(p, NLS, t), evolve(p, NLS, -t)
+            assert np.abs(ahead.samples.imag).max() > 1e-3
+            assert np.abs(np.conj(ahead.samples) - back.samples).max() \
+                <= 1e-15 * np.abs(back.samples).max()
+    assert evolve(tagged, NLS, 0.8).exp_tag is not None
+    ahead, back = evolve(gauss, HEAT, 0.01), evolve(gauss, HEAT, -0.01)
+    assert np.abs(ahead.samples - back.samples).max() > 1e-4

@@ -647,7 +647,9 @@ def test_one_factorisation_per_rule_and_no_dense_composition(kind, richardson, p
     # per sample and rule, one LU where the dense solve runs and no K*m
     # matmul for Q; the coupled kind reads its partner from the solve at
     # -t, so it factors no more than the others (on a t grid symmetric
-    # about 0, every -t is a sample time)
+    # about 0, every -t is a sample time), and local_nls on real data
+    # solves the rows t = 0 and 0.01 only: the row at -0.01 is the
+    # conjugate of the one at 0.01, and with complex data all 3 solve
     def no_compose(*args):
         raise AssertionError("compose called on the per-sample path")
 
@@ -667,11 +669,19 @@ def test_one_factorisation_per_rule_and_no_dense_composition(kind, richardson, p
                        initial=InitialDataSpec(kind="gaussian", amplitude=[[0.3]] * n,
                                                width=1.0),
                        xs=np.array([-0.25, 0.25]), ts=np.array([-0.01, 0.0, 0.01]))
-    _, report = evaluate_solution(sc)
-    assert not report.any_below
-    assert report.dense_solves + report.lowrank_solves == 6 * per_sample
-    assert report.lowrank_solves == 0
-    assert len(made) == report.dense_solves
+    rows = 2 if kind == "local_nls" else 3
+    cases = [(sc, rows)]
+    if kind == "local_nls":
+        complex_data = replace(sc.initial, amplitude=[[0.24 + 0.18j]])
+        cases.append((scenario_stub(**dict(vars(sc), initial=complex_data)), 3))
+    for sc, rows in cases:
+        made.clear()
+        _, report = evaluate_solution(sc)
+        assert not report.any_below
+        assert report.conjugated_rows == 3 - rows
+        assert report.dense_solves + report.lowrank_solves == 2 * rows * per_sample
+        assert report.lowrank_solves == 0
+        assert len(made) == report.dense_solves
 
 
 def test_pairings_evolve_each_distinct_time_once(monkeypatch):
@@ -698,15 +708,20 @@ def test_pairings_evolve_each_distinct_time_once(monkeypatch):
     calls.clear()
     pairings(p0, params, "adjoint", ts)
     assert sorted(calls) == sorted(set(ts))
-    # so does a threaded run, time-reversed or not
-    for kind in ("rev_time_nls", "local_nls"):
+    # so does a threaded run, time-reversed or not; local_nls on real
+    # data evolves only the times t >= 0, whose rows the rows at -t
+    # conjugate, and every time with complex data
+    for kind, amplitude, times in (("rev_time_nls", 0.5, set(ts)),
+                                   ("local_nls", 0.5, {t for t in ts if t >= 0}),
+                                   ("local_nls", 0.3 + 0.4j, set(ts))):
         calls.clear()
         sc = scenario_stub(kind=resolve_kind(kind), grid=g,
                            quad=make_quadrature(2.0, 8, g.spacing),
-                           initial=InitialDataSpec(kind="gaussian", amplitude=[[0.5]], width=1.0),
+                           initial=InitialDataSpec(kind="gaussian", amplitude=[[amplitude]],
+                                                   width=1.0),
                            xs=np.array([0.0]), ts=np.array(ts))
         evaluate_solution(sc, threads=2)
-        assert sorted(calls) == sorted(set(ts))
+        assert sorted(calls) == sorted(times)
 
 
 def test_evaluate_solution_runs_blas_at_one_thread_and_restores_it(monkeypatch):
@@ -870,7 +885,9 @@ def test_hankel_fft_applies_the_block_hankel_matrix(a, b, real):
 def test_lowrank_path_forms_no_dense_system(kind, richardson, per_sample, monkeypatch):
     # on the low-rank path nothing builds Q or I + WQ or factors a k x k
     # matrix, and the results are the unpatched run's; the coupled
-    # partner is the solve at -t, so it adds no system
+    # partner is the solve at -t, so it adds no system, and local_nls on
+    # real data solves 2 of the 3 rows (the row at -t is the conjugate of
+    # the one at t)
     coupled = kind == "coupled_diffusion"
     g = make_uniform_grid(28.0, 896) if coupled else make_uniform_grid(20.0, 3840)
     if kind == "kdv_primitive":
@@ -899,7 +916,8 @@ def test_lowrank_path_forms_no_dense_system(kind, richardson, per_sample, monkey
     got, report = evaluate_solution(sc)
     assert not report.any_below
     assert report.dense_solves == 0
-    assert report.lowrank_solves == 6 * per_sample == len(report.ranks)
+    rows = 2 if kind == "local_nls" else 3
+    assert report.lowrank_solves == 2 * rows * per_sample == len(report.ranks)
     assert report.ranks == want_report.ranks
     assert np.array_equal(got.center, want.center)
     assert np.array_equal(report.det2, want_report.det2)
@@ -1120,13 +1138,24 @@ def test_range_finder_runs_once_per_run_rule_and_field(kind, richardson, calls, 
                        quad=make_quadrature(quad, 384, g.spacing), initial=initial,
                        xs=xs, ts=ts, tolerances={"patch_threshold": 1e-12, "solver_tol": 1e-10})
     made = count_range_finder(monkeypatch)
-    _, report = evaluate_solution(sc, threads=2)
-    assert not report.any_below
-    assert len(made) == calls
-    # each run's H reaches over all of its samples: 4 x steps of h
-    assert {H.C - H.R for H, _ in made} == ({4 * 32, 4 * 64} if richardson else {4 * 24})
-    assert report.dense_solves == 0
-    assert report.lowrank_solves == xs.size * ts.size * (2 if richardson else 1)
+    # the real local_nls data solve 5 of the 6 rows: the row at -0.8 is
+    # the conjugate of the one at 0.8, while linspace leaves -0.48 and
+    # -0.16 an ulp off the negatives of their mirrors, so they solve; with
+    # a complex amplitude all 6 rows solve
+    cases = [(sc, 5 if kind == "local_nls" else ts.size)]
+    if kind == "local_nls":
+        complex_data = replace(initial, amplitude=[[0.5, 0.2 + 0.25j], [0.1, 0.4]])
+        cases.append((scenario_stub(**dict(vars(sc), initial=complex_data)), ts.size))
+    for sc, rows in cases:
+        made.clear()
+        _, report = evaluate_solution(sc, threads=2)
+        assert not report.any_below
+        assert report.conjugated_rows == ts.size - rows
+        assert len(made) == calls * rows // ts.size
+        # each run's H reaches over all of its samples: 4 x steps of h
+        assert {H.C - H.R for H, _ in made} == ({4 * 32, 4 * 64} if richardson else {4 * 24})
+        assert report.dense_solves == 0
+        assert report.lowrank_solves == xs.size * rows * (2 if richardson else 1)
 
 
 def nls_2x2_run(N, xs):
@@ -1511,3 +1540,30 @@ def test_a_wrong_block_in_the_assembled_Q_is_caught_and_skipped(monkeypatch):
     keep = [0, 1, 3]
     assert np.array_equal(got.center[0, keep], want.center[0, keep])
     assert np.all(report.backward_error[0, keep] <= 1e-13)
+
+
+
+@pytest.mark.parametrize("kind, sign", [("local_nls", 1), ("local_nls", -1),
+                                        ("rev_time_nls", 1), ("rev_spacetime_nls", 1)])
+def test_pairings_at_minus_t_are_the_conjugates_on_real_data(kind, sign):
+    # the identity the conjugated rows rest on: for real data under a
+    # conjugation-reversible kind, (p_-t, p~_-t) = conj (p_t, p~_t), on
+    # sampled data and on exp-tagged data, whose tag the reflecting
+    # companion carries with its rate negated
+    kind = resolve_kind(kind, sign=sign)
+    assert kind.conjugation_reversible
+    g = make_uniform_grid(20.0, 640)
+    gauss = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.5, 0.32], [0.1, 0.4]],
+                                           width=1.0), g, 2, 2)
+    tagged = sample_profile(InitialDataSpec(kind="exponential", amplitude=[[0.5, -0.3]],
+                                            rate=1.0), g, 1, 2)
+    for p0 in (gauss, tagged):
+        ahead, back = pairings(p0, kind.params, kind.companion, [0.6, -0.6])
+        for a, b in zip(ahead, back):
+            assert np.abs(np.conj(a.samples) - b.samples).max() <= 1e-15 * np.abs(b.samples).max()
+            assert (a.exp_tag is None) == (b.exp_tag is None) == (p0 is gauss)
+            if a.exp_tag is not None:
+                assert a.exp_tag[0] == b.exp_tag[0]
+                assert np.abs(np.conj(a.exp_tag[1]) - b.exp_tag[1]).max() <= 1e-15
+    (_, reflected), = pairings(tagged, kind.params, kind.companion, [0.6])
+    assert reflected.exp_tag[0] == (-1.0 if kind.reflect_x else 1.0)

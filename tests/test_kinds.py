@@ -117,3 +117,13 @@ def test_kind_table_is_pinned():
                         _resolve(name, sign, flavor)
     with pytest.raises(ValueError):
         resolve_kind(["local_nls"])
+
+
+def test_conjugation_reversible_kinds():
+    # conjugation reverses the flow exactly when mu1 and mu2 are purely
+    # imaginary: the NLS kinds, not the real flows or combined_degree3
+    reversible = {name for (name, _, _) in KIND_TABLE
+                  if _resolve(name, 1, "real").conjugation_reversible}
+    assert reversible == {"local_nls", "kernel_nls", "rev_time_nls", "rev_spacetime_nls"}
+    for (name, sign, flavor) in KIND_TABLE:
+        assert _resolve(name, sign, flavor).conjugation_reversible == (name in reversible)
