@@ -75,13 +75,15 @@ STUDY_GUARD = 4096
 
 @dataclass
 class Scenario:
-    """Validated run description; evaluate_solution consumes it directly."""
+    """Validated run description; evaluate_solution consumes it directly.
+
+    p0 is the initial data sampled on the master grid, the one source of
+    the block shape (p0.rows, p0.cols) and the grid (p0.grid) every
+    command reads.
+    """
 
     kind: object
-    n: int
-    m: int
-    initial: InitialDataSpec
-    grid: object
+    p0: object = field(repr=False)
     quad: object
     xs: np.ndarray
     ts: np.ndarray
@@ -286,16 +288,13 @@ def parse_scenario(path):
         raise ValueError("richardson must be true or false, got %r" % (richardson,))
     quadrature_rules(quad, richardson)  # the 2N rule must fit the grid too
 
-    sc = Scenario(kind=kind, n=n, m=m, initial=initial, grid=grid, quad=quad,
-                  xs=xs, ts=ts, outputs=outputs, tolerances=tols,
-                  richardson=richardson, raw=raw)
-
     p0 = sample_profile(initial, grid, n, m)
     if p0.exp_tag is None and not p0.decay_ok(tols["decay_tol"]):
         warnings.warn("initial data boundary decay ratio %.3e exceeds %.3e; "
                       "spectral evolution may wrap around the domain"
                       % (p0.boundary_decay_ratio(), tols["decay_tol"]))
-    return sc
+    return Scenario(kind=kind, p0=p0, quad=quad, xs=xs, ts=ts, outputs=outputs,
+                    tolerances=tols, richardson=richardson, raw=raw)
 
 
 def _entry_headers(prefix, n, m):
@@ -383,10 +382,11 @@ def run(scenario, out_dir=".", threads=1):
     keys = _sample_keys(field_out)
     if "center" in scenario.outputs:
         path = os.path.join(out_dir, "center.tsv")
-        header = ["x", "t"] + _entry_headers("g", scenario.n, scenario.m)
+        n, m = scenario.p0.rows, scenario.p0.cols
+        header = ["x", "t"] + _entry_headers("g", n, m)
         values = field_out.center.reshape(len(keys), -1)
         if scenario.kind.coupled:
-            header += _entry_headers("gt", scenario.m, scenario.n)
+            header += _entry_headers("gt", m, n)
             values = np.column_stack(
                 [values, field_out.center_tilde.reshape(len(keys), -1)])
         _write_table(path, header, keys, values)
@@ -459,11 +459,9 @@ def _rank_one_reference(scenario):
     neg_identity (no partner), whose composed kernel is -P.  The returned
     reference(xs, ts) gives the values on the (t, x) sample grid.
     """
-    init, kind = scenario.initial, scenario.kind
-    if (init.kind != "exponential" or scenario.n != 1 or scenario.m != 1
-            or kind.reflect_x):
+    p0, kind = scenario.p0, scenario.kind
+    if p0.exp_tag is None or (p0.rows, p0.cols) != (1, 1) or kind.reflect_x:
         return None
-    p0 = sample_profile(init, scenario.grid, 1, 1)
     S = 1.0 / (2.0 * p0.exp_tag[0])
 
     def at(p, xs):
@@ -521,8 +519,9 @@ def convergence_study(scenario, levels=3, threads=1):
     """
     if levels < 3:
         raise ValueError("convergence study needs levels >= 3, got %r" % (levels,))
+    p0 = scenario.p0
     finest_N = scenario.quad.intervals * 2 ** (levels - 1)
-    size = finest_N * max(scenario.n, scenario.m) * (2 if scenario.richardson else 1)
+    size = finest_N * max(p0.rows, p0.cols) * (2 if scenario.richardson else 1)
     if size > STUDY_GUARD:
         raise ValueError("finest level needs N*m = %d > %d; shrink N or levels"
                          % (size, STUDY_GUARD))
@@ -541,10 +540,10 @@ def convergence_study(scenario, levels=3, threads=1):
         factor = 2 ** lev
         quad = make_quadrature(scenario.quad.truncation,
                                scenario.quad.intervals * factor,
-                               scenario.grid.spacing)
+                               p0.grid.spacing)
         quadrature_rules(quad, scenario.richardson)
         xs = _refine_axis(base_xs, factor)
-        _check_on_grid(scenario.grid, quad, xs)
+        _check_on_grid(p0.grid, quad, xs)
         # only the centre values are read, so no level keeps its slices
         plan.append((factor, replace(scenario, quad=quad, xs=xs, outputs=("center",),
                                      ts=_refine_axis(base_ts, factor))))
@@ -579,9 +578,8 @@ def convergence_study(scenario, levels=3, threads=1):
 def _verify_checks(scenario):
     """Identity and residual checks on the scenario's own data."""
     checks = []
-    p0 = sample_profile(scenario.initial, scenario.grid, scenario.n, scenario.m)
     quad, kind = scenario.quad, scenario.kind
-    (p0, ptil), = pairings(p0, kind.params, kind.companion, [0.0])
+    (p0, ptil), = pairings(scenario.p0, kind.params, kind.companion, [0.0])
     x0 = float(scenario.xs[len(scenario.xs) // 2])
     dxq = quad.spacing
 
@@ -598,8 +596,8 @@ def _verify_checks(scenario):
 
     if ptil is not None:
         coarse = make_quadrature(quad.truncation, max(quad.intervals // 2, 4),
-                                 scenario.grid.spacing)
-        env = lambda y, z: np.exp(-(y - z) ** 2) * np.eye(scenario.n)
+                                 p0.grid.spacing)
+        env = lambda y, z: np.exp(-(y - z) ** 2) * np.eye(p0.rows)
         _, _, err_f = product_rule_check(env, p0, ptil, env, x0, quad)
         _, _, err_c = product_rule_check(env, p0, ptil, env, x0, coarse)
         checks.append(("product_rule_ratio", err_c / max(err_f, 1e-300),

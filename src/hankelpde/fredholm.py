@@ -80,7 +80,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .companion import companion_profile, time_reversed
 from .dispersion import evolve
-from .gridkernel import sample_profile
 from .lapack import LU, cores, one_blas_thread
 
 PATCH_THRESHOLD = 1e-8
@@ -238,19 +237,6 @@ def hankel_windows(vals, K):
     return sliding_window_view(vals, K, axis=0).transpose(0, 3, 1, 2)
 
 
-def _hankel_sums(seq, vec):
-    """The blocks sum_s seq[i+s] vec[s] for i = 0..len(seq) - len(vec): a
-    block Hankel matrix times a block vector, one np.correlate per entry
-    product, so the Hankel matrix is never gathered."""
-    _, a, n = seq.shape
-    m = vec.shape[2]
-    out = np.zeros((len(seq) - len(vec) + 1, a, m), dtype=np.result_type(seq, vec))
-    for i, j, k in np.ndindex(a, n, m):
-        # correlate conjugates its second argument
-        out[:, i, k] += np.correlate(seq[:, i, j], np.conj(vec[:, j, k]), "valid")
-    return out
-
-
 def compose(A, B):
     """Quadrature composition of two kernels on A's rule: blocks
     sum_k w_k A[i,k] B[k,j], with A's a x c blocks pairing B's c x b."""
@@ -271,9 +257,10 @@ def assemble_Q(p, p_tilde, x, quad, extension=0):
     and delta_s = w_{s-1} - w_s (w_{-1} = w_{N+1} = 0),
     Q[i+1][j+1] - Q[i][j] = sum_s delta_s a_{i+s} b_{s+j}, and delta is
     zero wherever neighbouring weights agree (all but s = 0, 1, N, N+1
-    for the trapezoid rule).  The first row and column are summed in
-    full, the increments come from one matmul over delta's support, and
-    each row adds them to the row above, shifted by one node.
+    for the trapezoid rule).  The first row and column are block Hankel
+    products, taken by HankelFFT, the increments come from one matmul
+    over delta's support, and each row adds them to the row above,
+    shifted by one node.
     compose of the two Hankel kernels (hankel_windows) is the reference.
 
     x enters only as a shift, xi_i + l h = xi_{i+l}, so an extension of
@@ -292,10 +279,12 @@ def assemble_Q(p, p_tilde, x, quad, extension=0):
     delta = -np.diff(w, prepend=0.0, append=0.0)
     steps = np.flatnonzero(delta)
     big = np.empty((E, a, E, m), dtype=np.result_type(a_vals, b_vals))
-    # row 0 transposed: Q[0][j]^T = sum_s b_{s+j}^T (w_s a_s)^T
-    big[0] = _hankel_sums(b_vals.transpose(0, 2, 1),
-                          (w[:, None, None] * a_vals[:K]).transpose(0, 2, 1)).transpose(2, 0, 1)
-    big[1:, :, 0] = _hankel_sums(a_vals[1:], w[:, None, None] * b_vals[:K])
+    # row 0: Q[0][j] = sum_s (w_s a_s) b_{s+j}, a row of blocks times the
+    # K x E Hankel matrix of b; column 0: Q[i][0] = sum_s a_{i+s} (w_s b_s)
+    wa = (w[:, None, None] * a_vals[:K]).transpose(1, 0, 2).reshape(a, K * n)
+    big[0] = HankelFFT(b_vals, K).left(wa).reshape(a, E, m)
+    wb = (w[:, None, None] * b_vals[:K]).reshape(K * n, m)
+    big[1:, :, 0] = HankelFFT(a_vals, E).right(wb).reshape(E, a, m)[1:]
     nodes = np.arange(E - 1)
     left = delta[steps, None, None] * a_vals[nodes[:, None] + steps]
     right = b_vals[steps[:, None] + nodes]
@@ -905,13 +894,13 @@ class PatchReport:
 def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     """Run the full pipeline over the scenario's (x,t) sample grid.
 
-    pairings gives each t row's evolved data and its companion; per
-    sample, solve, check det2, and record the centre value, the two
-    slices through the origin, and det2.  Each distinct time solves all
-    its x samples in one call (solve_samples), a skip carrying the det2
-    of the first rule that failed.  The slices are kept only when the
-    scenario's outputs read them ("slices", or "residuals" of a kind
-    with a kernel form).  Samples are
+    pairings evolves the scenario's data p0 to each t row and gives its
+    companion; per sample, solve, check det2, and record the centre
+    value, the two slices through the origin, and det2.  Each distinct
+    time solves all its x samples in one call (solve_samples), a skip
+    carrying the det2 of the first rule that failed.  The slices are
+    kept only when the scenario's outputs read them ("slices", or
+    "residuals" of a kind with a kernel form).  Samples are
     independent; rows of constant t are distributed over threads and
     written into index-addressed arrays, so the output does not depend on
     scheduling.  Rows that read p at the same times (t and -t for
@@ -938,7 +927,8 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     """
     xs = np.asarray(scenario.xs, dtype=float)
     ts = np.asarray(scenario.ts, dtype=float)
-    n, m = scenario.n, scenario.m
+    p0 = scenario.p0
+    n, m = p0.rows, p0.cols
     quad = scenario.quad
     K = quad.node_count
     nt, nx = ts.size, xs.size
@@ -946,7 +936,6 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     threshold = scenario.tolerances["patch_threshold"]
     tol = scenario.tolerances["solver_tol"]
 
-    p0 = sample_profile(scenario.initial, scenario.grid, n, m)
     rules = quadrature_rules(quad, scenario.richardson)
 
     center = np.full((nt, nx, n, m), np.nan, dtype=complex)

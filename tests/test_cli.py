@@ -549,6 +549,35 @@ def test_main_verify_shipped_scenario(path):
     assert main(["verify", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command, name, solves", [
+    ("solve", "nls_gaussian_2x2", 1),
+    ("study", "nls_rank_one_study", 3),
+    ("verify", "mkdv_gaussian", 0),
+], ids=["solve", "study", "verify"])
+def test_each_command_samples_the_initial_data_once(tmp_path, monkeypatch, command, name,
+                                                     solves):
+    # parse_scenario samples p0, and every reader takes the Scenario's:
+    # the solve, each study level and the verify checks sample nothing
+    sampled, solved = [], []
+    sample, evaluate = cli.sample_profile, cli.evaluate_solution
+
+    def counted(*args):
+        sampled.append(sample(*args))
+        return sampled[-1]
+
+    def recorded(scenario, **kwargs):
+        solved.append(scenario.p0)
+        return evaluate(scenario, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_profile", counted)
+    monkeypatch.setattr(cli, "evaluate_solution", recorded)
+    extra = {"solve": ["--out", str(tmp_path)], "study": ["--levels", "3"], "verify": []}
+    assert main([command, str(SCENARIO_DIR / (name + ".yaml"))] + extra[command]) == 0
+    assert len(sampled) == 1
+    assert len(solved) == solves
+    assert all(p0 is sampled[0] for p0 in solved)
+
+
 @pytest.mark.parametrize("threshold, code", [("1.0e-12", 0), ("1.0e-6", 1)])
 def test_main_verify_uses_the_scenario_patch_threshold(tmp_path, capsys, threshold, code):
     # det2 at x = 4 is about 3.9e-11, which solve accepts under 1e-12
@@ -601,10 +630,12 @@ def test_main_refuses_threads_below_one(tmp_path, capsys, command, threads):
 def test_traced_attributes_exist():
     # the traced benchmark wraps these attributes by name; a renamed one
     # would only show up there as calls = 0.  det2, solve_G and
-    # hankel_rhs were deleted when solve_edges took over their work: the
-    # tracer still names them and reports them as unwrapped, so they
+    # hankel_rhs were deleted when solve_edges took over their work, and
+    # fredholm reads the Scenario's p0 instead of calling sample_profile:
+    # the tracer still names them and reports them as unwrapped, so they
     # must be gone, and every other name must be there
-    deleted = {("fredholm", "det2"), ("fredholm", "solve_G"), ("fredholm", "hankel_rhs")}
+    deleted = {("fredholm", "det2"), ("fredholm", "solve_G"), ("fredholm", "hankel_rhs"),
+               ("fredholm", "sample_profile")}
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -658,7 +689,7 @@ def test_no_solve_takes_more_right_hand_sides_than_a_block_edge(tmp_path, monkey
     verified = len(widths)
     assert main(["solve", path, "--out", str(tmp_path)]) == 0
     assert 0 < verified < len(widths)
-    assert max(widths) <= max(sc.n, sc.m)
+    assert max(widths) <= max(sc.p0.rows, sc.p0.cols)
 
 
 @pytest.mark.parametrize("start, stop, count", [(-0.01, 0.01, 9), (-0.8, 0.8, 6),
@@ -721,8 +752,9 @@ def _loop_tables(sc):
 
     samples = [(it, ix, x, t) for it, t in enumerate(field_out.ts)
                for ix, x in enumerate(field_out.xs)]
-    tables = {"center.tsv": "\t".join(["x", "t"] + heads("g", sc.n, sc.m)
-                                      + heads("gt", sc.m, sc.n)) + "\n",
+    n, m = sc.p0.rows, sc.p0.cols
+    tables = {"center.tsv": "\t".join(["x", "t"] + heads("g", n, m)
+                                      + heads("gt", m, n)) + "\n",
               "det2.tsv": "x\tt\tre_det2\tim_det2\tabs_det2\n"}
     for it, ix, x, t in samples:
         tables["center.tsv"] += fmt([x, t] + pairs(field_out.center[it, ix])
@@ -730,7 +762,7 @@ def _loop_tables(sc):
         d = report.det2[it, ix]
         tables["det2.tsv"] += fmt([x, t, d.real, d.imag, abs(d)])
     for which, data in (("y", field_out.slice_y), ("z", field_out.slice_z)):
-        text = "\t".join(["x", "t", "xi"] + heads("g", sc.n, sc.m)) + "\n"
+        text = "\t".join(["x", "t", "xi"] + heads("g", n, m)) + "\n"
         for it, ix, x, t in samples:
             for k, xi in enumerate(field_out.quad.nodes):
                 text += fmt([x, t, xi] + pairs(data[it, ix, k]))
@@ -849,10 +881,11 @@ def test_rank_one_reference_only_for_separable_scalar_exponentials(tmp_path):
     sc = parse_scenario(write_scenario(tmp_path, RANK_ONE_ASYMMETRIC_T % "kind: local_nls"))
     assert cli._rank_one_reference(sc) is not None
     gauss = cli.InitialDataSpec(kind="gaussian", amplitude=[[1.0]], width=1.0)
+    square = cli.InitialDataSpec(kind="exponential", amplitude=np.eye(2), rate=1.0)
     for changed in (dict(kind=replace(sc.kind, companion="transpose_rev_spacetime")),
                     dict(kind=replace(sc.kind, companion="neg_adjoint_rev_spacetime")),
-                    dict(initial=gauss),
-                    dict(n=2, m=2)):
+                    dict(p0=sample_profile(gauss, sc.p0.grid, 1, 1)),
+                    dict(p0=sample_profile(square, sc.p0.grid, 2, 2))):
         assert cli._rank_one_reference(replace(sc, **changed)) is None, changed
 
 
@@ -994,8 +1027,10 @@ def complex_nls_2x2():
     (the same modulus): no row is the conjugate of another."""
     sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
     amplitude = [[0.5, 0.2 + 0.25j], [0.1, 0.4]]
-    assert np.allclose(np.abs(amplitude), np.abs(sc.initial.amplitude), atol=1e-3)
-    return replace(sc, initial=replace(sc.initial, amplitude=amplitude))
+    spec = cli.InitialDataSpec(kind="gaussian", amplitude=amplitude, width=1.0)
+    p0 = sample_profile(spec, sc.p0.grid, 2, 2)
+    assert np.allclose(np.abs(p0.samples), np.abs(sc.p0.samples), atol=1e-3)
+    return replace(sc, p0=p0)
 
 
 @pytest.mark.parametrize("name, calls", [
@@ -1046,7 +1081,7 @@ def test_a_run_is_dropped_before_the_next_is_built(monkeypatch):
                      (complex_nls_2x2(), 9)):
         h = sc.quad.spacing
         sc = replace(sc, xs=-1.0 + h * np.array([0.0, 1.0, 2.0, 0.5, 1.5]))
-        assert ([len(offsets) for _, _, offsets in fredholm.x_runs(sc.xs, sc.grid, sc.quad)]
+        assert ([len(offsets) for _, _, offsets in fredholm.x_runs(sc.xs, sc.p0.grid, sc.quad)]
                 == [3, 2])
         dense.clear()
         alive.clear()
@@ -1065,6 +1100,58 @@ def test_tables_are_bitwise_identical_across_threads(tmp_path):
             assert run(sc, out_dir=str(out), threads=threads) == 0
             tables.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
         assert tables[0] and tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("name", ["nls_gaussian_2x2", "coupled_diffusion", "kdv_positive_pole"])
+def test_permuting_ts_permutes_the_rows(name):
+    # a row is its time's solve, whatever the order of ts: conjugated from
+    # its mirror (nls_gaussian_2x2), paired with the partner read at -t
+    # (coupled_diffusion) or skipped (kdv_positive_pole), the same bits
+    sc = parse_scenario(str(SCENARIO_DIR / (name + ".yaml")))
+    want, want_report = fredholm.evaluate_solution(sc, threads=2)
+    count = sc.ts.size
+    for order in (np.arange(count)[::-1], np.r_[1:count:2, 0:count:2][::-1]):
+        got, report = fredholm.evaluate_solution(replace(sc, ts=sc.ts[order]), threads=2)
+        for values, reference in ((got.center, want.center),
+                                  (got.center_tilde, want.center_tilde),
+                                  (report.det2, want_report.det2),
+                                  (report.backward_error, want_report.backward_error)):
+            assert (values is None) == (reference is None)
+            if values is not None:
+                assert np.array_equal(values, reference[order], equal_nan=True)
+        assert report.conjugated_rows == want_report.conjugated_rows
+        where = np.argsort(order)
+        assert sorted(report.skipped) == sorted((where[it], *rest)
+                                                for it, *rest in want_report.skipped)
+    assert bool(want_report.skipped) == (name == "kdv_positive_pole")
+
+
+def _table_numbers(path):
+    """A table's numbers, row by row: every column but residuals' names."""
+    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    return np.array([[float(v) for v in (row[1:] if path.name == "residuals.tsv" else row)]
+                     for row in rows])
+
+
+@pytest.mark.parametrize("name", ["mkdv_gaussian", "nls_gaussian_2x2"])
+def test_the_numpy_linalg_fallback_solves_end_to_end(tmp_path, monkeypatch, name):
+    # where numpy's OpenBLAS exports no getrf, LU is numpy.linalg's and
+    # the BLAS thread count is left alone: dense solves in real
+    # arithmetic (mkdv_gaussian) and in complex arithmetic, with the rows
+    # at -t conjugated (nls_gaussian_2x2), give the getrf path's tables
+    # to round-off
+    sc = parse_scenario(str(SCENARIO_DIR / (name + ".yaml")))
+    code = run(sc, out_dir=str(tmp_path / "getrf"), threads=1)
+    monkeypatch.setattr(lapack, "_routines", lambda: {})
+    assert run(sc, out_dir=str(tmp_path / "numpy"), threads=1) == code
+    manifest = json.loads((tmp_path / "numpy" / "manifest.json").read_text())
+    assert manifest["factorisation"] == "numpy-linalg" and manifest["blas_threads"] is None
+    tables = sorted((tmp_path / "getrf").glob("*.tsv"))
+    assert tables and sorted(manifest["outputs"]) == [p.name for p in tables]
+    for path in tables:
+        want, got = _table_numbers(path), _table_numbers(tmp_path / "numpy" / path.name)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_slices_are_held_only_when_read(tmp_path, monkeypatch):
@@ -1185,7 +1272,7 @@ def test_rows_at_minus_t_are_the_conjugates_of_their_mirrors(tmp_path, name):
             assert np.array_equal(values[it], np.conj(values[mirror]))
         assert np.array_equal(report.backward_error[it], report.backward_error[mirror])
     kind, tol = sc.kind, sc.tolerances["solver_tol"]
-    p0 = sample_profile(sc.initial, sc.grid, sc.n, sc.m)
+    p0 = sc.p0
     assert (p0.exp_tag is not None) == name.endswith("_exponential")
     rules = fredholm.quadrature_rules(sc.quad, sc.richardson)
     for it, _ in mirrors:

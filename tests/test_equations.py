@@ -32,12 +32,13 @@ def wave_field(xs, ts, func):
                          slice_y=None, slice_z=None)
 
 
-def scenario_stub(**kw):
-    base = dict(n=1, m=1, kind=resolve_kind("local_nls"), richardson=False,
+def scenario_stub(grid, initial, n=1, m=1, **kw):
+    """A scenario's fields, its data p0 sampled as parse_scenario samples it."""
+    base = dict(kind=resolve_kind("local_nls"), richardson=False,
                 outputs=("center", "residuals"),
                 tolerances={"patch_threshold": 1e-8, "solver_tol": 1e-10})
     base.update(kw)
-    return SimpleNamespace(**base)
+    return SimpleNamespace(p0=sample_profile(initial, grid, n, m), **base)
 
 
 def gaussian_scenario(X, M, L, N, xs, ts, amp, width=1.0, **kw):

@@ -87,12 +87,13 @@ def assert_edges_match(G, edges, tol):
         assert np.abs(got - want).max() <= tol * scale
 
 
-def scenario_stub(**kw):
-    base = dict(n=1, m=1, kind=resolve_kind("local_nls"), richardson=False,
+def scenario_stub(grid, initial, n=1, m=1, **kw):
+    """A scenario's fields, its data p0 sampled as parse_scenario samples it."""
+    base = dict(kind=resolve_kind("local_nls"), richardson=False,
                 outputs=("center", "slices"),
                 tolerances={"patch_threshold": 1e-8, "solver_tol": 1e-10})
     base.update(kw)
-    return SimpleNamespace(**base)
+    return SimpleNamespace(p0=sample_profile(initial, grid, n, m), **base)
 
 
 def test_make_quadrature_example():
@@ -672,8 +673,9 @@ def test_one_factorisation_per_rule_and_no_dense_composition(kind, richardson, p
     rows = 2 if kind == "local_nls" else 3
     cases = [(sc, rows)]
     if kind == "local_nls":
-        complex_data = replace(sc.initial, amplitude=[[0.24 + 0.18j]])
-        cases.append((scenario_stub(**dict(vars(sc), initial=complex_data)), 3))
+        complex_data = InitialDataSpec(kind="gaussian", amplitude=[[0.24 + 0.18j]], width=1.0)
+        cases.append((SimpleNamespace(**dict(vars(sc), p0=sample_profile(complex_data, g, 1, 1))),
+                      3))
     for sc, rows in cases:
         made.clear()
         _, report = evaluate_solution(sc)
@@ -1145,7 +1147,8 @@ def test_range_finder_runs_once_per_run_rule_and_field(kind, richardson, calls, 
     cases = [(sc, 5 if kind == "local_nls" else ts.size)]
     if kind == "local_nls":
         complex_data = replace(initial, amplitude=[[0.5, 0.2 + 0.25j], [0.1, 0.4]])
-        cases.append((scenario_stub(**dict(vars(sc), initial=complex_data)), ts.size))
+        cases.append((SimpleNamespace(**dict(vars(sc), p0=sample_profile(complex_data, g, n, n))),
+                      ts.size))
     for sc, rows in cases:
         made.clear()
         _, report = evaluate_solution(sc, threads=2)
@@ -1166,7 +1169,7 @@ def nls_2x2_run(N, xs):
     kind = resolve_kind("local_nls")
     sc = scenario_stub(kind=kind, grid=g, n=2, m=2, quad=make_quadrature(8.0, N, g.spacing),
                        initial=initial, xs=xs, ts=np.array([0.005]))
-    (pair,) = pairings(sample_profile(initial, g, 2, 2), kind.params, kind.companion, [0.005])
+    (pair,) = pairings(sc.p0, kind.params, kind.companion, [0.005])
     return sc, pair
 
 
@@ -1248,8 +1251,7 @@ def test_a_sample_past_solver_tol_falls_back_to_dense_alone(monkeypatch):
     assert report.ranks == [rank, rank, rank, None]
     assert not report.any_below
     assert np.array_equal(got.center[0, :3], loose.center[0, :3])
-    (p, ptil), = pairings(sample_profile(initial, g, 2, 2), kind.params, kind.companion,
-                          [0.005])
+    (p, ptil), = pairings(sc.p0, kind.params, kind.companion, [0.005])
     with lapack.one_blas_thread():  # as evaluate_solution runs it
         dense = dense_edges(paired_Q(p, ptil, sc.xs[3], quad), p, sc.xs[3])
     assert np.array_equal(got.center[0, 3], dense[1])
@@ -1271,7 +1273,7 @@ def mixed_batch(monkeypatch):
     sc = scenario_stub(kind=kind, grid=g, n=2, m=2, quad=quad, initial=initial,
                        xs=-3.0 + quad.spacing * np.array([0, 8, 80, 120]), ts=np.array([0.005]),
                        tolerances={"patch_threshold": 0.6, "solver_tol": 1e-10})
-    (pair,) = pairings(sample_profile(initial, g, 2, 2), kind.params, kind.companion, [0.005])
+    (pair,) = pairings(sc.p0, kind.params, kind.companion, [0.005])
     return sc, pair
 
 
@@ -1459,8 +1461,7 @@ def test_a_skip_reports_the_first_rule_whose_det2_fails(monkeypatch):
     # the coarse rule's det2, as a per-sample loop over the rules would
     sc = kdv_scenario(xs=[-0.5, 0.0, 0.5], ts=[0.0])
     sc.tolerances = {"patch_threshold": 1e3, "solver_tol": 1e-10}
-    (p, _), = pairings(sample_profile(sc.initial, sc.grid, 1, 1), sc.kind.params,
-                       sc.kind.companion, [0.0])
+    (p, _), = pairings(sc.p0, sc.kind.params, sc.kind.companion, [0.0])
     _, report = evaluate_solution(sc)
     assert len(report.skipped) == 3
     for (_, ix, _, x, d2, reason), want in zip(report.skipped, sc.xs):

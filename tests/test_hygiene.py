@@ -88,14 +88,21 @@ def _callers(sources, name):
     return calls
 
 
-@pytest.mark.parametrize("name", ["_range_basis", "LU", "solve_edges", "x_runs"])
+# the one module that calls each name: one range finder per run
+# (fredholm.Run), one factorisation per dense system (fredholm.solve_edges),
+# and one caller of that, the one place a sample's path is chosen
+# (fredholm.Run.solve); samples are grouped into runs in one place
+# (fredholm.solve_samples); the initial data are sampled once, by
+# cli.parse_scenario, and every command reads the Scenario's p0
+_ONE_CALLER = {"_range_basis": "fredholm.py", "LU": "fredholm.py",
+               "solve_edges": "fredholm.py", "x_runs": "fredholm.py",
+               "sample_profile": "cli.py"}
+
+
+@pytest.mark.parametrize("name", list(_ONE_CALLER))
 def test_one_caller_in_the_package(name):
-    # one range finder per run (fredholm.Run), one factorisation per
-    # dense system (fredholm.solve_edges), and one caller of that, the
-    # one place a sample's path is chosen (fredholm.Run.solve); samples
-    # are grouped into runs in one place (fredholm.solve_samples)
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert [path for path, _ in _callers(sources, name)] == ["fredholm.py"]
+    assert [path for path, _ in _callers(sources, name)] == [_ONE_CALLER[name]]
 
 
 def test_a_second_caller_is_caught():
