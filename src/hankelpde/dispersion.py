@@ -6,11 +6,11 @@ factor f(z) on each mode e^{z*s}: z = 2*pi*i*k for the grid frequencies
 k, or z = rate for the single mode of an exp-tagged profile.  evolve is
 f(z) = e^{t*sigma(z)} with the flow polynomial sigma(z) = mu1*z^2 +
 mu2*z^3, so a profile at time t is one multiplier application from the
-data and there is no time stepping anywhere; spectral_derivative is
-f(z) = z^order.  A symbol with real coefficients (every derivative, and
-the flow when mu1 and mu2 are real) maps real data to real data;
-_multiply then uses the real inverse transform, so real profiles stay
-exactly real.
+data and there is no time stepping anywhere (the test suite's spectral
+derivative is f(z) = z^order).  A symbol with real coefficients (every
+derivative, and the flow when mu1 and mu2 are real) maps real data to
+real data; _multiply then uses the real inverse transform, so real
+profiles stay exactly real.
 """
 
 from dataclasses import dataclass
@@ -48,8 +48,8 @@ def _multiply(p, symbol, lift=lambda v: v, t=0.0, real=False):
     result is exactly real.  On an even grid the Nyquist mode is the one
     node pattern (-1)^j that e^{z s} and e^{-z s} share; the real path
     scales it by lift(Re symbol(z)), the symbol's even part, so the
-    evolution stays a group and spectral_derivative stays its generator
-    there as on every other mode.
+    evolution stays a group and the spectral derivative (f(z) = z) stays
+    its generator there as on every other mode.
     """
     if p.exp_tag is not None:
         rate, amp = p.exp_tag
@@ -84,32 +84,3 @@ def evolve(p, params, t):
 
     real = complex(params.mu1).imag == 0.0 and complex(params.mu2).imag == 0.0
     return _multiply(p, lambda z: t * exp_rate_symbol(params, z), guarded_exp, t, real)
-
-
-def spectral_derivative(p, order=1):
-    """Exact d^order/ds^order of a profile on its grid."""
-    return _multiply(p, lambda z: z ** order, real=True)
-
-
-def dispersion_residual(profiles, params):
-    """Max norm of dp/dt - mu1 p_ss - mu2 p_sss over interior snapshots.
-
-    Takes a family of >= 3 profiles at uniformly spaced times; the time
-    derivative is a centered difference across neighbouring snapshots,
-    the space derivatives are exact spectral ones, so the result decays
-    like dt^2 when the family really solves the linear equation.
-    """
-    if len(profiles) < 3:
-        raise ValueError("need at least 3 snapshots, got %d" % len(profiles))
-    ts = np.array([q.time_stamp for q in profiles])
-    dts = np.diff(ts)
-    dt = dts[0]
-    if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("snapshots must be at uniformly increasing times")
-    worst = 0.0
-    for j in range(1, len(profiles) - 1):
-        dpdt = (profiles[j + 1].samples - profiles[j - 1].samples) / (2.0 * dt)
-        rhs = (params.mu1 * spectral_derivative(profiles[j], 2).samples
-               + params.mu2 * spectral_derivative(profiles[j], 3).samples)
-        worst = max(worst, float(np.abs(dpdt - rhs).max()))
-    return worst

@@ -10,16 +10,13 @@ x-derivative) with a two-layer boundary exclusion; nonlocal kinds need
 (x,t) grids symmetric about 0 in each reversed coordinate so reflected
 samples exist on-grid.  Every residual returns (max_norm, fields on the
 interior samples); patch-skipped samples (NaN) drop out of the maxima.
-The profile-level checks take their pairs from fredholm.pairings.
 """
 
 from dataclasses import dataclass
 import numpy as np
 
 from .companion import companion_field, companion_parameters
-from .dispersion import dispersion_residual
-from .fredholm import (DiscreteKernel, PatchError, assemble_Q, compose, hankel_values,
-                       nystrom_matrix, pairings, quadrature_rules, solve_samples)
+from .fredholm import DiscreteKernel, assemble_Q, compose, hankel_values, nystrom_matrix
 from .kinds import resolve_kind
 
 
@@ -181,56 +178,6 @@ def residual_coupled(field):
     R2 = _flow(Gp, Cp, C, _d_x(Gp, dx), dt, dx,
                companion_parameters(kind.companion, kind.params))
     return max(_nanmax_abs(R1), _nanmax_abs(R2)), (R1, R2)
-
-
-def companion_consistency_residual(p0, kind, params, t_samples):
-    """Finite-difference residual of the companion linear flow.
-
-    Builds the companion family over t_samples and measures how well it
-    satisfies dp~/dt = -mu1 p~_ss + mu2 p~_sss (companion parameters).
-    Small values certify the kind/parameter pairing.
-    """
-    if len(t_samples) < 3:
-        raise ValueError("need at least 3 time samples, got %d" % len(t_samples))
-    family = [ptil for _, ptil in pairings(p0, params, kind, t_samples)]
-    return dispersion_residual(family, companion_parameters(kind, params))
-
-
-def miura_check(p0, quad, xs, ts, richardson=False):
-    """Max defect of the KdV/mKdV coupling identity.
-
-    From the same symmetric square profile, evolved under the
-    third-order flow, solve the mKdV system (companion -p^T, so the
-    composed kernel is -P.P) and the primitive KdV system (Q = -P), and
-    measure d<G_kdv>/dx - d<G_mkdv>/dx - <G_mkdv>^2 with centered x
-    differences.  Second-order accurate in the x step and quadrature.
-    A sample whose det2 falls below the patch threshold raises PatchError.
-    """
-    sym_err = np.abs(p0.samples - _tr(p0.samples)).max()
-    scale = max(np.abs(p0.samples).max(), 1.0)
-    if sym_err > 1e-12 * scale:
-        raise ValueError("miura_check needs matrix-symmetric data "
-                         "(defect %g)" % sym_err)
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    dx = _uniform_step(xs, "x", minimum=3)
-    rules = quadrature_rules(quad, richardson)
-    mkdv = resolve_kind("local_mkdv")
-
-    worst = 0.0
-    for t, (p_t, ptil) in zip(ts, pairings(p0, mkdv.params, mkdv.companion, ts)):
-        gm = np.empty((xs.size, p0.rows, p0.cols), dtype=complex)
-        gk = np.empty_like(gm)
-        for g, pairing in ((gm, ptil), (gk, None)):
-            for ix, (x, edges) in enumerate(zip(xs, solve_samples(p_t, pairing, xs, rules))):
-                if edges.row is None:
-                    raise PatchError(edges.det2, x, t)
-                g[ix] = edges.row[-1]
-        dgk = (gk[2:] - gk[:-2]) / (2.0 * dx)
-        dgm = (gm[2:] - gm[:-2]) / (2.0 * dx)
-        defect = dgk - dgm - gm[1:-1] @ gm[1:-1]
-        worst = max(worst, float(np.abs(defect).max()))
-    return worst
 
 
 def _kernel_from_callable(f, quad):

@@ -51,8 +51,8 @@ finder on H, whose basis U holds every sample's P, or, where the rank
 passes k/4, one extended Q (assemble_Q's extension; none for
 neg_identity, whose samples each take their kdv_Q, a free view).  It
 returns one Edges per sample, in xs order, combined over the rules by
-combine_rules, the one Richardson combination; evaluate_solution and
-equations.miura_check call it.
+combine_rules, the one Richardson combination; evaluate_solution calls
+it.
 
 The coupled kind's partner needs no solve of its own.  Its pairing at t
 is P~_t = P_{-t}^T, so by the push-through identity
@@ -841,15 +841,17 @@ class SolutionField:
 @dataclass
 class PatchReport:
     """det2 and backward-error bookkeeping over the sample grid, the
-    skipped samples (it, ix, t, x, det2, reason), the rank of every
-    system solved (Edges.ranks: r for a low-rank solve, None for a dense
-    one; per rule of each kept sample, each system once, so the coupled
-    kind adds its partner's only where -t is not a sample time, and a
-    conjugated row adds none), the threads the run used: row workers, and
-    the OpenBLAS count they ran at (None where it could not be set), and
-    conjugated_rows, the number of t rows filled by conjugating the solve
-    at -t (a conjugation-reversible kind on exactly real data).  A sample
-    is skipped for its "det2" (below the patch threshold) or its
+    skipped samples (it, ix, t, x, det2, reason), sorted by (it, ix), the
+    rank of every system solved (Edges.ranks: r for a low-rank solve,
+    None for a dense one): the ranks of every record solve_samples
+    returned, once per solved time and sample, skipped samples included,
+    since their factorisation or core ran; the coupled partner's solve at
+    a -t that is no sample time counts, and a conjugated row adds none.
+    Then the threads the run used: row workers, and the OpenBLAS count
+    they ran at (None where it could not be set), and conjugated_rows,
+    the number of t rows filled by conjugating the solve at -t (a
+    conjugation-reversible kind on exactly real data).  A sample is
+    skipped for its "det2" (below the patch threshold) or its
     "backward_error" (above solver_tol, which the backward_error array
     still records); a coupled sample also for its partner's, checked
     after its own."""
@@ -894,36 +896,39 @@ class PatchReport:
 def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     """Run the full pipeline over the scenario's (x,t) sample grid.
 
-    pairings evolves the scenario's data p0 to each t row and gives its
-    companion; per sample, solve, check det2, and record the centre
-    value, the two slices through the origin, and det2.  Each distinct
+    pairings evolves the scenario's data p0 to each solved time and gives
+    its companion; per sample, solve, check det2, and record the centre
+    value, the two slices through the origin, and det2.  Each solved
     time solves all its x samples in one call (solve_samples), a skip
     carrying the det2 of the first rule that failed.  The slices are
     kept only when the scenario's outputs read them ("slices", or
-    "residuals" of a kind with a kernel form).  Samples are
-    independent; rows of constant t are distributed over threads and
-    written into index-addressed arrays, so the output does not depend on
-    scheduling.  Rows that read p at the same times (t and -t for
-    time-reversed maps) run as one task, so each distinct time is evolved
-    and solved once and only the running tasks' profiles are held; the
-    coupled kind's partner at t is the solve at -t, transposed, and a -t
-    that is no sample time is solved in the same task.  A
-    conjugation-reversible kind on exactly real p0 samples (no
-    tolerance, as in hankel_values) groups t with -t too: the
-    non-negative member of each pair is evolved and solved, and the other
-    row is its conjugate, with the same backward error and skips (module
-    docstring); a t whose mirror is no sample time is solved.  The path
-    depends only on the kind and the data, at every --threads.
-    The pool has min(threads, CPUs) workers, and OpenBLAS runs at one
-    thread while it works, whatever the layout: the round-off of its
-    factorisations and products depends on its thread count, so one
-    count for every layout keeps the output the same at every --threads.
+    "residuals" of a kind with a kernel form).
+
+    The times to solve are fixed before any task runs: need, the sample
+    times plus, for the coupled kind, their mirrors -t (the partner at t
+    is the solve at -t, transposed); and copies, the t < 0 of need whose
+    mirror -t is in need, when the kind is conjugation-reversible and
+    the p0 samples are exactly real (no tolerance, as in hankel_values).
+    A copy is not solved: its records are the conjugated records of the
+    solve at -t, with the same backward error and skips (module
+    docstring).  Rows are grouped into one task per |t|, which solves
+    the members of {-|t|, |t|} in need and not in copies, so each time is
+    evolved and solved once and only the running tasks' profiles are
+    held.  Tasks write their rows into index-addressed arrays and return
+    their skips and the ranks of the records they solved, so the output
+    does not depend on scheduling, and the path depends only on the kind
+    and the data, at every --threads.  The pool has min(threads, CPUs)
+    workers, and OpenBLAS runs at one thread while it works, whatever the
+    layout: the round-off of its factorisations and products depends on
+    its thread count, so one count for every layout keeps the output the
+    same at every --threads.
 
     When |det2| falls below the patch threshold the sample is recorded
     as skipped (NaN field values) and the run continues, unless
     skip_on_patch_error=False, in which case a PatchError is raised with
-    its (x,t) location.  A sample whose backward error exceeds
-    solver_tol is skipped the same way, and never raises.
+    its (x,t) location, at the first such sample in task order.  A
+    sample whose backward error exceeds solver_tol is skipped the same
+    way, and never raises.
     """
     xs = np.asarray(scenario.xs, dtype=float)
     ts = np.asarray(scenario.ts, dtype=float)
@@ -947,29 +952,26 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     center_tilde = np.full((nt, nx, m, n), np.nan, dtype=complex) if kind.coupled else None
     det2_vals = np.full((nt, nx), np.nan, dtype=complex)
     berr = np.full((nt, nx), np.nan)
-    skipped = [[] for _ in range(nt)]
-    ranks = [[] for _ in range(nt)]
 
+    need = set(ts) | ({-t for t in ts} if kind.coupled else set())
     # G(x, -t) = conj G(x, t) (module docstring)
     mirrored = kind.conjugation_reversible and not p0.samples.imag.any()
-    reverse = time_reversed(kind.companion)
+    copies = {t for t in need if mirrored and t < 0 and -t in need}
     tasks = {}
     for it, t in enumerate(ts):
-        tasks.setdefault(abs(t) if reverse or mirrored else t, []).append(it)
-    conjugated = [False] * nt
+        tasks.setdefault(abs(t), []).append(it)
 
-    def run_rows(rows):
-        own = list(ts[rows])
-        times = list(dict.fromkeys(own + ([-t for t in own] if kind.coupled else [])))
-        copies = [t for t in times if mirrored and t < 0 and -t in times]
-        at = [t for t in times if t not in copies]
+    def run_rows(a, rows):
+        # dict.fromkeys: a = 0 is one time, -0.0 == 0.0
+        at = [t for t in dict.fromkeys((a, -a)) if t in need and t not in copies]
         # per time, every sample's Edges
         solved = {t: solve_samples(p_t, ptil, xs, rules, threshold, tol)
                   for t, (p_t, ptil) in zip(at, pairings(p0, kind.params, kind.companion, at))}
-        solved.update({t: [e.conjugate() for e in solved[-t]] for t in copies})
+        if -a in copies:
+            solved[-a] = [e.conjugate() for e in solved[a]]
+        skipped = []
         for it in rows:
             t = ts[it]
-            conjugated[it] = t in copies
             # the sample's own solve first, then its coupled partner's
             mirror = (t, -t) if kind.coupled else (t,)
             for ix, x in enumerate(xs):
@@ -979,34 +981,30 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                 if skip is not None:
                     if not skip_on_patch_error:
                         raise PatchError(skip.det2, x, t)
-                    skipped[it].append((it, ix, float(t), float(x), skip.det2, "det2"))
+                    skipped.append((it, ix, float(t), float(x), skip.det2, "det2"))
                     continue
                 berr[it, ix] = max(e.berr for e in edges)
                 if not berr[it, ix] <= tol:
-                    skipped[it].append((it, ix, float(t), float(x), edges[0].det2,
-                                        "backward_error"))
+                    skipped.append((it, ix, float(t), float(x), edges[0].det2, "backward_error"))
                     continue
                 center[it, ix] = edges[0].row[-1]
                 if slice_y is not None:
                     slice_y[it, ix], slice_z[it, ix] = edges[0].col, edges[0].row
                 if kind.coupled:
                     center_tilde[it, ix] = edges[1].row[-1].T
-                # each system once: a mirror that is a sample time counts
-                # its own, and a conjugated record none
-                for s, e in zip(mirror[:1] if -t in own else mirror, edges):
-                    if s not in copies:
-                        ranks[it].extend(e.ranks)
+        return skipped, [r for t in at for e in solved[t] for r in e.ranks]
 
     workers = min(threads, cores())
     with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_rows, tasks.values()))
+        done = list(pool.map(run_rows, tasks, tasks.values()))
 
     field_out = SolutionField(xs=xs, ts=ts, quad=quad, center=center,
                               slice_y=slice_y, slice_z=slice_z,
                               center_tilde=center_tilde)
-    flat_skips = [s for row in skipped for s in row]
-    report = PatchReport(det2=det2_vals, skipped=flat_skips, backward_error=berr,
-                         ranks=[r for row in ranks for r in row],
+    report = PatchReport(det2=det2_vals,
+                         skipped=sorted((s for skipped, _ in done for s in skipped),
+                                        key=lambda s: s[:2]),
+                         backward_error=berr, ranks=[r for _, ranks in done for r in ranks],
                          workers=workers, blas_threads=blas_threads,
-                         conjugated_rows=sum(conjugated))
+                         conjugated_rows=sum(t in copies for t in ts))
     return field_out, report

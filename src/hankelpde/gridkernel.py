@@ -181,7 +181,3 @@ def exponential_profile(grid, rate, amp, time_stamp):
     return MatrixProfile(grid=grid, samples=samples, time_stamp=time_stamp,
                          exp_tag=(rate, amp))
 
-
-def eval_at(p, s):
-    """Value of the profile at the grid node s (exact lookup)."""
-    return p.samples[p.grid.node_index(s)]

@@ -27,7 +27,6 @@ from hankelpde.cli import convergence_study, main, parse_scenario
 from hankelpde.companion import companion_profile
 from hankelpde.dispersion import DispersionParams, evolve
 from hankelpde.equations import (
-    miura_check,
     product_rule_check,
     residual_local,
     u_identity_check,
@@ -47,6 +46,7 @@ from hankelpde.gridkernel import (
     sample_profile,
 )
 from hankelpde.kinds import resolve_kind
+from oracles import miura_check
 from test_fredholm import dense_edges
 
 

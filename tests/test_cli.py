@@ -997,7 +997,8 @@ def test_run_patch_skip_above_the_cutoff_comes_from_the_lowrank_core(tmp_path, m
     manifest = json.loads((out / "manifest.json").read_text())
     assert [row[:2] for row in manifest["skipped"]] == [[1, 1]]
     assert abs(manifest["skipped"][0][4]) < sc.tolerances["patch_threshold"]
-    assert (manifest["lowrank_solves"], manifest["dense_solves"]) == (11, 0)
+    # 12 samples, the skipped one's core included
+    assert (manifest["lowrank_solves"], manifest["dense_solves"]) == (12, 0)
 
 
 def test_verify_certifies_the_lowrank_path(monkeypatch):
@@ -1124,6 +1125,41 @@ def test_permuting_ts_permutes_the_rows(name):
         assert sorted(report.skipped) == sorted((where[it], *rest)
                                                 for it, *rest in want_report.skipped)
     assert bool(want_report.skipped) == (name == "kdv_positive_pole")
+
+
+@pytest.mark.parametrize("name, times", [("coupled_diffusion", 9), ("rev_time_nls", 5),
+                                         ("kdv_positive_pole", 4)])
+def test_the_ranks_are_those_of_every_solved_record(tmp_path, monkeypatch, name, times):
+    # PatchReport.ranks holds the ranks of every record solve_samples
+    # returned, each solved time once, at every --threads: the coupled
+    # partners at the -t that are no sample times (t >= 0 only: 1 + 2 * 4
+    # times), none for the 4 conjugated rows of real-amplitude
+    # rev_time_nls, and the skipped pole sample's own core
+    text = (SCENARIO_DIR / (name + ".yaml")).read_text()
+    sc = parse_scenario(write_scenario(tmp_path, text.replace("0.6+0.45i", "0.75")))
+    if name == "coupled_diffusion":
+        sc = replace(sc, ts=sc.ts[sc.ts >= 0])
+    solve = fredholm.solve_samples
+    returned = []
+
+    def recorded(*args):
+        records = solve(*args)
+        returned.append(records)
+        return records
+
+    monkeypatch.setattr(fredholm, "solve_samples", recorded)
+    solved = []
+    for threads in (1, 2):
+        returned.clear()
+        _, report = fredholm.evaluate_solution(sc, threads=threads)
+        calls = [[r for edges in records for r in edges.ranks] for records in returned]
+        if threads == 1:
+            assert report.ranks == [r for call in calls for r in call]
+        solved.append((report.ranks, sorted(calls, key=repr)))
+    assert solved[0] == solved[1]
+    assert len(report.ranks) == times * sc.xs.size
+    assert report.conjugated_rows == (4 if name == "rev_time_nls" else 0)
+    assert bool(report.skipped) == (name == "kdv_positive_pole")
 
 
 def _table_numbers(path):

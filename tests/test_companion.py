@@ -11,15 +11,14 @@ from hankelpde.companion import (
     time_reversed,
 )
 from hankelpde.dispersion import DispersionParams, evolve
-from hankelpde.equations import companion_consistency_residual
 from hankelpde.fredholm import pairings
 from hankelpde.gridkernel import (
     InitialDataSpec,
     MatrixProfile,
-    eval_at,
     make_uniform_grid,
     sample_profile,
 )
+from oracles import companion_consistency_residual
 
 NLS = DispersionParams(mu1=-1j, mu2=0.0)
 KDV = DispersionParams(mu1=0.0, mu2=-1.0)
@@ -58,7 +57,7 @@ def test_neg_transpose_nilpotent_matrix():
                        g, 2, 2)
     q = companion_profile(p, "neg_transpose")
     want = np.array([[0.0, 0.0], [-np.exp(-0.5), 0.0]])
-    assert np.abs(eval_at(q, -0.5) - want).max() < 1e-15
+    assert np.abs(q.samples[q.grid.node_index(-0.5)] - want).max() < 1e-15
 
 
 def test_rev_spacetime_of_exponential_closed_form():
@@ -70,7 +69,7 @@ def test_rev_spacetime_of_exponential_closed_form():
     t = 0.7
     q = pairings(p0, KDV, "transpose_rev_spacetime", [t])[0][1]
     s = g.nodes[10]
-    assert abs(eval_at(q, s)[0, 0] - np.exp(-s + t)) < 1e-12
+    assert abs(q.samples[q.grid.node_index(s)][0, 0] - np.exp(-s + t)) < 1e-12
     assert q.time_stamp == pytest.approx(t)
 
 
@@ -120,7 +119,7 @@ def test_exponential_tag_companion_closed_form():
     s = g.nodes[20]
     # p(s;t) = A e^{a s - a^3 t}, so -p^dagger(-s;-t) = -A^dagger e^{-a s + a^3 t}
     want = -A.conj().T * np.exp(-a * s + a ** 3 * t)
-    assert np.abs(eval_at(q, s) - want).max() < 1e-12
+    assert np.abs(q.samples[q.grid.node_index(s)] - want).max() < 1e-12
     assert q.exp_tag[0] == -a
 
 

@@ -1,10 +1,7 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from hankelpde.equations import (
-    miura_check,
     product_rule_check,
     residual_coupled,
     residual_kernel,
@@ -19,6 +16,7 @@ from hankelpde.fredholm import (
 )
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
 from hankelpde.kinds import resolve_kind
+from oracles import miura_check, scenario_stub
 
 
 def grid_1d(span, count):
@@ -32,20 +30,12 @@ def wave_field(xs, ts, func):
                          slice_y=None, slice_z=None)
 
 
-def scenario_stub(grid, initial, n=1, m=1, **kw):
-    """A scenario's fields, its data p0 sampled as parse_scenario samples it."""
-    base = dict(kind=resolve_kind("local_nls"), richardson=False,
-                outputs=("center", "residuals"),
-                tolerances={"patch_threshold": 1e-8, "solver_tol": 1e-10})
-    base.update(kw)
-    return SimpleNamespace(p0=sample_profile(initial, grid, n, m), **base)
-
-
 def gaussian_scenario(X, M, L, N, xs, ts, amp, width=1.0, **kw):
     g = make_uniform_grid(X, M)
     init = InitialDataSpec(kind="gaussian", amplitude=amp, width=width)
     quad = make_quadrature(L, N, g.spacing)
-    return scenario_stub(grid=g, quad=quad, initial=init, xs=xs, ts=ts, **kw)
+    return scenario_stub(grid=g, quad=quad, initial=init, xs=xs, ts=ts,
+                         outputs=("center", "residuals"), **kw)
 
 
 def test_residual_zero_field_every_kind():
@@ -277,6 +267,7 @@ def test_coupled_residual_converges():
         ts = grid_1d(0.06, count)
         quad = make_quadrature(6.0, N, g.spacing)
         sc = scenario_stub(grid=g, quad=quad, initial=init, xs=xs, ts=ts,
+                           outputs=("center", "residuals"),
                            kind=resolve_kind("coupled_diffusion"))
         field, _ = evaluate_solution(sc)
         _, (R1, R2) = residual_coupled(field)

@@ -4,7 +4,6 @@ import pytest
 from hankelpde.gridkernel import (
     InitialDataSpec,
     MatrixProfile,
-    eval_at,
     make_uniform_grid,
     sample_profile,
 )
@@ -36,9 +35,9 @@ def test_exponential_step_sampling():
     g = make_uniform_grid(4.0, 32)
     p = sample_profile(InitialDataSpec(kind="exponential_step", amplitude=[[1.0]], rate=1.0),
                        g, 1, 1)
-    assert abs(eval_at(p, -1.0)[0, 0] - np.exp(-1.0)) < 1e-15
-    assert eval_at(p, 0.0)[0, 0] == 1.0
-    assert eval_at(p, 0.25)[0, 0] == 0.0
+    assert abs(p.samples[p.grid.node_index(-1.0)][0, 0] - np.exp(-1.0)) < 1e-15
+    assert p.samples[p.grid.node_index(0.0)][0, 0] == 1.0
+    assert p.samples[p.grid.node_index(0.25)][0, 0] == 0.0
     assert p.time_stamp == 0.0
 
 
@@ -47,7 +46,7 @@ def test_exponential_step_matrix_at_zero():
     A = [[0.0, 1.0], [1.0, 0.0]]
     p = sample_profile(InitialDataSpec(kind="exponential_step", amplitude=A, rate=2.0),
                        g, 2, 2)
-    assert np.array_equal(eval_at(p, 0.0), np.array(A, dtype=complex))
+    assert np.array_equal(p.samples[p.grid.node_index(0.0)], np.array(A, dtype=complex))
 
 
 def test_zero_gaussian_is_zero_profile():
@@ -72,15 +71,13 @@ def test_sample_profile_validation():
         sample_profile(InitialDataSpec(kind="nope", amplitude=[[1.0]]), g, 1, 1)
 
 
-def test_eval_at_errors():
+def test_node_index_errors():
     g = make_uniform_grid(1.0, 8)
-    p = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[1.0]], width=0.3),
-                       g, 1, 1)
     with pytest.raises(ValueError):
-        eval_at(p, 2.0)  # out of domain
+        g.node_index(2.0)  # out of domain
     with pytest.raises(ValueError):
-        eval_at(p, 0.1)  # between nodes
-    assert eval_at(p, -0.25).shape == (1, 1)
+        g.node_index(0.1)  # between nodes
+    assert g.node_index(-0.25) == 3
 
 
 def test_exponential_kind_tagged_and_exact():
@@ -92,7 +89,7 @@ def test_exponential_kind_tagged_and_exact():
     assert rate == 1.5
     assert np.array_equal(amp, A)
     s = g.nodes[5]
-    assert abs(eval_at(p, s)[0, 0] - A[0, 0] * np.exp(1.5 * s)) < 1e-14
+    assert abs(p.samples[p.grid.node_index(s)][0, 0] - A[0, 0] * np.exp(1.5 * s)) < 1e-14
 
 
 def test_tabulated_round_trip():

@@ -76,6 +76,38 @@ def test_an_unused_definition_is_caught():
                                                      ("a.py", 8, "SPARE")]
 
 
+def _unreferenced(sources, exempt=()):
+    """(path, line, name) of each top-level function or class of the
+    sources, (path, name) not in exempt, that no other top-level function
+    or class names as code, as a name or an attribute: a docstring, a
+    comment, a string or an import does not count."""
+    defs = [(path, node) for path, text in sources.items() for node in ast.parse(text).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    named = {id(node): {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+             for _, node in defs}
+    return [(path, node.lineno, node.name) for path, node in defs
+            if (path, node.name) not in exempt
+            and not any(node.name in named[id(other)] for _, other in defs if other is not node)]
+
+
+def test_every_definition_is_run_by_the_package():
+    # src/ holds what a command runs: checks only the tests need live in
+    # tests/oracles.py; cli.main is the console script
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced(sources, exempt={("cli.py", "main")}) == []
+
+
+def test_a_definition_named_only_in_text_is_caught():
+    sources = {"a.py": ('def run():\n    """Calls helper."""\n    return Tool().go()\n\n\n'
+                        "def helper():\n    pass\n\n\n"
+                        "class Tool:\n    def go(self):\n"
+                        '        raise ValueError("spare failed")\n\n\n'
+                        "def spare():\n    return spare()\n"),
+               "b.py": "# helper\nfrom a import helper, spare\nprint('helper')\n"}
+    assert _unreferenced(sources, exempt={("a.py", "run")}) == [("a.py", 6, "helper"),
+                                                                ("a.py", 15, "spare")]
+
+
 def _callers(sources, name):
     """(path, line) of every call of name, as a plain or dotted name."""
     calls = []
@@ -92,11 +124,12 @@ def _callers(sources, name):
 # (fredholm.Run), one factorisation per dense system (fredholm.solve_edges),
 # and one caller of that, the one place a sample's path is chosen
 # (fredholm.Run.solve); samples are grouped into runs in one place
-# (fredholm.solve_samples); the initial data are sampled once, by
-# cli.parse_scenario, and every command reads the Scenario's p0
+# (fredholm.solve_samples), whose one caller is fredholm.evaluate_solution;
+# the initial data are sampled once, by cli.parse_scenario, and every
+# command reads the Scenario's p0
 _ONE_CALLER = {"_range_basis": "fredholm.py", "LU": "fredholm.py",
                "solve_edges": "fredholm.py", "x_runs": "fredholm.py",
-               "sample_profile": "cli.py"}
+               "solve_samples": "fredholm.py", "sample_profile": "cli.py"}
 
 
 @pytest.mark.parametrize("name", list(_ONE_CALLER))
