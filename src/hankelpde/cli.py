@@ -34,12 +34,9 @@ import yaml
 from . import __version__
 from .dispersion import GrowthError, evolve
 from .equations import (
-    _is_uniform,
-    _nanmax_abs,
+    is_uniform,
     product_rule_check,
-    residual_coupled,
-    residual_kernel,
-    residual_local,
+    residuals,
     sample_steps,
     u_identity_check,
 )
@@ -331,25 +328,20 @@ def _l2_norm(R, dx, dt):
     return float(np.sqrt(total * dx * dt))
 
 
-def _equation_residuals(kind, field_out):
-    """(name, interior residual field) of each equation the centre values
-    solve: both fields of the coupled pair, else the kind's local PDE."""
-    if kind.coupled:
-        _, (R1, R2) = residual_coupled(field_out)
-        return [("coupled_g", R1), ("coupled_g_tilde", R2)]
-    _, R = residual_local(kind, field_out)
-    return [(kind.name, R)]
+def _nanmax_abs(R):
+    """The largest |R| over the entries that are not NaN; NaN if none is."""
+    vals = np.abs(R)
+    if np.all(np.isnan(vals)):
+        return float("nan")
+    return float(np.nanmax(vals))
 
 
 def _residual_rows(scenario, field_out):
+    """(name, max, l2) of each residual row, each the larger over its fields."""
     dx, dt = sample_steps(scenario.kind, scenario.xs, scenario.ts)
-    rows = [(name, _nanmax_abs(R), _l2_norm(R, dx, dt))
-            for name, R in _equation_residuals(scenario.kind, field_out)]
-    if scenario.kind.has_kernel_form:
-        worst_k, (R1, R2) = residual_kernel(scenario.kind, field_out)
-        rows.append((scenario.kind.name + "_slices", worst_k,
-                     max(_l2_norm(R1, dx, dt), _l2_norm(R2, dx, dt))))
-    return rows
+    return [(name, max(_nanmax_abs(R) for R in fields),
+             max(_l2_norm(R, dx, dt) for R in fields))
+            for name, fields in residuals(scenario.kind, field_out)]
 
 
 def _finite_or_null(value):
@@ -529,7 +521,7 @@ def convergence_study(scenario, levels=3, threads=1):
     reference = _rank_one_reference(scenario)
     base_xs, base_ts = scenario.xs, scenario.ts
     for vals, label in ((base_xs, "x"), (base_ts, "t")):
-        if not _is_uniform(np.diff(vals)):
+        if not is_uniform(np.diff(vals)):
             raise ValueError("a study halves the steps of samples.%s, which "
                              "must be uniformly spaced" % label)
     if reference is None:
@@ -555,21 +547,23 @@ def convergence_study(scenario, levels=3, threads=1):
         if reference is not None:
             err = _nanmax_abs(field_out.center[:, :, 0, 0] - reference(xs, ts))
         else:
-            R = np.max([np.abs(F).max(axis=(-1, -2)) for _, F
-                        in _equation_residuals(scenario.kind, field_out)], axis=0)
+            R = np.max([np.abs(F).max(axis=(-1, -2)) for _, fields
+                        in residuals(scenario.kind, field_out) for F in fields], axis=0)
             # base-level interior sample j sits at refined index
             # j*factor; subtract the two-layer stencil trim
             it_in = factor * np.arange(2, base_ts.size - 2) - 2
             ix_in = factor * np.arange(2, base_xs.size - 2) - 2
-            err = float(np.nanmax(R[np.ix_(it_in, ix_in)]))
+            err = _nanmax_abs(R[np.ix_(it_in, ix_in)])
         dx = xs[1] - xs[0] if xs.size > 1 else 0.0
         dt = ts[1] - ts[0] if ts.size > 1 else 0.0
         out_levels.append(StudyLevel(N=sc.quad.intervals, dx=float(dx), dt=float(dt),
                                      error=err, skipped=len(patch.skipped)))
 
     errs = np.array([lv.error for lv in out_levels])
-    ratios = [float(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    slope = np.polyfit(np.arange(levels), np.log2(errs), 1)[0]
+    # a zero or NaN error makes its ratios and the order nan, without a warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = [float(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+        slope = np.polyfit(np.arange(levels), np.log2(errs), 1)[0]
     name = "closed-form" if reference is not None else "residual"
     return StudyReport(reference=name, levels=out_levels, ratios=ratios,
                        fitted_order=float(-slope))

@@ -1,15 +1,16 @@
 """Residuals of the nonlinear equations and the structural identities.
 
 Everything here is certification machinery: none of it feeds back into
-the solver.  Every residual but kdv_primitive's is the unified flow
+the solver.  residuals(kind, field) gives every equation a solved field
+obeys; all but kdv_primitive's are the unified flow
 g_t - mu1 g_xx - mu2 g_xxx - 2 mu1 g g~ g - 3 mu2 (g g~ g_x + g_x g~ g),
 whose partner g~ is the kind's companion map applied to the solved field
 (companion_field), or for coupled_diffusion the solved partner.  The
 stencils are centered and second order (5-point for the third
 x-derivative) with a two-layer boundary exclusion; nonlocal kinds need
 (x,t) grids symmetric about 0 in each reversed coordinate so reflected
-samples exist on-grid.  Every residual returns (max_norm, fields on the
-interior samples); patch-skipped samples (NaN) drop out of the maxima.
+samples exist on-grid.  A patch-skipped sample (NaN) spreads only over
+the stencils that read it.
 """
 
 from dataclasses import dataclass
@@ -17,14 +18,13 @@ import numpy as np
 
 from .companion import companion_field, companion_parameters
 from .fredholm import DiscreteKernel, assemble_Q, compose, hankel_values, nystrom_matrix
-from .kinds import resolve_kind
 
 
 def _tr(F):
     return np.swapaxes(F, -1, -2)
 
 
-def _is_uniform(steps):
+def is_uniform(steps):
     """Whether all steps agree with the first to relative 1e-9."""
     return np.allclose(steps, steps[:1], rtol=1e-9, atol=0.0)
 
@@ -35,7 +35,7 @@ def _uniform_step(vals, label, minimum=5):
         raise ValueError("%s grid needs at least %d samples for the stencils, got %d"
                          % (label, minimum, vals.size))
     steps = np.diff(vals)
-    if steps[0] <= 0 or not _is_uniform(steps):
+    if steps[0] <= 0 or not is_uniform(steps):
         raise ValueError("%s grid must be uniformly increasing" % label)
     return float(steps[0])
 
@@ -82,13 +82,6 @@ def _d_xxx(F, dx):
             - 2.0 * F[2:-2, 3:-1] + F[2:-2, 4:]) / (2.0 * dx ** 3)
 
 
-def _nanmax_abs(R):
-    vals = np.abs(R)
-    if np.all(np.isnan(vals)):
-        return float("nan")
-    return float(np.nanmax(vals))
-
-
 def _flow(F, C, M, Cx, dt, dx, params):
     """F_t - mu1 F_xx - mu2 F_xxx - 2 mu1 F M C - 3 mu2 (F M C_x + F_x M C).
 
@@ -108,76 +101,43 @@ def _flow(F, C, M, Cx, dt, dx, params):
     return R
 
 
-def residual_local(kind, field):
-    """Pointwise residual of the kind's local PDE at the centre values.
+def residuals(kind, field):
+    """(name, fields) of each equation the solved field obeys, every
+    field on the interior samples; kind is a ResolvedKind.
 
-    kind is a ResolvedKind (kinds.resolve_kind).  Returns (max_norm, R), R on the interior samples (the two-layer
-    boundary excluded).  For the coupled system use residual_coupled,
-    which needs both fields.
+    coupled_diffusion's G (field.center) and G~ (field.center_tilde)
+    obey the flow with each other as partner, G~ under the companion
+    parameters: rows coupled_g and coupled_g_tilde.  Any other kind
+    gives its local PDE, named after it, and a kind with a kernel form,
+    when the field holds the slices, one more row, <name>_slices: the
+    flow at the (y, 0) and (0, z) slices, the latter on transposed
+    operands, as (0, z) multiplies from the left.
     """
-    if kind.coupled:
-        raise ValueError("coupled system residuals need both fields; "
-                         "use residual_coupled")
     G = np.asarray(field.center)
     dx, dt = sample_steps(kind, field.xs, field.ts)
+    C, Cx = _interior(G), _d_x(G, dx)
+    if kind.coupled:
+        if field.center_tilde is None:
+            raise ValueError("coupled residual needs the partner field")
+        Gp = np.asarray(field.center_tilde)
+        Cp = _interior(Gp)
+        partner = companion_parameters(kind.companion, kind.params)
+        return [("coupled_g", (_flow(G, C, Cp, Cx, dt, dx, kind.params),)),
+                ("coupled_g_tilde", (_flow(Gp, Cp, C, _d_x(Gp, dx), dt, dx, partner),))]
     if kind.needs_square and G.shape[-1] != G.shape[-2]:
         raise ValueError("kind %r needs square matrix data" % (kind.name,))
-
-    Gx = _d_x(G, dx)
     if kind.name == "kdv_primitive":
-        R = _d_t(G, dt) + _d_xxx(G, dx) - 3.0 * (Gx @ Gx)
-    else:
-        M = _interior(companion_field(G, kind.companion))
-        R = _flow(G, _interior(G), M, Gx, dt, dx, kind.params)
-    return _nanmax_abs(R), R
+        return [(kind.name, (_d_t(G, dt) + _d_xxx(G, dx) - 3.0 * (Cx @ Cx),))]
 
-
-def residual_kernel(kind, field):
-    """Residual of the kernel (two-argument) equation on the slices.
-
-    Evaluates the flow at all (y, 0) and (0, z) pairs over the quadrature
-    nodes, with x and t derivatives taken along the sample grid; (0, z)
-    multiplies from the left, so it is the flow on transposed operands.
-    Only the kernel NLS and kernel mKdV families have kernel equations;
-    kind is a ResolvedKind.
-    Returns (max_norm, (R1, R2)), R1 on the (y, 0) and R2 on the (0, z) slices.
-    """
-    if not kind.has_kernel_form:
-        raise ValueError("kind %r has no kernel-equation form" % (kind.name,))
-    if field.slice_y is None or field.slice_z is None:
-        raise ValueError("kernel residual needs the g(y,0) and g(0,z) slices")
-    Sy = np.asarray(field.slice_y)
-    Sz = np.asarray(field.slice_z)
-    G = np.asarray(field.center)
-    dx, dt = sample_steps(kind, field.xs, field.ts)
-
-    C = _interior(G)[..., None, :, :]
-    M = _interior(companion_field(G, kind.companion))[..., None, :, :]
-    Cx = _d_x(G, dx)[..., None, :, :]
-    R1 = _flow(Sy, C, M, Cx, dt, dx, kind.params)
-    R2 = _tr(_flow(_tr(Sz), _tr(C), _tr(M), _tr(Cx), dt, dx, kind.params))
-    return max(_nanmax_abs(R1), _nanmax_abs(R2)), (R1, R2)
-
-
-def residual_coupled(field):
-    """Residuals of the coupled diffusion pair G (field.center) and G~.
-
-    G~ is field.center_tilde.  Each field obeys the unified flow with the
-    other as partner, G~ under the companion parameters:
-    dG/dt = G_xx + 2 G G~ G and dG~/dt = -G~_xx - 2 G~ G G~.
-    Returns (max_norm, (R1, R2)), the residual fields of G and G~.
-    """
-    if field.center_tilde is None:
-        raise ValueError("coupled residual needs the partner field")
-    kind = resolve_kind("coupled_diffusion")
-    G = np.asarray(field.center)
-    Gp = np.asarray(field.center_tilde)
-    dx, dt = sample_steps(kind, field.xs, field.ts)
-    C, Cp = _interior(G), _interior(Gp)
-    R1 = _flow(G, C, Cp, _d_x(G, dx), dt, dx, kind.params)
-    R2 = _flow(Gp, Cp, C, _d_x(Gp, dx), dt, dx,
-               companion_parameters(kind.companion, kind.params))
-    return max(_nanmax_abs(R1), _nanmax_abs(R2)), (R1, R2)
+    M = _interior(companion_field(G, kind.companion))
+    rows = [(kind.name, (_flow(G, C, M, Cx, dt, dx, kind.params),))]
+    if kind.has_kernel_form and field.slice_y is not None:
+        C, M, Cx = (F[..., None, :, :] for F in (C, M, Cx))
+        R1 = _flow(np.asarray(field.slice_y), C, M, Cx, dt, dx, kind.params)
+        R2 = _tr(_flow(_tr(np.asarray(field.slice_z)), _tr(C), _tr(M), _tr(Cx),
+                       dt, dx, kind.params))
+        rows.append((kind.name + "_slices", (R1, R2)))
+    return rows
 
 
 def _kernel_from_callable(f, quad):
@@ -220,21 +180,16 @@ def product_rule_check(f, h, hp, fp, x, quad):
 @dataclass(frozen=True)
 class UIdentityReport:
     identity_ii_error: float
-    identity_i_error: float = None
+    identity_i_error: float
 
 
-def u_identity_check(q_kernels, dx=None):
-    """Certify the resolvent identities on discretized kernels.
-
-    Identity (ii), id - U = U(WQ) = (WQ)U with U = (id + WQ)^{-1}, is
-    algebraic and checked on every kernel passed.  Identity (i),
-    dU/dx = -U (dWQ/dx) U, needs a family: pass a sequence of kernels at
-    consecutive uniformly spaced x values together with dx, and it is
-    checked by centered differences at the interior members.  A single
-    kernel yields identity_i_error = None.
+def u_identity_check(q_kernels, dx):
+    """Certify the resolvent identities on q_kernels, discretized kernels
+    at three or more consecutive x values dx apart.  Identity (ii),
+    id - U = U(WQ) = (WQ)U with U = (id + WQ)^{-1}, is algebraic and
+    checked on every member; identity (i), dU/dx = -U (dWQ/dx) U, by
+    centered differences at the interior members.
     """
-    if hasattr(q_kernels, "blocks"):
-        q_kernels = [q_kernels]
     Us = []
     WQs = []
     err_ii = 0.0
@@ -248,13 +203,9 @@ def u_identity_check(q_kernels, dx=None):
                      float(np.abs(I - U - WQ @ U).max()))
         Us.append(U)
         WQs.append(WQ)
-    err_i = None
-    if len(Us) >= 3:
-        if dx is None:
-            raise ValueError("identity (i) needs the x spacing of the kernel family")
-        err_i = 0.0
-        for j in range(1, len(Us) - 1):
-            dU = (Us[j + 1] - Us[j - 1]) / (2.0 * dx)
-            dWQ = (WQs[j + 1] - WQs[j - 1]) / (2.0 * dx)
-            err_i = max(err_i, float(np.abs(dU + Us[j] @ dWQ @ Us[j]).max()))
+    err_i = 0.0
+    for j in range(1, len(Us) - 1):
+        dU = (Us[j + 1] - Us[j - 1]) / (2.0 * dx)
+        dWQ = (WQs[j + 1] - WQs[j - 1]) / (2.0 * dx)
+        err_i = max(err_i, float(np.abs(dU + Us[j] @ dWQ @ Us[j]).max()))
     return UIdentityReport(identity_ii_error=err_ii, identity_i_error=err_i)

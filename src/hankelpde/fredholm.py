@@ -74,7 +74,7 @@ skip at -t.
 from concurrent.futures import ThreadPoolExecutor
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -761,17 +761,17 @@ class Run:
 
 def combine_rules(solved):
     """One sample's Edges from its Edges on each rule, the slices over
-    the nodes of the first rule.  A sample skipped on some rule takes the
-    record of the first such rule.
+    the nodes of the first rule and ranks joining the rules' ranks.  A
+    sample skipped on some rule takes the record of the first such rule.
 
-    ranks joins the rules' ranks, and the backward error is the larger
-    over the rules.  With two rules from quadrature_rules the slices are
-    Richardson-extrapolated, (4*fine - coarse)/3 with the fine rule read
-    at every second node, and det2 is the fine rule's.
+    Otherwise the backward error is the larger over the rules.  With two
+    rules from quadrature_rules the slices are Richardson-extrapolated,
+    (4*fine - coarse)/3 with the fine rule read at every second node,
+    and det2 is the fine rule's.
     """
     skipped = [edges for edges in solved if edges.row is None]
     if skipped or len(solved) == 1:
-        return (skipped or solved)[0]
+        return replace((skipped or solved)[0], ranks=sum((e.ranks for e in solved), ()))
     coarse, fine = solved
     # combined in complex arithmetic whatever the rules' dtypes, so the
     # values equal the combination of two plain runs' complex tables

@@ -28,7 +28,7 @@ from hankelpde.companion import companion_profile
 from hankelpde.dispersion import DispersionParams, evolve
 from hankelpde.equations import (
     product_rule_check,
-    residual_local,
+    residuals,
     u_identity_check,
 )
 from hankelpde.fredholm import (
@@ -465,7 +465,7 @@ def test_criterion_5_kdv_rank_one(tmp_path):
         path.write_text(_C5_LADDER % dict(N=N, c=count))
         sc_l = parse_scenario(str(path))
         field_l, _ = evaluate_solution(sc_l, threads=4)
-        _, res = residual_local(resolve_kind("kdv_primitive"), field_l)
+        [(_, (res,))] = residuals(resolve_kind("kdv_primitive"), field_l)
         shared = 2 ** lev * np.arange(2, 3) - 2
         errs.append(float(np.abs(res[np.ix_(shared, shared)]).max()))
         finest_interior = float(np.nanmax(np.abs(res)))

@@ -499,6 +499,25 @@ def test_main_study_reports_patch_skipped_levels(tmp_path, capsys):
     assert out[-1] == "completed with patch-skipped samples: 1 at level 0"
 
 
+@pytest.mark.parametrize("name, old, new, code", [
+    ("nls_gaussian_2x2", "outputs: [center, residuals]",
+     "outputs: [center, residuals]\ntolerances: {patch_threshold: 1.0e+10}", 2),
+    ("nls_rank_one_study", "amplitude: 1.0", "amplitude: 0.0", 0),
+], ids=["every_sample_skipped", "zero_data"])
+def test_main_study_prints_nan_without_a_warning(tmp_path, capsys, name, old, new, code):
+    # a level whose base interior samples are all skipped has a NaN
+    # error, and zero data have zero errors: the ratios and the fitted
+    # order print as nan, and numpy warns of nothing
+    text = (SCENARIO_DIR / (name + ".yaml")).read_text()
+    assert old in text
+    path = write_scenario(tmp_path, text.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["study", path, "--levels", "3"]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert "ratios: nan, nan" in out and "fitted order: nan" in out
+
+
 def test_run_manifest_records_backward_error(tmp_path):
     sc = parse_scenario(str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"))
     out = tmp_path / "out"
@@ -630,12 +649,14 @@ def test_main_refuses_threads_below_one(tmp_path, capsys, command, threads):
 def test_traced_attributes_exist():
     # the traced benchmark wraps these attributes by name; a renamed one
     # would only show up there as calls = 0.  det2, solve_G and
-    # hankel_rhs were deleted when solve_edges took over their work, and
-    # fredholm reads the Scenario's p0 instead of calling sample_profile:
+    # hankel_rhs were deleted when solve_edges took over their work,
+    # fredholm reads the Scenario's p0 instead of calling sample_profile,
+    # and equations.residuals replaced the three residual functions:
     # the tracer still names them and reports them as unwrapped, so they
     # must be gone, and every other name must be there
     deleted = {("fredholm", "det2"), ("fredholm", "solve_G"), ("fredholm", "hankel_rhs"),
-               ("fredholm", "sample_profile")}
+               ("fredholm", "sample_profile"), ("cli", "residual_local"),
+               ("cli", "residual_kernel"), ("cli", "residual_coupled")}
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -1127,16 +1148,21 @@ def test_permuting_ts_permutes_the_rows(name):
     assert bool(want_report.skipped) == (name == "kdv_positive_pole")
 
 
-@pytest.mark.parametrize("name, times", [("coupled_diffusion", 9), ("rev_time_nls", 5),
-                                         ("kdv_positive_pole", 4)])
-def test_the_ranks_are_those_of_every_solved_record(tmp_path, monkeypatch, name, times):
+@pytest.mark.parametrize("name, times, rules", [
+    pytest.param("coupled_diffusion", 9, 1, id="coupled_diffusion-9"),
+    pytest.param("rev_time_nls", 5, 1, id="rev_time_nls-5"),
+    pytest.param("kdv_positive_pole", 4, 1, id="kdv_positive_pole-4"),
+    pytest.param("kdv_positive_pole", 4, 2, id="kdv_positive_pole-4-richardson")])
+def test_the_ranks_are_those_of_every_solved_record(tmp_path, monkeypatch, name, times, rules):
     # PatchReport.ranks holds the ranks of every record solve_samples
     # returned, each solved time once, at every --threads: the coupled
     # partners at the -t that are no sample times (t >= 0 only: 1 + 2 * 4
     # times), none for the 4 conjugated rows of real-amplitude
-    # rev_time_nls, and the skipped pole sample's own core
+    # rev_time_nls, and the skipped pole sample's own core, on every
+    # rule it was solved on
     text = (SCENARIO_DIR / (name + ".yaml")).read_text()
     sc = parse_scenario(write_scenario(tmp_path, text.replace("0.6+0.45i", "0.75")))
+    sc = replace(sc, richardson=rules == 2)
     if name == "coupled_diffusion":
         sc = replace(sc, ts=sc.ts[sc.ts >= 0])
     solve = fredholm.solve_samples
@@ -1157,7 +1183,7 @@ def test_the_ranks_are_those_of_every_solved_record(tmp_path, monkeypatch, name,
             assert report.ranks == [r for call in calls for r in call]
         solved.append((report.ranks, sorted(calls, key=repr)))
     assert solved[0] == solved[1]
-    assert len(report.ranks) == times * sc.xs.size
+    assert len(report.ranks) == times * sc.xs.size * rules
     assert report.conjugated_rows == (4 if name == "rev_time_nls" else 0)
     assert bool(report.skipped) == (name == "kdv_positive_pole")
 

@@ -1,13 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hankelpde.equations import (
-    product_rule_check,
-    residual_coupled,
-    residual_kernel,
-    residual_local,
-    u_identity_check,
-)
+from hankelpde.equations import product_rule_check, residuals, u_identity_check
 from hankelpde.fredholm import (
     SolutionField,
     evaluate_solution,
@@ -15,7 +11,7 @@ from hankelpde.fredholm import (
     make_quadrature,
 )
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
-from hankelpde.kinds import resolve_kind
+from hankelpde.kinds import KIND_NAMES, resolve_kind
 from oracles import miura_check, scenario_stub
 
 
@@ -28,6 +24,17 @@ def wave_field(xs, ts, func):
     G = func(X, T)[:, :, None, None].astype(complex)
     return SolutionField(xs=xs, ts=ts, quad=None, center=G,
                          slice_y=None, slice_z=None)
+
+
+def local_residual(kind, field):
+    """The residual field of the kind's local PDE, its first row."""
+    (_, (R,)), *_ = residuals(kind, field)
+    return R
+
+
+def worst(fields):
+    """The largest |R| over the fields, NaN samples left out."""
+    return max(float(np.nanmax(np.abs(R))) for R in fields)
 
 
 def gaussian_scenario(X, M, L, N, xs, ts, amp, width=1.0, **kw):
@@ -44,12 +51,11 @@ def test_residual_zero_field_every_kind():
     zero = wave_field(xs, ts, lambda X, T: np.zeros_like(X))
     for name in ("local_nls", "kernel_nls", "rev_time_nls", "rev_spacetime_nls",
                  "local_mkdv", "kernel_mkdv", "rev_spacetime_mkdv", "kdv_primitive"):
-        worst, res = residual_local(resolve_kind(name), zero)
-        assert worst == 0.0
+        res = local_residual(resolve_kind(name), zero)
+        assert worst([res]) == 0.0
         assert res.shape == (3, 3, 1, 1) and np.all(res == 0.0)
     kind = resolve_kind("combined_degree3", mu1=-1j, mu2=-1.0)
-    worst, _ = residual_local(kind, zero)
-    assert worst == 0.0
+    assert worst([local_residual(kind, zero)]) == 0.0
 
 
 def test_residual_nls_plane_wave_both_signs():
@@ -63,8 +69,7 @@ def test_residual_nls_plane_wave_both_signs():
             ts = grid_1d(0.4, count)
             f = wave_field(xs, ts,
                            lambda X, T: A * np.exp(1j * (k * X - omega * T)))
-            worst, _ = residual_local(resolve_kind("local_nls", sign=sign), f)
-            errs[sign].append(worst)
+            errs[sign].append(worst([local_residual(resolve_kind("local_nls", sign=sign), f)]))
     for sign in (+1, -1):
         ratio = errs[sign][0] / errs[sign][1]
         assert 3.2 < ratio < 4.8
@@ -79,8 +84,7 @@ def test_residual_rev_spacetime_nls_plane_wave():
         xs = grid_1d(0.5, count)
         ts = grid_1d(0.5, count)
         f = wave_field(xs, ts, lambda X, T: A * np.exp(1j * (k * X - omega * T)))
-        worst, _ = residual_local(resolve_kind("rev_spacetime_nls"), f)
-        errs.append(worst)
+        errs.append(worst([local_residual(resolve_kind("rev_spacetime_nls"), f)]))
     assert 3.2 < errs[0] / errs[1] < 4.8
 
 
@@ -94,8 +98,7 @@ def test_residual_rev_time_nls_uniform_mode():
         ts = grid_1d(0.3, count)
         f = wave_field(xs, ts, lambda X, T: A * np.exp(-1j * omega * T)
                        + 0.0 * X)
-        worst, _ = residual_local(resolve_kind("rev_time_nls"), f)
-        errs.append(worst)
+        errs.append(worst([local_residual(resolve_kind("rev_time_nls"), f)]))
     assert 3.2 < errs[0] / errs[1] < 4.8
 
 
@@ -104,11 +107,11 @@ def test_residual_rev_kinds_need_symmetric_grids():
     ts = grid_1d(0.3, 9)
     f = wave_field(xs, ts, lambda X, T: np.exp(-X ** 2 - T ** 2))
     with pytest.raises(ValueError):
-        residual_local(resolve_kind("rev_spacetime_nls"), f)
+        residuals(resolve_kind("rev_spacetime_nls"), f)
     f2 = wave_field(grid_1d(0.4, 9), np.linspace(0.0, 0.4, 9),
                     lambda X, T: np.exp(-X ** 2 - T ** 2))
     with pytest.raises(ValueError):
-        residual_local(resolve_kind("rev_time_nls"), f2)
+        residuals(resolve_kind("rev_time_nls"), f2)
 
 
 def test_residual_mkdv_complex_plane_wave():
@@ -119,8 +122,7 @@ def test_residual_mkdv_complex_plane_wave():
         xs = grid_1d(0.5, count)
         ts = grid_1d(0.5, count)
         f = wave_field(xs, ts, lambda X, T: A * np.exp(1j * (k * X - omega * T)))
-        worst, _ = residual_local(resolve_kind("local_mkdv", flavor="complex"), f)
-        errs.append(worst)
+        errs.append(worst([local_residual(resolve_kind("local_mkdv", flavor="complex"), f)]))
     assert 3.2 < errs[0] / errs[1] < 4.8
     # the reversed-space-time real flavor closes on the same wave
     errs_rev = []
@@ -128,8 +130,7 @@ def test_residual_mkdv_complex_plane_wave():
         xs = grid_1d(0.5, count)
         ts = grid_1d(0.5, count)
         f = wave_field(xs, ts, lambda X, T: A * np.exp(1j * (k * X - omega * T)))
-        worst, _ = residual_local(resolve_kind("rev_spacetime_mkdv"), f)
-        errs_rev.append(worst)
+        errs_rev.append(worst([local_residual(resolve_kind("rev_spacetime_mkdv"), f)]))
     assert 3.2 < errs_rev[0] / errs_rev[1] < 4.8
 
 
@@ -144,8 +145,7 @@ def test_residual_combined_plane_wave():
         xs = grid_1d(0.5, count)
         ts = grid_1d(0.5, count)
         f = wave_field(xs, ts, lambda X, T: A * np.exp(1j * (k * X - omega * T)))
-        worst, _ = residual_local(kind, f)
-        errs.append(worst)
+        errs.append(worst([local_residual(kind, f)]))
     assert 3.2 < errs[0] / errs[1] < 4.8
 
 
@@ -160,8 +160,7 @@ def test_residual_kdv_closed_form():
         xs = 0.5 + step * np.arange(-4, 5)
         ts = -0.3 + step * np.arange(-4, 5)
         f = wave_field(xs, ts, u)
-        worst, _ = residual_local(resolve_kind("kdv_primitive"), f)
-        errs.append(worst)
+        errs.append(worst([local_residual(resolve_kind("kdv_primitive"), f)]))
     assert 3.2 < errs[0] / errs[1] < 4.8
     assert errs[1] < 1e-3
 
@@ -173,21 +172,21 @@ def test_residual_kdv_requires_square():
     f = SolutionField(xs=xs, ts=ts, quad=None, center=G,
                       slice_y=None, slice_z=None)
     with pytest.raises(ValueError):
-        residual_local(resolve_kind("kdv_primitive"), f)
+        residuals(resolve_kind("kdv_primitive"), f)
 
 
 def test_residual_grid_validation():
     xs = grid_1d(0.5, 7)
     f = wave_field(xs, grid_1d(0.2, 4), lambda X, T: np.exp(-X ** 2))
     with pytest.raises(ValueError):
-        residual_local(resolve_kind("local_nls"), f)  # too few t samples
+        residuals(resolve_kind("local_nls"), f)  # too few t samples
     bad = np.array([-0.2, -0.1, 0.05, 0.1, 0.2])
     f2 = wave_field(xs, bad, lambda X, T: np.exp(-X ** 2))
     with pytest.raises(ValueError):
-        residual_local(resolve_kind("local_nls"), f2)
+        residuals(resolve_kind("local_nls"), f2)
     with pytest.raises(ValueError):
-        residual_local(resolve_kind("coupled_diffusion"),
-                       wave_field(xs, grid_1d(0.2, 7), lambda X, T: 0 * X))
+        residuals(resolve_kind("coupled_diffusion"),
+                  wave_field(xs, grid_1d(0.2, 7), lambda X, T: 0 * X))
 
 
 def test_residual_solved_nls_field_converges():
@@ -200,7 +199,7 @@ def test_residual_solved_nls_field_converges():
         sc = gaussian_scenario(20.0, 640, 8.0, N, xs, ts, [[0.75]],
                                kind=resolve_kind("local_nls"))
         field, _ = evaluate_solution(sc)
-        _, res = residual_local(resolve_kind("local_nls"), field)
+        res = local_residual(resolve_kind("local_nls"), field)
         errs.append(abs(res[count // 2 - 2, count // 2 - 2, 0, 0]))
     assert 2.6 < errs[0] / errs[1] < 5.5
     assert errs[1] < 0.05
@@ -212,12 +211,11 @@ def test_residual_kernel_matches_local_at_origin():
     sc = gaussian_scenario(16.0, 512, 6.0, 48, xs, ts, [[0.8]],
                            kind=resolve_kind("kernel_nls"))
     field, _ = evaluate_solution(sc)
-    worst, (R1, R2) = residual_kernel(resolve_kind("kernel_nls"), field)
-    worst_local, res_local = residual_local(resolve_kind("kernel_nls"), field)
+    (_, (res_local,)), (_, (R1, R2)) = residuals(resolve_kind("kernel_nls"), field)
     assert np.allclose(R1[:, :, -1, :, :], res_local, rtol=0.0, atol=1e-12)
     assert np.allclose(R2[:, :, -1, :, :], res_local, rtol=0.0, atol=1e-12)
-    assert worst_local <= worst + 1e-12
-    assert worst < 0.2
+    assert worst([res_local]) <= worst([R1, R2]) + 1e-12
+    assert worst([R1, R2]) < 0.2
 
 
 def test_residual_kernel_mkdv_converges():
@@ -228,18 +226,9 @@ def test_residual_kernel_mkdv_converges():
         sc = gaussian_scenario(16.0, 512, 6.0, N, xs, ts, [[0.6]],
                                kind=resolve_kind("kernel_mkdv"))
         field, _ = evaluate_solution(sc)
-        errs.append(residual_kernel(resolve_kind("kernel_mkdv"), field)[0])
+        _, (_, slices) = residuals(resolve_kind("kernel_mkdv"), field)
+        errs.append(worst(slices))
     assert 2.6 < errs[0] / errs[1] < 5.5
-
-
-def test_residual_kernel_validation():
-    xs = grid_1d(0.5, 7)
-    ts = grid_1d(0.2, 7)
-    f = wave_field(xs, ts, lambda X, T: np.exp(-X ** 2))
-    with pytest.raises(ValueError):
-        residual_kernel(resolve_kind("local_nls"), f)  # no kernel form
-    with pytest.raises(ValueError):
-        residual_kernel(resolve_kind("kernel_nls"), f)  # slices missing
 
 
 def test_coupled_partner_is_time_reflected_transpose():
@@ -270,7 +259,7 @@ def test_coupled_residual_converges():
                            outputs=("center", "residuals"),
                            kind=resolve_kind("coupled_diffusion"))
         field, _ = evaluate_solution(sc)
-        _, (R1, R2) = residual_coupled(field)
+        (_, (R1,)), (_, (R2,)) = residuals(resolve_kind("coupled_diffusion"), field)
         mid_t, mid_x = R1.shape[0] // 2, R1.shape[1] // 2
         errs.append(max(abs(R1[mid_t, mid_x, 0, 0]), abs(R2[mid_t, mid_x, 0, 0])))
     assert 2.6 < errs[0] / errs[1] < 5.5
@@ -281,7 +270,7 @@ def test_coupled_residual_needs_partner():
     ts = grid_1d(0.2, 7)
     f = wave_field(xs, ts, lambda X, T: np.exp(-X ** 2))
     with pytest.raises(ValueError):
-        residual_coupled(f)
+        residuals(resolve_kind("coupled_diffusion"), f)
 
 
 def _random_field(rng, shape, n=7, K=3, partner=False):
@@ -368,17 +357,37 @@ def test_displayed_equations_on_noncommuting_data(shape):
                            atol=1e-13 * np.abs(lit).max())
 
     for kind, local, slices in cases:
-        _, res = residual_local(kind, f)
+        rows = residuals(kind, f)
+        (_, (res,)), *kernel_rows = rows
         same_modulus(res, local)
+        assert len(kernel_rows) == (slices is not None)
         if slices is not None:
-            _, (R1, R2) = residual_kernel(kind, f)
+            (_, (R1, R2)), = kernel_rows
             same_modulus(R1, slices[0])
             same_modulus(R2, slices[1])
 
     p, pt, _, pxx, _ = _stencils(f.center_tilde, 0.5)
-    _, (R1, R2) = residual_coupled(f)
+    (_, (R1,)), (_, (R2,)) = residuals(resolve_kind("coupled_diffusion"), f)
     same_modulus(R1, gt - gxx - 2 * g @ p @ g)
     same_modulus(R2, pt + pxx + 2 * p @ g @ p)
+
+
+@pytest.mark.parametrize("name", KIND_NAMES)
+def test_residual_rows_per_kind(name):
+    # one row per equation the field obeys: the coupled pair's two, else
+    # the kind's local PDE, plus for a kernel kind the slices row, with
+    # both slice fields, only when the field holds the slices
+    kind = resolve_kind(name, **({"mu1": -1j, "mu2": -1.0} if name == "combined_degree3" else {}))
+    sliced = _random_field(np.random.default_rng(3), (2, 2), partner=True)
+    plain = replace(sliced, slice_y=None, slice_z=None)
+    rows = [(name, 1)]
+    if name == "coupled_diffusion":
+        rows = [("coupled_g", 1), ("coupled_g_tilde", 1)]
+    kernel = [(name + "_slices", 2)] if name in ("kernel_nls", "kernel_mkdv") else []
+    for f, expected in ((plain, rows), (sliced, rows + kernel)):
+        got = residuals(kind, f)
+        assert [(row, len(fields)) for row, fields in got] == expected
+        assert all(R.shape[:2] == (3, 3) for _, fields in got for R in fields)
 
 
 def test_skipped_sample_nan_footprint():
@@ -396,9 +405,8 @@ def test_skipped_sample_nan_footprint():
         expected[it - 1:it + 2, ix] = True
         expected[it, ix - reach:ix + reach + 1] = True
         expected = expected[2:-2, 2:-2]
-        _, res = residual_local(kind, f)
+        (_, (res,)), (_, (R1, R2)) = residuals(kind, f)
         assert np.array_equal(np.isnan(res).any(axis=(-2, -1)), expected)
-        _, (R1, R2) = residual_kernel(kind, f)
         for R in (R1, R2):
             assert np.array_equal(np.isnan(R).any(axis=(-3, -2, -1)), expected)
 
@@ -513,9 +521,10 @@ def test_u_identity_zero_kernel():
     z = sample_profile(InitialDataSpec(kind="gaussian", amplitude=[[0.0]], width=1.0),
                        g, 1, 1)
     quad = make_quadrature(6.0, 24, g.spacing)
-    rep = u_identity_check(kdv_Q(z, 0.0, quad))
+    dx = quad.spacing
+    rep = u_identity_check([kdv_Q(z, x, quad) for x in (-dx, 0.0, dx)], dx)
     assert rep.identity_ii_error == 0.0
-    assert rep.identity_i_error is None
+    assert rep.identity_i_error == 0.0
 
 
 def test_u_identity_rank_one():
@@ -537,8 +546,10 @@ def test_u_identity_validation():
     p = sample_profile(InitialDataSpec(kind="exponential", amplitude=[[-0.35]],
                                        rate=1.0), g, 1, 1)
     quad = make_quadrature(8.0, 64, g.spacing)
-    kernels = [kdv_Q(p, x, quad) for x in (-0.125, 0.0, 0.125)]
-    with pytest.raises(ValueError):
-        u_identity_check(kernels)  # no dx
-    rep = u_identity_check(kernels[0], dx=0.125)
-    assert rep.identity_i_error is None
+    # a family whose last member is one step off the spacing fails
+    # identity (i), though each member passes identity (ii)
+    kernels = [kdv_Q(p, x, quad) for x in (-0.125, 0.0, 0.125, 0.375)]
+    even = u_identity_check(kernels[:3], 0.125)
+    uneven = u_identity_check(kernels[:2] + kernels[3:], 0.125)
+    assert uneven.identity_ii_error < 1e-10
+    assert uneven.identity_i_error > 10.0 * even.identity_i_error

@@ -30,6 +30,41 @@ def test_an_unused_import_is_caught():
     assert _unused_imports("import shutil\nimport os\nos.getcwd()\n") == [(1, "shutil")]
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_imports(source):
+    """(line, name) of each underscore name a module takes from another:
+    imported by name, or read as an attribute of an imported name.
+    Dunder names (__version__) are public."""
+    tree = ast.parse(source)
+    imported = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+                if isinstance(node, ast.ImportFrom) and _private(alias.name):
+                    found.append((node.lineno, alias.name))
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and _private(node.attr)
+              and isinstance(node.value, ast.Name) and node.value.id in imported]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_takes_another_modules_private_name(path):
+    assert _private_imports(path.read_text()) == []
+
+
+def test_a_private_import_is_caught():
+    source = ("from . import __version__, fredholm\nfrom .equations import (\n"
+              "    _flow,\n    residuals,\n)\n\n\nclass A:\n"
+              "    def f(self):\n        return self._g(fredholm._det2)\n")
+    assert _private_imports(source) == [(2, "_flow"), (10, "_det2")]
+
+
 def _defined_name(node):
     """The name a module-level function, class or single-name assignment
     defines, else None."""
