@@ -499,15 +499,15 @@ def convergence_study(scenario, levels=3, threads=1):
 
     Sample spans stay fixed while the quadrature step, x step, and t
     step halve together.  The per-level error is the distance to the
-    rank-one closed form when the data is scalar exponential with a
-    separable companion; otherwise it is the PDE residual measured at
-    the base level's interior sample points, which every finer level
-    shares (refinement inserts midpoints and keeps the old samples).
-    Returns a StudyReport with per-level errors, ratios, and the
-    least-squares fitted order.  Each level counts the samples patch
-    monitoring skipped; its error covers the remaining ones.  Every
-    level, its rules and its refined axes are built and checked before
-    the first solve.
+    rank-one closed form over the whole refined grid when the data is
+    scalar exponential with a separable companion; otherwise it is the
+    PDE residual at the base level's interior samples, which every finer
+    level shares, and level l solves only the window their stencils
+    read: each refined axis less 2f - 2 samples per end, f = 2^l.
+    Returns a StudyReport with per-level errors, ratios, and the fitted
+    order.  Each level counts the samples patch monitoring skipped among
+    those it solved; its error covers the rest.  Every level, its rules
+    and its solved axes are built and checked before the first solve.
     """
     if levels < 3:
         raise ValueError("convergence study needs levels >= 3, got %r" % (levels,))
@@ -534,11 +534,13 @@ def convergence_study(scenario, levels=3, threads=1):
                                scenario.quad.intervals * factor,
                                p0.grid.spacing)
         quadrature_rules(quad, scenario.richardson)
-        xs = _refine_axis(base_xs, factor)
+        xs, ts = _refine_axis(base_xs, factor), _refine_axis(base_ts, factor)
+        if reference is None:
+            # the window the base interior samples' stencils read
+            xs, ts = (v[2 * factor - 2:v.size - 2 * factor + 2] for v in (xs, ts))
         _check_on_grid(p0.grid, quad, xs)
         # only the centre values are read, so no level keeps its slices
-        plan.append((factor, replace(scenario, quad=quad, xs=xs, outputs=("center",),
-                                     ts=_refine_axis(base_ts, factor))))
+        plan.append((factor, replace(scenario, quad=quad, xs=xs, ts=ts, outputs=("center",))))
 
     out_levels = []
     for factor, sc in plan:
@@ -549,11 +551,9 @@ def convergence_study(scenario, levels=3, threads=1):
         else:
             R = np.max([np.abs(F).max(axis=(-1, -2)) for _, fields
                         in residuals(scenario.kind, field_out) for F in fields], axis=0)
-            # base-level interior sample j sits at refined index
-            # j*factor; subtract the two-layer stencil trim
-            it_in = factor * np.arange(2, base_ts.size - 2) - 2
-            ix_in = factor * np.arange(2, base_xs.size - 2) - 2
-            err = _nanmax_abs(R[np.ix_(it_in, ix_in)])
+            # the window's interior starts at base sample 2, and base
+            # samples are factor apart
+            err = _nanmax_abs(R[::factor, ::factor])
         dx = xs[1] - xs[0] if xs.size > 1 else 0.0
         dt = ts[1] - ts[0] if ts.size > 1 else 0.0
         out_levels.append(StudyLevel(N=sc.quad.intervals, dx=float(dx), dt=float(dt),

@@ -5,16 +5,21 @@ spectral_derivative and dispersion_residual certify the linear flow,
 companion_consistency_residual the companion pairings, and miura_check
 the KdV/mKdV coupling identity (acceptance criterion 6), each through
 the package's own evolve, pairings and solve_samples.
+full_grid_study_errors is the residual study measured on every level's
+whole refined grid, the reference for the windows a study solves.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
+from hankelpde.cli import _nanmax_abs, _refine_axis
 from hankelpde.companion import companion_parameters
 from hankelpde.dispersion import _multiply
-from hankelpde.equations import _tr, _uniform_step
-from hankelpde.fredholm import PatchError, pairings, quadrature_rules, solve_samples
+from hankelpde.equations import _tr, _uniform_step, residuals
+from hankelpde.fredholm import (PatchError, evaluate_solution, make_quadrature, pairings,
+                                quadrature_rules, solve_samples)
 from hankelpde.gridkernel import sample_profile
 from hankelpde.kinds import resolve_kind
 
@@ -104,3 +109,24 @@ def miura_check(p0, quad, xs, ts, richardson=False):
         defect = dgk - dgm - gm[1:-1] @ gm[1:-1]
         worst = max(worst, float(np.abs(defect).max()))
     return worst
+
+
+def full_grid_study_errors(scenario, levels=3):
+    """The residual study's per-level errors, each level solving its
+    whole refined (x, t) grid: the residual's largest entry over the base
+    interior samples, base sample j at refined index j f (f = 2^level)
+    less the two-layer stencil trim."""
+    p0, xs, ts = scenario.p0, scenario.xs, scenario.ts
+    errors = []
+    for lev in range(levels):
+        f = 2 ** lev
+        quad = make_quadrature(scenario.quad.truncation, scenario.quad.intervals * f,
+                               p0.grid.spacing)
+        field, _ = evaluate_solution(replace(scenario, quad=quad, outputs=("center",),
+                                             xs=_refine_axis(xs, f), ts=_refine_axis(ts, f)))
+        R = np.max([np.abs(F).max(axis=(-1, -2)) for _, fields
+                    in residuals(scenario.kind, field) for F in fields], axis=0)
+        it_in = f * np.arange(2, ts.size - 2) - 2
+        ix_in = f * np.arange(2, xs.size - 2) - 2
+        errors.append(_nanmax_abs(R[np.ix_(it_in, ix_in)]))
+    return errors

@@ -24,6 +24,7 @@ from hankelpde.cli import (
 )
 from hankelpde.fredholm import make_quadrature
 from hankelpde.gridkernel import sample_profile
+from oracles import full_grid_study_errors
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -342,6 +343,57 @@ def test_convergence_study_residual_reference(tmp_path):
     report = convergence_study(sc, levels=3)
     assert report.reference == "residual"
     assert 1.6 < report.fitted_order < 2.4
+
+
+@pytest.mark.parametrize("name", ["nls_gaussian_2x2", "mkdv_gaussian", "coupled_diffusion",
+                                  "rev_time_nls"])
+def test_a_residual_study_reads_the_errors_of_the_full_grid(name):
+    # mu2 = 0; mu2 != 0 (the 5-point x stencil); the partner at -t; a
+    # reflected t: each level's window gives the error its whole refined
+    # grid gives, level 0 (the whole base grid) to the bit
+    sc = parse_scenario(str(SCENARIO_DIR / (name + ".yaml")))
+    got = [lv.error for lv in convergence_study(sc, levels=3).levels]
+    want = full_grid_study_errors(sc, levels=3)
+    assert got[0] == want[0]
+    assert np.allclose(got[1:], want[1:], rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("nls_gaussian_2x2", None), ("rev_time_nls", None),
+    ("rev_time_nls", "rev_spacetime_nls"), ("nls_rank_one_study", None)])
+def test_each_study_level_solves_the_window_its_error_reads(tmp_path, monkeypatch,
+                                                           name, kind):
+    axes = []
+    evaluate = cli.evaluate_solution
+
+    def kept(scenario, **kwargs):
+        axes.append((scenario.xs, scenario.ts))
+        return evaluate(scenario, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_solution", kept)
+    text = (SCENARIO_DIR / (name + ".yaml")).read_text()
+    if kind is not None:
+        text = text.replace("kind: " + name, "kind: " + kind)
+    sc = parse_scenario(write_scenario(tmp_path, text))
+    report = convergence_study(sc, levels=3)
+    assert len(axes) == 3
+    for lev, solved in enumerate(axes):
+        f = 2 ** lev
+        for got, base in zip(solved, (sc.xs, sc.ts)):
+            full = cli._refine_axis(base, f)
+            if report.reference == "closed-form":
+                # the closed-form error reads every sample
+                assert np.array_equal(got, full)
+            else:
+                # the residual reads the base interior samples' stencils
+                assert got.size == (base.size - 5) * f + 5
+                assert np.array_equal(got, full[2 * f - 2:full.size - 2 * f + 2])
+        # a reflected coordinate keeps its samples' mirrors
+        if sc.kind.reflect_x:
+            assert np.array_equal(solved[0], -solved[0][::-1])
+        if sc.kind.reflect_t:
+            assert np.array_equal(solved[1], -solved[1][::-1])
+    assert report.reference == ("closed-form" if name == "nls_rank_one_study" else "residual")
 
 
 def test_convergence_study_levels_guard(tmp_path):
