@@ -38,6 +38,7 @@ from .equations import (
     product_rule_check,
     residuals,
     sample_steps,
+    stencil_reach,
     u_identity_check,
 )
 from .floatfmt import write_rows
@@ -494,6 +495,29 @@ def _refine_axis(vals, factor):
     return _axis(vals[0], vals[-1], (vals.size - 1) * factor + 1)
 
 
+def _footprint(size, factor, reach):
+    """Indexes into a residual study's window of size samples that the
+    stencils at the base interior samples read: those samples, factor
+    apart from index 2 to index size - 3, each with reach samples either
+    side."""
+    base = np.arange(2, size - 2, factor)
+    return np.unique(base[:, None] + np.arange(-reach, reach + 1))
+
+
+def _on_window(field_out, xs, ts, rows, cols):
+    """field_out, solved at ts[rows] x xs[cols], as a field on (xs, ts)
+    whose other samples hold NaN."""
+    def spread(F):
+        if F is None:
+            return None
+        out = np.full((ts.size, xs.size) + F.shape[2:], np.nan, dtype=F.dtype)
+        out[np.ix_(rows, cols)] = F
+        return out
+
+    return replace(field_out, xs=xs, ts=ts, center=spread(field_out.center),
+                   center_tilde=spread(field_out.center_tilde))
+
+
 def convergence_study(scenario, levels=3, threads=1):
     """Re-run the scenario at doubled resolution per level.
 
@@ -502,12 +526,17 @@ def convergence_study(scenario, levels=3, threads=1):
     rank-one closed form over the whole refined grid when the data is
     scalar exponential with a separable companion; otherwise it is the
     PDE residual at the base level's interior samples, which every finer
-    level shares, and level l solves only the window their stencils
-    read: each refined axis less 2f - 2 samples per end, f = 2^l.
-    Returns a StudyReport with per-level errors, ratios, and the fitted
-    order.  Each level counts the samples patch monitoring skipped among
-    those it solved; its error covers the rest.  Every level, its rules
-    and its solved axes are built and checked before the first solve.
+    level shares.  On the residual, level l reads the window of its
+    refined axes those samples' stencils reach (each axis less 2f - 2
+    samples per end, f = 2^l) and solves only their footprint in it: the
+    base interior samples and, per axis, the samples within the
+    stencils' reach of them (equations.stencil_reach); the rest of the
+    window holds NaN, which no residual at a base interior sample reads.
+    Level 0 solves the scenario's own grid.  Returns a StudyReport with
+    per-level errors, ratios, and the fitted order.  Each level counts
+    the samples patch monitoring skipped among those it solved; its
+    error covers the rest.  Every level, its rules and its solved axes
+    are built and checked before the first solve.
     """
     if levels < 3:
         raise ValueError("convergence study needs levels >= 3, got %r" % (levels,))
@@ -526,6 +555,7 @@ def convergence_study(scenario, levels=3, threads=1):
                              "must be uniformly spaced" % label)
     if reference is None:
         sample_steps(scenario.kind, base_xs, base_ts)
+        reach_t, reach_x = stencil_reach(scenario.kind)
 
     plan = []
     for lev in range(levels):
@@ -535,17 +565,28 @@ def convergence_study(scenario, levels=3, threads=1):
                                p0.grid.spacing)
         quadrature_rules(quad, scenario.richardson)
         xs, ts = _refine_axis(base_xs, factor), _refine_axis(base_ts, factor)
+        footprint = None
         if reference is None:
             # the window the base interior samples' stencils read
             xs, ts = (v[2 * factor - 2:v.size - 2 * factor + 2] for v in (xs, ts))
+            if factor > 1:
+                footprint = (_footprint(ts.size, factor, reach_t),
+                             _footprint(xs.size, factor, reach_x))
         _check_on_grid(p0.grid, quad, xs)
         # only the centre values are read, so no level keeps its slices
-        plan.append((factor, replace(scenario, quad=quad, xs=xs, ts=ts, outputs=("center",))))
+        plan.append((factor, footprint,
+                     replace(scenario, quad=quad, xs=xs, ts=ts, outputs=("center",))))
 
     out_levels = []
-    for factor, sc in plan:
-        field_out, patch = evaluate_solution(sc, threads=threads)
+    for factor, footprint, sc in plan:
         xs, ts = sc.xs, sc.ts
+        if footprint is None:
+            field_out, patch = evaluate_solution(sc, threads=threads)
+        else:
+            rows, cols = footprint
+            field_out, patch = evaluate_solution(replace(sc, xs=xs[cols], ts=ts[rows]),
+                                                 threads=threads)
+            field_out = _on_window(field_out, xs, ts, rows, cols)
         if reference is not None:
             err = _nanmax_abs(field_out.center[:, :, 0, 0] - reference(xs, ts))
         else:
@@ -631,11 +672,19 @@ def verify(scenario):
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, which main
+    reports as one error: line with exit code 1 (argparse would print
+    the usage and exit 2, the code of a run that skipped samples)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(prog="hankelpde",
-                                     description="Solve matrix-valued "
-                                     "integrable PDEs by Fredholm "
-                                     "linearisation.")
+    parser = _Parser(prog="hankelpde",
+                     description="Solve matrix-valued integrable PDEs by "
+                     "Fredholm linearisation.")
     sub = parser.add_subparsers(dest="command", required=True)
     p_solve = sub.add_parser("solve", help="run a scenario and write tables")
     p_solve.add_argument("scenario")
@@ -647,9 +696,9 @@ def main(argv=None):
     p_study.add_argument("--threads", type=int, default=1)
     p_verify = sub.add_parser("verify", help="identity/residual suite only")
     p_verify.add_argument("scenario")
-    args = parser.parse_args(argv)
 
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "threads", 1) < 1:
             raise ValueError("--threads must be at least 1, got %d" % args.threads)
         scenario = parse_scenario(args.scenario)

@@ -101,6 +101,20 @@ def _flow(F, C, M, Cx, dt, dx, params):
     return R
 
 
+def stencil_reach(kind):
+    """(t, x): how many samples either side of a residual sample the
+    stencils of residuals(kind, field) read along each axis.  _d_t reads
+    one step; x reads two where a term uses the 5-point _d_xxx (mu2 != 0
+    in the kind's flow or, for coupled_diffusion, its partner's, and
+    kdv_primitive), else one.  The companion's reflected reads land on
+    the mirrored samples themselves, not beside them."""
+    flows = [kind.params]
+    if kind.coupled:
+        flows.append(companion_parameters(kind.companion, kind.params))
+    third = kind.name == "kdv_primitive" or any(p.mu2 != 0 for p in flows)
+    return 1, 2 if third else 1
+
+
 def residuals(kind, field):
     """(name, fields) of each equation the solved field obeys, every
     field on the interior samples; kind is a ResolvedKind.

@@ -358,11 +358,15 @@ def test_a_residual_study_reads_the_errors_of_the_full_grid(name):
     assert np.allclose(got[1:], want[1:], rtol=1e-9, atol=0.0)
 
 
-@pytest.mark.parametrize("name, kind", [
-    ("nls_gaussian_2x2", None), ("rev_time_nls", None),
-    ("rev_time_nls", "rev_spacetime_nls"), ("nls_rank_one_study", None)])
-def test_each_study_level_solves_the_window_its_error_reads(tmp_path, monkeypatch,
-                                                           name, kind):
+@pytest.mark.parametrize("name, kind, reach_x", [
+    ("nls_gaussian_2x2", None, 1), ("rev_time_nls", None, 1),
+    ("rev_time_nls", "rev_spacetime_nls", 1), ("mkdv_gaussian", None, 2),
+    ("coupled_diffusion", None, 1), ("nls_rank_one_study", None, None)])
+def test_study_levels_solve_the_footprint_they_read(
+        tmp_path, monkeypatch, name, kind, reach_x):
+    # reach_x is how far the x stencils reach: 2 where the flow has the
+    # 5-point third derivative (mu2 != 0), else 1; the t stencil reaches
+    # 1; None marks the closed form, whose error reads every sample
     axes = []
     evaluate = cli.evaluate_solution
 
@@ -376,24 +380,34 @@ def test_each_study_level_solves_the_window_its_error_reads(tmp_path, monkeypatc
         text = text.replace("kind: " + name, "kind: " + kind)
     sc = parse_scenario(write_scenario(tmp_path, text))
     report = convergence_study(sc, levels=3)
+    assert report.reference == ("closed-form" if reach_x is None else "residual")
     assert len(axes) == 3
+    reaches = (None, None) if reach_x is None else (reach_x, 1)
     for lev, solved in enumerate(axes):
         f = 2 ** lev
-        for got, base in zip(solved, (sc.xs, sc.ts)):
+        for got, base, reach in zip(solved, (sc.xs, sc.ts), reaches):
             full = cli._refine_axis(base, f)
-            if report.reference == "closed-form":
-                # the closed-form error reads every sample
+            if reach is None:
                 assert np.array_equal(got, full)
+            elif f == 1:
+                # level 0 solves the scenario's own grid
+                assert np.array_equal(got, base)
             else:
-                # the residual reads the base interior samples' stencils
-                assert got.size == (base.size - 5) * f + 5
-                assert np.array_equal(got, full[2 * f - 2:full.size - 2 * f + 2])
+                # base interior sample j is refined sample j f; each one
+                # solves with the samples within reach of it, so at
+                # f = 4 an x reach of 1 solves 3 samples per base
+                # interior sample and a reach of 2 solves 5, one shared
+                # with the next
+                interior = f * np.arange(2, base.size - 2)
+                want = np.unique(interior[:, None] + np.arange(-reach, reach + 1))
+                assert np.array_equal(got, full[want])
+                if f == 4:
+                    assert got.size == {1: 3 * interior.size, 2: 4 * interior.size + 1}[reach]
         # a reflected coordinate keeps its samples' mirrors
         if sc.kind.reflect_x:
             assert np.array_equal(solved[0], -solved[0][::-1])
         if sc.kind.reflect_t:
             assert np.array_equal(solved[1], -solved[1][::-1])
-    assert report.reference == ("closed-form" if name == "nls_rank_one_study" else "residual")
 
 
 def test_convergence_study_levels_guard(tmp_path):
@@ -433,6 +447,27 @@ def test_main_solve_malformed_scenario_is_one_line_error(tmp_path, capsys, text)
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "s.yaml", "--levels", "abc"], ["solve"], ["bogus"], [],
+    ["solve", "s.yaml", "--no-such-option"]],
+    ids=["bad_levels", "no_scenario", "unknown_command", "no_command", "unknown_option"])
+def test_usage_errors_exit_1_with_one_error_line(capsys, argv):
+    # exit 2 means a run that went to the end with skipped samples, so a
+    # usage error exits 1, as every other bad input does
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["study", "-h"]], ids=["top", "study"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hankelpde")
 
 
 def test_main_study_prints_report(tmp_path, capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hankelpde.equations import product_rule_check, residuals, u_identity_check
+from hankelpde.equations import product_rule_check, residuals, stencil_reach, u_identity_check
 from hankelpde.fredholm import (
     SolutionField,
     evaluate_solution,
@@ -11,7 +11,7 @@ from hankelpde.fredholm import (
     make_quadrature,
 )
 from hankelpde.gridkernel import InitialDataSpec, make_uniform_grid, sample_profile
-from hankelpde.kinds import KIND_NAMES, resolve_kind
+from hankelpde.kinds import _KINDS, KIND_NAMES, resolve_kind
 from oracles import miura_check, scenario_stub
 
 
@@ -388,6 +388,57 @@ def test_residual_rows_per_kind(name):
         got = residuals(kind, f)
         assert [(row, len(fields)) for row, fields in got] == expected
         assert all(R.shape[:2] == (3, 3) for _, fields in got for R in fields)
+
+
+def _accepted_kinds():
+    """Every kind at each sign and flavor it accepts."""
+    for name, (_, companions) in _KINDS.items():
+        pinned = {"mu1": -1j, "mu2": -1.0} if name == "combined_degree3" else {}
+        for sign, flavor in companions:
+            yield resolve_kind(name, sign=sign, flavor=flavor, **pinned)
+
+
+@pytest.mark.parametrize("kind", list(_accepted_kinds()),
+                         ids=lambda k: "%s-%s" % (k.name, k.companion))
+def test_stencil_reach_is_what_the_residuals_read(kind):
+    # a field shaped like a study's window at f = 4 over 9 base samples
+    # per axis: the base interior samples sit f apart from index 2, and
+    # the footprint adds the samples within stencil_reach of them
+    f = 4
+    size = (9 - 5) * f + 5
+    axis = np.linspace(-1.0, 1.0, size)
+    rng = np.random.default_rng(29)
+
+    def draw(*dims):
+        return 0.5 * (rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+
+    field = SolutionField(xs=axis, ts=axis, quad=None, center=draw(size, size, 2, 2),
+                          slice_y=draw(size, size, 3, 2, 2), slice_z=draw(size, size, 3, 2, 2),
+                          center_tilde=draw(size, size, 2, 2))
+    base = np.arange(2, size - 2, f)
+    rows, cols = (np.unique(base[:, None] + np.arange(-r, r + 1))
+                  for r in stencil_reach(kind))
+
+    def blanked(mask):
+        arrays = {key: getattr(field, key).copy()
+                  for key in ("center", "slice_y", "slice_z", "center_tilde")}
+        for arr in arrays.values():
+            arr[mask] = np.nan
+        return replace(field, **arrays)
+
+    def at_base(f_in):
+        # the slices' node axis as well as the matrix axes
+        R = np.max([np.abs(F).reshape(F.shape[:2] + (-1,)).max(axis=-1)
+                    for _, fields in residuals(kind, f_in) for F in fields], axis=0)
+        return R[::f, ::f]
+
+    off = np.ones((size, size), dtype=bool)
+    off[np.ix_(rows, cols)] = False
+    assert np.isfinite(at_base(blanked(off))).all()
+    for i in rows:
+        assert np.isnan(at_base(blanked(np.s_[i, :]))).any(), ("t", i)
+    for i in cols:
+        assert np.isnan(at_base(blanked(np.s_[:, i]))).any(), ("x", i)
 
 
 def test_skipped_sample_nan_footprint():
