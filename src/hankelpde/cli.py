@@ -501,7 +501,10 @@ def _footprint(size, factor, reach):
     apart from index 2 to index size - 3, each with reach samples either
     side."""
     base = np.arange(2, size - 2, factor)
-    return np.unique(base[:, None] + np.arange(-reach, reach + 1))
+    # a mask, not np.unique, whose first call imports numpy.ma
+    keep = np.zeros(size, dtype=bool)
+    keep[base[:, None] + np.arange(-reach, reach + 1)] = True
+    return np.flatnonzero(keep)
 
 
 def _on_window(field_out, xs, ts, rows, cols):

@@ -16,7 +16,9 @@ returning det2, the last block row of G and Z = A^{-1} E_last:
 * dense, solve_edges: builds the block matrix I + WQ with the quadrature
   weights folded in on the left of Q, factors it once (lapack.LU), and
   reads det2, the row and Z from that one factor;
-* low-rank: P ~ U V from a randomized range finder and HankelFFT (block
+* low-rank: P ~ U V, U an orthonormal basis of the data's block Hankel
+  range, in closed form for exponential data (their exp_tag) and from
+  a randomized range finder otherwise, and V by HankelFFT (block
   Hankel products by FFT), then det2 by Sylvester's identity and the
   row and Z by Woodbury on an r x r core; no k x k array is formed.  A
   run's samples solve as one batch in a number of numpy calls that does
@@ -46,13 +48,13 @@ P(x + l h) = H[:, l:l+K] of the K x (K+e) block Hankel matrix H of the
 data from x on.  solve_samples, the one entry point, splits the x
 samples into runs (x_runs: samples a whole number of steps h apart,
 wherever they sit in xs, spanning at most N of them), and builds one
-Run per run and rule, dropped once its samples are solved: one range
-finder on H, whose basis U holds every sample's P, or, where the rank
-passes k/4, one extended Q (assemble_Q's extension; none for
-neg_identity, whose samples each take their kdv_Q, a free view).  It
-returns one Edges per sample, in xs order, combined over the rules by
-combine_rules, the one Richardson combination; evaluate_solution calls
-it.
+Run per run and rule, dropped once its samples are solved: one basis U
+of H's range (closed form or range finder), which holds every sample's
+P, or, where the rank passes k/4, one extended Q (assemble_Q's
+extension; none for neg_identity, whose samples each take their kdv_Q,
+a free view).  It returns one Edges per sample, in xs order, combined
+over the rules by combine_rules, the one Richardson combination;
+evaluate_solution calls it.
 
 The coupled kind's partner needs no solve of its own.  Its pairing at t
 is P~_t = P_{-t}^T, so by the push-through identity
@@ -580,6 +582,28 @@ def _range_basis(H, limit):
         block *= 2
 
 
+def _exact_basis(tag, quad, real, limit):
+    """_range_basis in closed form for exponential data p = A e^{a s},
+    tag = (a, A): an orthonormal U spanning H, or None when its rank
+    passes limit.
+
+    H[i, j] = A e^{a (xi_i + xi_j + x)} separates: H = e^{a x}
+    (c kron I_n) A (d kron I_m)^T with c_i = e^{a xi_i} over the rule's K
+    nodes, so its range is c kron range(A), and U = (c / |c|) kron Q,
+    with Q the left singular vectors of A whose singular values exceed
+    SKETCH_TOL times the largest, the range finder's cut (H's singular
+    values are A's times one common factor).  real says that H is real
+    (hankel_values took the real part), and U is then real too.
+    """
+    rate, amp = tag
+    u, s, _ = np.linalg.svd(amp.real if real else amp, full_matrices=False)
+    Q = u[:, s > SKETCH_TOL * s[0]]
+    if Q.shape[1] > limit:
+        return None
+    c = np.exp(rate * quad.nodes)
+    return np.kron((c / np.linalg.norm(c))[:, None], Q)
+
+
 class Run:
     """The solves of the samples x + l h, l = 0..e, of the pairing
     (p, ptil) on quad (k = K m unknowns per sample), and what they share.
@@ -588,15 +612,16 @@ class Run:
     (hankel_values with an extension of e nodes), and Ht the companion's,
     each transformed once; the sample x + l h has P = H[:, l:l+K] and
     P~ = Ht[:, l:l+K], and Ht is None for neg_identity (Q = -P).  Every
-    sample's answer is checked through them (_edges).  One range finder
-    on H picks the path of the whole run.  Where the rank r is at most
-    k/4, the run keeps U, an orthonormal (K n, r) basis of H's range,
-    which spans every sample's P, and each batch takes its factors from
-    it (_factors).  Otherwise the run keeps Q, the extended assemble_Q
-    whose window at l is the sample's Q, or none for neg_identity, whose
-    samples each take their kdv_Q, a free view.  A Run keeps nothing
-    from one solve to the next, so solving it again gives the same
-    records.
+    sample's answer is checked through them (_edges).  One basis of H's
+    range picks the path of the whole run: in closed form for exp-tagged
+    data (_exact_basis), else from one range finder on H
+    (_range_basis).  Where the rank r is at most k/4, the run keeps U,
+    an orthonormal (K n, r) basis of H's range, which spans every
+    sample's P, and each batch takes its factors from it (_factors).
+    Otherwise the run keeps Q, the extended assemble_Q whose window at l
+    is the sample's Q, or none for neg_identity, whose samples each take
+    their kdv_Q, a free view.  A Run keeps nothing from one solve to the
+    next, so solving it again gives the same records.
     """
 
     def __init__(self, p, ptil, x, quad, extension=0):
@@ -605,7 +630,9 @@ class Run:
         self.vals = hankel_values(p, x, quad, extension)
         self.H = HankelFFT(self.vals, K)
         self.Ht = None if ptil is None else HankelFFT(hankel_values(ptil, x, quad, extension), K)
-        self.U = _range_basis(self.H, K * p.cols // 4)
+        limit = K * p.cols // 4
+        self.U = (_range_basis(self.H, limit) if p.exp_tag is None
+                  else _exact_basis(p.exp_tag, quad, self.H.real, limit))
         self.rank = None if self.U is None else self.U.shape[1]
         self.Q = (assemble_Q(p, ptil, x, quad, extension)
                   if self.U is None and ptil is not None else None)
@@ -806,8 +833,9 @@ def solve_samples(p, ptil, xs, rules, threshold=PATCH_THRESHOLD, tol=SOLVER_TOL)
     batch, whose records go to the run's indexes: they depend neither on
     the order of xs nor on which thread solves them.  Each Run is a
     temporary, dropped once its batch returns, so no two runs of one
-    caller are alive at once.  Every run tries the range finder once,
-    whatever its size, and its path depends only on its data."""
+    caller are alive at once.  Every run takes one basis of its data's
+    range (Run), whatever its size, and its path depends only on its
+    data."""
     per_rule = []
     for quad in rules:
         records = [None] * len(xs)

@@ -1115,6 +1115,43 @@ def test_run_factors_are_the_windows_of_each_sample(name):
         assert_identical(edges, alone)
 
 
+EXACT_CASES = {"kdv_scalar": ("kdv_primitive", [[-1.0]], 1),
+               "nls_scalar": ("local_nls", [[0.75]], 1),
+               "nls_2x2_full_rank": ("local_nls", [[0.5, 0.32], [0.1, 0.4]], 2),
+               "nls_2x2_rank_one": ("local_nls", [[0.5, 0.25], [0.2, 0.1]], 1)}
+
+
+@pytest.mark.parametrize("name", EXACT_CASES)
+def test_exponential_data_take_their_basis_from_the_tag(name, monkeypatch):
+    # p0 = A e^{s}: H = e^{x} (c kron I) A (d kron I)^T, so the run takes its
+    # basis in closed form and calls no range finder; the basis is
+    # orthonormal, spans H, has the rank the finder finds on the same H,
+    # and the batch matches each sample's dense solve
+    kind, amp, rank = EXACT_CASES[name]
+    g = make_uniform_grid(20.0, 3840)
+    n, m = np.shape(amp)
+    p0 = sample_profile(InitialDataSpec(kind="exponential", amplitude=amp, rate=1.0), g, n, m)
+    k = resolve_kind(kind)
+    (p, ptil), = pairings(p0, k.params, k.companion, [0.005])
+    assert p.exp_tag is not None
+    quad, x, offsets = make_quadrature(8.0, 384 // n, g.spacing), 0.25, [0, 1, 7, 24]
+    K, e = quad.node_count, max(offsets)
+    made = count_range_finder(monkeypatch)
+    run = fredholm.Run(p, ptil, x, quad, e)
+    batch = run.solve(offsets)
+    assert made == [] and run.Q is None and run.rank == rank
+    U, vals = run.U, hankel_values(p, x, quad, e)
+    H = hankel_windows(vals, K + e).transpose(0, 2, 1, 3).reshape(K * n, (K + e) * m)
+    assert np.isrealobj(U) == np.isrealobj(vals) == (kind == "kdv_primitive")
+    assert np.abs(U.conj().T @ U - np.eye(rank)).max() <= 1e-13
+    assert np.abs(U @ (U.conj().T @ H) - H).max() <= 1e-13 * np.abs(H).max()
+    assert fredholm._range_basis(run.H, K * m // 4).shape[1] == rank
+    for l, edges in zip(offsets, batch):
+        xl = x + l * quad.spacing
+        assert edges.ranks == (rank,)
+        assert_same_edges(edges, dense_edges(paired_Q(p, ptil, xl, quad), p, xl), 1e-12)
+
+
 @pytest.mark.parametrize("kind, richardson, calls", [
     # per t row: one run of the 5 x samples, on 2 rules or 1, one field
     ("kdv_primitive", True, 10), ("local_nls", False, 6)])
@@ -1122,7 +1159,10 @@ def test_range_finder_runs_once_per_run_rule_and_field(kind, richardson, calls, 
     if kind == "kdv_primitive":
         g, quad = make_uniform_grid(28.0, 3584), 12.0
         n, xs, ts = 1, np.linspace(-2.0, 2.0, 5), np.linspace(-2.0, 2.0, 5)
-        initial = InitialDataSpec(kind="exponential", amplitude=[[-0.75]], rate=1.0)
+        # untagged scalar data (ranks 18 to 40): exponential data take
+        # their basis from the tag and call no finder, and evolved
+        # exponential_step data pass the rank limit and go dense
+        initial = InitialDataSpec(kind="gaussian", amplitude=[[-0.75]], width=1.0)
     else:
         g, quad = make_uniform_grid(20.0, 1920), 8.0
         n, xs, ts = 2, np.linspace(-1.0, 1.0, 5), np.linspace(-0.8, 0.8, 6)
