@@ -495,19 +495,19 @@ def _refine_axis(vals, factor):
     return _axis(vals[0], vals[-1], (vals.size - 1) * factor + 1)
 
 
-def _footprint(size, factor, reach):
-    """Indexes into a residual study's window of size samples that the
-    stencils at the base interior samples read: those samples, factor
-    apart from index 2 to index size - 3, each with reach samples either
-    side."""
-    base = np.arange(2, size - 2, factor)
+def _footprint(count, factor, reach):
+    """Indexes into an axis of count base samples refined by factor that
+    the residual stencils at the base interior samples read: base sample
+    j at index j factor for j = 2 .. count - 3, each with reach samples
+    either side."""
+    base = factor * np.arange(2, count - 2)
     # a mask, not np.unique, whose first call imports numpy.ma
-    keep = np.zeros(size, dtype=bool)
+    keep = np.zeros((count - 1) * factor + 1, dtype=bool)
     keep[base[:, None] + np.arange(-reach, reach + 1)] = True
     return np.flatnonzero(keep)
 
 
-def _on_window(field_out, xs, ts, rows, cols):
+def _on_axes(field_out, xs, ts, rows, cols):
     """field_out, solved at ts[rows] x xs[cols], as a field on (xs, ts)
     whose other samples hold NaN."""
     def spread(F):
@@ -528,18 +528,18 @@ def convergence_study(scenario, levels=3, threads=1):
     step halve together.  The per-level error is the distance to the
     rank-one closed form over the whole refined grid when the data is
     scalar exponential with a separable companion; otherwise it is the
-    PDE residual at the base level's interior samples, which every finer
-    level shares.  On the residual, level l reads the window of its
-    refined axes those samples' stencils reach (each axis less 2f - 2
-    samples per end, f = 2^l) and solves only their footprint in it: the
-    base interior samples and, per axis, the samples within the
-    stencils' reach of them (equations.stencil_reach); the rest of the
-    window holds NaN, which no residual at a base interior sample reads.
-    Level 0 solves the scenario's own grid.  Returns a StudyReport with
-    per-level errors, ratios, and the fitted order.  Each level counts
-    the samples patch monitoring skipped among those it solved; its
-    error covers the rest.  Every level, its rules and its solved axes
-    are built and checked before the first solve.
+    PDE residual at the base level's interior samples, which every level
+    shares.  Each level (f = 2^level) solves, on its refined axes, the
+    samples its error reads and no others: the closed form reads every
+    sample; the residual reads the base interior samples (base sample j
+    is refined sample j f) and, per axis, the samples within the
+    stencils' reach of them (equations.stencil_reach).  The rest of the
+    refined grid holds NaN, which no residual at a base interior sample
+    reads.  Returns a StudyReport with per-level errors, ratios, and the
+    fitted order.  Each level counts the samples patch monitoring
+    skipped among those it solved; its error covers the rest.  Every
+    level, its rules and its solved axes are built and checked before
+    the first solve.
     """
     if levels < 3:
         raise ValueError("convergence study needs levels >= 3, got %r" % (levels,))
@@ -568,36 +568,29 @@ def convergence_study(scenario, levels=3, threads=1):
                                p0.grid.spacing)
         quadrature_rules(quad, scenario.richardson)
         xs, ts = _refine_axis(base_xs, factor), _refine_axis(base_ts, factor)
-        footprint = None
         if reference is None:
-            # the window the base interior samples' stencils read
-            xs, ts = (v[2 * factor - 2:v.size - 2 * factor + 2] for v in (xs, ts))
-            if factor > 1:
-                footprint = (_footprint(ts.size, factor, reach_t),
-                             _footprint(xs.size, factor, reach_x))
-        _check_on_grid(p0.grid, quad, xs)
+            rows = _footprint(base_ts.size, factor, reach_t)
+            cols = _footprint(base_xs.size, factor, reach_x)
+        else:
+            rows, cols = np.arange(ts.size), np.arange(xs.size)
         # only the centre values are read, so no level keeps its slices
-        plan.append((factor, footprint,
-                     replace(scenario, quad=quad, xs=xs, ts=ts, outputs=("center",))))
+        sc = replace(scenario, quad=quad, xs=xs[cols], ts=ts[rows], outputs=("center",))
+        _check_on_grid(p0.grid, quad, sc.xs)
+        plan.append((factor, xs, ts, rows, cols, sc))
 
     out_levels = []
-    for factor, footprint, sc in plan:
-        xs, ts = sc.xs, sc.ts
-        if footprint is None:
-            field_out, patch = evaluate_solution(sc, threads=threads)
-        else:
-            rows, cols = footprint
-            field_out, patch = evaluate_solution(replace(sc, xs=xs[cols], ts=ts[rows]),
-                                                 threads=threads)
-            field_out = _on_window(field_out, xs, ts, rows, cols)
+    for factor, xs, ts, rows, cols, sc in plan:
+        field_out, patch = evaluate_solution(sc, threads=threads)
+        field_out = _on_axes(field_out, xs, ts, rows, cols)
         if reference is not None:
             err = _nanmax_abs(field_out.center[:, :, 0, 0] - reference(xs, ts))
         else:
             R = np.max([np.abs(F).max(axis=(-1, -2)) for _, fields
                         in residuals(scenario.kind, field_out) for F in fields], axis=0)
-            # the window's interior starts at base sample 2, and base
-            # samples are factor apart
-            err = _nanmax_abs(R[::factor, ::factor])
+            # residuals trim two samples per end, so base interior
+            # sample j sits at R[j factor - 2]
+            at = [factor * np.arange(2, v.size - 2) - 2 for v in (base_ts, base_xs)]
+            err = _nanmax_abs(R[np.ix_(*at)])
         dx = xs[1] - xs[0] if xs.size > 1 else 0.0
         dt = ts[1] - ts[0] if ts.size > 1 else 0.0
         out_levels.append(StudyLevel(N=sc.quad.intervals, dx=float(dx), dt=float(dt),

@@ -6,7 +6,7 @@ companion_consistency_residual the companion pairings, and miura_check
 the KdV/mKdV coupling identity (acceptance criterion 6), each through
 the package's own evolve, pairings and solve_samples.
 full_grid_study_errors is the residual study measured on every level's
-whole refined grid, the reference for the windows a study solves.
+whole refined grid, the reference for the footprints a study solves.
 """
 
 from dataclasses import replace

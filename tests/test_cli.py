@@ -22,6 +22,7 @@ from hankelpde.cli import (
     run,
     verify,
 )
+from hankelpde.equations import stencil_reach
 from hankelpde.fredholm import make_quadrature
 from hankelpde.gridkernel import sample_profile
 from oracles import full_grid_study_errors
@@ -355,8 +356,8 @@ def test_convergence_study_residual_reference(tmp_path):
                                   "rev_time_nls"])
 def test_a_residual_study_reads_the_errors_of_the_full_grid(name):
     # mu2 = 0; mu2 != 0 (the 5-point x stencil); the partner at -t; a
-    # reflected t: each level's window gives the error its whole refined
-    # grid gives, level 0 (the whole base grid) to the bit
+    # reflected t: each level's footprint gives the error its whole
+    # refined grid gives, level 0's to the bit
     sc = parse_scenario(str(SCENARIO_DIR / (name + ".yaml")))
     got = [lv.error for lv in convergence_study(sc, levels=3).levels]
     want = full_grid_study_errors(sc, levels=3)
@@ -370,9 +371,11 @@ def test_a_residual_study_reads_the_errors_of_the_full_grid(name):
     ("coupled_diffusion", None, 1), ("nls_rank_one_study", None, None)])
 def test_study_levels_solve_the_footprint_they_read(
         tmp_path, monkeypatch, name, kind, reach_x):
-    # reach_x is how far the x stencils reach: 2 where the flow has the
-    # 5-point third derivative (mu2 != 0), else 1; the t stencil reaches
-    # 1; None marks the closed form, whose error reads every sample
+    # every level solves its footprint on its refined axes, level 0 as
+    # well; reach_x is how far the x stencils reach: 2 where the flow has
+    # the 5-point third derivative (mu2 != 0), else 1; the t stencil
+    # reaches 1; None marks the closed form, whose error reads every
+    # sample of the refined grid
     axes = []
     evaluate = cli.evaluate_solution
 
@@ -395,25 +398,28 @@ def test_study_levels_solve_the_footprint_they_read(
             full = cli._refine_axis(base, f)
             if reach is None:
                 assert np.array_equal(got, full)
-            elif f == 1:
-                # level 0 solves the scenario's own grid
-                assert np.array_equal(got, base)
-            else:
-                # base interior sample j is refined sample j f; each one
-                # solves with the samples within reach of it, so at
-                # f = 4 an x reach of 1 solves 3 samples per base
-                # interior sample and a reach of 2 solves 5, one shared
-                # with the next
-                interior = f * np.arange(2, base.size - 2)
-                want = np.unique(interior[:, None] + np.arange(-reach, reach + 1))
-                assert np.array_equal(got, full[want])
-                if f == 4:
-                    assert got.size == {1: 3 * interior.size, 2: 4 * interior.size + 1}[reach]
+                continue
+            # base interior sample j is refined sample j f; each one
+            # solves with the samples within reach of it, so level 0
+            # solves base samples 2 - reach .. n - 3 + reach, and at
+            # f = 4 an x reach of 1 solves 3 samples per base interior
+            # sample and a reach of 2 solves 5, one shared with the next
+            interior = f * np.arange(2, base.size - 2)
+            want = np.unique(interior[:, None] + np.arange(-reach, reach + 1))
+            assert np.array_equal(got, full[want])
+            if f == 1:
+                assert np.array_equal(got, base[2 - reach:base.size - 2 + reach])
+            if f == 4:
+                assert got.size == {1: 3 * interior.size, 2: 4 * interior.size + 1}[reach]
         # a reflected coordinate keeps its samples' mirrors
         if sc.kind.reflect_x:
             assert np.array_equal(solved[0], -solved[0][::-1])
         if sc.kind.reflect_t:
             assert np.array_equal(solved[1], -solved[1][::-1])
+    # the t stencil's reach of 1 leaves out the first and last t sample,
+    # so no residual level solves the whole scenario grid
+    if reach_x is not None:
+        assert axes[0][0].size * axes[0][1].size < sc.xs.size * sc.ts.size
 
 
 def test_convergence_study_levels_guard(tmp_path):
@@ -1369,10 +1375,19 @@ def test_backward_error_above_solver_tol_skips_the_sample(tmp_path, capsys):
         else:
             assert np.array_equal(field.center[it, ix], field_ok.center[it, ix])
     assert np.array_equal(report.det2, report_ok.det2)
+    # level 0 solves, and so counts the skips in, only its footprint:
+    # the samples within the stencils' reach of the base interior ones
+    reach_t, reach_x = stencil_reach(sc.kind)
+    rows = set(cli._footprint(sc.ts.size, 1, reach_t))
+    cols = set(cli._footprint(sc.xs.size, 1, reach_x))
+    inside = sum(it in rows and ix in cols for it, ix in above)
+    assert 0 < inside < len(above)
     capsys.readouterr()
     assert main(["study", path, "--levels", "3"]) == 2
-    assert capsys.readouterr().out.splitlines()[-1].startswith(
-        "completed with patch-skipped samples: %d at level 0" % len(above))
+    last = capsys.readouterr().out.splitlines()[-1]
+    head, counts = last.split(": ")
+    assert head == "completed with patch-skipped samples"
+    assert counts.split(", ")[0] == "%d at level 0" % inside
 
 
 def test_a_dense_solve_that_misses_solver_tol_exits_2(tmp_path):

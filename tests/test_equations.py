@@ -401,11 +401,11 @@ def _accepted_kinds():
 @pytest.mark.parametrize("kind", list(_accepted_kinds()),
                          ids=lambda k: "%s-%s" % (k.name, k.companion))
 def test_stencil_reach_is_what_the_residuals_read(kind):
-    # a field shaped like a study's window at f = 4 over 9 base samples
-    # per axis: the base interior samples sit f apart from index 2, and
-    # the footprint adds the samples within stencil_reach of them
+    # a field on a study's refined axes at f = 4 over 9 base samples per
+    # axis: base interior sample j sits at index j f, and the footprint
+    # adds the samples within stencil_reach of them
     f = 4
-    size = (9 - 5) * f + 5
+    size = (9 - 1) * f + 1
     axis = np.linspace(-1.0, 1.0, size)
     rng = np.random.default_rng(29)
 
@@ -415,7 +415,7 @@ def test_stencil_reach_is_what_the_residuals_read(kind):
     field = SolutionField(xs=axis, ts=axis, quad=None, center=draw(size, size, 2, 2),
                           slice_y=draw(size, size, 3, 2, 2), slice_z=draw(size, size, 3, 2, 2),
                           center_tilde=draw(size, size, 2, 2))
-    base = np.arange(2, size - 2, f)
+    base = f * np.arange(2, 9 - 2)
     rows, cols = (np.unique(base[:, None] + np.arange(-r, r + 1))
                   for r in stencil_reach(kind))
 
@@ -430,7 +430,8 @@ def test_stencil_reach_is_what_the_residuals_read(kind):
         # the slices' node axis as well as the matrix axes
         R = np.max([np.abs(F).reshape(F.shape[:2] + (-1,)).max(axis=-1)
                     for _, fields in residuals(kind, f_in) for F in fields], axis=0)
-        return R[::f, ::f]
+        # residuals trim two samples per end
+        return R[np.ix_(base - 2, base - 2)]
 
     off = np.ones((size, size), dtype=bool)
     off[np.ix_(rows, cols)] = False

@@ -178,6 +178,15 @@ def test_a_second_caller_is_caught():
     assert _callers(sources, "f") == [("a.py", 5), ("b.py", 2)]
 
 
+def test_a_study_solves_on_one_path():
+    # every study level is one plan (its refined axes and the samples its
+    # error reads), solved by one evaluate_solution call
+    tree = ast.parse((SRC / "cli.py").read_text())
+    study, = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "convergence_study"]
+    assert len(_callers({"cli.py": ast.unparse(study)}, "evaluate_solution")) == 1
+
+
 def _unraised_calls(source, name):
     """Lines of the calls of name that are not the exception of a raise
     statement: an exception type built only to be raised."""
