@@ -12,8 +12,9 @@ Scenario files are YAML.  A minimal one:
       x: {start: -1.0, stop: 1.0, count: 9}
       t: {start: -0.5, stop: 0.5, count: 9}
 
-Tolerances resolve as defaults < scenario file < environment
-(HANKELPDE_DECAY_TOL, HANKELPDE_PATCH_THRESHOLD, HANKELPDE_SOLVER_TOL).
+Tolerances (decay_tol, patch_threshold, solver_tol) resolve as module
+defaults < the scenario file's tolerances section, so the manifest's
+scenario block reproduces the run.
 Output tables are tab-separated with %.17g floats, so identical
 scenarios produce bitwise-identical tables regardless of --threads.
 floatfmt writes the numbers: the bytes of Python's '%.17g', formatted
@@ -62,9 +63,6 @@ from .gridkernel import (
 from .kinds import resolve_kind
 from .lapack import lu_path
 
-ENV_PREFIX = "HANKELPDE_"
-_ENV_KEYS = {"decay_tol": "DECAY_TOL", "patch_threshold": "PATCH_THRESHOLD",
-             "solver_tol": "SOLVER_TOL"}
 _OUTPUT_KINDS = ("center", "slices", "det2", "residuals")
 _DATA_KINDS = ("gaussian", "exponential_step", "exponential", "tabulated")
 # largest N*m a convergence study may reach at its finest level
@@ -168,10 +166,6 @@ def _resolve_tolerances(file_tols):
             raise ValueError("unknown tolerance %r (expected one of %s)"
                              % (key, sorted(tols)))
         tols[key] = _number(val, "tolerances.%s" % key)
-    for key, suffix in _ENV_KEYS.items():
-        env = os.environ.get(ENV_PREFIX + suffix)
-        if env is not None:
-            tols[key] = _number(env, ENV_PREFIX + suffix)
     return tols
 
 

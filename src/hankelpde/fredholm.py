@@ -582,10 +582,9 @@ def _range_basis(H, limit):
         block *= 2
 
 
-def _exact_basis(tag, quad, real, limit):
+def _exact_basis(tag, quad, real):
     """_range_basis in closed form for exponential data p = A e^{a s},
-    tag = (a, A): an orthonormal U spanning H, or None when its rank
-    passes limit.
+    tag = (a, A): an orthonormal U spanning H.
 
     H[i, j] = A e^{a (xi_i + xi_j + x)} separates: H = e^{a x}
     (c kron I_n) A (d kron I_m)^T with c_i = e^{a xi_i} over the rule's K
@@ -593,13 +592,13 @@ def _exact_basis(tag, quad, real, limit):
     with Q the left singular vectors of A whose singular values exceed
     SKETCH_TOL times the largest, the range finder's cut (H's singular
     values are A's times one common factor).  real says that H is real
-    (hankel_values took the real part), and U is then real too.
+    (hankel_values took the real part), and U is then real too.  U has
+    at most min(n, m) columns, never more than Run's limit K m / 4: a
+    rule has K >= 5 nodes (make_quadrature's N >= 4).
     """
     rate, amp = tag
     u, s, _ = np.linalg.svd(amp.real if real else amp, full_matrices=False)
     Q = u[:, s > SKETCH_TOL * s[0]]
-    if Q.shape[1] > limit:
-        return None
     c = np.exp(rate * quad.nodes)
     return np.kron((c / np.linalg.norm(c))[:, None], Q)
 
@@ -630,9 +629,8 @@ class Run:
         self.vals = hankel_values(p, x, quad, extension)
         self.H = HankelFFT(self.vals, K)
         self.Ht = None if ptil is None else HankelFFT(hankel_values(ptil, x, quad, extension), K)
-        limit = K * p.cols // 4
-        self.U = (_range_basis(self.H, limit) if p.exp_tag is None
-                  else _exact_basis(p.exp_tag, quad, self.H.real, limit))
+        self.U = (_range_basis(self.H, K * p.cols // 4) if p.exp_tag is None
+                  else _exact_basis(p.exp_tag, quad, self.H.real))
         self.rank = None if self.U is None else self.U.shape[1]
         self.Q = (assemble_Q(p, ptil, x, quad, extension)
                   if self.U is None and ptil is not None else None)

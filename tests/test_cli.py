@@ -167,12 +167,6 @@ def test_parse_scenario_residuals_need_symmetric_grid(tmp_path):
         parse_scenario(write_scenario(tmp_path, text))
 
 
-def test_parse_scenario_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("HANKELPDE_PATCH_THRESHOLD", "1e-5")
-    sc = parse_scenario(write_scenario(tmp_path, GAUSS_NLS_SMALL))
-    assert sc.tolerances["patch_threshold"] == 1e-5
-
-
 def test_parse_scenario_decay_warning(tmp_path):
     wide = GAUSS_NLS_SMALL.replace("width: 1.0", "width: 12.0")
     with pytest.warns(UserWarning):
@@ -625,15 +619,33 @@ def test_run_manifest_records_backward_error(tmp_path):
     assert 0.0 < manifest["max_backward_error"] <= sc.tolerances["solver_tol"]
 
 
-def test_parse_scenario_names_bad_env_override_and_tabulated_values(tmp_path, monkeypatch):
+def test_parse_scenario_names_bad_tabulated_values(tmp_path):
     tabulated = GAUSS_NLS_SMALL.replace(
         "initial: {kind: gaussian, amplitude: 0.75, width: 1.0}",
         "initial: {kind: tabulated, values: [null, abc]}")
     with pytest.raises(ValueError, match="initial.values"):
         parse_scenario(write_scenario(tmp_path, tabulated))
-    monkeypatch.setenv("HANKELPDE_PATCH_THRESHOLD", "abc")
-    with pytest.raises(ValueError, match="HANKELPDE_PATCH_THRESHOLD"):
-        parse_scenario(write_scenario(tmp_path, GAUSS_NLS_SMALL))
+
+
+def test_a_manifests_scenario_block_solves_to_the_same_run(tmp_path, monkeypatch):
+    # tolerances come from the scenario file alone, so a HANKELPDE_*
+    # variable left in the environment changes nothing the manifest
+    # does not record
+    monkeypatch.setenv("HANKELPDE_PATCH_THRESHOLD", "0.99")
+    first = tmp_path / "first"
+    code = main(["solve", str(SCENARIO_DIR / "nls_gaussian_2x2.yaml"), "--out", str(first)])
+    manifest = json.loads((first / "manifest.json").read_text())
+    monkeypatch.delenv("HANKELPDE_PATCH_THRESHOLD")
+    recorded = tmp_path / "recorded.yaml"
+    recorded.write_text(yaml.safe_dump(manifest["scenario"]))
+    again = tmp_path / "again"
+    assert main(["solve", str(recorded), "--out", str(again)]) == code == 0
+    replayed = json.loads((again / "manifest.json").read_text())
+    assert (manifest["tolerances"]["patch_threshold"]
+            == replayed["tolerances"]["patch_threshold"] == 1e-8)
+    assert manifest["outputs"] == replayed["outputs"]
+    for name in manifest["outputs"]:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
 
 
 def test_verify_builds_each_system_once(monkeypatch):

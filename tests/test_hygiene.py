@@ -209,3 +209,38 @@ def test_a_returned_patch_error_is_caught():
               "def g(d):\n    return PatchError(d)\n\n\n"
               "def h(d):\n    raise fredholm.PatchError(d, 0.0)\n")
     assert _unraised_calls(source, "PatchError") == [6]
+
+
+_ENVIRONMENT = {"environ", "getenv", "putenv"}
+
+
+def _environment_access(source):
+    """(line, name) of each use of os.environ, os.getenv or os.putenv:
+    read as an attribute of os (under any alias) or imported from it."""
+    tree = ast.parse(source)
+    os_names = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names
+                if alias.name == "os"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in _ENVIRONMENT]
+        elif (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+              and isinstance(node.value, ast.Name) and node.value.id in os_names):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # a run is set by its scenario file and its command line alone, so
+    # the manifest's scenario block reproduces its tolerances
+    assert _environment_access(path.read_text()) == []
+
+
+def test_an_environment_read_is_caught():
+    source = ("import os\nimport os as system\nfrom os import getenv, path\n\n\n"
+              "def f():\n    os.makedirs(path.join('a', 'b'))\n"
+              "    return os.environ.get('A'), system.putenv('B', '1'), getenv('C')\n")
+    assert _environment_access(source) == [(3, "getenv"), (8, "environ"), (8, "putenv")]
