@@ -42,7 +42,7 @@ from .equations import (
     stencil_reach,
     u_identity_check,
 )
-from .floatfmt import write_rows
+from .floatfmt import CHUNK, FEW, records, set_signs, write_rows
 from .fredholm import (
     PATCH_THRESHOLD,
     SOLVER_TOL,
@@ -298,23 +298,44 @@ def _entry_headers(prefix, n, m):
     return cols
 
 
-def _write_table(path, header, keys, values, tail=()):
-    """Write one row per row of keys: the key columns, each complex entry
-    of that row of values as re, im in ravel order, then the tail
-    columns; every number as %.17g."""
-    values = values.reshape(len(keys), -1)
-    re_im = np.stack([values.real, values.imag], axis=-1).reshape(len(keys), -1)
-    table = np.column_stack([keys, re_im, *tail])
+def _write_table(path, header, keys, values, tail=(), copies={}):
+    """Write one line per sample of the axes keys, (xs, ts) or (xs, ts,
+    xis), t-major: its keys, each complex entry of its values as re, im
+    in ravel order, then its tail values, every number as %.17g.  A t row
+    of copies (SolutionField.copies) holds the numbers of the row it maps
+    to up to sign, so it takes that row's records (set_signs).  Rows too
+    short for numpy's path are formatted together."""
+    xs, ts, *inner = keys
+    shape, nt, nk = (len(xs),) + tuple(len(k) for k in inner), len(ts), len(keys)
+    numbers = np.ascontiguousarray(values).reshape((nt,) + shape + (-1,)).view(float)
+    if tail:
+        numbers = np.concatenate(
+            [numbers] + [np.reshape(c, numbers.shape[:-1] + (1,)) for c in tail], axis=-1)
+    width = numbers.shape[-1]
+    numbers = numbers.reshape(nt, -1)
+    step = 1 if numbers.shape[1] >= FEW else CHUNK // numbers.shape[1]
+    copies = copies if step == 1 else {}
+    last = {copies.get(i, i): i for i in range(0, nt, step)}
+
+    xrec, trec, *irec = (records(np.asarray(k, dtype=float))[0] for k in keys)
+    block = np.empty((min(step, nt),) + shape + (nk + width, 4), xrec.dtype)
+    block[..., 0, :] = xrec.reshape((-1,) + (1,) * len(inner) + (4,))
+    if inner:
+        block[..., 2, :] = irec[0]
+    held = {}
     with open(path, "wb") as fh:
         fh.write(("\t".join(header) + "\n").encode())
-        write_rows(fh, table)
-
-
-def _sample_keys(field_out, *inner):
-    """Key columns (x, t, *inner) over the samples in t-major order."""
-    grids = [g.ravel() for g in np.meshgrid(field_out.ts, field_out.xs, *inner,
-                                            indexing="ij")]
-    return np.column_stack([grids[1], grids[0]] + grids[2:])
+        for i in range(0, nt, step):
+            n, js = min(step, nt - i), copies.get(i, i)
+            if js not in held:
+                held[js] = records(numbers[js:js + n].ravel())
+            rec, slow = held.pop(js) if last[js] == i else held[js]
+            block[:n, ..., 1, :] = trec[i:i + n].reshape((n,) + (1,) * len(shape) + (4,))
+            cells = block[:n, ..., nk:, :]
+            cells[...] = rec.reshape(cells.shape)
+            if js != i:
+                set_signs(cells, slow, numbers[i])
+            write_rows(fh, block[:n].reshape(-1, nk + width, 4))
 
 
 def _l2_norm(R, dx, dt):
@@ -366,29 +387,30 @@ def run(scenario, out_dir=".", threads=1):
     timings["solve_s"] = t1 - t0
 
     written = []
-    keys = _sample_keys(field_out)
+    axes, copies = (field_out.xs, field_out.ts), field_out.copies
+    samples = field_out.center.shape[:2]
     if "center" in scenario.outputs:
         path = os.path.join(out_dir, "center.tsv")
         n, m = scenario.p0.rows, scenario.p0.cols
         header = ["x", "t"] + _entry_headers("g", n, m)
-        values = field_out.center.reshape(len(keys), -1)
+        values = field_out.center.reshape(samples + (-1,))
         if scenario.kind.coupled:
             header += _entry_headers("gt", m, n)
-            values = np.column_stack(
-                [values, field_out.center_tilde.reshape(len(keys), -1)])
-        _write_table(path, header, keys, values)
+            values = np.concatenate(
+                [values, field_out.center_tilde.reshape(samples + (-1,))], axis=-1)
+        _write_table(path, header, axes, values, copies=copies)
         written.append(path)
     if "slices" in scenario.outputs:
-        slice_keys = _sample_keys(field_out, field_out.quad.nodes)
         for which, data in (("y", field_out.slice_y), ("z", field_out.slice_z)):
             path = os.path.join(out_dir, "slice_%s.tsv" % which)
             header = ["x", "t", "xi"] + _entry_headers("g", *data.shape[-2:])
-            _write_table(path, header, slice_keys, data)
+            _write_table(path, header, axes + (field_out.quad.nodes,), data, copies=copies)
             written.append(path)
     if "det2" in scenario.outputs:
         path = os.path.join(out_dir, "det2.tsv")
-        _write_table(path, ["x", "t", "re_det2", "im_det2", "abs_det2"], keys,
-                     report.det2, tail=([abs(d) for d in report.det2.ravel()],))
+        _write_table(path, ["x", "t", "re_det2", "im_det2", "abs_det2"], axes,
+                     report.det2, tail=([abs(d) for d in report.det2.ravel()],),
+                     copies=copies)
         written.append(path)
     timings["tables_s"] = time.perf_counter() - t1
 
@@ -512,7 +534,8 @@ def _on_axes(field_out, xs, ts, rows, cols):
         return out
 
     return replace(field_out, xs=xs, ts=ts, center=spread(field_out.center),
-                   center_tilde=spread(field_out.center_tilde))
+                   center_tilde=spread(field_out.center_tilde),
+                   copies={rows[i]: rows[j] for i, j in field_out.copies.items()})
 
 
 def convergence_study(scenario, levels=3, threads=1):

@@ -1,27 +1,33 @@
 """Float tables as tab-separated %.17g text, formatted in numpy.
 
-write_rows(fh, table) writes the bytes of
+records(v) gives each value's record, its '%.17g' text NUL-padded to
+32 bytes, and write_rows(fh, rec) writes a (rows, columns) array of
+records as tab-separated lines without the NULs: the bytes of
 
     "".join("\\t".join("%.17g" % v for v in row) + "\\n" for row in table)
 
-without a Python format call per number.  Each value's 17 significant
-digits D and decimal exponent X (|v| ~ D 10^(X-16)) come from one
-double-double product: |v| times 10^(16-X), held as hi + lo (hi the
-double nearest 10^(16-X), lo the double nearest the rest), with hi's
-part of the product exact by Dekker's split (numpy has no fma).  The
-product's error is below 1e-13, so a fraction more than _MARGIN away
-from 1/2 rounds D exactly as a correctly rounded %.17g does (half-even
-only decides exact ties, which fall inside the margin).  The %g layout
-is then numpy work on a 32-byte record per value, assembled from lookup
-tables: fixed notation for -4 <= X < 17, exponent notation otherwise,
-trailing zeros stripped, the unused bytes NUL and deleted at the end.
+without a Python format call per number.  A record's first byte is its
+sign, "-" or NUL, unless the value took Python's format, so the record
+of a value's negative differs in that byte alone.
+
+Each value's 17 significant digits D and decimal exponent X
+(|v| ~ D 10^(X-16)) come from one double-double product: |v| times
+10^(16-X), held as hi + lo (hi the double nearest 10^(16-X), lo the
+double nearest the rest), with hi's part of the product exact by
+Dekker's split (numpy has no fma).  The product's error is below
+1e-13, so a fraction more than _MARGIN away from 1/2 rounds D exactly
+as a correctly rounded %.17g does (half-even only decides exact ties,
+which fall inside the margin).  The %g layout is then numpy work on
+the records, assembled from lookup tables: fixed notation for
+-4 <= X < 17, exponent notation otherwise, trailing zeros stripped.
 +-0 takes the same layout with D = 0 and X = 0, which gives "0" and "-0".
 
 A value the product cannot certify takes Python's own '%.17g': a
 fraction within _MARGIN of 1/2, nonzero |v| outside [_TINY, _HUGE)
 (where the split or the power of ten would leave the double range), nan
-and +-inf.  So does a block of fewer than _FEW values, where numpy's
-per-call cost exceeds the format calls it saves.
+and +-inf.  So does every value of a block of fewer than FEW values,
+where numpy's per-call cost exceeds the format calls it saves; records
+works in blocks of CHUNK values.
 """
 
 import functools
@@ -30,8 +36,8 @@ import numpy as np
 
 # values per block: numpy's per-call cost is small against a block, and
 # a block's arrays (64 KB) stay below malloc's mmap threshold
-_CHUNK = 8192
-_FEW = 384
+CHUNK = 8192
+FEW = 384
 _MARGIN = 2.0 ** -20
 _TINY, _HUGE = 1e-280, 1e280
 # a record is four little-endian 64-bit words, 32 bytes: 0 the sign,
@@ -113,8 +119,8 @@ def _scaled(a, X):
     [0, 1), to within 1e-13 where the integer part is in [1e16, 1e17)."""
     s = 16 - X
     first = int(s.min())
-    tens = np.array([_ten(k) for k in range(first, int(s.max()) + 1)]).T.copy()
-    hi, lo, hh, hl = tens[:, s - first]
+    tens = np.array([_ten(k) for k in range(first, int(s.max()) + 1)])
+    hi, lo, hh, hl = tens.take(s - first, axis=0).T
     p = a * hi  # an integer when a hi >= 1e16 > 2^53
     ah, al = _split(a)
     err = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # p + err = a hi exactly
@@ -139,18 +145,10 @@ def _digits(a):
     return np.where(carried, 10 ** 16, D), X + carried, certified
 
 
-def _records(v):
-    """(len(v), 4) little-endian words of v's %.17g text, NUL-padded, and
-    the indices of the values that took Python's format."""
-    quads, zeros, keep_before, keep_after, point, head, tail = _tables()
-    a = np.abs(v)
-    zero = a == 0
-    fallback = ~((a >= _TINY) & (a < _HUGE) | zero)
-    # zeros run as 1.0, D = 10^16 and X = 0, and then take D = 0
-    D, X, certified = _digits(np.where(fallback | zero, 1.0, a))
-    D[zero] = 0
-    fallback |= ~certified
-
+def _digit_words(D):
+    """The 17 digits of each D as _tables' three digit words, and their
+    trailing zero count."""
+    quads, zeros = _tables()[:2]
     # D in base 10^4: q[0] the leading digit, then four groups of four
     q = [None] * 5
     for i in range(4, 0, -1):
@@ -161,7 +159,35 @@ def _records(v):
     tz = zeros[q[4]] + (q[4] == 0) * (
         zeros[q[3]] + (q[3] == 0) * (zeros[q[2]] + (q[2] == 0) * zeros[q[1]]))
     c = [quads[g] for g in q]
-    chars = (c[0] << _32, c[1] | c[2] << _32, c[3] | c[4] << _32)
+    return (c[0] << _32, c[1] | c[2] << _32, c[3] | c[4] << _32), tz
+
+
+def _python(v):
+    """Records of Python's own '%.17g' of each value of v."""
+    # "%-24.17g" pads with spaces, which %.17g itself never writes;
+    # 24 bytes hold the longest, such as -2.2250738585072014e-308
+    text = ("%-24.17g" * len(v) % tuple(v.tolist())).encode().replace(b" ", b"\0")
+    rec = np.zeros((len(v), 4), _WORD)
+    rec.view(np.uint8)[:, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+    return rec
+
+
+def _records(v, rec):
+    """Fill rec, (len(v), 4) words, with the records of v, and return the
+    indices of the values that took Python's format: every one when v
+    has fewer than FEW values."""
+    if len(v) < FEW:
+        rec[:] = _python(v)
+        return np.arange(len(v))
+    _, _, keep_before, keep_after, point, head, tail = _tables()
+    a = np.abs(v)
+    zero = a == 0
+    fallback = ~((a >= _TINY) & (a < _HUGE) | zero)
+    # zeros run as 1.0, D = 10^16 and X = 0, and then take D = 0
+    D, X, certified = _digits(np.where(fallback | zero, 1.0, a))
+    D[zero] = 0
+    fallback |= ~certified
+    chars, tz = _digit_words(D)
 
     fixed = (X >= -4) & (X < 17)
     # digits before the point: X + 1 in fixed notation (every one kept),
@@ -171,7 +197,6 @@ def _records(v):
     after = 18 * before + kept
     A = [w & m[before] for w, m in zip(chars, keep_before)]
     B = [w & m[after] | p[after] for w, m, p in zip(chars, keep_after, point)]
-    rec = np.empty((len(v), 4), _WORD)
     rec[:, 0] = (A[0] >> _8 | A[1] << _56 | B[0]
                  | head[5 * np.signbit(v) + fixed * np.maximum(-X, 0)])
     rec[:, 1] = A[1] >> _8 | A[2] << _56 | B[1]
@@ -180,28 +205,35 @@ def _records(v):
 
     slow = np.flatnonzero(fallback)
     if slow.size:
-        # "%-24.17g" pads with spaces, which %.17g itself never writes;
-        # 24 bytes hold the longest, such as -2.2250738585072014e-308
-        text = ("%-24.17g" * slow.size % tuple(v[slow].tolist())).encode()
-        chars = np.frombuffer(text, np.uint8).reshape(-1, 24)
-        rec[slow] = 0
-        rec.view(np.uint8)[slow, :24] = chars * (chars != ord(" "))
-    return rec, slow
+        rec[slow] = _python(v[slow])
+    return slow
 
 
-def write_rows(fh, table):
-    """Write table (rows x columns of floats) to the binary file fh as
-    %.17g values, tab separated, one line per row."""
-    rows, cols = table.shape
-    step = max(1, _CHUNK // cols)
-    for start in range(0, rows, step):
-        block = table[start:start + step]
-        if block.size < _FEW:
-            line = "\t".join(["%.17g"] * cols) + "\n"
-            fh.write((line * len(block) % tuple(block.ravel().tolist())).encode())
-            continue
-        rec, _ = _records(block.ravel())
-        ends = rec.view(np.uint8).reshape(len(block), cols, 32)[:, :, -1]
-        ends[:, :-1] = _TAB
-        ends[:, -1] = _NEWLINE
-        fh.write(rec.tobytes().translate(None, b"\0"))
+def records(v):
+    """The records of the 1-D float array v: (len(v), 4) words, value i's
+    %.17g text NUL-padded in row i, and the sorted indices of the values
+    that took Python's format, CHUNK values at a time."""
+    rec = np.empty((len(v), 4), _WORD)
+    slow = np.zeros(len(v), dtype=bool)
+    for start in range(0, len(v), CHUNK):
+        slow[start + _records(v[start:start + CHUNK], rec[start:start + CHUNK])] = True
+    return rec, np.flatnonzero(slow)
+
+
+def set_signs(rec, slow, v):
+    """Make rec, the records of values with the magnitudes of v, and slow,
+    the indices of those that took Python's format (records), the records
+    of v: the sign bytes from v, and Python's format of v at slow.  rec
+    may be any (..., 4) view of records, indexed in C order."""
+    rec.view(np.uint8)[..., 0] = np.signbit(v).reshape(rec.shape[:-1]) * _MINUS
+    rec[np.unravel_index(slow, rec.shape[:-1])] = records(v[slow])[0]
+
+
+def write_rows(fh, rec):
+    """Write rec, (rows, columns, 4) records, to the binary file fh: the
+    values of a row tab separated, one line per row.  Each record's last
+    byte becomes its separator, and the NULs are deleted."""
+    ends = rec.view(np.uint8)[..., -1]
+    ends[:, :-1] = _TAB
+    ends[:, -1] = _NEWLINE
+    fh.write(rec.tobytes().translate(None, b"\0"))

@@ -852,7 +852,8 @@ class SolutionField:
     center[it, ix] is g(0,0;x,t); slice_y[it, ix, i] is g(xi_i, 0; x,t)
     and slice_z[it, ix, j] is g(0, xi_j; x,t), both None when nothing
     reads them.  Skipped samples hold NaN.  center_tilde is filled only
-    for the coupled system: the partner G~(x,t) = G(x,-t)^T.
+    for the coupled system: the partner G~(x,t) = G(x,-t)^T.  copies
+    maps each t row filled by conjugation to the row it conjugates.
     """
 
     xs: np.ndarray
@@ -862,6 +863,7 @@ class SolutionField:
     slice_y: np.ndarray
     slice_z: np.ndarray
     center_tilde: np.ndarray = None
+    copies: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -1024,13 +1026,15 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
     with one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
         done = list(pool.map(run_rows, tasks, tasks.values()))
 
+    # -t is a sample time: no coupled kind is conjugation-reversible
+    mirrors = {it: list(ts).index(-t) for it, t in enumerate(ts) if t in copies}
     field_out = SolutionField(xs=xs, ts=ts, quad=quad, center=center,
                               slice_y=slice_y, slice_z=slice_z,
-                              center_tilde=center_tilde)
+                              center_tilde=center_tilde, copies=mirrors)
     report = PatchReport(det2=det2_vals,
                          skipped=sorted((s for skipped, _ in done for s in skipped),
                                         key=lambda s: s[:2]),
                          backward_error=berr, ranks=[r for _, ranks in done for r in ranks],
                          workers=workers, blas_threads=blas_threads,
-                         conjugated_rows=sum(t in copies for t in ts))
+                         conjugated_rows=len(mirrors))
     return field_out, report

@@ -9,9 +9,10 @@ process at one thread:
 
     PYTHONPATH=src python tests/make_references.py
 
-The script prints, per table, the largest move against the reference it
-replaces as a share of the table's largest |entry|, and whether each
-command's output changed.  A change that moves a reference says in
+The script prints, per table, "identical" when its bytes equal the
+reference it replaces, else the largest move against that reference as
+a share of the table's largest |entry|, and whether each command's
+output changed.  A change that moves a reference says in
 CHANGES.md what moved, by how much and why.
 """
 
@@ -123,6 +124,19 @@ def _bench_study_text():
     return scengen.scenario_text("nls2x2_study", 3)
 
 
+def change(old, text):
+    """What replacing the reference file old by text changes: "new",
+    "identical" or "unchanged" bytes, a table's largest move, or
+    "changed" command output."""
+    if not old.exists():
+        return "new"
+    if old.read_bytes() == text.encode():
+        return "identical" if old.suffix == ".tsv" else "unchanged"
+    if old.suffix == ".tsv":
+        return "largest move %.3g" % largest_move(old.read_text(), text)
+    return "changed"
+
+
 def regenerate():
     REFERENCES.mkdir(exist_ok=True)
     BENCH_STUDY.write_text(_bench_study_text())
@@ -132,15 +146,8 @@ def regenerate():
         folder = REFERENCES / name
         folder.mkdir(exist_ok=True)
         for fname, text in files.items():
-            old = folder / fname
-            if not old.exists():
-                note = "new"
-            elif fname.endswith(".tsv"):
-                note = "largest move %.3g" % largest_move(old.read_text(), text)
-            else:
-                note = "unchanged" if old.read_text() == text else "changed"
-            print("%-22s %-16s %s" % (name, fname, note))
-            old.write_text(text)
+            print("%-22s %-16s %s" % (name, fname, change(folder / fname, text)))
+            (folder / fname).write_text(text)
         for stale in sorted(set(p.name for p in folder.iterdir()) - set(files)):
             print("%-22s %-16s removed" % (name, stale))
             (folder / stale).unlink()

@@ -912,7 +912,19 @@ def test_run_tables_match_loop_writer(tmp_path):
         assert (out / name).read_text() == expected, name
 
 
-def test_write_table_bytes_equal_savetxt(tmp_path):
+def _savetxt(tmp_path, header, keys, values, tail=()):
+    """np.savetxt's %.17g bytes of the table _write_table writes: one
+    line per sample of the axes keys, t-major."""
+    grids = np.meshgrid(keys[1], keys[0], *keys[2:], indexing="ij")
+    columns = [grids[1].ravel(), grids[0].ravel()] + [g.ravel() for g in grids[2:]]
+    columns.append(np.ascontiguousarray(values).reshape(columns[0].size, -1).view(float))
+    path = tmp_path / "want.tsv"
+    np.savetxt(path, np.column_stack(columns + [np.ravel(c) for c in tail]), fmt="%.17g",
+               delimiter="\t", header="\t".join(header), comments="")
+    return path.read_bytes()
+
+
+def test_write_table_bytes_equal_savetxt(tmp_path, monkeypatch):
     # the writer gives np.savetxt's bytes for every float it may meet:
     # nan, +-inf, -0.0, the smallest subnormal, the largest float and
     # complex entries (which Python's format writes), and values on each
@@ -922,26 +934,55 @@ def test_write_table_bytes_equal_savetxt(tmp_path):
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e-5,
                1e-300, -1e-300, 1.0 / 3.0, 2.5e17, -7.0, 1e-4, 1e16,
                np.nextafter(1e17, 0), 9.9999999999999999e16, 1e17]
-    keys = np.array([[x, t] for x in special[:8] for t in special[8:]])
+    xs, ts = np.array(special[:8]), np.array(special[8:])
     rng = np.random.default_rng(5)
-    values = np.empty((len(keys), 2), dtype=complex)
-    values.real = rng.permutation(special * 10)[:2 * len(keys)].reshape(values.shape)
-    values.imag = rng.permutation(special * 10)[:2 * len(keys)].reshape(values.shape)
-    tail = np.abs(values[:, 0])
+    values = np.empty((len(ts), len(xs), 2), dtype=complex)
+    values.real = rng.permutation(special * 10)[:values.size].reshape(values.shape)
+    values.imag = rng.permutation(special * 10)[:values.size].reshape(values.shape)
+    tail = np.abs(values[..., 0])
     header = ["x", "t", "a", "b", "c", "d", "abs"]
-    assert 5 * len(header) < floatfmt._FEW <= len(keys) * len(header)
-    for rows in (5, len(keys)):
+    assert 5 * len(header) < floatfmt.FEW <= values.size * len(header) // 2
+    for keys, rows in (((xs[:5], ts[:1]), np.s_[:1, :5]), ((xs, ts), np.s_[:, :])):
         path = tmp_path / "table.tsv"
-        cli._write_table(str(path), header, keys[:rows], values[:rows], (tail[:rows],))
-        re_im = np.stack([values.real, values.imag], axis=-1)[:rows].reshape(rows, -1)
-        np.savetxt(tmp_path / "want.tsv", np.column_stack([keys[:rows], re_im, tail[:rows]]),
-                   fmt="%.17g", delimiter="\t", header="\t".join(header), comments="")
+        cli._write_table(str(path), header, keys, values[rows], (tail[rows],))
         got = path.read_bytes()
-        assert got == (tmp_path / "want.tsv").read_bytes()
+        assert got == _savetxt(tmp_path, header, keys, values[rows], (tail[rows],))
     for word in (b"nan", b"inf", b"-inf", b"-0", b"1e-300", b"4.9406564584124654e-324",
                  b"1.7976931348623157e+308", b"1.0000000000000001e-05", b"\t0.0001\t",
                  b"10000000000000000", b"99999999999999984", b"1e+17"):
         assert word in got
+
+    # t rows that copy others, the rows at -t conjugating those at t:
+    # their source rows hold nan, +-inf, +-0.0, a subnormal and an exact
+    # decimal tie, 800000000000001 / 8 = 100000000000000.125; a copy row
+    # formats only the values its source took to Python's format
+    tie = 800000000000001 / 8
+    assert str(800000000000001 * 5 ** 3) == "100000000000000125"
+    xs, ts, xis = np.array([-0.5, 0.25, 1.0]), np.linspace(-0.4, 0.4, 5), np.linspace(-8, 0, 33)
+    values = rng.standard_normal((5, 3, 33, 2)) + 1j * rng.standard_normal((5, 3, 33, 2))
+    for it, sample in ((3, (0, 4)), (4, (1, 7)), (3, (2, 31))):
+        values[it][sample] = [complex(np.nan, -np.inf), complex(-0.0, 0.0)]
+        values[it][sample[0], sample[1] + 1] = [complex(5e-324, tie), complex(np.inf, -tie)]
+    values[:2] = np.conj(values[:2:-1][:2])
+    assert np.array_equal(values[0], np.conj(values[4]), equal_nan=True)
+    tail = np.abs(values[..., 0])
+    header = ["x", "t", "xi"] + ["c%d" % k for k in range(5)]
+    sizes, records = [], floatfmt.records
+    for module in (cli, floatfmt):
+        monkeypatch.setattr(module, "records", lambda v: sizes.append(v.size) or records(v))
+    path = tmp_path / "copies.tsv"
+    cli._write_table(str(path), header, (xs, ts, xis), values, (tail,), copies={0: 4, 1: 3})
+    assert path.read_bytes() == _savetxt(tmp_path, header, (xs, ts, xis), values, (tail,))
+    row = 3 * 33 * 5
+    assert floatfmt.FEW <= row
+    slow = [records(np.column_stack([values[it].reshape(-1, 2).view(float),
+                                     tail[it].ravel()]).ravel())[1].size
+            for it in (4, 3)]
+    assert min(slow) >= 8
+    assert sizes == [3, 5, 33, row, slow[0], row, slow[1], row]
+    for word in (b"\tnan\t", b"\t-inf\t", b"\tinf\t", b"\t-0\t", b"\t0\t",
+                 b"4.9406564584124654e-324", b"\t100000000000000.12\t", b"\t-100000000000000.12"):
+        assert word in path.read_bytes()
 
 
 def test_manifest_is_strict_json_when_det2_overflows(tmp_path):
@@ -1476,6 +1517,39 @@ def test_rows_at_minus_t_are_the_conjugates_of_their_mirrors(tmp_path, name):
         assert run(sc, out_dir=str(out), threads=threads) == 0
         tables.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
     assert len(tables[0]) == 4 and tables[0] == tables[1] == tables[2]
+
+
+@pytest.mark.parametrize("scale", [1, 6])
+def test_solve_tables_are_the_arrays_it_solved(tmp_path, monkeypatch, scale):
+    # nls_gaussian_2x2 fills its 4 rows at -t by conjugation, and the
+    # table writer formats only their sources; at 6x the amplitude 22 of
+    # the 81 samples are patch-skipped, so copy rows hold NaN.  At one
+    # thread and at two every table is %.17g of the returned arrays
+    text = (SCENARIO_DIR / "nls_gaussian_2x2.yaml").read_text().replace(
+        "outputs: [center, residuals]", "outputs: [center, slices, det2]")
+    text = text.replace("[[0.5, 0.32], [0.1, 0.4]]", "[[%r, %r], [%r, %r]]" % tuple(
+        scale * a for a in (0.5, 0.32, 0.1, 0.4)))
+    sc = parse_scenario(write_scenario(tmp_path, text))
+    solved, evaluate = [], cli.evaluate_solution
+    monkeypatch.setattr(cli, "evaluate_solution",
+                        lambda *args, **kwargs: solved.append(evaluate(*args, **kwargs))
+                        or solved[-1])
+    for threads in (1, 2):
+        out = tmp_path / ("t%d" % threads)
+        assert run(sc, out_dir=str(out), threads=threads) == (2 if scale == 6 else 0)
+        field_out, report = solved[-1]
+        assert len(report.skipped) == (22 if scale == 6 else 0)
+        assert field_out.copies == {0: 8, 1: 7, 2: 6, 3: 5}
+        assert len(field_out.copies) == report.conjugated_rows
+        assert np.isnan(field_out.center[:4]).any() == (scale == 6)
+        axes, heads = (field_out.xs, field_out.ts), cli._entry_headers("g", 2, 2)
+        want = {"center.tsv": _savetxt(tmp_path, ["x", "t"] + heads, axes, field_out.center),
+                "det2.tsv": _savetxt(tmp_path, ["x", "t", "re_det2", "im_det2", "abs_det2"],
+                                     axes, report.det2, ([abs(d) for d in report.det2.ravel()],))}
+        for which, data in (("y", field_out.slice_y), ("z", field_out.slice_z)):
+            want["slice_%s.tsv" % which] = _savetxt(tmp_path, ["x", "t", "xi"] + heads,
+                                                    axes + (field_out.quad.nodes,), data)
+        assert {p.name: p.read_bytes() for p in out.glob("*.tsv")} == want
 
 
 def test_a_skip_at_t_is_the_conjugated_skip_at_minus_t(tmp_path):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from make_references import REFERENCES, cases, largest_move, outputs, tolerance
+from make_references import REFERENCES, cases, change, largest_move, outputs, tolerance
 
 CASES = cases()
 
@@ -36,3 +36,17 @@ def test_a_moved_entry_is_measured_against_the_largest():
     assert largest_move(residuals, residuals.replace("0.25", "0.3")) == pytest.approx(0.1)
     with pytest.raises(AssertionError):
         largest_move(residuals, residuals.replace("local_nls", "local_mkdv"))
+
+
+def test_regenerating_tells_identical_bytes_from_equal_values(tmp_path):
+    # "largest move 0" is equal values; only equal bytes are identical
+    table = tmp_path / "center.tsv"
+    table.write_text("x\tt\tre_g00\n0\t1\t2\n")
+    assert change(tmp_path / "det2.tsv", "x\n") == "new"
+    assert change(table, table.read_text()) == "identical"
+    assert change(table, "x\tt\tre_g00\n0\t1\t2.0\n") == "largest move 0"
+    assert change(table, "x\tt\tre_g00\n0\t1\t3\n") == "largest move 0.5"
+    record = tmp_path / "commands.json"
+    record.write_text("{}\n")
+    assert change(record, "{}\n") == "unchanged"
+    assert change(record, "{\"solve\": 0}\n") == "changed"
