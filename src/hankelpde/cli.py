@@ -17,8 +17,8 @@ defaults < the scenario file's tolerances section, so the manifest's
 scenario block reproduces the run.
 Output tables are tab-separated with %.17g floats, so identical
 scenarios produce bitwise-identical tables regardless of --threads.
-floatfmt writes the numbers: the bytes of Python's '%.17g', formatted
-block by block in numpy.
+floatfmt.write_table writes every table: run hands it the key axes and
+the numbers of each line as floats (a complex entry as re, im).
 """
 
 import argparse
@@ -42,7 +42,7 @@ from .equations import (
     stencil_reach,
     u_identity_check,
 )
-from .floatfmt import CHUNK, FEW, records, set_signs, write_rows
+from .floatfmt import write_table
 from .fredholm import (
     PATCH_THRESHOLD,
     SOLVER_TOL,
@@ -61,7 +61,7 @@ from .gridkernel import (
     sample_profile,
 )
 from .kinds import resolve_kind
-from .lapack import lu_path
+from .lapack import lu_path, one_blas_thread
 
 _OUTPUT_KINDS = ("center", "slices", "det2", "residuals")
 _DATA_KINDS = ("gaussian", "exponential_step", "exponential", "tabulated")
@@ -298,46 +298,6 @@ def _entry_headers(prefix, n, m):
     return cols
 
 
-def _write_table(path, header, keys, values, tail=(), copies={}):
-    """Write one line per sample of the axes keys, (xs, ts) or (xs, ts,
-    xis), t-major: its keys, each complex entry of its values as re, im
-    in ravel order, then its tail values, every number as %.17g.  A t row
-    of copies (SolutionField.copies) holds the numbers of the row it maps
-    to up to sign, so it takes that row's records (set_signs).  Rows too
-    short for numpy's path are formatted together."""
-    xs, ts, *inner = keys
-    shape, nt, nk = (len(xs),) + tuple(len(k) for k in inner), len(ts), len(keys)
-    numbers = np.ascontiguousarray(values).reshape((nt,) + shape + (-1,)).view(float)
-    if tail:
-        numbers = np.concatenate(
-            [numbers] + [np.reshape(c, numbers.shape[:-1] + (1,)) for c in tail], axis=-1)
-    width = numbers.shape[-1]
-    numbers = numbers.reshape(nt, -1)
-    step = 1 if numbers.shape[1] >= FEW else CHUNK // numbers.shape[1]
-    copies = copies if step == 1 else {}
-    last = {copies.get(i, i): i for i in range(0, nt, step)}
-
-    xrec, trec, *irec = (records(np.asarray(k, dtype=float))[0] for k in keys)
-    block = np.empty((min(step, nt),) + shape + (nk + width, 4), xrec.dtype)
-    block[..., 0, :] = xrec.reshape((-1,) + (1,) * len(inner) + (4,))
-    if inner:
-        block[..., 2, :] = irec[0]
-    held = {}
-    with open(path, "wb") as fh:
-        fh.write(("\t".join(header) + "\n").encode())
-        for i in range(0, nt, step):
-            n, js = min(step, nt - i), copies.get(i, i)
-            if js not in held:
-                held[js] = records(numbers[js:js + n].ravel())
-            rec, slow = held.pop(js) if last[js] == i else held[js]
-            block[:n, ..., 1, :] = trec[i:i + n].reshape((n,) + (1,) * len(shape) + (4,))
-            cells = block[:n, ..., nk:, :]
-            cells[...] = rec.reshape(cells.shape)
-            if js != i:
-                set_signs(cells, slow, numbers[i])
-            write_rows(fh, block[:n].reshape(-1, nk + width, 4))
-
-
 def _l2_norm(R, dx, dt):
     vals = np.abs(R) ** 2
     total = np.nansum(vals.reshape(vals.shape[0], vals.shape[1], -1).max(axis=2))
@@ -398,19 +358,21 @@ def run(scenario, out_dir=".", threads=1):
             header += _entry_headers("gt", m, n)
             values = np.concatenate(
                 [values, field_out.center_tilde.reshape(samples + (-1,))], axis=-1)
-        _write_table(path, header, axes, values, copies=copies)
+        write_table(path, header, axes, values.view(float), copies=copies)
         written.append(path)
     if "slices" in scenario.outputs:
         for which, data in (("y", field_out.slice_y), ("z", field_out.slice_z)):
             path = os.path.join(out_dir, "slice_%s.tsv" % which)
             header = ["x", "t", "xi"] + _entry_headers("g", *data.shape[-2:])
-            _write_table(path, header, axes + (field_out.quad.nodes,), data, copies=copies)
+            numbers = data.reshape(data.shape[:3] + (-1,)).view(float)
+            write_table(path, header, axes + (field_out.quad.nodes,), numbers, copies=copies)
             written.append(path)
     if "det2" in scenario.outputs:
         path = os.path.join(out_dir, "det2.tsv")
-        _write_table(path, ["x", "t", "re_det2", "im_det2", "abs_det2"], axes,
-                     report.det2, tail=([abs(d) for d in report.det2.ravel()],),
-                     copies=copies)
+        re, im = report.det2.real, report.det2.imag
+        # hypot, not np.abs, gives the bits of Python's abs(complex)
+        write_table(path, ["x", "t", "re_det2", "im_det2", "abs_det2"], axes,
+                    np.stack([re, im, np.hypot(re, im)], axis=-1), copies=copies)
         written.append(path)
     timings["tables_s"] = time.perf_counter() - t1
 
@@ -444,7 +406,7 @@ def run(scenario, out_dir=".", threads=1):
         "lowrank_solves": report.lowrank_solves,
         "dense_solves": report.dense_solves,
         "max_rank": report.max_rank,
-        "conjugated_rows": report.conjugated_rows,
+        "conjugated_rows": len(field_out.copies),
         "skipped": [[it, ix, t, x, d.real, d.imag, reason]
                     for (it, ix, t, x, d, reason) in report.skipped],
         "residuals": [[name, worst, l2] for name, worst, l2 in residual_rows],
@@ -671,7 +633,10 @@ def _verify_checks(scenario):
 def verify(scenario):
     """Print PASS/FAIL lines for the identity suite; return exit code."""
     failures = 0
-    for name, value, bound in _verify_checks(scenario):
+    # at one OpenBLAS thread, as solve runs, so every host prints the same
+    with one_blas_thread():
+        checks = _verify_checks(scenario)
+    for name, value, bound in checks:
         if isinstance(bound, tuple):
             ok = bound[0] < value < bound[1]
             text = "in (%g, %g)" % bound

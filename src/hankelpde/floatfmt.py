@@ -1,14 +1,16 @@
 """Float tables as tab-separated %.17g text, formatted in numpy.
 
-records(v) gives each value's record, its '%.17g' text NUL-padded to
-32 bytes, and write_rows(fh, rec) writes a (rows, columns) array of
-records as tab-separated lines without the NULs: the bytes of
+write_table is the table format: a header line, then per sample its key
+columns and its numbers, the bytes of
 
     "".join("\\t".join("%.17g" % v for v in row) + "\\n" for row in table)
 
-without a Python format call per number.  A record's first byte is its
-sign, "-" or NUL, unless the value took Python's format, so the record
-of a value's negative differs in that byte alone.
+without a Python format call per number.  Each value becomes a record,
+its '%.17g' text NUL-padded to 32 bytes; a line is its records with the
+last byte of each made its separator and the NULs deleted.  A record's
+first byte is its sign, "-" or NUL, unless the value took Python's
+format, so the record of a value's negative differs in that byte alone:
+a conjugated t row takes its source row's records.
 
 Each value's 17 significant digits D and decimal exponent X
 (|v| ~ D 10^(X-16)) come from one double-double product: |v| times
@@ -25,9 +27,9 @@ the records, assembled from lookup tables: fixed notation for
 A value the product cannot certify takes Python's own '%.17g': a
 fraction within _MARGIN of 1/2, nonzero |v| outside [_TINY, _HUGE)
 (where the split or the power of ten would leave the double range), nan
-and +-inf.  So does every value of a block of fewer than FEW values,
-where numpy's per-call cost exceeds the format calls it saves; records
-works in blocks of CHUNK values.
+and +-inf.  So does every value of a block of fewer than _FEW values,
+where numpy's per-call cost exceeds the format calls it saves; _records
+works in blocks of _CHUNK values.
 """
 
 import functools
@@ -36,8 +38,8 @@ import numpy as np
 
 # values per block: numpy's per-call cost is small against a block, and
 # a block's arrays (64 KB) stay below malloc's mmap threshold
-CHUNK = 8192
-FEW = 384
+_CHUNK = 8192
+_FEW = 384
 _MARGIN = 2.0 ** -20
 _TINY, _HUGE = 1e-280, 1e280
 # a record is four little-endian 64-bit words, 32 bytes: 0 the sign,
@@ -172,11 +174,11 @@ def _python(v):
     return rec
 
 
-def _records(v, rec):
+def _fill(v, rec):
     """Fill rec, (len(v), 4) words, with the records of v, and return the
     indices of the values that took Python's format: every one when v
-    has fewer than FEW values."""
-    if len(v) < FEW:
+    has fewer than _FEW values."""
+    if len(v) < _FEW:
         rec[:] = _python(v)
         return np.arange(len(v))
     _, _, keep_before, keep_after, point, head, tail = _tables()
@@ -209,31 +211,55 @@ def _records(v, rec):
     return slow
 
 
-def records(v):
+def _records(v):
     """The records of the 1-D float array v: (len(v), 4) words, value i's
     %.17g text NUL-padded in row i, and the sorted indices of the values
-    that took Python's format, CHUNK values at a time."""
+    that took Python's format, _CHUNK values at a time."""
     rec = np.empty((len(v), 4), _WORD)
     slow = np.zeros(len(v), dtype=bool)
-    for start in range(0, len(v), CHUNK):
-        slow[start + _records(v[start:start + CHUNK], rec[start:start + CHUNK])] = True
+    for start in range(0, len(v), _CHUNK):
+        slow[start + _fill(v[start:start + _CHUNK], rec[start:start + _CHUNK])] = True
     return rec, np.flatnonzero(slow)
 
 
-def set_signs(rec, slow, v):
-    """Make rec, the records of values with the magnitudes of v, and slow,
-    the indices of those that took Python's format (records), the records
-    of v: the sign bytes from v, and Python's format of v at slow.  rec
-    may be any (..., 4) view of records, indexed in C order."""
-    rec.view(np.uint8)[..., 0] = np.signbit(v).reshape(rec.shape[:-1]) * _MINUS
-    rec[np.unravel_index(slow, rec.shape[:-1])] = records(v[slow])[0]
+def write_table(path, header, keys, numbers, copies={}):
+    """Write path: the header line, then one line per sample of the axes
+    keys, (xs, ts) or (xs, ts, xis), t-major, holding its keys and then
+    its numbers, numbers being a float array (nt, nx[, nxi], width).
+    Numbers are tab separated, each as %.17g.  A t row of copies
+    (SolutionField.copies) holds the numbers of the row it maps to up to
+    sign, so it takes that row's records with its own sign bytes and
+    formats again only the values that took Python's format there.  Rows
+    too short for numpy's path are formatted together."""
+    nt, shape, width = numbers.shape[0], numbers.shape[1:-1], numbers.shape[-1]
+    nk = len(keys)
+    numbers = numbers.reshape(nt, -1)
+    step = 1 if numbers.shape[1] >= _FEW else _CHUNK // numbers.shape[1]
+    copies = copies if step == 1 else {}
+    last = {copies.get(i, i): i for i in range(0, nt, step)}
 
-
-def write_rows(fh, rec):
-    """Write rec, (rows, columns, 4) records, to the binary file fh: the
-    values of a row tab separated, one line per row.  Each record's last
-    byte becomes its separator, and the NULs are deleted."""
-    ends = rec.view(np.uint8)[..., -1]
-    ends[:, :-1] = _TAB
-    ends[:, -1] = _NEWLINE
-    fh.write(rec.tobytes().translate(None, b"\0"))
+    xrec, trec, *irec = (_records(np.asarray(k, dtype=float))[0] for k in keys)
+    block = np.empty((min(step, nt),) + shape + (nk + width, 4), _WORD)
+    block[..., 0, :] = xrec.reshape((-1,) + (1,) * len(irec) + (4,))
+    if irec:
+        block[..., 2, :] = irec[0]
+    held = {}
+    with open(path, "wb") as fh:
+        fh.write(("\t".join(header) + "\n").encode())
+        for i in range(0, nt, step):
+            n, js = min(step, nt - i), copies.get(i, i)
+            if js not in held:
+                held[js] = _records(numbers[js:js + n].ravel())
+            rec, slow = held.pop(js) if last[js] == i else held[js]
+            block[:n, ..., 1, :] = trec[i:i + n].reshape((n,) + (1,) * len(shape) + (4,))
+            cells = block[:n, ..., nk:, :]
+            cells[...] = rec.reshape(cells.shape)
+            if js != i:
+                own = numbers[i].reshape(cells.shape[:-1])
+                cells.view(np.uint8)[..., 0] = np.signbit(own) * _MINUS
+                cells[np.unravel_index(slow, own.shape)] = _records(numbers[i][slow])[0]
+            # each record's last byte becomes its separator, and the NULs go
+            ends = block[:n].view(np.uint8)[..., -1]
+            ends[..., :-1] = _TAB
+            ends[..., -1] = _NEWLINE
+            fh.write(block[:n].tobytes().translate(None, b"\0"))

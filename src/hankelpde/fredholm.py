@@ -876,13 +876,10 @@ class PatchReport:
     since their factorisation or core ran; the coupled partner's solve at
     a -t that is no sample time counts, and a conjugated row adds none.
     Then the threads the run used: row workers, and the OpenBLAS count
-    they ran at (None where it could not be set), and conjugated_rows,
-    the number of t rows filled by conjugating the solve at -t (a
-    conjugation-reversible kind on exactly real data).  A sample is
-    skipped for its "det2" (below the patch threshold) or its
-    "backward_error" (above solver_tol, which the backward_error array
-    still records); a coupled sample also for its partner's, checked
-    after its own."""
+    they ran at (None where it could not be set).  A sample is skipped
+    for its "det2" (below the patch threshold) or its "backward_error"
+    (above solver_tol, which the backward_error array still records); a
+    coupled sample also for its partner's, checked after its own."""
 
     det2: np.ndarray
     skipped: list
@@ -890,7 +887,6 @@ class PatchReport:
     ranks: list
     workers: int
     blas_threads: int
-    conjugated_rows: int
 
     @property
     def lowrank_solves(self):
@@ -1035,6 +1031,5 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
                          skipped=sorted((s for skipped, _ in done for s in skipped),
                                         key=lambda s: s[:2]),
                          backward_error=berr, ranks=[r for _, ranks in done for r in ranks],
-                         workers=workers, blas_threads=blas_threads,
-                         conjugated_rows=len(mirrors))
+                         workers=workers, blas_threads=blas_threads)
     return field_out, report

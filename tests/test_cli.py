@@ -679,6 +679,23 @@ def test_main_verify_shipped_scenario(path):
     assert main(["verify", str(path)]) == 0
 
 
+def test_verify_prints_the_same_at_any_openblas_thread_count(capsys):
+    # verify runs its checks at one OpenBLAS thread, as solve runs its
+    # solves: at two, rev_time_nls's nystrom_backward_error would move
+    have = lapack._routines()
+    get, put = have["openblas_get_num_threads"], have["openblas_set_num_threads"]
+    old = get()
+    printed = []
+    try:
+        for count in (1, 2):
+            put(count)
+            assert main(["verify", str(SCENARIO_DIR / "rev_time_nls.yaml")]) == 0
+            printed.append(capsys.readouterr().out)
+    finally:
+        put(old)
+    assert printed[0] == printed[1]
+
+
 @pytest.mark.parametrize("command, name, solves", [
     ("solve", "nls_gaussian_2x2", 1),
     ("study", "nls_rank_one_study", 3),
@@ -913,7 +930,7 @@ def test_run_tables_match_loop_writer(tmp_path):
 
 
 def _savetxt(tmp_path, header, keys, values, tail=()):
-    """np.savetxt's %.17g bytes of the table _write_table writes: one
+    """np.savetxt's %.17g bytes of the table floatfmt.write_table writes: one
     line per sample of the axes keys, t-major."""
     grids = np.meshgrid(keys[1], keys[0], *keys[2:], indexing="ij")
     columns = [grids[1].ravel(), grids[0].ravel()] + [g.ravel() for g in grids[2:]]
@@ -941,10 +958,11 @@ def test_write_table_bytes_equal_savetxt(tmp_path, monkeypatch):
     values.imag = rng.permutation(special * 10)[:values.size].reshape(values.shape)
     tail = np.abs(values[..., 0])
     header = ["x", "t", "a", "b", "c", "d", "abs"]
-    assert 5 * len(header) < floatfmt.FEW <= values.size * len(header) // 2
+    assert 5 * len(header) < floatfmt._FEW <= values.size * len(header) // 2
     for keys, rows in (((xs[:5], ts[:1]), np.s_[:1, :5]), ((xs, ts), np.s_[:, :])):
         path = tmp_path / "table.tsv"
-        cli._write_table(str(path), header, keys, values[rows], (tail[rows],))
+        floatfmt.write_table(str(path), header, keys, np.concatenate(
+            [values[rows].view(float), tail[rows][..., None]], axis=-1))
         got = path.read_bytes()
         assert got == _savetxt(tmp_path, header, keys, values[rows], (tail[rows],))
     for word in (b"nan", b"inf", b"-inf", b"-0", b"1e-300", b"4.9406564584124654e-324",
@@ -967,14 +985,15 @@ def test_write_table_bytes_equal_savetxt(tmp_path, monkeypatch):
     assert np.array_equal(values[0], np.conj(values[4]), equal_nan=True)
     tail = np.abs(values[..., 0])
     header = ["x", "t", "xi"] + ["c%d" % k for k in range(5)]
-    sizes, records = [], floatfmt.records
-    for module in (cli, floatfmt):
-        monkeypatch.setattr(module, "records", lambda v: sizes.append(v.size) or records(v))
+    sizes, records = [], floatfmt._records
+    monkeypatch.setattr(floatfmt, "_records", lambda v: sizes.append(v.size) or records(v))
     path = tmp_path / "copies.tsv"
-    cli._write_table(str(path), header, (xs, ts, xis), values, (tail,), copies={0: 4, 1: 3})
+    floatfmt.write_table(str(path), header, (xs, ts, xis),
+                         np.concatenate([values.view(float), tail[..., None]], axis=-1),
+                         copies={0: 4, 1: 3})
     assert path.read_bytes() == _savetxt(tmp_path, header, (xs, ts, xis), values, (tail,))
     row = 3 * 33 * 5
-    assert floatfmt.FEW <= row
+    assert floatfmt._FEW <= row
     slow = [records(np.column_stack([values[it].reshape(-1, 2).view(float),
                                      tail[it].ravel()]).ravel())[1].size
             for it in (4, 3)]
@@ -1293,7 +1312,7 @@ def test_permuting_ts_permutes_the_rows(name):
             assert (values is None) == (reference is None)
             if values is not None:
                 assert np.array_equal(values, reference[order], equal_nan=True)
-        assert report.conjugated_rows == want_report.conjugated_rows
+        assert len(got.copies) == len(want.copies)
         where = np.argsort(order)
         assert sorted(report.skipped) == sorted((where[it], *rest)
                                                 for it, *rest in want_report.skipped)
@@ -1329,14 +1348,14 @@ def test_the_ranks_are_those_of_every_solved_record(tmp_path, monkeypatch, name,
     solved = []
     for threads in (1, 2):
         returned.clear()
-        _, report = fredholm.evaluate_solution(sc, threads=threads)
+        field_out, report = fredholm.evaluate_solution(sc, threads=threads)
         calls = [[r for edges in records for r in edges.ranks] for records in returned]
         if threads == 1:
             assert report.ranks == [r for call in calls for r in call]
         solved.append((report.ranks, sorted(calls, key=repr)))
     assert solved[0] == solved[1]
     assert len(report.ranks) == times * sc.xs.size * rules
-    assert report.conjugated_rows == (4 if name == "rev_time_nls" else 0)
+    assert len(field_out.copies) == (4 if name == "rev_time_nls" else 0)
     assert bool(report.skipped) == (name == "kdv_positive_pole")
 
 
@@ -1489,7 +1508,7 @@ def test_rows_at_minus_t_are_the_conjugates_of_their_mirrors(tmp_path, name):
     assert not report.any_below and not report.skipped
     ts = list(sc.ts)
     mirrors = [(it, ts.index(-t)) for it, t in enumerate(ts) if t < 0]
-    assert len(mirrors) == report.conjugated_rows == (len(ts) - 1) // 2
+    assert len(mirrors) == len(field_out.copies) == (len(ts) - 1) // 2
     for it, mirror in mirrors:
         for values in (field_out.center, field_out.slice_y, field_out.slice_z, report.det2):
             assert np.array_equal(values[it], np.conj(values[mirror]))
@@ -1519,13 +1538,18 @@ def test_rows_at_minus_t_are_the_conjugates_of_their_mirrors(tmp_path, name):
     assert len(tables[0]) == 4 and tables[0] == tables[1] == tables[2]
 
 
-@pytest.mark.parametrize("scale", [1, 6])
-def test_solve_tables_are_the_arrays_it_solved(tmp_path, monkeypatch, scale):
+@pytest.mark.parametrize("name, scale", [
+    pytest.param("nls_gaussian_2x2", 1, id="1"),
+    pytest.param("nls_gaussian_2x2", 6, id="6"),
+    pytest.param("rev_time_nls", 1, id="rev_time_nls")])
+def test_solve_tables_are_the_arrays_it_solved(tmp_path, monkeypatch, name, scale):
     # nls_gaussian_2x2 fills its 4 rows at -t by conjugation, and the
     # table writer formats only their sources; at 6x the amplitude 22 of
-    # the 81 samples are patch-skipped, so copy rows hold NaN.  At one
-    # thread and at two every table is %.17g of the returned arrays
-    text = (SCENARIO_DIR / "nls_gaussian_2x2.yaml").read_text().replace(
+    # the 81 samples are patch-skipped, so copy rows hold NaN.
+    # rev_time_nls conjugates no row, and its abs_det2 column is where
+    # np.abs of the complex det2 would miss Python's abs in the last bit.
+    # At one thread and at two every table is %.17g of the returned arrays
+    text = (SCENARIO_DIR / (name + ".yaml")).read_text().replace(
         "outputs: [center, residuals]", "outputs: [center, slices, det2]")
     text = text.replace("[[0.5, 0.32], [0.1, 0.4]]", "[[%r, %r], [%r, %r]]" % tuple(
         scale * a for a in (0.5, 0.32, 0.1, 0.4)))
@@ -1539,10 +1563,11 @@ def test_solve_tables_are_the_arrays_it_solved(tmp_path, monkeypatch, scale):
         assert run(sc, out_dir=str(out), threads=threads) == (2 if scale == 6 else 0)
         field_out, report = solved[-1]
         assert len(report.skipped) == (22 if scale == 6 else 0)
-        assert field_out.copies == {0: 8, 1: 7, 2: 6, 3: 5}
-        assert len(field_out.copies) == report.conjugated_rows
+        assert field_out.copies == ({0: 8, 1: 7, 2: 6, 3: 5} if name == "nls_gaussian_2x2"
+                                    else {})
         assert np.isnan(field_out.center[:4]).any() == (scale == 6)
-        axes, heads = (field_out.xs, field_out.ts), cli._entry_headers("g", 2, 2)
+        axes = (field_out.xs, field_out.ts)
+        heads = cli._entry_headers("g", *field_out.center.shape[2:])
         want = {"center.tsv": _savetxt(tmp_path, ["x", "t"] + heads, axes, field_out.center),
                 "det2.tsv": _savetxt(tmp_path, ["x", "t", "re_det2", "im_det2", "abs_det2"],
                                      axes, report.det2, ([abs(d) for d in report.det2.ravel()],))}
@@ -1559,8 +1584,8 @@ def test_a_skip_at_t_is_the_conjugated_skip_at_minus_t(tmp_path):
     text = GAUSS_NLS_SMALL.replace("t: {start: -0.2, stop: 0.2, count: 5}",
                                    "t: [-0.2, 0.2]") + "outputs: [center, det2]\n"
     sc = parse_scenario(write_scenario(tmp_path, text))
-    _, report = fredholm.evaluate_solution(sc)
-    assert report.conjugated_rows == 1 and not report.skipped
+    field_out, report = fredholm.evaluate_solution(sc)
+    assert len(field_out.copies) == 1 and not report.skipped
     d = report.det2[1]
     ix = int(np.argmin(np.abs(d)))
     assert np.sum(np.abs(d) <= abs(d[ix])) == 1
@@ -1583,9 +1608,9 @@ def test_no_row_is_conjugated_without_real_data_and_an_imaginary_flow(name):
     # coupled_diffusion have real data under real flows: every row solves
     sc = parse_scenario(str(SCENARIO_DIR / (name + ".yaml")))
     assert sc.kind.conjugation_reversible == (name == "rev_time_nls")
-    _, report = fredholm.evaluate_solution(sc, threads=2)
+    field_out, report = fredholm.evaluate_solution(sc, threads=2)
     assert not report.any_below
-    assert report.conjugated_rows == 0
+    assert field_out.copies == {}
     # the coupled partner at t is the row at -t, a sample time here
     assert len(report.ranks) == sc.xs.size * sc.ts.size
 

@@ -1,4 +1,5 @@
-import io
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,19 +12,26 @@ def reference(table):
     return "".join("\t".join("%.17g" % v for v in row) + "\n" for row in table.tolist()).encode()
 
 
-def write(out, table):
-    floatfmt.write_rows(out, floatfmt.records(table.ravel())[0].reshape(*table.shape, 4))
+def write(table):
+    """write_table's bytes for table, (rows, columns), less the header
+    line and the key columns: row i is the sample (x, t) = (0, i)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.tsv")
+        floatfmt.write_table(path, ["x", "t"], ([0.0], np.arange(len(table))), table[:, None])
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)[1:]
+    assert [line.split(b"\t", 2)[:2] for line in lines] == [
+        [b"0", b"%d" % i] for i in range(len(table))]
+    return b"".join(line.split(b"\t", 2)[2] for line in lines)
 
 
 def assert_formats(values, cols=3):
-    # pad with ones to whole rows and to at least FEW cells, so every
+    # pad with ones to whole rows and to at least _FEW cells, so every
     # value takes the numpy path (or its fallback), not the small-table one
     values = np.asarray(values, dtype=float).ravel()
-    size = max(values.size, floatfmt.FEW)
+    size = max(values.size, floatfmt._FEW)
     table = np.concatenate([values, np.ones(-size % cols + size - values.size)]).reshape(-1, cols)
-    out = io.BytesIO()
-    write(out, table)
-    got, want = out.getvalue().splitlines(), reference(table).splitlines()
+    got, want = write(table).splitlines(), reference(table).splitlines()
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
@@ -99,21 +107,19 @@ def test_subnormals_zeros_and_non_finite():
 
 
 def test_small_blocks_and_ragged_chunks_match():
-    # below FEW cells a block takes Python's format; a table longer than
+    # below _FEW cells a block takes Python's format; a table longer than
     # one chunk ends in a short block
     rng = np.random.default_rng(3)
-    for shape in ((1, 1), (3, 7), (floatfmt.CHUNK // 11 + 5, 11)):
+    for shape in ((1, 1), (3, 7), (floatfmt._CHUNK // 11 + 5, 11)):
         table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
-        out = io.BytesIO()
-        write(out, table)
-        assert out.getvalue() == reference(table)
+        assert write(table) == reference(table)
 
 
 def test_fallback_is_rare_on_normal_values():
     # the fast path must carry the work: an exact formatter that falls
     # back on every value would pass the tests above
     v = np.random.default_rng(11).standard_normal(10 ** 5)
-    rec, slow = floatfmt.records(v)
+    rec, slow = floatfmt._records(v)
     assert slow.size < 0.01 * v.size
     assert_formats(v[:3000])
 
@@ -128,5 +134,5 @@ def test_signed_zeros_take_the_fast_path():
     mixed[::7] = np.random.default_rng(5).standard_normal(mixed[::7].size)
     for v in (zeros, mixed):
         assert_formats(v, cols=7)
-        _, slow = floatfmt.records(v)
+        _, slow = floatfmt._records(v)
         assert not np.any(v[slow] == 0)

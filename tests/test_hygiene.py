@@ -65,6 +65,45 @@ def test_a_private_import_is_caught():
     assert _private_imports(source) == [(2, "_flow"), (10, "_det2")]
 
 
+def _floatfmt_imports(source):
+    """(line, name) of each name a module takes from floatfmt other than
+    write_table: imported by name, or read as an attribute of the module
+    imported under any alias."""
+    tree = ast.parse(source)
+    modules = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "floatfmt":
+                found += [(node.lineno, alias.name) for alias in node.names
+                          if alias.name != "write_table"]
+            else:
+                modules |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "floatfmt"}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.split(".")[-1] == "floatfmt"}
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr != "write_table"
+              and ast.unparse(node.value) in modules]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_write_table_is_taken_from_floatfmt(path):
+    # the table format lives in floatfmt alone: its records, chunking and
+    # separators are its own, and a module writes a table by one call
+    assert _floatfmt_imports(path.read_text()) == []
+
+
+def test_a_floatfmt_import_beyond_write_table_is_caught():
+    source = ("from .floatfmt import _FEW, write_table\nfrom . import floatfmt as ff\n"
+              "import hankelpde.floatfmt\n\n\n"
+              "def f(v):\n    ff.write_table('a', [], (), v)\n"
+              "    return ff._records(v), hankelpde.floatfmt.set_signs\n")
+    assert _floatfmt_imports(source) == [(1, "_FEW"), (8, "_records"), (8, "set_signs")]
+
+
 def _defined_name(node):
     """The name a module-level function, class or single-name assignment
     defines, else None."""
