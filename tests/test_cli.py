@@ -973,35 +973,44 @@ def test_write_table_bytes_equal_savetxt(tmp_path, monkeypatch):
     # t rows that copy others, the rows at -t conjugating those at t:
     # their source rows hold nan, +-inf, +-0.0, a subnormal and an exact
     # decimal tie, 800000000000001 / 8 = 100000000000000.125; a copy row
-    # formats only the values its source took to Python's format
+    # formats only the values its source took to Python's format.  With
+    # 601 xi nodes a row holds more than _CHUNK numbers, and the special
+    # values sit in its second chunk too
     tie = 800000000000001 / 8
     assert str(800000000000001 * 5 ** 3) == "100000000000000125"
-    xs, ts, xis = np.array([-0.5, 0.25, 1.0]), np.linspace(-0.4, 0.4, 5), np.linspace(-8, 0, 33)
-    values = rng.standard_normal((5, 3, 33, 2)) + 1j * rng.standard_normal((5, 3, 33, 2))
-    for it, sample in ((3, (0, 4)), (4, (1, 7)), (3, (2, 31))):
-        values[it][sample] = [complex(np.nan, -np.inf), complex(-0.0, 0.0)]
-        values[it][sample[0], sample[1] + 1] = [complex(5e-324, tie), complex(np.inf, -tie)]
-    values[:2] = np.conj(values[:2:-1][:2])
-    assert np.array_equal(values[0], np.conj(values[4]), equal_nan=True)
-    tail = np.abs(values[..., 0])
+    xs, ts = np.array([-0.5, 0.25, 1.0]), np.linspace(-0.4, 0.4, 5)
     header = ["x", "t", "xi"] + ["c%d" % k for k in range(5)]
-    sizes, records = [], floatfmt._records
-    monkeypatch.setattr(floatfmt, "_records", lambda v: sizes.append(v.size) or records(v))
-    path = tmp_path / "copies.tsv"
-    floatfmt.write_table(str(path), header, (xs, ts, xis),
-                         np.concatenate([values.view(float), tail[..., None]], axis=-1),
-                         copies={0: 4, 1: 3})
-    assert path.read_bytes() == _savetxt(tmp_path, header, (xs, ts, xis), values, (tail,))
-    row = 3 * 33 * 5
-    assert floatfmt._FEW <= row
-    slow = [records(np.column_stack([values[it].reshape(-1, 2).view(float),
-                                     tail[it].ravel()]).ravel())[1].size
-            for it in (4, 3)]
-    assert min(slow) >= 8
-    assert sizes == [3, 5, 33, row, slow[0], row, slow[1], row]
-    for word in (b"\tnan\t", b"\t-inf\t", b"\tinf\t", b"\t-0\t", b"\t0\t",
-                 b"4.9406564584124654e-324", b"\t100000000000000.12\t", b"\t-100000000000000.12"):
-        assert word in path.read_bytes()
+    records = floatfmt._records
+    for nxi, places in ((33, ((3, (0, 4)), (4, (1, 7)), (3, (2, 31)))),
+                        (601, ((3, (0, 4)), (4, (1, 7)), (3, (2, 590)), (4, (2, 596))))):
+        xis = np.linspace(-8, 0, nxi)
+        values = rng.standard_normal((5, 3, nxi, 2)) + 1j * rng.standard_normal((5, 3, nxi, 2))
+        for it, sample in places:
+            values[it][sample] = [complex(np.nan, -np.inf), complex(-0.0, 0.0)]
+            values[it][sample[0], sample[1] + 1] = [complex(5e-324, tie), complex(np.inf, -tie)]
+        values[:2] = np.conj(values[:2:-1][:2])
+        assert np.array_equal(values[0], np.conj(values[4]), equal_nan=True)
+        tail = np.abs(values[..., 0])
+        sizes = []
+        monkeypatch.setattr(floatfmt, "_records", lambda v: sizes.append(v.size) or records(v))
+        path = tmp_path / "copies.tsv"
+        floatfmt.write_table(str(path), header, (xs, ts, xis),
+                             np.concatenate([values.view(float), tail[..., None]], axis=-1),
+                             copies={0: 4, 1: 3})
+        assert path.read_bytes() == _savetxt(tmp_path, header, (xs, ts, xis), values, (tail,))
+        row = 3 * nxi * 5
+        assert floatfmt._FEW <= row
+        slow = [records(np.column_stack([values[it].reshape(-1, 2).view(float),
+                                         tail[it].ravel()]).ravel())[1]
+                for it in (4, 3)]
+        assert min(s.size for s in slow) >= 8
+        if row > floatfmt._CHUNK:
+            assert min(s.max() for s in slow) >= floatfmt._CHUNK
+        assert sizes == [3, 5, nxi, row, slow[0].size, row, slow[1].size, row]
+        for word in (b"\tnan\t", b"\t-inf\t", b"\tinf\t", b"\t-0\t", b"\t0\t",
+                     b"4.9406564584124654e-324", b"\t100000000000000.12\t",
+                     b"\t-100000000000000.12"):
+            assert word in path.read_bytes()
 
 
 def test_manifest_is_strict_json_when_det2_overflows(tmp_path):

@@ -14,15 +14,23 @@ def reference(table):
 
 def write(table):
     """write_table's bytes for table, (rows, columns), less the header
-    line and the key columns: row i is the sample (x, t) = (0, i)."""
+    line and the key columns, written two ways: one t row per table row
+    (x = 0, t = i), which write_table groups into blocks of rows, and the
+    whole table as one t row (x = i, t = 0), which _records takes in one
+    call, _CHUNK values at a time."""
+    n = len(table)
+    layouts = ((([0.0], np.arange(n)), table[:, None], lambda i: [b"0", b"%d" % i]),
+               ((np.arange(n), [0.0]), table[None], lambda i: [b"%d" % i, b"0"]))
+    texts = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.tsv")
-        floatfmt.write_table(path, ["x", "t"], ([0.0], np.arange(len(table))), table[:, None])
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)[1:]
-    assert [line.split(b"\t", 2)[:2] for line in lines] == [
-        [b"0", b"%d" % i] for i in range(len(table))]
-    return b"".join(line.split(b"\t", 2)[2] for line in lines)
+        for keys, numbers, key in layouts:
+            floatfmt.write_table(path, ["x", "t"], keys, numbers)
+            with open(path, "rb") as fh:
+                lines = fh.read().splitlines(keepends=True)[1:]
+            assert [line.split(b"\t", 2)[:2] for line in lines] == [key(i) for i in range(n)]
+            texts.append(b"".join(line.split(b"\t", 2)[2] for line in lines))
+    return texts
 
 
 def assert_formats(values, cols=3):
@@ -31,10 +39,12 @@ def assert_formats(values, cols=3):
     values = np.asarray(values, dtype=float).ravel()
     size = max(values.size, floatfmt._FEW)
     table = np.concatenate([values, np.ones(-size % cols + size - values.size)]).reshape(-1, cols)
-    got, want = write(table).splitlines(), reference(table).splitlines()
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g == w
+    want = reference(table).splitlines()
+    for text in write(table):
+        got = text.splitlines()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
     return table
 
 
@@ -107,12 +117,14 @@ def test_subnormals_zeros_and_non_finite():
 
 
 def test_small_blocks_and_ragged_chunks_match():
-    # below _FEW cells a block takes Python's format; a table longer than
-    # one chunk ends in a short block
+    # below _FEW cells a block takes Python's format; more than _CHUNK
+    # values in one _records call, a whole table or one row of (2, _CHUNK
+    # + 5), are formatted a chunk at a time and end in a short chunk
     rng = np.random.default_rng(3)
-    for shape in ((1, 1), (3, 7), (floatfmt._CHUNK // 11 + 5, 11)):
+    for shape in ((1, 1), (3, 7), (floatfmt._CHUNK // 11 + 5, 11), (2, floatfmt._CHUNK + 5)):
         table = rng.standard_normal(shape) * 10.0 ** rng.integers(-30, 30, shape)
-        assert write(table) == reference(table)
+        for text in write(table):
+            assert text == reference(table)
 
 
 def test_fallback_is_rare_on_normal_values():
