@@ -166,6 +166,8 @@ def _resolve_tolerances(file_tols):
             raise ValueError("unknown tolerance %r (expected one of %s)"
                              % (key, sorted(tols)))
         tols[key] = _number(val, "tolerances.%s" % key)
+        if not tols[key] > 0:
+            raise ValueError("tolerances.%s must be positive, got %r" % (key, val))
     return tols
 
 
@@ -281,10 +283,12 @@ def parse_scenario(path):
     quadrature_rules(quad, richardson)  # the 2N rule must fit the grid too
 
     p0 = sample_profile(initial, grid, n, m)
-    if p0.exp_tag is None and not p0.decay_ok(tols["decay_tol"]):
-        warnings.warn("initial data boundary decay ratio %.3e exceeds %.3e; "
-                      "spectral evolution may wrap around the domain"
-                      % (p0.boundary_decay_ratio(), tols["decay_tol"]))
+    if p0.exp_tag is None:
+        ratio = p0.boundary_decay_ratio()
+        if not ratio <= tols["decay_tol"]:
+            warnings.warn("initial data boundary decay ratio %.3e exceeds %.3e; "
+                          "spectral evolution may wrap around the domain"
+                          % (ratio, tols["decay_tol"]))
     return Scenario(kind=kind, p0=p0, quad=quad, xs=xs, ts=ts, outputs=outputs,
                     tolerances=tols, richardson=richardson, raw=raw)
 
@@ -365,7 +369,7 @@ def run(scenario, out_dir=".", threads=1):
             path = os.path.join(out_dir, "slice_%s.tsv" % which)
             header = ["x", "t", "xi"] + _entry_headers("g", *data.shape[-2:])
             numbers = data.reshape(data.shape[:3] + (-1,)).view(float)
-            write_table(path, header, axes + (field_out.quad.nodes,), numbers, copies=copies)
+            write_table(path, header, axes + (scenario.quad.nodes,), numbers, copies=copies)
             written.append(path)
     if "det2" in scenario.outputs:
         path = os.path.join(out_dir, "det2.tsv")
@@ -593,11 +597,7 @@ def _verify_checks(scenario):
     x0 = float(scenario.xs[len(scenario.xs) // 2])
     dxq = quad.spacing
 
-    # the solve that solve runs on this rule, whose Q at x0, where it
-    # keeps one, is the middle member of the identity family
-    run = Run(p0, ptil, x0, quad)
-    kernels = [run.Q if k == 0 and run.Q is not None else paired_Q(p0, ptil, x0 + k * dxq, quad)
-               for k in (-2, -1, 0, 1, 2)]
+    kernels = [paired_Q(p0, ptil, x0 + k * dxq, quad) for k in (-2, -1, 0, 1, 2)]
     rep_fine = u_identity_check(kernels[1:4], dx=dxq)
     rep_coarse = u_identity_check(kernels[::2], dx=2 * dxq)
     checks.append(("u_identity_ii", rep_fine.identity_ii_error, 1e-10))
@@ -623,7 +623,8 @@ def _verify_checks(scenario):
         checks.append(("spectral_magnitude_drift", drift, 1e-12))
 
     tols = scenario.tolerances
-    edges, = run.solve([0], tols["patch_threshold"], tols["solver_tol"])
+    # the solve that solve runs at x0 on this rule
+    edges, = Run(p0, ptil, x0, quad).solve([0], tols["patch_threshold"], tols["solver_tol"])
     if edges.row is None:
         raise PatchError(edges.det2, x0)
     checks.append(("nystrom_backward_error", edges.berr, tols["solver_tol"]))

@@ -75,21 +75,19 @@ def companion_profile(p, kind):
     """Companion profile of shape m x n built from the evolved p.
 
     For time-reversed kinds the caller must supply p evolved to -t, as
-    fredholm.pairings does; the result carries time_stamp -p.time_stamp,
-    the wall-clock time it belongs to.
+    fredholm.pairings does.
     """
-    conjugate, sign, reflect, reverse = _entry(kind)
-    t_out = -p.time_stamp if reverse else p.time_stamp
+    conjugate, sign, reflect, _ = _entry(kind)
 
     if p.exp_tag is not None:
         rate, amp = p.exp_tag
         return exponential_profile(p.grid, -rate if reflect else rate,
-                                   _matrix_map(amp, conjugate, sign), t_out)
+                                   _matrix_map(amp, conjugate, sign))
 
     vals = _matrix_map(p.samples, conjugate, sign)
     if reflect:
         vals = reflect_samples(vals)
-    return MatrixProfile(grid=p.grid, samples=vals, time_stamp=t_out)
+    return MatrixProfile(grid=p.grid, samples=vals)
 
 
 def companion_field(G, kind):

@@ -37,9 +37,8 @@ def exp_rate_symbol(params, a):
     return params.mu1 * a ** 2 + params.mu2 * a ** 3
 
 
-def _multiply(p, symbol, lift=lambda v: v, t=0.0, real=False):
-    """Scale every mode e^{z*s} of p by lift(symbol(z)); stamp
-    p.time_stamp + t.
+def _multiply(p, symbol, lift=lambda v: v, real=False):
+    """Scale every mode e^{z*s} of p by lift(symbol(z)).
 
     real says that symbol(-z) = conj symbol(z) on the grid frequencies
     (a polynomial with real coefficients), so the multiplier maps real
@@ -53,8 +52,7 @@ def _multiply(p, symbol, lift=lambda v: v, t=0.0, real=False):
     """
     if p.exp_tag is not None:
         rate, amp = p.exp_tag
-        return exponential_profile(p.grid, rate, amp * lift(symbol(rate)),
-                                   p.time_stamp + t)
+        return exponential_profile(p.grid, rate, amp * lift(symbol(rate)))
     M, h = p.grid.node_count, p.grid.spacing
     if real and not p.samples.imag.any():
         values = symbol(2j * np.pi * np.fft.rfftfreq(M, d=h))
@@ -66,11 +64,11 @@ def _multiply(p, symbol, lift=lambda v: v, t=0.0, real=False):
     else:
         values = symbol(2j * np.pi * np.fft.fftfreq(M, d=h))
         samples = np.fft.ifft(lift(values)[:, None, None] * p.spectrum, axis=0)
-    return MatrixProfile(grid=p.grid, samples=samples, time_stamp=p.time_stamp + t)
+    return MatrixProfile(grid=p.grid, samples=samples)
 
 
 def evolve(p, params, t):
-    """Profile at time p.time_stamp + t under the exact linear flow."""
+    """p carried forward by time t under the exact linear flow."""
     if t == 0.0:
         return p
 
@@ -83,4 +81,4 @@ def evolve(p, params, t):
         return np.exp(lam)
 
     real = complex(params.mu1).imag == 0.0 and complex(params.mu2).imag == 0.0
-    return _multiply(p, lambda z: t * exp_rate_symbol(params, z), guarded_exp, t, real)
+    return _multiply(p, lambda z: t * exp_rate_symbol(params, z), guarded_exp, real)

@@ -858,7 +858,6 @@ class SolutionField:
 
     xs: np.ndarray
     ts: np.ndarray
-    quad: QuadratureGrid
     center: np.ndarray
     slice_y: np.ndarray
     slice_z: np.ndarray
@@ -1024,7 +1023,7 @@ def evaluate_solution(scenario, skip_on_patch_error=True, threads=1):
 
     # -t is a sample time: no coupled kind is conjugation-reversible
     mirrors = {it: list(ts).index(-t) for it, t in enumerate(ts) if t in copies}
-    field_out = SolutionField(xs=xs, ts=ts, quad=quad, center=center,
+    field_out = SolutionField(xs=xs, ts=ts, center=center,
                               slice_y=slice_y, slice_z=slice_z,
                               center_tilde=center_tilde, copies=mirrors)
     report = PatchReport(det2=det2_vals,

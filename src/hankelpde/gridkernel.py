@@ -1,10 +1,11 @@
 """Uniform periodic master grid and matrix-valued profiles sampled on it.
 
 A profile is a complex n x m matrix function of one real variable s,
-sampled at the nodes of a uniform grid covering [-X, X), together with
-the time it belongs to.  Downstream code only reads profile values at
-grid nodes (the commensurability rules guarantee every needed argument
-lands on one), so evaluation is exact lookup, never interpolation.
+sampled at the nodes of a uniform grid covering [-X, X).  A profile
+carries no time: the caller that evolves it knows the t it evolved by.
+Downstream code only reads profile values at grid nodes (the
+commensurability rules guarantee every needed argument lands on one),
+so evaluation is exact lookup, never interpolation.
 Pure exponential data amp * e^{rate*s} carry an exact tag; every such
 profile, initial, evolved, differentiated or companion, is built by
 exponential_profile.
@@ -62,7 +63,7 @@ def make_uniform_grid(X, M):
 
 @dataclass(frozen=True)
 class MatrixProfile:
-    """Samples of a matrix function on a MasterGrid at one time.
+    """Samples of a matrix function on a MasterGrid.
 
     samples has shape (M, n, m).  exp_tag, when present, is a pair
     (rate, amplitude_matrix) recording that the samples are exactly
@@ -72,7 +73,6 @@ class MatrixProfile:
 
     grid: MasterGrid
     samples: np.ndarray = field(repr=False)
-    time_stamp: float = 0.0
     exp_tag: tuple = None
 
     def __post_init__(self):
@@ -109,9 +109,6 @@ class MatrixProfile:
             return 0.0
         outer = np.abs(self.grid.nodes) >= 0.95 * self.grid.half_width
         return float(mags[outer].max() / total)
-
-    def decay_ok(self, decay_tol=DECAY_TOL):
-        return self.boundary_decay_ratio() <= decay_tol
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,7 @@ def sample_profile(spec, grid, n, m):
         A = _amplitude_matrix(spec, n, m)
         if spec.rate is None or not spec.rate > 0:
             raise ValueError("exponential rate must be positive, got %r" % (spec.rate,))
-        return exponential_profile(grid, float(spec.rate), A, 0.0)
+        return exponential_profile(grid, float(spec.rate), A)
     elif spec.kind == "tabulated":
         samples = np.asarray(spec.values, dtype=complex)
         if samples.shape != (grid.node_count, n, m):
@@ -174,10 +171,9 @@ def sample_profile(spec, grid, n, m):
     return MatrixProfile(grid=grid, samples=samples)
 
 
-def exponential_profile(grid, rate, amp, time_stamp):
+def exponential_profile(grid, rate, amp):
     """The exp-tagged profile amp * e^{rate*s}, sampled at every node."""
     amp = np.asarray(amp, dtype=complex)
     samples = np.exp(rate * grid.nodes)[:, None, None] * amp[None, :, :]
-    return MatrixProfile(grid=grid, samples=samples, time_stamp=time_stamp,
-                         exp_tag=(rate, amp))
+    return MatrixProfile(grid=grid, samples=samples, exp_tag=(rate, amp))
 

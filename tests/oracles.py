@@ -37,18 +37,18 @@ def spectral_derivative(p, order=1):
     return _multiply(p, lambda z: z ** order, real=True)
 
 
-def dispersion_residual(profiles, params):
+def dispersion_residual(profiles, ts, params):
     """Max norm of dp/dt - mu1 p_ss - mu2 p_sss over interior snapshots.
 
-    Takes a family of >= 3 profiles at uniformly spaced times; the time
-    derivative is a centered difference across neighbouring snapshots,
-    the space derivatives are exact spectral ones, so the result decays
-    like dt^2 when the family really solves the linear equation.
+    Takes a family of >= 3 profiles and the uniformly spaced times ts
+    they belong to; the time derivative is a centered difference across
+    neighbouring snapshots, the space derivatives are exact spectral
+    ones, so the result decays like dt^2 when the family really solves
+    the linear equation.
     """
     if len(profiles) < 3:
         raise ValueError("need at least 3 snapshots, got %d" % len(profiles))
-    ts = np.array([q.time_stamp for q in profiles])
-    dts = np.diff(ts)
+    dts = np.diff(np.asarray(ts, dtype=float))
     dt = dts[0]
     if dt <= 0 or not np.allclose(dts, dt, rtol=1e-9, atol=0.0):
         raise ValueError("snapshots must be at uniformly increasing times")
@@ -71,7 +71,7 @@ def companion_consistency_residual(p0, kind, params, t_samples):
     if len(t_samples) < 3:
         raise ValueError("need at least 3 time samples, got %d" % len(t_samples))
     family = [ptil for _, ptil in pairings(p0, params, kind, t_samples)]
-    return dispersion_residual(family, companion_parameters(kind, params))
+    return dispersion_residual(family, t_samples, companion_parameters(kind, params))
 
 
 def miura_check(p0, quad, xs, ts, richardson=False):

@@ -22,7 +22,7 @@ def grid_1d(span, count):
 def wave_field(xs, ts, func):
     T, X = np.meshgrid(ts, xs, indexing="ij")
     G = func(X, T)[:, :, None, None].astype(complex)
-    return SolutionField(xs=xs, ts=ts, quad=None, center=G,
+    return SolutionField(xs=xs, ts=ts, center=G,
                          slice_y=None, slice_z=None)
 
 
@@ -169,7 +169,7 @@ def test_residual_kdv_requires_square():
     xs = grid_1d(0.5, 7)
     ts = grid_1d(0.2, 7)
     G = np.zeros((7, 7, 1, 2), dtype=complex)
-    f = SolutionField(xs=xs, ts=ts, quad=None, center=G,
+    f = SolutionField(xs=xs, ts=ts, center=G,
                       slice_y=None, slice_z=None)
     with pytest.raises(ValueError):
         residuals(resolve_kind("kdv_primitive"), f)
@@ -282,7 +282,7 @@ def _random_field(rng, shape, n=7, K=3, partner=False):
         return rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
 
     a, b = shape
-    return SolutionField(xs=axis, ts=axis, quad=None, center=draw(n, n, a, b),
+    return SolutionField(xs=axis, ts=axis, center=draw(n, n, a, b),
                          slice_y=draw(n, n, K, a, b), slice_z=draw(n, n, K, a, b),
                          center_tilde=draw(n, n, b, a) if partner else None)
 
@@ -412,7 +412,7 @@ def test_stencil_reach_is_what_the_residuals_read(kind):
     def draw(*dims):
         return 0.5 * (rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
 
-    field = SolutionField(xs=axis, ts=axis, quad=None, center=draw(size, size, 2, 2),
+    field = SolutionField(xs=axis, ts=axis, center=draw(size, size, 2, 2),
                           slice_y=draw(size, size, 3, 2, 2), slice_z=draw(size, size, 3, 2, 2),
                           center_tilde=draw(size, size, 2, 2))
     base = f * np.arange(2, 9 - 2)
